@@ -255,6 +255,8 @@ def _run_method(method, x0, bundle, config, spec):
 
 
 def cmd_explain(args):
+    if args.top < 0:
+        raise UsageError(f"--top must be >= 0, got {args.top}")
     cfg = resolve_config(args)
     out = _ensure_out(args)
     bundle = _load_bundle(args)
@@ -553,7 +555,6 @@ def build_parser():
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config value")
         if bundle:

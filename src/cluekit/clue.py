@@ -17,6 +17,9 @@ from . import diffcore as dc
 from . import models
 
 
+SCHEMES = ("s1", "s2", "s3", "s4", "s5")
+
+
 @dataclass
 class ExperimentConfig:
     delta: float = math.inf  # latent l2 radius (inf = unconstrained)
@@ -35,10 +38,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (self.delta > 0.0):
             raise ValueError("delta must be > 0 (inf allowed)")
+        for name in ("r", "lambda_x", "lambda_y", "lambda_d", "lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.r < 0.0 or self.k < 1 or self.iters < 1 or self.n_i < 0:
             raise ValueError("invalid config: need r >= 0, k >= 1, iters >= 1, n_i >= 0")
         if min(self.lambda_x, self.lambda_y, self.lambda_d) < 0.0:
             raise ValueError("lambda weights must be >= 0")
+        if self.lr <= 0.0:
+            raise ValueError(f"lr must be > 0, got {self.lr!r}")
+        if math.isnan(self.h_threshold):
+            raise ValueError("h_threshold must not be NaN (inf allowed)")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown initialization scheme {self.scheme!r}; choose from {SCHEMES}")
 
 
 @dataclass
@@ -87,29 +99,29 @@ def objective(z, x0, bundle, lambda_x=0.0, lambda_y=0.0, x0_label=None):
 
     d_y is the cross-entropy of the candidate posterior against the hard
     label of the original input (computed from the bundle if not supplied);
-    it participates only when lambda_y > 0.
+    it participates only when lambda_y > 0. The loss is one fused tape node
+    over ``models.search_objective``, whose backward is derived by hand.
     """
     zt = dc.Tensor(np.asarray(z, dtype=np.float64), requires_grad=True)
-    x = models.decode_graph(bundle, zt)
-    p = models.posterior_graph(bundle, x)
-    h_term = models.entropy_graph(p)
-    loss = h_term
+    if lambda_y > 0.0 and x0_label is None:
+        x0_label = models.argmax_label(models.predict(bundle, x0).probs)
+    h_term, dx_term, dy_term, grad = models.search_objective(
+        bundle, zt.data, x0, lambda_x, lambda_y, x0_label)
+    value = h_term
     if lambda_x > 0.0:
-        dx_term = dc.l1_dist(x, dc.Tensor(np.asarray(x0, dtype=np.float64)))
-        if not np.isfinite(dx_term.data):
+        if not math.isfinite(dx_term):
             raise FloatingPointError("objective: input-distance term is non-finite")
-        loss = dc.add(loss, dc.mul(dx_term, lambda_x))
+        value = value + dx_term * lambda_x
     if lambda_y > 0.0:
-        if x0_label is None:
-            x0_label = models.argmax_label(models.predict(bundle, x0).probs)
-        dy_term = dc.mul(dc.log(dc.pick(p, x0_label)), -1.0)
-        if not np.isfinite(dy_term.data):
+        if not math.isfinite(dy_term):
             raise FloatingPointError("objective: prediction-distance term is non-finite")
-        loss = dc.add(loss, dc.mul(dy_term, lambda_y))
-    if not np.isfinite(h_term.data):
+        value = value + dy_term * lambda_y
+    if not math.isfinite(h_term):
         raise FloatingPointError("objective: entropy term is non-finite")
-    if not np.isfinite(loss.data):
+    if not math.isfinite(value):
         raise FloatingPointError("objective: total loss is non-finite")
+    loss = dc.Tensor(value, _parents=(zt,), op="search_objective")
+    loss._backward = lambda g: zt._accum(grad(g))
     loss.backward()
     return float(loss.data), np.array(zt.grad)
 

@@ -382,6 +382,27 @@ def l2_norm(x):
     return out
 
 
+def reshape(x, shape):
+    x = as_tensor(x)
+    out = Tensor(x.data.reshape(shape), _parents=(x,), op="reshape")
+    out._backward = lambda g: x._accum(g.reshape(x.shape))
+    return out
+
+
+def cols(x, lo, hi):
+    """Entries lo:hi along the last axis."""
+    x = as_tensor(x)
+    out = Tensor(x.data[..., lo:hi], _parents=(x,), op="cols")
+
+    def bw(g):
+        gx = np.zeros_like(x.data)
+        gx[..., lo:hi] = g
+        x._accum(gx)
+
+    out._backward = bw
+    return out
+
+
 def concat(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),

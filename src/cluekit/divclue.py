@@ -34,22 +34,16 @@ class DivRunRecord:
     metrics_rows: list = field(default_factory=list)  # all six metrics, all spaces
 
 
-def _as_row(t):
-    """View a vector node as a 1 x m matrix node."""
-    row = dc.Tensor(t.data.reshape(1, -1), _parents=(t,), op="rowview")
-    row._backward = lambda g: t._accum(g.reshape(t.shape))
-    return row
-
-
 def _joint_diversity(zs, spec, bundle, z0, x0):
     """Diversity value and gradients w.r.t. each latent, in the spec's space."""
     k = len(zs)
     zts = [dc.Tensor(z, requires_grad=True) for z in zs]
     if spec.space == "latent":
-        pts = dc.concat([_as_row(zt) for zt in zts], axis=0)
+        pts = dc.concat([dc.reshape(zt, (1, -1)) for zt in zts], axis=0)
         origin = z0
     elif spec.space == "input":
-        pts = dc.concat([_as_row(models.decode_graph(bundle, zt)) for zt in zts], axis=0)
+        pts = dc.concat([dc.reshape(models.decode_graph(bundle, zt), (1, -1)) for zt in zts],
+                        axis=0)
         origin = x0
     else:
         raise ValueError("diversity optimization supports latent or input space")
@@ -120,12 +114,13 @@ def _sequential_diversity_grad(found, z, spec, bundle, z0, x0):
     zt = dc.Tensor(z, requires_grad=True)
     if spec.space == "latent":
         rows = [dc.Tensor(np.stack(found))] if found else []
-        pts = dc.concat(rows + [_as_row(zt)], axis=0)
+        pts = dc.concat(rows + [dc.reshape(zt, (1, -1))], axis=0)
         origin = z0
     elif spec.space == "input":
         xs_prev = [models.decode(bundle, f) for f in found]
         rows = [dc.Tensor(np.stack(xs_prev))] if xs_prev else []
-        pts = dc.concat(rows + [_as_row(models.decode_graph(bundle, zt))], axis=0)
+        pts = dc.concat(rows + [dc.reshape(models.decode_graph(bundle, zt), (1, -1))],
+                        axis=0)
         origin = x0
     else:
         raise ValueError("diversity optimization supports latent or input space")

@@ -104,7 +104,7 @@ def apply_mapper(mapper, x_uncertain, bundle, lambda_x=0.0):
     x_ce = models.decode(bundle, z_ce)
     post = models.predict(bundle, x_ce)
     h = models.entropy(post)
-    d_x = float(np.sum(np.abs(x_ce - x)))
+    d_x = float(np.abs(x_ce - x).sum())
     return CandidateCE(z=z_ce, x=x_ce, posterior=post.probs, entropy=h, d_x=d_x,
                        d_y=0.0, rho=float(np.linalg.norm(mapper.theta)),
                        cost=h + lambda_x * d_x,
@@ -167,22 +167,6 @@ def nn_baseline(space, x_uncertain, x_certain, bundle, lambda_x=0.0,
         z_ce = z_c[idx]
         return _candidate_from(models.decode(bundle, z_ce), x, bundle, lambda_x, z=z_ce)
     raise ValueError(f"unknown space {space!r}")
-
-
-def glam_pairs_from_ceset_files(cesets):
-    """Uncertain inputs paired with their best accepted counterfactuals.
-
-    ``cesets`` is a list of CESet objects (one per uncertain input, e.g.
-    the recorded constrained-descent outputs); returns (x_uncertain rows,
-    x_certain rows) for mapper training on explanation outputs.
-    """
-    xs_u, xs_c = [], []
-    for cs in cesets:
-        accepted = cs.accepted() or cs.candidates
-        best = min(accepted, key=lambda c: c.cost)
-        xs_u.append(cs.x0)
-        xs_c.append(best.x)
-    return np.stack(xs_u), np.stack(xs_c)
 
 
 def mappers_from_cesets(cesets, source_labels, bundle, lambda_theta=0.0,
@@ -260,17 +244,6 @@ def summarize_schemes(rows):
             "median_time_ms": float(np.median([r["time_ms"] for r in sub])),
         })
     return out
-
-
-def write_comparison_csv(rows, summaries, path):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("scheme,point,H,d_x,cost,time_ms\n")
-        for r in rows:
-            f.write(f"{r['scheme']},{r['point']},{r['H']!r},{r['d_x']!r},"
-                    f"{r['cost']!r},{r['time_ms']!r}\n")
-        for s in summaries:
-            f.write(f"{s['scheme']},summary,{s['mean_H']!r},{s['mean_d_x']!r},"
-                    f"{s['mean_cost']!r},{s['median_time_ms']!r}\n")
 
 
 def save_mapper(mapper, path):

@@ -3,9 +3,15 @@
 A ``ModelBundle`` holds a VAE (MLP encoder returning a latent mean and
 log-variance, MLP decoder with a sigmoid output head) and an ensemble of
 independent MLP classifiers. Predictive uncertainty is the entropy of the
-ensemble-averaged class posterior. All forward passes run through the
-autodiff engine, so gradients w.r.t. inputs and latents are available to
-the explanation algorithms.
+ensemble-averaged class posterior.
+
+Two forward paths share the weights. Inference (``encode``, ``decode``,
+``predict``) and the search objective (``search_objective``) run on plain
+numpy, with the ensemble's members stacked so that each layer of all E
+members is one matmul; the objective's gradient is derived by hand. The
+``*_graph`` functions build the same forward on the autodiff tape, which
+training, the diversity gradients and the s5 start scheme differentiate
+through, and against which the tests check the hand-derived kernel.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import xlogy
+from scipy.special import expit, xlogy
 
 from . import diffcore as dc
 
@@ -67,6 +73,17 @@ class ModelBundle:
     seed: int = 0
     vae_report: TrainingReport = field(default_factory=TrainingReport)
     ensemble_report: TrainingReport = field(default_factory=TrainingReport)
+    # the ensemble as one MLP: layer i holds every member's weights as an
+    # E x in x out array and its biases as E x 1 x out; built from
+    # ``ensemble`` here, so replace a member by building a new bundle
+    stacked: MLP = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.ensemble[0].n_layers()
+        self.stacked = MLP(
+            weights=[np.stack([m.weights[i] for m in self.ensemble]) for i in range(n)],
+            biases=[np.stack([m.biases[i] for m in self.ensemble])[:, None, :]
+                    for i in range(n)])
 
 
 @dataclass
@@ -75,71 +92,34 @@ class Posterior:
     member_probs: np.ndarray  # E x c'
 
 
-def _row(t):
-    """View a vector node as a 1 x n matrix node."""
-    row = dc.Tensor(t.data.reshape(1, -1), _parents=(t,), op="rowview")
-    row._backward = lambda g: t._accum(g.reshape(t.shape))
-    return row
+# ---------------------------------------------------------------------------
+# tape forward: the graph the training loops and diversity gradients
+# differentiate, and the oracle for the numpy path below
 
 
-def _flat(t):
-    """View a 1 x n matrix node as a vector node."""
-    flat = dc.Tensor(t.data.reshape(-1), _parents=(t,), op="flatview")
-    flat._backward = lambda g: t._accum(g.reshape(t.shape))
-    return flat
-
-
-def _mlp_forward(mlp, x, hidden_act, out_act=None):
+def _mlp_graph(params, x, hidden_act):
+    """MLP forward on the tape; ``params`` alternates weight and bias."""
     vec = x.data.ndim == 1
-    h = _row(x) if vec else x
-    last = mlp.n_layers() - 1
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        h = dc.affine(h, dc.as_tensor(w), dc.as_tensor(b))
-        if i < last:
+    h = dc.reshape(x, (1, -1)) if vec else x
+    n = len(params) // 2
+    for i in range(n):
+        h = dc.affine(h, params[2 * i], params[2 * i + 1])
+        if i < n - 1:
             h = hidden_act(h)
-        elif out_act is not None:
-            h = out_act(h)
-    return _flat(h) if vec else h
+    return dc.reshape(h, (-1,)) if vec else h
+
+
+def _params(mlp):
+    return [a for wb in zip(mlp.weights, mlp.biases) for a in wb]
 
 
 def encode_graph(bundle, x):
     """Encoder mean as a graph node. ``x`` is a Tensor vector or matrix."""
-    out = _mlp_forward(bundle.encoder, x, dc.tanh)
-    m = bundle.m_latent
-    if out.data.ndim == 1:
-        return _slice_vec(out, 0, m)
-    return _slice_cols(out, 0, m)
-
-
-def _slice_vec(t, lo, hi):
-    sel = np.zeros((t.shape[0], hi - lo))
-    sel[lo:hi, :] = np.eye(hi - lo)
-    # vector @ matrix via 2-D matmul on a 1-row view
-    row = dc.Tensor(t.data.reshape(1, -1), _parents=(t,), op="rowview")
-    row._backward = lambda g: t._accum(g.reshape(t.shape))
-    out = dc.matmul(row, dc.Tensor(sel))
-    flat = dc.Tensor(out.data.reshape(-1), _parents=(out,), op="flat")
-    flat._backward = lambda g: out._accum(g.reshape(out.shape))
-    return flat
-
-
-def _slice_cols(t, lo, hi):
-    sel = np.zeros((t.shape[1], hi - lo))
-    sel[lo:hi, :] = np.eye(hi - lo)
-    return dc.matmul(t, dc.Tensor(sel))
-
-
-def _encode_full(bundle, x):
-    """Mean and logvar graph nodes (training path)."""
-    out = _mlp_forward(bundle.encoder, x, dc.tanh)
-    m = bundle.m_latent
-    if out.data.ndim == 1:
-        return _slice_vec(out, 0, m), _slice_vec(out, m, 2 * m)
-    return _slice_cols(out, 0, m), _slice_cols(out, m, 2 * m)
+    return dc.cols(_mlp_graph(_params(bundle.encoder), x, dc.tanh), 0, bundle.m_latent)
 
 
 def decode_logits_graph(bundle, z):
-    return _mlp_forward(bundle.decoder, z, dc.tanh)
+    return _mlp_graph(_params(bundle.decoder), z, dc.tanh)
 
 
 def decode_graph(bundle, z):
@@ -148,7 +128,7 @@ def decode_graph(bundle, z):
 
 
 def member_probs_graph(bundle, x, member):
-    logits = _mlp_forward(bundle.ensemble[member], x, dc.relu)
+    logits = _mlp_graph(_params(bundle.ensemble[member]), x, dc.relu)
     return dc.softmax(logits, axis=-1)
 
 
@@ -166,13 +146,101 @@ def entropy_graph(p):
     return dc.mul(dc.tsum(dc.mul(p, dc.log(p))), -1.0)
 
 
+# ---------------------------------------------------------------------------
+# numpy forward and the hand-derived search kernel
+
+
+def _relu(v, out):
+    return np.maximum(v, 0.0, out=out)
+
+
+def _forward(mlp, x, hidden_act, acts=None):
+    """Output logits of ``mlp`` at ``x``, without the tape.
+
+    On ``bundle.stacked`` an n x d' input gives E x n x c' logits, one
+    slab per member. ``acts``, if given, collects the hidden activations
+    that ``_backprop`` needs.
+    """
+    last = len(mlp.weights) - 1
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        x = x @ w
+        x += b
+        if i < last:
+            hidden_act(x, out=x)
+            if acts is not None:
+                acts.append(x)
+    return x
+
+
+def _backprop(mlp, acts, g, act_grad):
+    """Adjoint of ``_forward``'s input from the adjoint ``g`` of its logits."""
+    for w, a in zip(mlp.weights[:0:-1], acts[::-1]):
+        g = g @ w.swapaxes(-1, -2)
+        g *= act_grad(a)
+    return g @ mlp.weights[0].swapaxes(-1, -2)
+
+
+def _tanh_grad(a):
+    return 1.0 - a * a
+
+
+def _relu_grad(a):
+    return a > 0.0
+
+
+def _softmax(v):
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def search_objective(bundle, z, x0, lambda_x, lambda_y, label):
+    """The search loss at one latent ``z``, split into its terms.
+
+    With x = decode(z) and p the ensemble-mean posterior at x, the loss is
+    h + lambda_x * d_x + lambda_y * d_y for h = H(p) = -sum p log p,
+    d_x = sum |x - x0| and d_y = -log p[label]; a term whose weight is 0 is
+    not computed and reported as 0. Returns (h, d_x, d_y, grad), where
+    grad(g) is g times the loss's gradient in z. Non-finite terms are
+    returned as they are, for the caller to reject.
+    """
+    dec_acts, ens_acts = [], []
+    x = expit(_forward(bundle.decoder, z, np.tanh, dec_acts))
+    s = _softmax(_forward(bundle.stacked, x[None], _relu, ens_acts))  # E x 1 x c'
+    p = s.sum(axis=0)[0] * (1.0 / bundle.n_members)
+    logp = np.log(p)
+    h = -(p * logp).sum()
+    d_x = d_y = 0.0
+    if lambda_x > 0.0:
+        x0 = np.asarray(x0, dtype=np.float64)
+        if x0.shape != x.shape:
+            raise dc.ShapeError(f"search_objective: x0 shape {x0.shape} != {x.shape}")
+        diff = x - x0
+        d_x = np.abs(diff).sum()
+    if lambda_y > 0.0:
+        d_y = -logp[label]
+
+    def grad(g):
+        gp = -(logp + 1.0)  # dH/dp
+        if lambda_y > 0.0:
+            gp[label] -= lambda_y / p[label]
+        gp *= g * (1.0 / bundle.n_members)  # d/dp of the mean, to each member
+        gl = s * (gp - (s * gp).sum(axis=-1, keepdims=True))  # softmax
+        gx = _backprop(bundle.stacked, ens_acts, gl, _relu_grad).sum(axis=0)[0]
+        if lambda_x > 0.0:
+            gx += g * lambda_x * np.sign(diff)
+        return _backprop(bundle.decoder, dec_acts, gx * x * (1.0 - x), _tanh_grad)
+
+    return h, d_x, d_y, grad
+
+
 def encode(bundle, x):
     """Deterministic latent embedding: the encoder mean (no sampling)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != bundle.d_in:
         raise dc.ShapeError(f"encode: input length {x.shape[-1]} != d'={bundle.d_in}")
     EVAL_COUNTS["encode"] += 1
-    return encode_graph(bundle, dc.Tensor(x)).data
+    return _forward(bundle.encoder, x, np.tanh)[..., :bundle.m_latent]
 
 
 def decode(bundle, z):
@@ -180,7 +248,7 @@ def decode(bundle, z):
     if z.shape[-1] != bundle.m_latent:
         raise dc.ShapeError(f"decode: latent length {z.shape[-1]} != m'={bundle.m_latent}")
     EVAL_COUNTS["decode"] += 1
-    return decode_graph(bundle, dc.Tensor(z)).data
+    return expit(_forward(bundle.decoder, z, np.tanh))
 
 
 def predict(bundle, x):
@@ -188,17 +256,18 @@ def predict(bundle, x):
     if x.shape[-1] != bundle.d_in:
         raise dc.ShapeError(f"predict: input length {x.shape[-1]} != d'={bundle.d_in}")
     EVAL_COUNTS["predict"] += 1
-    member = np.stack([member_probs_graph(bundle, dc.Tensor(x), e).data
-                       for e in range(bundle.n_members)])
-    return Posterior(probs=member.mean(axis=0), member_probs=member)
+    member = _softmax(_forward(bundle.stacked, x.reshape(-1, bundle.d_in), _relu))
+    if x.ndim == 1:
+        member = member[:, 0]
+    return Posterior(probs=member.sum(axis=0) / bundle.n_members, member_probs=member)
 
 
 def entropy(posterior):
     """H = -sum p log p in nats, with 0 log 0 := 0."""
     p = posterior.probs if isinstance(posterior, Posterior) else np.asarray(posterior, dtype=np.float64)
-    if p.ndim != 1 or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-6:
+    if p.ndim != 1 or p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-6:
         raise ValueError(f"entropy: input is not a probability simplex (sum={p.sum():.6g})")
-    return float(-np.sum(xlogy(p, p)))
+    return float(-xlogy(p, p).sum())
 
 
 def predict_entropy(bundle, x):
@@ -207,7 +276,7 @@ def predict_entropy(bundle, x):
 
 def argmax_label(probs):
     """Deterministic hard label: lowest class index wins ties."""
-    return int(np.argmax(probs))
+    return int(np.asarray(probs).argmax())
 
 
 def _init_mlp(rng, sizes):
@@ -220,23 +289,7 @@ def _init_mlp(rng, sizes):
 
 
 def _mlp_tensors(mlp):
-    ts = []
-    for i in range(mlp.n_layers()):
-        ts.append(dc.Tensor(mlp.weights[i], requires_grad=True))
-        ts.append(dc.Tensor(mlp.biases[i], requires_grad=True))
-    return ts
-
-
-def _mlp_forward_t(tensors, x, hidden_act, out_act=None):
-    h = x
-    n = len(tensors) // 2
-    for i in range(n):
-        h = dc.affine(h, tensors[2 * i], tensors[2 * i + 1])
-        if i < n - 1:
-            h = hidden_act(h)
-        elif out_act is not None:
-            h = out_act(h)
-    return h
+    return [dc.Tensor(a, requires_grad=True) for a in _params(mlp)]
 
 
 def _sgd_step(tensors, lr):
@@ -291,12 +344,12 @@ def train_vae(dataset_inputs, hyperparams, seed):
         for lo in range(0, n, hp.batch):
             idx = perm[lo:lo + hp.batch]
             xb = dc.Tensor(x_all[idx])
-            h = _mlp_forward_t(enc_t, xb, dc.tanh)
-            mu = _slice_cols(h, 0, m)
-            logvar = _slice_cols(h, m, 2 * m)
+            h = _mlp_graph(enc_t, xb, dc.tanh)
+            mu = dc.cols(h, 0, m)
+            logvar = dc.cols(h, m, 2 * m)
             eps = rng.standard_normal((len(idx), m))
             z = dc.add(mu, dc.mul(dc.exp(dc.mul(logvar, 0.5)), dc.Tensor(eps)))
-            logits = _mlp_forward_t(dec_t, z, dc.tanh)
+            logits = _mlp_graph(dec_t, z, dc.tanh)
             if hp.recon == "bernoulli":
                 # cross-entropy from logits: softplus(a) - x*a (stable; valid for soft targets)
                 recon = dc.tsum(dc.sub(dc.softplus(logits), dc.mul(xb, logits)))
@@ -317,9 +370,8 @@ def train_vae(dataset_inputs, hyperparams, seed):
     _write_back(dec, dec_t)
 
     # reconstruction statistic on the training set
-    h = _mlp_forward_t(enc_t, dc.Tensor(x_all), dc.tanh)
-    mu = _slice_cols(h, 0, m).data
-    xhat = dc.sigmoid(_mlp_forward_t(dec_t, dc.Tensor(mu), dc.tanh)).data
+    mu = _forward(enc, x_all, np.tanh)[:, :m]
+    xhat = expit(_forward(dec, mu, np.tanh))
     mean_l1 = float(np.mean(np.sum(np.abs(xhat - x_all), axis=1)))
 
     report = TrainingReport(loss_curve=curve, final_loss=curve[-1], mean_recon_l1=mean_l1)
@@ -361,7 +413,7 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
             for lo in range(0, len(xt), hp.batch):
                 idx = order[lo:lo + hp.batch]
                 xb = dc.Tensor(xt[idx])
-                logits = _mlp_forward_t(ts, xb, dc.relu)
+                logits = _mlp_graph(ts, xb, dc.relu)
                 p = dc.softmax(logits, axis=-1)
                 loss = dc.mul(dc.tsum(dc.mul(dc.Tensor(onehot[idx]), dc.log(p))), -1.0 / len(idx))
                 if not np.isfinite(loss.data):
@@ -373,11 +425,8 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
 
     # held-out accuracy + training entropy histogram of the full ensemble
     def _post(xs):
-        stacks = []
-        for mlp in members:
-            logits = _mlp_forward(mlp, dc.Tensor(xs), dc.relu)
-            stacks.append(dc.softmax(logits, axis=-1).data)
-        return np.mean(np.stack(stacks), axis=0)
+        return np.mean(np.stack([_softmax(_forward(mlp, xs, _relu)) for mlp in members]),
+                       axis=0)
 
     p_held = _post(x_all[held])
     acc = float(np.mean(np.argmax(p_held, axis=1) == y_all[held]))

@@ -152,6 +152,22 @@ def test_explain_top_zero_writes_empty_tables(workspace, tmp_path):
     assert not [p for p in os.listdir(out) if p.startswith("ceset_")]
 
 
+def test_explain_negative_top_exit_2(workspace, tmp_path, capsys):
+    out = tmp_path / "neg"
+    assert run(["explain", "--out", str(out), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"], "--top", "-1"]
+               + EXPLAIN_SETS) == 2
+    assert "--top" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["lambda_x=NaN", "lr=-1", "scheme=\"s9\""])
+def test_bad_experiment_setting_exit_2(workspace, tmp_path, setting, capsys):
+    assert run(["explain", "--out", str(tmp_path / "bad"), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"], "--set", "r=0", "--set", setting]) == 2
+    assert "bad experiment config" in capsys.readouterr().err
+
+
 def test_unknown_method_axis_variant_exit_2(workspace, tmp_path, capsys):
     common = ["--out", str(tmp_path), "--bundle", workspace["bundle"],
               "--dataset", workspace["dataset"]]

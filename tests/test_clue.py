@@ -39,6 +39,32 @@ def test_config_validation():
         clue.ExperimentConfig(lambda_x=-0.5)
 
 
+@pytest.mark.parametrize("field", ["lambda_x", "lambda_y", "lambda_d", "lr", "r"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        clue.ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("lr", [0.0, -1.0])
+def test_config_rejects_non_positive_lr(lr):
+    with pytest.raises(ValueError, match="lr must be > 0"):
+        clue.ExperimentConfig(lr=lr)
+
+
+def test_config_rejects_nan_threshold():
+    with pytest.raises(ValueError, match="h_threshold"):
+        clue.ExperimentConfig(h_threshold=float("nan"))
+    clue.ExperimentConfig(h_threshold=float("inf"))  # accept everything
+
+
+@pytest.mark.parametrize("scheme", ["s9", "s0", "S1", ""])
+def test_config_rejects_unknown_scheme(scheme):
+    # r=0 skips init_scheme's own check, so the config must catch it
+    with pytest.raises(ValueError, match="unknown initialization scheme"):
+        clue.ExperimentConfig(scheme=scheme, r=0.0)
+
+
 def test_objective_matches_finite_differences(tiny_bundle):
     ds, bundle = tiny_bundle
     x0 = ds.train_inputs()[0]

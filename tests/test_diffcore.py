@@ -77,6 +77,20 @@ def test_matmul_affine_gradcheck():
                    bias.copy())
 
 
+def test_reshape_and_cols_gradcheck():
+    rng = np.random.default_rng(14)
+    for _ in range(25):
+        n, m = rng.integers(1, 5, size=2)
+        lo = int(rng.integers(0, m))
+        hi = int(rng.integers(lo + 1, m + 1))
+        w = rng.standard_normal(n * m)
+        x = rng.standard_normal((n, m))
+        check_grad(lambda t: dc.tsum(dc.mul(dc.reshape(t, (-1,)), dc.Tensor(w))), x.copy())
+        check_grad(lambda t: dc.sq_norm(dc.reshape(t, (n, m))), w.copy())
+        check_grad(lambda t: dc.sq_norm(dc.tanh(dc.cols(t, lo, hi))), x.copy())
+        check_grad(lambda t: dc.sq_norm(dc.cols(t, lo, hi)), x[0].copy())
+
+
 def test_broadcast_add_mul_gradcheck():
     rng = np.random.default_rng(12)
     for _ in range(25):

@@ -1,0 +1,142 @@
+"""The fused search kernel and the numpy forward against the autodiff tape.
+
+``clue.objective`` and ``models.encode``/``decode``/``predict`` run on
+plain numpy with a hand-derived backward; the ``*_graph`` functions build
+the same computation on the tape, which is the oracle here.
+"""
+
+import numpy as np
+import pytest
+
+import cluekit.diffcore as dc
+from cluekit import clue, data, models
+
+RTOL = 1e-10
+
+
+@pytest.fixture(scope="module")
+def digits64_bundle():
+    """An undertrained d=64, m=8, E=5 bundle: the digits shapes, cheaply."""
+    ds = data.gen_minidigits(n=200, seed=5)
+    vae_hp = models.VaeHyperparams(hidden=16, latent=8, epochs=3)
+    ens_hp = models.EnsembleHyperparams(hidden=16, epochs=3)
+    return ds, models.train_bundle(ds, vae_hp, ens_hp, n_members=5, seed=5)
+
+
+def tape_objective(z, x0, bundle, lambda_x, lambda_y, label):
+    zt = dc.Tensor(np.asarray(z, dtype=np.float64), requires_grad=True)
+    x = models.decode_graph(bundle, zt)
+    p = models.posterior_graph(bundle, x)
+    loss = models.entropy_graph(p)
+    if lambda_x > 0.0:
+        loss = dc.add(loss, dc.mul(dc.l1_dist(x, dc.Tensor(x0)), lambda_x))
+    if lambda_y > 0.0:
+        loss = dc.add(loss, dc.mul(dc.mul(dc.log(dc.pick(p, label)), -1.0), lambda_y))
+    loss.backward()
+    return float(loss.data), zt.grad
+
+
+@pytest.mark.parametrize("which", ["tiny", "digits64"])
+def test_fused_objective_matches_tape(which, tiny_bundle, request):
+    ds, bundle = tiny_bundle if which == "tiny" else request.getfixturevalue("digits64_bundle")
+    rng = np.random.default_rng(12)
+    z0s = models.encode(bundle, ds.train_inputs()[:20])
+    weights = set()
+    for i in range(120):
+        z = z0s[i % len(z0s)] + rng.normal(0.0, 1.0, bundle.m_latent)
+        x0 = rng.uniform(0.0, 1.0, bundle.d_in)
+        # cycle through each distance term being off, both off, both on
+        lam_x = 0.0 if i % 4 in (0, 2) else float(rng.uniform(0.01, 0.5))
+        lam_y = 0.0 if i % 4 in (1, 2) else float(rng.uniform(0.01, 0.5))
+        weights.add((lam_x > 0.0, lam_y > 0.0))
+        label = int(rng.integers(bundle.c_classes))
+        value, grad = clue.objective(z, x0, bundle, lam_x, lam_y, label)
+        ref_value, ref_grad = tape_objective(z, x0, bundle, lam_x, lam_y, label)
+        np.testing.assert_allclose(value, ref_value, rtol=RTOL, atol=0.0)
+        np.testing.assert_allclose(grad, ref_grad, rtol=RTOL, atol=0.0)
+    assert weights == {(False, True), (True, False), (False, False), (True, True)}
+
+
+def test_fused_objective_is_one_tape_node(tiny_bundle, monkeypatch):
+    ds, bundle = tiny_bundle
+    made, backward_calls = [], []
+    init, backward = dc.Tensor.__init__, dc.Tensor.backward
+
+    def counted_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_backward(self, *args, **kwargs):
+        backward_calls.append(1)
+        return backward(self, *args, **kwargs)
+
+    monkeypatch.setattr(dc.Tensor, "__init__", counted_init)
+    monkeypatch.setattr(dc.Tensor, "backward", counted_backward)
+    z = models.encode(bundle, ds.train_inputs()[0])
+    clue.objective(z, ds.train_inputs()[1], bundle, 0.1, 0.1, 0)
+    assert len(made) == 2  # the latent leaf and the fused loss node
+    assert len(backward_calls) == 1
+
+
+def test_objective_computes_missing_label_from_x0(tiny_bundle):
+    ds, bundle = tiny_bundle
+    x0 = ds.train_inputs()[2]
+    z = models.encode(bundle, x0) + 0.3
+    label = models.argmax_label(models.predict(bundle, x0).probs)
+    models.reset_eval_counts()
+    lazy = clue.objective(z, x0, bundle, 0.1, 0.2)
+    assert models.EVAL_COUNTS["predict"] == 1
+    given = clue.objective(z, x0, bundle, 0.1, 0.2, label)
+    assert lazy[0] == given[0]
+    assert np.array_equal(lazy[1], given[1])
+
+
+@pytest.mark.parametrize("which", ["tiny", "digits64"])
+def test_numpy_forward_matches_tape(which, tiny_bundle, request):
+    ds, bundle = tiny_bundle if which == "tiny" else request.getfixturevalue("digits64_bundle")
+    xs = ds.train_inputs()[:6]
+    zs = models.encode(bundle, xs)
+    for x, z in ((xs[0], zs[0]), (xs, zs)):  # one row, then a batch
+        np.testing.assert_allclose(models.encode(bundle, x),
+                                   models.encode_graph(bundle, dc.Tensor(x)).data,
+                                   rtol=RTOL, atol=0.0)
+        np.testing.assert_allclose(models.decode(bundle, z),
+                                   models.decode_graph(bundle, dc.Tensor(z)).data,
+                                   rtol=RTOL, atol=0.0)
+        post = models.predict(bundle, x)
+        members = np.stack([models.member_probs_graph(bundle, dc.Tensor(x), e).data
+                            for e in range(bundle.n_members)])
+        np.testing.assert_allclose(post.member_probs, members, rtol=RTOL, atol=0.0)
+        np.testing.assert_allclose(post.probs, members.mean(axis=0), rtol=RTOL, atol=0.0)
+    # a batch row equals the same row on its own
+    np.testing.assert_allclose(models.encode(bundle, xs)[3], models.encode(bundle, xs[3]),
+                               rtol=RTOL, atol=0.0)
+
+
+def _with_dead_class(bundle, dead):
+    """The bundle with every member's logit for class ``dead`` pushed to -1e4,
+    so the ensemble posterior of that class underflows to exactly 0."""
+    members = []
+    for mlp in bundle.ensemble:
+        weights, biases = list(mlp.weights), list(mlp.biases)
+        weights[-1] = np.zeros_like(weights[-1])
+        biases[-1] = np.zeros_like(biases[-1])
+        biases[-1][dead] = -1e4
+        members.append(models.MLP(weights=weights, biases=biases))
+    return models.ModelBundle(encoder=bundle.encoder, decoder=bundle.decoder,
+                              ensemble=members, d_in=bundle.d_in,
+                              m_latent=bundle.m_latent, c_classes=bundle.c_classes,
+                              n_members=bundle.n_members)
+
+
+def test_zero_posterior_entry_raises(tiny_bundle):
+    ds, bundle = tiny_bundle
+    dead = _with_dead_class(bundle, 1)
+    x0 = ds.train_inputs()[0]
+    z = models.encode(dead, x0)
+    assert models.predict(dead, models.decode(dead, z)).probs[1] == 0.0
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError, match="entropy term"):
+            clue.objective(z, x0, dead, 0.1, 0.0, 0)
+        with pytest.raises(FloatingPointError, match="prediction-distance term"):
+            clue.objective(z, x0, dead, 0.1, 0.1, 1)

@@ -237,42 +237,58 @@ def cmd_train(args):
     return 0
 
 
-METHODS = ("clue", "dclue", "divclue-sim", "divclue-seq", "divclue-pen")
+def _delta_clue(x0, bundle, config, spec):
+    return clue.delta_clue(x0, bundle, config)
 
 
-def _run_method(method, x0, bundle, config, spec):
-    if method == "clue":
-        return clue.delta_clue(x0, bundle, config)
-    if method == "dclue":
-        return clue.delta_clue(x0, bundle, config)
-    if method == "divclue-sim":
-        return divclue.nabla_clue_simultaneous(x0, bundle, config, spec).ceset
-    if method == "divclue-seq":
-        return divclue.nabla_clue_sequential(x0, bundle, config, spec).ceset
-    if method == "divclue-pen":
-        return divclue.nabla_clue_penalty(x0, bundle, config).ceset
-    raise UsageError(f"unknown method {method!r}; choose from {METHODS}")
+# method -> fn(x0, bundle, config, spec) -> CESet
+METHODS = {
+    "clue": _delta_clue,  # run with delta=inf, r=0, k=1
+    "dclue": _delta_clue,
+    "divclue-sim": lambda x0, bundle, config, spec:
+        divclue.nabla_clue_simultaneous(x0, bundle, config, spec).ceset,
+    "divclue-seq": lambda x0, bundle, config, spec:
+        divclue.nabla_clue_sequential(x0, bundle, config, spec).ceset,
+    "divclue-pen": lambda x0, bundle, config, spec:
+        divclue.nabla_clue_penalty(x0, bundle, config).ceset,
+}
+DIVERSITY_METHODS = ("divclue-sim", "divclue-seq")  # optimize the spec's metric
+
+
+def _diversity_spec(cfg, optimized):
+    """The config's DiversitySpec; one that a search optimizes must be a
+    differentiable metric in latent or input space."""
+    try:
+        spec = div.DiversitySpec(metric=cfg.get("metric", "dpp"),
+                                 space=cfg.get("space", "latent"))
+    except ValueError as e:
+        raise UsageError(f"bad diversity spec: {e}")
+    if optimized and spec.space == "prediction":
+        raise UsageError(f"diversity search needs one of {div.DIFFERENTIABLE_METRICS} "
+                         f"in latent or input space, got metric {spec.metric!r} "
+                         f"in {spec.space!r} space")
+    return spec
 
 
 def cmd_explain(args):
     if args.top < 0:
         raise UsageError(f"--top must be >= 0, got {args.top}")
+    run_method = METHODS.get(args.method)
+    if run_method is None:
+        raise UsageError(f"unknown method {args.method!r}; choose from {tuple(METHODS)}")
     cfg = resolve_config(args)
-    out = _ensure_out(args)
-    bundle = _load_bundle(args)
-    ds = _load_dataset(args)
-    if args.method not in METHODS:
-        raise UsageError(f"unknown method {args.method!r}; choose from {METHODS}")
     if args.method == "clue":
         cfg = dict(cfg, delta=float("inf"), r=0.0, k=1)
     config = experiment_config(cfg)
-    spec = div.DiversitySpec(metric=cfg.get("metric", "dpp"),
-                             space=cfg.get("space", "latent"))
+    spec = _diversity_spec(cfg, args.method in DIVERSITY_METHODS)
+    out = _ensure_out(args)
+    bundle = _load_bundle(args)
+    ds = _load_dataset(args)
     selected = _top_uncertain(ds, bundle, args.top)
     scatter_rows, dist_rows, outputs = [], [], []
     t0 = time.perf_counter()
     for idx, x0 in selected:
-        ceset = _run_method(args.method, x0, bundle, config, spec)
+        ceset = run_method(x0, bundle, config, spec)
         path = os.path.join(out, f"ceset_{idx}.json")
         tmp = f"{path}.tmp"
         clue.dump_ceset(ceset, tmp)
@@ -315,9 +331,6 @@ def _sweep_stats(record, bundle):
 
 def cmd_sweep(args):
     cfg = resolve_config(args)
-    out = _ensure_out(args)
-    bundle = _load_bundle(args)
-    ds = _load_dataset(args)
     if args.axis not in SWEEP_AXES:
         raise UsageError(f"unknown sweep axis {args.axis!r}; choose from {SWEEP_AXES}")
     try:
@@ -326,25 +339,22 @@ def cmd_sweep(args):
         raise UsageError(f"bad grid: {e}")
     if not grid:
         raise UsageError("sweep grid is empty")
-    spec = div.DiversitySpec(metric=cfg.get("metric", "dpp"),
-                             space=cfg.get("space", "latent"))
+    spec = _diversity_spec(cfg, optimized=True)
+    settings = {"delta": lambda v: {"delta": v, "r": v},
+                "lambda_d": lambda v: {"lambda_d": v},
+                "n_i": lambda v: {"n_i": int(v) if v.is_integer() else v}}.get(args.axis)
+    configs = [experiment_config(dict(cfg, **settings(v))) for v in grid] if settings else []
+    out = _ensure_out(args)
+    bundle = _load_bundle(args)
+    ds = _load_dataset(args)
     t0 = time.perf_counter()
     rows = []
     if args.axis == "lambda_theta":
         rows = _sweep_lambda_theta(grid, cfg, ds, bundle)
     else:
         idx, x0 = _top_uncertain(ds, bundle, 1)[0]
-        for value in grid:
-            c = dict(cfg)
-            if args.axis == "delta":
-                c["delta"] = value
-                c["r"] = value
-            elif args.axis == "lambda_d":
-                c["lambda_d"] = value
-            else:
-                c["n_i"] = int(value)
-            record = divclue.nabla_clue_simultaneous(
-                x0, bundle, experiment_config(c), spec)
+        for value, config in zip(grid, configs):
+            record = divclue.nabla_clue_simultaneous(x0, bundle, config, spec)
             for stat, v in _sweep_stats(record, bundle).items():
                 rows.append([args.axis, value, stat, v])
     wall = time.perf_counter() - t0
@@ -572,7 +582,7 @@ def build_parser():
 
     p = sub.add_parser("explain", help="run counterfactual search")
     common(p, bundle=True, dataset=True)
-    p.add_argument("--method", default="dclue", help=f"one of {METHODS}")
+    p.add_argument("--method", default="dclue", help=f"one of {tuple(METHODS)}")
     p.add_argument("--top", type=int, default=1,
                    help="explain the n most uncertain test inputs")
     p.set_defaults(fn=cmd_explain)

@@ -36,6 +36,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("k", "iters", "n_i", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not (self.delta > 0.0):
             raise ValueError("delta must be > 0 (inf allowed)")
         for name in ("r", "lambda_x", "lambda_y", "lambda_d", "lr"):
@@ -263,16 +267,32 @@ def make_starts(z0, config, context=None):
     return starts
 
 
-def _descend(z_start, z0, x0, bundle, config, x0_label, trace=False):
-    """One projected-gradient descent; projection applied after every step."""
+def _descend(z_start, z0, x0, bundle, config, x0_label, trace=False, repel=None):
+    """One projected-gradient descent; projection applied after every step.
+
+    ``repel(z) -> (value, grad)`` is an optional term added to the objective
+    at every step. Returns the end point, the trajectory (None unless
+    traced) and the loss at each step.
+    """
     z = np.array(z_start, dtype=np.float64)
     traj = [z.copy()] if trace else None
+    losses = []
     for _ in range(config.iters):
-        _, g = objective(z, x0, bundle, config.lambda_x, config.lambda_y, x0_label)
+        v, g = objective(z, x0, bundle, config.lambda_x, config.lambda_y, x0_label)
+        if repel is not None:
+            rv, rg = repel(z)
+            v, g = v + rv, g + rg
+        losses.append(v)
         z = project_to_ball(z - config.lr * g, z0, config.delta)
         if trace:
             traj.append(z.copy())
-    return z, (np.stack(traj) if trace else None)
+    return z, (np.stack(traj) if trace else None), losses
+
+
+def _setup(x0, bundle):
+    """The input as float64, its latent z0 and its predicted label."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    return x0, models.encode(bundle, x0), models.argmax_label(models.predict(bundle, x0).probs)
 
 
 def make_candidate(z, x0, z0, bundle, config, start_index, x0_label, trajectory=None):
@@ -296,13 +316,11 @@ def delta_clue(x0, bundle, config, context=None, trace=False):
     entropy is below the configured threshold; an empty accepted set is a
     valid outcome.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    z0 = models.encode(bundle, x0)
-    x0_label = models.argmax_label(models.predict(bundle, x0).probs)
+    x0, z0, x0_label = _setup(x0, bundle)
     starts = make_starts(z0, config, context)
     candidates = []
     for i, zs in enumerate(starts):
-        z, traj = _descend(zs, z0, x0, bundle, config, x0_label, trace)
+        z, traj, _ = _descend(zs, z0, x0, bundle, config, x0_label, trace)
         candidates.append(make_candidate(z, x0, z0, bundle, config, i, x0_label, traj))
     return CESet(candidates=candidates, config=config, x0=x0, z0=z0)
 

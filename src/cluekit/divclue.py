@@ -4,7 +4,8 @@ Three variants: simultaneous joint optimization of k latents with an
 explicit diversity reward, a greedy sequential scheme that repels each new
 candidate from the ones already found, and a sequential scheme with a
 simple inverse-distance penalty. Also: diversity pre-search, which spreads
-the initializations before any descent happens.
+the initializations before any descent happens. Both sequential schemes
+run ``clue._descend`` with their repulsion term added to every step.
 
 All variants collapse bitwise to the plain constrained descent when the
 diversity weight is zero (the diversity branch is skipped entirely, so the
@@ -20,8 +21,11 @@ import numpy as np
 from . import diffcore as dc
 from . import diversity as div
 from . import models
-from .clue import (CESet, make_candidate, make_starts, candidate_rng,
-                   init_scheme, objective, project_to_ball)
+from .clue import (CESet, _descend, _setup, make_candidate, make_starts, objective,
+                   project_to_ball)
+
+PENALTY_EPS = 1e-6
+PRESEARCH_LR = 0.1
 
 
 @dataclass
@@ -34,29 +38,32 @@ class DivRunRecord:
     metrics_rows: list = field(default_factory=list)  # all six metrics, all spaces
 
 
-def _joint_diversity(zs, spec, bundle, z0, x0):
-    """Diversity value and gradients w.r.t. each latent, in the spec's space."""
-    k = len(zs)
-    zts = [dc.Tensor(z, requires_grad=True) for z in zs]
-    if spec.space == "latent":
-        pts = dc.concat([dc.reshape(zt, (1, -1)) for zt in zts], axis=0)
-        origin = z0
-    elif spec.space == "input":
-        pts = dc.concat([dc.reshape(models.decode_graph(bundle, zt), (1, -1)) for zt in zts],
-                        axis=0)
-        origin = x0
-    else:
+def _diversity(spec, bundle, z0, x0, free, const=None):
+    """Diversity of const + free in the spec's space, and its gradients
+    w.r.t. the free latents only.
+
+    ``const`` holds rows already mapped into the spec's space (found points
+    of a sequential search); ``free`` holds latents.
+    """
+    if spec.space not in ("latent", "input"):
         raise ValueError("diversity optimization supports latent or input space")
-    node = div.diversity_node(spec, pts, x0=origin)
+    zts = [dc.Tensor(z, requires_grad=True) for z in free]
+    rows = [zt if spec.space == "latent" else models.decode_graph(bundle, zt) for zt in zts]
+    rows = [dc.reshape(r, (1, -1)) for r in rows]
+    if const is not None:
+        rows = [dc.Tensor(const)] + rows
+    node = div.diversity_node(spec, dc.concat(rows, axis=0),
+                              x0=z0 if spec.space == "latent" else x0)
     if node._parents:
         node.backward()
     grads = [zt.grad if zt.grad is not None else np.zeros_like(zt.data) for zt in zts]
     return float(node.data), grads
 
 
-def _finalize(zs, trajs, x0, z0, bundle, config, x0_label, loss_curve, spec, trace):
-    candidates = [make_candidate(z, x0, z0, bundle, config, i, x0_label,
-                                 trajs[i] if trace else None)
+def _finalize(zs, trajs, x0, z0, bundle, config, x0_label, loss_curve, spec):
+    """Candidates, metric report and record; ``trajs`` holds None per
+    candidate when untraced."""
+    candidates = [make_candidate(z, x0, z0, bundle, config, i, x0_label, trajs[i])
                   for i, z in enumerate(zs)]
     ceset = CESet(candidates=candidates, config=config, x0=x0, z0=z0)
     use_accepted = bool(ceset.accepted())
@@ -66,7 +73,7 @@ def _finalize(zs, trajs, x0, z0, bundle, config, x0_label, loss_curve, spec, tra
         x0, z0, bundle.c_classes,
     )
     return DivRunRecord(config=config, spec=spec, joint_loss=loss_curve,
-                        trajectories=[np.stack(t) for t in trajs] if trace else [],
+                        trajectories=[t for t in trajs if t is not None],
                         ceset=ceset, metrics_rows=rows)
 
 
@@ -78,9 +85,7 @@ def nabla_clue_simultaneous(x0, bundle, config, spec, context=None, trace=False)
     joint loss -lambda_d*D + (1/k) sum L(z_i); at lambda_d=0 the update is
     bit-for-bit the plain per-candidate step.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    z0 = models.encode(bundle, x0)
-    x0_label = models.argmax_label(models.predict(bundle, x0).probs)
+    x0, z0, x0_label = _setup(x0, bundle)
     zs = make_starts(z0, config, context)
     if config.n_i > 0:
         zs = diversity_presearch(zs, spec, config.n_i, config.r, z0,
@@ -95,7 +100,7 @@ def nabla_clue_simultaneous(x0, bundle, config, spec, context=None, trace=False)
             vals.append(v)
             grads.append(g)
         if config.lambda_d > 0.0 and config.k > 1:
-            d_val, d_grads = _joint_diversity(zs, spec, bundle, z0, x0)
+            d_val, d_grads = _diversity(spec, bundle, z0, x0, zs)
             scale = config.lambda_d * config.k
             grads = [g - scale * dg for g, dg in zip(grads, d_grads)]
             loss_curve.append(-config.lambda_d * d_val + float(np.mean(vals)))
@@ -106,29 +111,24 @@ def nabla_clue_simultaneous(x0, bundle, config, spec, context=None, trace=False)
         if trace:
             for t, z in zip(trajs, zs):
                 t.append(z.copy())
-    return _finalize(zs, trajs, x0, z0, bundle, config, x0_label, loss_curve, spec, trace)
+    trajs = [np.stack(t) if trace else None for t in trajs]
+    return _finalize(zs, trajs, x0, z0, bundle, config, x0_label, loss_curve, spec)
 
 
-def _sequential_diversity_grad(found, z, spec, bundle, z0, x0):
-    """Diversity of found + {z}, differentiated w.r.t. the new z only."""
-    zt = dc.Tensor(z, requires_grad=True)
-    if spec.space == "latent":
-        rows = [dc.Tensor(np.stack(found))] if found else []
-        pts = dc.concat(rows + [dc.reshape(zt, (1, -1))], axis=0)
-        origin = z0
-    elif spec.space == "input":
-        xs_prev = [models.decode(bundle, f) for f in found]
-        rows = [dc.Tensor(np.stack(xs_prev))] if xs_prev else []
-        pts = dc.concat(rows + [dc.reshape(models.decode_graph(bundle, zt), (1, -1))],
-                        axis=0)
-        origin = x0
-    else:
-        raise ValueError("diversity optimization supports latent or input space")
-    node = div.diversity_node(spec, pts, x0=origin)
-    if node._parents:
-        node.backward()
-    g = zt.grad if zt.grad is not None else np.zeros_like(z)
-    return float(node.data), g
+def _sequential(x0, bundle, config, spec, context, trace, repulsion):
+    """k greedy descents from ``make_starts``; once lambda_d > 0 and points
+    have been found, ``repulsion(found, z0, x0)`` gives the repel(z) term
+    that descent adds to every step. The joint loss averages the k curves."""
+    x0, z0, x0_label = _setup(x0, bundle)
+    found, trajs, curves = [], [], []
+    for z_start in make_starts(z0, config, context):
+        repel = repulsion(found, z0, x0) if config.lambda_d > 0.0 and found else None
+        z, traj, curve = _descend(z_start, z0, x0, bundle, config, x0_label, trace, repel)
+        found.append(z)
+        trajs.append(traj)
+        curves.append(curve)
+    joint = [float(np.mean([c[i] for c in curves])) for i in range(config.iters)]
+    return _finalize(found, trajs, x0, z0, bundle, config, x0_label, joint, spec)
 
 
 def nabla_clue_sequential(x0, bundle, config, spec, context=None, trace=False):
@@ -136,96 +136,49 @@ def nabla_clue_sequential(x0, bundle, config, spec, context=None, trace=False):
     the diversity of the set found so far plus the new point.
 
     The diversity term is subtracted (diversity is maximized), matching the
-    simultaneous objective.
+    simultaneous objective. Found points are mapped into the spec's space
+    once per descent.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    z0 = models.encode(bundle, x0)
-    x0_label = models.argmax_label(models.predict(bundle, x0).probs)
-    found = []
-    trajs = []
-    curves = []
-    for t in range(config.k):
-        rng = candidate_rng(config.seed, t)
-        z = project_to_ball(
-            init_scheme(config.scheme, z0, config.r, t, config.k,
-                        rng=rng, delta=config.delta, context=context),
-            z0, config.delta)
-        traj = [z.copy()]
-        curve = []
-        for _ in range(config.iters):
-            v, g = objective(z, x0, bundle, config.lambda_x, config.lambda_y, x0_label)
-            if config.lambda_d > 0.0 and found:
-                d_val, d_grad = _sequential_diversity_grad(found, z, spec, bundle, z0, x0)
-                g = g - config.lambda_d * d_grad
-                curve.append(v - config.lambda_d * d_val)
-            else:
-                curve.append(v)
-            z = project_to_ball(z - config.lr * g, z0, config.delta)
-            traj.append(z.copy())
-        found.append(z)
-        trajs.append(traj)
-        curves.append(curve)
-    joint = [float(np.mean([c[i] for c in curves])) for i in range(config.iters)]
-    return _finalize(found, trajs, x0, z0, bundle, config, x0_label, joint, spec, trace)
+    def repulsion(found, z0, x0):
+        const = np.stack([models.decode(bundle, f) for f in found]
+                         if spec.space == "input" else found)
+
+        def repel(z):
+            d_val, (d_grad,) = _diversity(spec, bundle, z0, x0, [z], const)
+            return -config.lambda_d * d_val, -config.lambda_d * d_grad
+        return repel
+
+    return _sequential(x0, bundle, config, spec, context, trace, repulsion)
 
 
-PENALTY_EPS = 1e-6
+def _penalty(z, found, lambda_d):
+    """Clamped inverse-distance repulsion sum_f lambda_d / max(||z - z_f||, eps)
+    and its gradient, which is flat under the clamp."""
+    total = 0.0
+    grad = np.zeros_like(z)
+    for zf in found:
+        diff = z - zf
+        d = float(np.linalg.norm(diff))
+        if d > PENALTY_EPS:
+            total += lambda_d / d
+            grad += -lambda_d / (d * d) * (diff / d)
+        else:
+            total += lambda_d / PENALTY_EPS
+    return total, grad
 
 
 def nabla_clue_penalty(x0, bundle, config, context=None, trace=False):
     """Sequential variant with an additive inverse-distance repulsion
     sum_f lambda_d / max(||z - z_f||, eps) instead of a diversity metric."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    z0 = models.encode(bundle, x0)
-    x0_label = models.argmax_label(models.predict(bundle, x0).probs)
     spec = div.DiversitySpec(metric="dpp", space="latent")  # for the report only
-    found = []
-    trajs = []
-    curves = []
-    for t in range(config.k):
-        rng = candidate_rng(config.seed, t)
-        z = project_to_ball(
-            init_scheme(config.scheme, z0, config.r, t, config.k,
-                        rng=rng, delta=config.delta, context=context),
-            z0, config.delta)
-        traj = [z.copy()]
-        curve = []
-        for _ in range(config.iters):
-            v, g = objective(z, x0, bundle, config.lambda_x, config.lambda_y, x0_label)
-            if config.lambda_d > 0.0 and found:
-                pen = 0.0
-                pen_g = np.zeros_like(z)
-                for zf in found:
-                    diff = z - zf
-                    d = float(np.linalg.norm(diff))
-                    if d > PENALTY_EPS:
-                        pen += config.lambda_d / d
-                        pen_g += -config.lambda_d / (d * d) * (diff / d)
-                    else:
-                        pen += config.lambda_d / PENALTY_EPS  # clamped; flat gradient
-                g = g + pen_g
-                curve.append(v + pen)
-            else:
-                curve.append(v)
-            z = project_to_ball(z - config.lr * g, z0, config.delta)
-            traj.append(z.copy())
-        found.append(z)
-        trajs.append(traj)
-        curves.append(curve)
-    joint = [float(np.mean([c[i] for c in curves])) for i in range(config.iters)]
-    return _finalize(found, trajs, x0, z0, bundle, config, x0_label, joint, spec, trace)
+
+    def repulsion(found, _z0, _x0):
+        return lambda z: _penalty(z, found, config.lambda_d)
+
+    return _sequential(x0, bundle, config, spec, context, trace, repulsion)
 
 
-def penalty_value(z, found, lambda_d):
-    """The clamped repulsion term on its own (diagnostic)."""
-    total = 0.0
-    for zf in found:
-        d = max(float(np.linalg.norm(z - zf)), PENALTY_EPS)
-        total += lambda_d / d
-    return total
-
-
-def diversity_presearch(starts, spec, n_i, r, z0, lr=0.1, bundle=None, x0=None):
+def diversity_presearch(starts, spec, n_i, r, z0, bundle=None, x0=None):
     """n_i gradient-ascent steps on the diversity of the start points, each
     projected back into the radius-r ball around z0. n_i=0 is the identity."""
     if spec.metric not in div.DIFFERENTIABLE_METRICS:
@@ -234,18 +187,6 @@ def diversity_presearch(starts, spec, n_i, r, z0, lr=0.1, bundle=None, x0=None):
     if n_i == 0 or len(zs) == 1:
         return zs
     for _ in range(n_i):
-        _, grads = _joint_diversity(zs, spec, bundle, z0, x0)
-        zs = [project_to_ball(z + lr * g, z0, r) for z, g in zip(zs, grads)]
+        _, grads = _diversity(spec, bundle, z0, x0, zs)
+        zs = [project_to_ball(z + PRESEARCH_LR * g, z0, r) for z, g in zip(zs, grads)]
     return zs
-
-
-def record_to_json(record, include_trajectories=False):
-    from .clue import ceset_to_json
-    from dataclasses import asdict
-    return {
-        "spec": asdict(record.spec),
-        "joint_loss": [float(v) for v in record.joint_loss],
-        "metrics": [{"metric": m, "space": s, "k": k, "value": float(v)}
-                    for m, s, k, v in record.metrics_rows],
-        "ceset": ceset_to_json(record.ceset, include_trajectories),
-    }

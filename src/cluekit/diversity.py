@@ -8,18 +8,18 @@ terms; the label-based metrics are evaluation-only.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import comb, log
 
 import numpy as np
-from scipy.linalg import lu_factor
 
 from . import diffcore as dc
 
 DIFFERENTIABLE_METRICS = ("dpp", "apd", "coverage")
 LABEL_METRICS = ("prediction_coverage", "distinct_labels", "label_entropy")
 ALL_METRICS = DIFFERENTIABLE_METRICS + LABEL_METRICS
+SPACES = ("input", "latent", "prediction")
+BASES = ("l2", "l1")
 
 
 @dataclass
@@ -30,57 +30,35 @@ class DiversitySpec:
 
     def __post_init__(self):
         if self.metric not in ALL_METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}")
-        if self.metric in LABEL_METRICS and self.metric != "prediction_coverage":
-            self.space = "prediction"
-        if self.metric == "prediction_coverage":
+            raise ValueError(f"unknown metric {self.metric!r}; choose from {ALL_METRICS}")
+        if self.space not in SPACES:
+            raise ValueError(f"unknown space {self.space!r}; choose from {SPACES}")
+        if self.base not in BASES:
+            raise ValueError(f"unknown base distance {self.base!r}; choose from {BASES}")
+        if self.metric in LABEL_METRICS:
             self.space = "prediction"
         if self.metric == "coverage" and self.space == "prediction":
             raise ValueError("coverage applies in input or latent space only")
 
 
-def _base_dist(a, b, base):
-    if base == "l2":
-        return float(np.linalg.norm(a - b))
-    if base == "l1":
-        return float(np.sum(np.abs(a - b)))
-    raise ValueError(f"unknown base distance {base!r}")
+def _value(metric, points, base="l2", x0=None):
+    """A differentiable metric's value: ``diversity_node`` on constant points."""
+    pts = np.asarray(points, dtype=np.float64)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError(f"{metric}: non-finite point")
+    node = diversity_node(DiversitySpec(metric=metric, base=base), dc.Tensor(pts), x0=x0)
+    return float(node.data)
 
 
 def dpp(points, base="l2"):
     """det of K with K_ij = 1/(1 + d(x_i, x_j)); 0 for k=1 by convention."""
-    pts = np.asarray(points, dtype=np.float64)
-    k = pts.shape[0]
-    if k == 1:
-        return 0.0
-    with np.errstate(invalid="ignore"):
-        dmat = np.array([[_base_dist(pts[i], pts[j], base) for j in range(k)]
-                         for i in range(k)])
-    if not np.all(np.isfinite(dmat)):
-        raise ValueError("dpp: non-finite pairwise distance")
-    kern = 1.0 / (1.0 + dmat)
-    with warnings.catch_warnings():
-        # duplicate points make the kernel singular; a zero LU diagonal then
-        # yields determinant 0, which is the intended value
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(kern)
-    parity = (-1.0) ** np.count_nonzero(piv != np.arange(k))
-    value = parity * float(np.prod(np.diag(lu)))
-    # PSD kernel guarantees [0,1]; clamp roundoff (floor at -1e-9)
-    return min(1.0, max(0.0, value))
+    # PSD kernel guarantees [0,1]; clamp roundoff
+    return min(1.0, max(0.0, _value("dpp", points, base)))
 
 
 def apd(points, base="l2"):
     """Average pairwise distance; 0 for k=1."""
-    pts = np.asarray(points, dtype=np.float64)
-    k = pts.shape[0]
-    if k == 1:
-        return 0.0
-    total = 0.0
-    for i in range(k - 1):
-        for j in range(i + 1, k):
-            total += _base_dist(pts[i], pts[j], base)
-    return total / comb(k, 2)
+    return _value("apd", points, base)
 
 
 def coverage(points, x0):
@@ -93,9 +71,7 @@ def coverage(points, x0):
     x0 = np.asarray(x0, dtype=np.float64)
     if pts.shape[1] != x0.shape[0]:
         raise dc.ShapeError(f"coverage: dimension mismatch {pts.shape[1]} vs {x0.shape[0]}")
-    pos = np.max(pts - x0, axis=0)
-    neg = np.max(x0 - pts, axis=0)
-    return float(np.mean(pos + neg))
+    return _value("coverage", pts, x0=x0)
 
 
 def coverage_max(mins, maxs):
@@ -195,9 +171,3 @@ def metric_report_rows(xs, zs, posteriors, labels, x0, z0, c):
     rows.append(("label_entropy", "prediction", k, label_entropy(labels, c)))
     return rows
 
-
-def write_metric_csv(rows, path):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("metric,space,k,value\n")
-        for metric, space, k, value in rows:
-            f.write(f"{metric},{space},{k},{repr(float(value))}\n")

@@ -196,54 +196,11 @@ def mappers_from_cesets(cesets, source_labels, bundle, lambda_theta=0.0,
     return mappers
 
 
-def pick_best_mapper(mappers, x, bundle, lambda_x=0.0, top_n=None):
-    """Unknown-class inference: apply all (or the top_n classes by the
-    classifier's prediction) and keep the lowest-cost counterfactual."""
-    if top_n is not None:
-        probs = models.predict(bundle, x).probs
-        keep = set(np.argsort(-probs)[:top_n])
-        pool = [m for m in mappers if m.target_group in keep] or list(mappers)
-    else:
-        pool = list(mappers)
-    cands = [apply_mapper(m, x, bundle, lambda_x) for m in pool]
+def pick_best_mapper(mappers, x, bundle, lambda_x=0.0):
+    """Unknown-class inference: apply every mapper and keep the
+    lowest-cost counterfactual."""
+    cands = [apply_mapper(m, x, bundle, lambda_x) for m in mappers]
     return min(cands, key=lambda c: c.cost)
-
-
-def evaluate_schemes(x_test_uncertain, schemes, lambda_x=0.0, repetitions=5):
-    """Per-scheme H / d_x / cost rows plus median per-point inference time.
-
-    ``schemes`` maps scheme name -> callable(x) -> CandidateCE. Timing is
-    the median over ``repetitions`` of process wall clock per point.
-    """
-    rows = []
-    for name, fn in schemes.items():
-        for pid, x in enumerate(x_test_uncertain):
-            times = []
-            for _ in range(repetitions):
-                t0 = time.perf_counter()
-                ce = fn(x)
-                times.append(time.perf_counter() - t0)
-            t_ms = 1000.0 * float(np.median(times))
-            cost = ce.entropy + lambda_x * ce.d_x
-            rows.append({"scheme": name, "point": pid, "H": ce.entropy,
-                         "d_x": ce.d_x, "cost": cost, "time_ms": t_ms,
-                         "label": ce.label})
-    return rows
-
-
-def summarize_schemes(rows):
-    """One summary dict per scheme: mean H, mean d_x, mean cost, median time."""
-    out = []
-    for name in dict.fromkeys(r["scheme"] for r in rows):
-        sub = [r for r in rows if r["scheme"] == name]
-        out.append({
-            "scheme": name,
-            "mean_H": float(np.mean([r["H"] for r in sub])),
-            "mean_d_x": float(np.mean([r["d_x"] for r in sub])),
-            "mean_cost": float(np.mean([r["cost"] for r in sub])),
-            "median_time_ms": float(np.median([r["time_ms"] for r in sub])),
-        })
-    return out
 
 
 def save_mapper(mapper, path):

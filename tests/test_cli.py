@@ -168,6 +168,35 @@ def test_bad_experiment_setting_exit_2(workspace, tmp_path, setting, capsys):
     assert "bad experiment config" in capsys.readouterr().err
 
 
+SWEEP = ["sweep", "--axis", "lambda_d", "--grid", "0,0.5"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["explain", "--set", "k=2.5"], "k must be an int"),
+    (["explain", "--set", "iters=2.5"], "iters must be an int"),
+    (["explain", "--set", "n_i=1.5"], "n_i must be an int"),
+    (["explain", "--set", "seed=1.5"], "seed must be an int"),
+    (["explain", "--set", "metric=bogus"], "unknown metric"),
+    (["explain", "--set", "space=bogus"], "unknown space"),
+    (SWEEP + ["--set", "metric=bogus"], "unknown metric"),
+    (SWEEP + ["--set", "space=bogus"], "unknown space"),
+    (SWEEP + ["--set", "k=2.5"], "k must be an int"),
+    (SWEEP + ["--set", "metric=label_entropy"], "diversity search needs"),
+    (["sweep", "--axis", "n_i", "--grid", "0,1.5"], "n_i must be an int"),
+    (["sweep", "--axis", "n_i", "--grid", "inf"], "n_i must be an int"),
+    (["explain", "--method", "divclue-sim", "--set", "metric=distinct_labels"],
+     "diversity search needs"),
+    (["explain", "--method", "divclue-seq", "--set", "space=prediction"],
+     "diversity search needs"),
+])
+def test_malformed_search_config_exit_2(workspace, tmp_path, argv, message, capsys):
+    out = tmp_path / "bad"
+    assert run(argv + ["--out", str(out), "--bundle", workspace["bundle"],
+                       "--dataset", workspace["dataset"]]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_method_axis_variant_exit_2(workspace, tmp_path, capsys):
     common = ["--out", str(tmp_path), "--bundle", workspace["bundle"],
               "--dataset", workspace["dataset"]]

@@ -58,6 +58,13 @@ def test_config_rejects_nan_threshold():
     clue.ExperimentConfig(h_threshold=float("inf"))  # accept everything
 
 
+@pytest.mark.parametrize("field,value", [("k", 2.5), ("iters", 2.5), ("n_i", 1.5),
+                                         ("seed", 1.5), ("k", True), ("seed", "3")])
+def test_config_rejects_non_int_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        clue.ExperimentConfig(**{field: value})
+
+
 @pytest.mark.parametrize("scheme", ["s9", "s0", "S1", ""])
 def test_config_rejects_unknown_scheme(scheme):
     # r=0 skips init_scheme's own check, so the config must catch it

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cluekit import clue, divclue, diversity as div, models
+from cluekit import diffcore as dc
 
 
 def _config(**kw):
@@ -105,9 +106,10 @@ def test_diversity_costs_some_certainty(blobs, blobs_bundle):
 def test_penalty_clamp_value():
     z = np.zeros(3)
     found = [np.zeros(3)]
-    val = divclue.penalty_value(z, found, lambda_d=2.0)
+    val, grad = divclue._penalty(z, found, lambda_d=2.0)
     assert val == 2.0 / divclue.PENALTY_EPS
     assert np.isfinite(val)
+    assert np.array_equal(grad, np.zeros(3))
 
 
 def test_penalty_diversity_saturates_in_lambda(tiny_bundle):
@@ -186,12 +188,97 @@ def test_sequential_spreads_candidates(tiny_bundle):
     assert apds[1] > apds[0]
 
 
-def test_record_json_export(tiny_bundle):
+
+# ---------------------------------------------------------------------------
+# reference loops: the sequential and penalty descents written out in full,
+# each with its own copy of the projected-gradient loop; the variants built
+# on clue._descend must reproduce them bit for bit at lambda_d > 0
+
+
+def _ref_sequential_diversity_grad(found, z, spec, bundle, z0, x0):
+    zt = dc.Tensor(z, requires_grad=True)
+    if spec.space == "latent":
+        rows = [dc.Tensor(np.stack(found))] if found else []
+        pts = dc.concat(rows + [dc.reshape(zt, (1, -1))], axis=0)
+        origin = z0
+    else:
+        xs_prev = [models.decode(bundle, f) for f in found]
+        rows = [dc.Tensor(np.stack(xs_prev))] if xs_prev else []
+        pts = dc.concat(rows + [dc.reshape(models.decode_graph(bundle, zt), (1, -1))],
+                        axis=0)
+        origin = x0
+    node = div.diversity_node(spec, pts, x0=origin)
+    if node._parents:
+        node.backward()
+    g = zt.grad if zt.grad is not None else np.zeros_like(z)
+    return float(node.data), g
+
+
+def _ref_sequential(x0, bundle, config, spec=None):
+    """Greedy descents; repels by -lambda_d*D(found + {z}), or by the
+    clamped inverse-distance sum when ``spec`` is None."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    z0 = models.encode(bundle, x0)
+    x0_label = models.argmax_label(models.predict(bundle, x0).probs)
+    found, trajs, curves = [], [], []
+    for t in range(config.k):
+        rng = clue.candidate_rng(config.seed, t)
+        z = clue.project_to_ball(
+            clue.init_scheme(config.scheme, z0, config.r, t, config.k,
+                             rng=rng, delta=config.delta),
+            z0, config.delta)
+        traj = [z.copy()]
+        curve = []
+        for _ in range(config.iters):
+            v, g = clue.objective(z, x0, bundle, config.lambda_x, config.lambda_y, x0_label)
+            if config.lambda_d > 0.0 and found and spec is not None:
+                d_val, d_grad = _ref_sequential_diversity_grad(found, z, spec, bundle, z0, x0)
+                g = g - config.lambda_d * d_grad
+                curve.append(v - config.lambda_d * d_val)
+            elif config.lambda_d > 0.0 and found:
+                pen = 0.0
+                pen_g = np.zeros_like(z)
+                for zf in found:
+                    diff = z - zf
+                    d = float(np.linalg.norm(diff))
+                    if d > divclue.PENALTY_EPS:
+                        pen += config.lambda_d / d
+                        pen_g += -config.lambda_d / (d * d) * (diff / d)
+                    else:
+                        pen += config.lambda_d / divclue.PENALTY_EPS
+                g = g + pen_g
+                curve.append(v + pen)
+            else:
+                curve.append(v)
+            z = clue.project_to_ball(z - config.lr * g, z0, config.delta)
+            traj.append(z.copy())
+        found.append(z)
+        trajs.append(np.stack(traj))
+        curves.append(curve)
+    joint = [float(np.mean([c[i] for c in curves])) for i in range(config.iters)]
+    return found, trajs, joint, z0, x0_label
+
+
+@pytest.mark.parametrize("variant,space", [("sequential", "latent"),
+                                           ("sequential", "input"),
+                                           ("penalty", None)])
+def test_sequential_variants_match_reference_loops(tiny_bundle, variant, space):
     ds, bundle = tiny_bundle
-    x0 = ds.train_inputs()[7]
-    config = _config(lambda_d=0.2)
-    record = divclue.nabla_clue_simultaneous(x0, bundle, config, SPEC)
-    payload = divclue.record_to_json(record)
-    assert len(payload["joint_loss"]) == config.iters
-    assert len(payload["ceset"]["candidates"]) == config.k
-    assert {row["metric"] for row in payload["metrics"]} == set(div.ALL_METRICS)
+    x0 = ds.train_inputs()[8]
+    config = _config(k=4, lambda_d=0.5)
+    if variant == "sequential":
+        spec = div.DiversitySpec(metric="dpp", space=space)
+        record = divclue.nabla_clue_sequential(x0, bundle, config, spec, trace=True)
+    else:
+        spec = None
+        record = divclue.nabla_clue_penalty(x0, bundle, config, trace=True)
+    found, trajs, joint, z0, x0_label = _ref_sequential(x0, bundle, config, spec)
+    assert record.joint_loss == joint
+    assert len(record.trajectories) == config.k
+    for i, (cand, z, traj) in enumerate(zip(record.ceset.candidates, found, trajs)):
+        want = clue.make_candidate(z, x0, z0, bundle, config, i, x0_label)
+        assert np.array_equal(cand.z, z)
+        assert np.array_equal(cand.x, want.x)
+        assert cand.cost == want.cost
+        assert np.array_equal(cand.trajectory, traj)
+        assert np.array_equal(record.trajectories[i], traj)

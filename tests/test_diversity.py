@@ -246,10 +246,26 @@ def test_spec_space_forcing_rules():
         div.DiversitySpec(metric="nope")
 
 
+def test_spec_rejects_unknown_space_and_base():
+    with pytest.raises(ValueError, match="space"):
+        div.DiversitySpec(metric="dpp", space="bogus")
+    with pytest.raises(ValueError, match="base"):
+        div.DiversitySpec(metric="apd", base="l3")
+
+
 def test_dpp_rejects_non_finite_points():
     pts = np.array([[0.0, 1.0], [np.inf, 0.0]])
     with pytest.raises(ValueError):
         div.dpp(pts)
+    with pytest.raises(ValueError):
+        div.apd(pts)
+    with pytest.raises(ValueError):
+        div.coverage(pts, np.zeros(2))
+
+
+def test_coverage_rejects_dimension_mismatch():
+    with pytest.raises(dc.ShapeError, match="dimension mismatch"):
+        div.coverage(np.zeros((2, 3)), np.zeros(2))
 
 
 def test_coverage_max_rejects_bad_ranges():
@@ -257,7 +273,7 @@ def test_coverage_max_rejects_bad_ranges():
         div.coverage_max([1.0, 0.0], [0.0, 1.0])
 
 
-def test_metric_report_covers_all_six(tmp_path):
+def test_metric_report_covers_all_six():
     rng = np.random.default_rng(8)
     k, dim, m, c = 4, 5, 3, 3
     xs = rng.uniform(0, 1, size=(k, dim))
@@ -269,8 +285,3 @@ def test_metric_report_covers_all_six(tmp_path):
                                   rng.standard_normal(m), c)
     metrics = {r[0] for r in rows}
     assert metrics == set(div.ALL_METRICS)
-    path = tmp_path / "metrics.csv"
-    div.write_metric_csv(rows, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "metric,space,k,value"
-    assert len(lines) == len(rows) + 1

@@ -117,23 +117,6 @@ def test_mappers_from_cesets_grouping(blobs, blobs_bundle):
         assert 0 <= m.target_group < blobs_bundle.c_classes
 
 
-def test_evaluate_schemes_table(planted, blobs_bundle):
-    x_u, x_c, t = planted
-    mapper = glam.MapperParams(source_group=0, target_group=0, theta=t,
-                               lambda_theta=0.0)
-    schemes = {
-        "mapper": lambda x: glam.apply_mapper(mapper, x, blobs_bundle, 0.03),
-        "nn": lambda x: glam.nn_baseline("input", x, x_c, blobs_bundle, 0.03),
-    }
-    rows = glam.evaluate_schemes(x_u[:3], schemes, lambda_x=0.03, repetitions=2)
-    assert len(rows) == 6
-    for r in rows:
-        assert abs(r["cost"] - (r["H"] + 0.03 * r["d_x"])) < 1e-12
-        assert r["time_ms"] >= 0.0
-    summaries = glam.summarize_schemes(rows)
-    assert [s["scheme"] for s in summaries] == ["mapper", "nn"]
-
-
 def test_mapper_serialization_roundtrip(planted, blobs_bundle, tmp_path):
     x_u, x_c, _ = planted
     mapper = glam.train_mapper(x_u[:10], x_c[:10], blobs_bundle,

@@ -161,8 +161,8 @@ def _load_dataset(args):
     return data.load_dataset(args.dataset)
 
 
-def _top_uncertain(dataset, bundle, n, which="test"):
-    xs = dataset.test_inputs() if which == "test" else dataset.train_inputs()
+def _top_uncertain(dataset, bundle, n):
+    xs = dataset.test_inputs()
     ents = np.array([models.entropy(models.predict(bundle, x)) for x in xs])
     order = np.argsort(-ents, kind="stable")[:n]
     return [(int(i), xs[int(i)]) for i in order]
@@ -316,7 +316,7 @@ def cmd_explain(args):
 SWEEP_AXES = ("delta", "lambda_d", "lambda_theta", "n_i")
 
 
-def _sweep_stats(record, bundle):
+def _sweep_stats(record):
     cands = record.ceset.candidates
     hs = [c.entropy for c in cands]
     dxs = [c.d_x for c in cands]
@@ -355,7 +355,7 @@ def cmd_sweep(args):
         idx, x0 = _top_uncertain(ds, bundle, 1)[0]
         for value, config in zip(grid, configs):
             record = divclue.nabla_clue_simultaneous(x0, bundle, config, spec)
-            for stat, v in _sweep_stats(record, bundle).items():
+            for stat, v in _sweep_stats(record).items():
                 rows.append([args.axis, value, stat, v])
     wall = time.perf_counter() - t0
     sweep_path = os.path.join(out, "sweep.csv")
@@ -366,29 +366,34 @@ def cmd_sweep(args):
     return 0
 
 
-def _partition(cfg, ds, bundle):
+def _groups(cfg, ds, bundle):
+    """{class: (uncertain, certain)} training inputs of every class with at
+    least three of each under the config's (or the bundle's) entropy
+    thresholds."""
     lo, hi = data.default_taus(bundle)
-    lo = float(cfg.get("tau_low", lo))
-    hi = float(cfg.get("tau_high", hi))
-    return data.partition_by_certainty(ds, bundle, lo, hi)
+    part = data.partition_by_certainty(ds, bundle, float(cfg.get("tau_low", lo)),
+                                       float(cfg.get("tau_high", hi)))
+    xt = ds.train_inputs()
+    groups = {}
+    for c in range(bundle.c_classes):
+        uncertain, certain = part.uncertain_of_class(c), part.certain_of_class(c)
+        if len(uncertain) >= 3 and len(certain) >= 3:
+            groups[c] = (xt[uncertain], xt[certain])
+    if not groups:
+        raise UsageError("no class has both certain and uncertain points")
+    return groups
 
 
 def _sweep_lambda_theta(grid, cfg, ds, bundle):
-    part = _partition(cfg, ds, bundle)
-    xt = ds.train_inputs()
-    cls = _usable_classes(part, bundle.c_classes)
-    if not cls:
-        raise UsageError("no class has both certain and uncertain points")
+    groups = _groups(cfg, ds, bundle)
     cap = int(cfg.get("cap", 20))
     rows = []
     for value in grid:
         hs, dxs = [], []
-        for c in cls:
-            mapper = glam.train_mapper(
-                xt[part.uncertain_of_class(c)][:cap],
-                xt[part.certain_of_class(c)][:cap], bundle,
-                lambda_theta=value, source_group=c, target_group=c)
-            for x in xt[part.uncertain_of_class(c)][:cap]:
+        for c, (uncertain, certain) in groups.items():
+            mapper = glam.train_mapper(uncertain[:cap], certain[:cap], bundle,
+                                       lambda_theta=value, source_group=c, target_group=c)
+            for x in uncertain[:cap]:
                 ce = glam.apply_mapper(mapper, x, bundle)
                 hs.append(ce.entropy)
                 dxs.append(ce.d_x)
@@ -397,28 +402,20 @@ def _sweep_lambda_theta(grid, cfg, ds, bundle):
     return rows
 
 
-def _usable_classes(part, c_classes, min_each=3):
-    return [c for c in range(c_classes)
-            if len(part.uncertain_of_class(c)) >= min_each
-            and len(part.certain_of_class(c)) >= min_each]
-
-
 GLAM_VARIANTS = ("glam1", "glam2", "glam3",
                  "dbm-input", "dbm-latent", "nn-input", "nn-latent")
 
 
-def _glam_scheme(variant, cfg, ds, bundle, part, cesets):
+def _glam_scheme(variant, cfg, groups, bundle, cesets):
     """Build callable(x, class) -> CandidateCE for one comparison scheme."""
-    xt = ds.train_inputs()
     lam_x = float(cfg.get("lambda_x", 0.03))
     cap = int(cfg.get("cap", 20))
     if variant == "glam1":
         mappers = {c: glam.train_mapper(
-            xt[part.uncertain_of_class(c)][:cap],
-            xt[part.certain_of_class(c)][:cap], bundle,
+            uncertain[:cap], certain[:cap], bundle,
             lambda_theta=float(cfg.get("lambda_theta", 0.01)),
             source_group=c, target_group=c)
-            for c in _usable_classes(part, bundle.c_classes)}
+            for c, (uncertain, certain) in groups.items()}
         return (lambda x, c: glam.apply_mapper(mappers[c], x, bundle, lam_x),
                 list(mappers.values()))
     if variant in ("glam2", "glam3"):
@@ -436,13 +433,10 @@ def _glam_scheme(variant, cfg, ds, bundle, part, cesets):
                 mappers)
     kind, space = variant.split("-")
     if kind == "dbm":
-        baselines = {c: glam.dbm_baseline(
-            space, xt[part.uncertain_of_class(c)], xt[part.certain_of_class(c)],
-            bundle) for c in _usable_classes(part, bundle.c_classes)}
+        baselines = {c: glam.dbm_baseline(space, uncertain, certain, bundle)
+                     for c, (uncertain, certain) in groups.items()}
         return lambda x, c: baselines[c].apply(x, bundle, lam_x), []
-    certain = {c: xt[part.certain_of_class(c)]
-               for c in _usable_classes(part, bundle.c_classes)}
-    return lambda x, c: glam.nn_baseline(space, x, certain[c], bundle, lam_x), []
+    return lambda x, c: glam.nn_baseline(space, x, groups[c][1], bundle, lam_x), []
 
 
 def cmd_glam(args):
@@ -456,20 +450,15 @@ def cmd_glam(args):
             raise UsageError(f"unknown variant {v!r}; choose from "
                              f"{GLAM_VARIANTS + ('all',)}")
     cesets = [clue.load_ceset(p) for p in (args.cesets or [])]
-    part = _partition(cfg, ds, bundle)
-    xt = ds.train_inputs()
+    groups = _groups(cfg, ds, bundle)
     cap = int(cfg.get("cap", 20))
-    lam_x = float(cfg.get("lambda_x", 0.03))
-    cls = _usable_classes(part, bundle.c_classes)
-    if not cls:
-        raise UsageError("no class has both certain and uncertain points")
     t0 = time.perf_counter()
     rows, summaries, outputs = [], [], []
     for variant in variants:
-        scheme, mappers = _glam_scheme(variant, cfg, ds, bundle, part, cesets)
+        scheme, mappers = _glam_scheme(variant, cfg, groups, bundle, cesets)
         costs, pid = [], 0
-        for c in cls:
-            for x in xt[part.uncertain_of_class(c)][:cap]:
+        for c, (uncertain, _certain) in groups.items():
+            for x in uncertain[:cap]:
                 ce = scheme(x, c)
                 rows.append([variant, pid, ce.entropy, ce.d_x, ce.cost, ce.label])
                 costs.append(ce.cost)
@@ -506,19 +495,12 @@ def cmd_bench(args):
         if s not in BENCH_SCHEMES:
             raise UsageError(f"unknown scheme {s!r}; choose from "
                              f"{BENCH_SCHEMES + ('all',)}")
-    part = _partition(cfg, ds, bundle)
-    cls = _usable_classes(part, bundle.c_classes)
-    if not cls:
-        raise UsageError("no class has both certain and uncertain points")
-    xt = ds.train_inputs()
-    c = cls[0]
-    x = xt[part.uncertain_of_class(c)][0]
-    xu = xt[part.uncertain_of_class(c)]
-    xc = xt[part.certain_of_class(c)]
+    c, (xu, xc) = next(iter(_groups(cfg, ds, bundle).items()))
+    x = xu[0]
     config = experiment_config(cfg)
-    t0 = time.perf_counter()
+    start = time.perf_counter()
     mapper = glam.train_mapper(xu, xc, bundle, source_group=c, target_group=c)
-    train_ms = 1000.0 * (time.perf_counter() - t0)
+    train_ms = 1000.0 * (time.perf_counter() - start)
     # construction (translations, certain-set latents) happens once here;
     # the timed loop below measures per-point inference only
     dbm_in = glam.dbm_baseline("input", xu, xc, bundle)
@@ -542,11 +524,12 @@ def cmd_bench(args):
             times.append(1000.0 * (time.perf_counter() - t0))
         rows.append([name, float(np.median(times)), len(times)])
     rows.append(["mapper-training", train_ms, 1])
+    wall = time.perf_counter() - start
     bench_path = os.path.join(out, "bench.csv")
     write_csv(bench_path, ["scheme", "median_ms", "repetitions"], rows)
     write_manifest(out, "bench", dict(cfg, schemes=schemes),
                    [args.bundle, args.dataset], [bench_path],
-                   {"bench": sum(r[1] for r in rows) / 1000.0},
+                   {"bench": wall},
                    int(cfg.get("seed", 0)))
     return 0
 

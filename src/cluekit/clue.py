@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+import numbers
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -36,10 +37,14 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("k", "iters", "n_i", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        for names, kind, what in (
+                (("k", "iters", "n_i", "seed"), int, "an int"),
+                (("delta", "r", "lambda_x", "lambda_y", "lambda_d", "lr", "h_threshold"),
+                 numbers.Real, "a real number")):
+            for name in names:
+                value = getattr(self, name)
+                if not isinstance(value, kind) or isinstance(value, bool):
+                    raise ValueError(f"{name} must be {what}, got {value!r}")
         if not (self.delta > 0.0):
             raise ValueError("delta must be > 0 (inf allowed)")
         for name in ("r", "lambda_x", "lambda_y", "lambda_d", "lr"):
@@ -267,26 +272,39 @@ def make_starts(z0, config, context=None):
     return starts
 
 
-def _descend(z_start, z0, x0, bundle, config, x0_label, trace=False, repel=None):
-    """One projected-gradient descent; projection applied after every step.
+def _descend(starts, z0, x0, bundle, config, x0_label, trace=False, repel=None):
+    """Projected-gradient descent of the start points in lockstep; the
+    projection is applied after every step.
 
-    ``repel(z) -> (value, grad)`` is an optional term added to the objective
-    at every step. Returns the end point, the trajectory (None unless
-    traced) and the loss at each step.
+    ``repel(zs) -> (value, grads)`` is an optional set-wide term added to
+    the objective at every step. Returns the end points, the trajectories
+    (None each unless traced) and the loss at each step: the mean objective
+    plus the repel value.
     """
-    z = np.array(z_start, dtype=np.float64)
-    traj = [z.copy()] if trace else None
+    zs = [np.array(z, dtype=np.float64) for z in starts]
+    trajs = [[z.copy()] for z in zs] if trace else None
     losses = []
     for _ in range(config.iters):
-        v, g = objective(z, x0, bundle, config.lambda_x, config.lambda_y, x0_label)
+        vals, grads = [], []
+        for z in zs:
+            v, g = objective(z, x0, bundle, config.lambda_x, config.lambda_y, x0_label)
+            vals.append(v)
+            grads.append(g)
+        # bitwise np.mean(vals) without its call overhead; the mean of one
+        # point's value is that value
+        loss = vals[0] if len(vals) == 1 else float(np.add.reduce(vals)) / len(vals)
         if repel is not None:
-            rv, rg = repel(z)
-            v, g = v + rv, g + rg
-        losses.append(v)
-        z = project_to_ball(z - config.lr * g, z0, config.delta)
+            rv, rgs = repel(zs)
+            loss += rv
+            grads = [g + rg for g, rg in zip(grads, rgs)]
+        losses.append(loss)
+        zs = [project_to_ball(z - config.lr * g, z0, config.delta)
+              for z, g in zip(zs, grads)]
         if trace:
-            traj.append(z.copy())
-    return z, (np.stack(traj) if trace else None), losses
+            for t, z in zip(trajs, zs):
+                t.append(z.copy())
+    trajs = [np.stack(t) for t in trajs] if trace else [None] * len(zs)
+    return zs, trajs, losses
 
 
 def _setup(x0, bundle):
@@ -309,6 +327,14 @@ def make_candidate(z, x0, z0, bundle, config, start_index, x0_label, trajectory=
                        trajectory=trajectory)
 
 
+def _ceset(zs, trajs, x0, z0, bundle, config, x0_label):
+    """The decoded, scored candidates of a search; ``trajs`` holds None per
+    candidate when untraced."""
+    candidates = [make_candidate(z, x0, z0, bundle, config, i, x0_label, t)
+                  for i, (z, t) in enumerate(zip(zs, trajs))]
+    return CESet(candidates=candidates, config=config, x0=x0, z0=z0)
+
+
 def delta_clue(x0, bundle, config, context=None, trace=False):
     """k independent projected-gradient descents from scheme-chosen starts.
 
@@ -317,12 +343,9 @@ def delta_clue(x0, bundle, config, context=None, trace=False):
     valid outcome.
     """
     x0, z0, x0_label = _setup(x0, bundle)
-    starts = make_starts(z0, config, context)
-    candidates = []
-    for i, zs in enumerate(starts):
-        z, traj, _ = _descend(zs, z0, x0, bundle, config, x0_label, trace)
-        candidates.append(make_candidate(z, x0, z0, bundle, config, i, x0_label, traj))
-    return CESet(candidates=candidates, config=config, x0=x0, z0=z0)
+    zs, trajs, _ = _descend(make_starts(z0, config, context), z0, x0, bundle, config,
+                            x0_label, trace)
+    return _ceset(zs, trajs, x0, z0, bundle, config, x0_label)
 
 
 def label_distribution(ceset):

@@ -151,15 +151,15 @@ def regenerate(spec):
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def partition_by_certainty(dataset, bundle, tau_low, tau_high, which="train"):
-    """Split points into certain (H <= tau_low) / uncertain (H > tau_high).
+def partition_by_certainty(dataset, bundle, tau_low, tau_high):
+    """Split training points into certain (H <= tau_low) / uncertain (H > tau_high).
 
     Points with tau_low < H <= tau_high stay unassigned ("mid") and are
     excluded from mapper training. When tau_low == tau_high every point is
     assigned, with ties going to certain.
     """
-    xs = dataset.train_inputs() if which == "train" else dataset.test_inputs()
-    ys = dataset.train_labels() if which == "train" else dataset.test_labels()
+    xs = dataset.train_inputs()
+    ys = dataset.train_labels()
     ents = np.array([models.predict_entropy(bundle, x) for x in xs])
     flags = np.where(ents <= tau_low, "certain",
                      np.where(ents > tau_high, "uncertain", "mid"))

@@ -39,9 +39,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self):
-        return float(self.data)
-
     def backward(self, seed=None):
         """Accumulate gradients of this (scalar) node into all grad leaves.
 
@@ -90,31 +87,6 @@ class Tensor:
         else:
             self.grad = self.grad + g
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(op={self.op}, shape={self.shape})"
 
@@ -131,12 +103,6 @@ def _unbroadcast(grad, shape):
         if dim == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
-
-
-def _check_finite(out, op):
-    if not np.all(np.isfinite(out.data)):
-        raise FloatingPointError(f"non-finite value produced by op '{op}'")
-    return out
 
 
 def add(a, b):
@@ -231,9 +197,7 @@ def relu(x):
 
 def sigmoid(x):
     x = as_tensor(x)
-    # stable piecewise form
-    data = np.where(x.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(x.data))),
-                    np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))))
+    data = _stable_sigmoid(x.data)
     out = Tensor(data, _parents=(x,), op="sigmoid")
     out._backward = lambda g: x._accum(g * data * (1.0 - data))
     return out
@@ -305,21 +269,6 @@ def tsum(x, axis=None):
     return out
 
 
-def tmean(x, axis=None):
-    x = as_tensor(x)
-    n = x.data.size if axis is None else x.shape[axis]
-    out = Tensor(np.mean(x.data, axis=axis), _parents=(x,), op="mean")
-
-    def bw(g):
-        if axis is None:
-            x._accum(np.full(x.shape, g / n))
-        else:
-            x._accum(np.broadcast_to(np.expand_dims(g, axis), x.shape) / n)
-
-    out._backward = bw
-    return out
-
-
 def amax(x, axis):
     """Max along ``axis``; gradient routes to the first argmax only."""
     x = as_tensor(x)
@@ -363,22 +312,6 @@ def sq_norm(x):
     x = as_tensor(x)
     out = Tensor(np.sum(x.data * x.data), _parents=(x,), op="sq_norm")
     out._backward = lambda g: x._accum(g * 2.0 * x.data)
-    return out
-
-
-def l2_norm(x):
-    """l2 norm over all entries; gradient at the origin is 0."""
-    x = as_tensor(x)
-    n = np.sqrt(np.sum(x.data * x.data))
-    out = Tensor(n, _parents=(x,), op="l2_norm")
-
-    def bw(g):
-        if n > 0.0:
-            x._accum(g * x.data / n)
-        else:
-            x._accum(np.zeros_like(x.data))
-
-    out._backward = bw
     return out
 
 

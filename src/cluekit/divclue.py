@@ -4,8 +4,8 @@ Three variants: simultaneous joint optimization of k latents with an
 explicit diversity reward, a greedy sequential scheme that repels each new
 candidate from the ones already found, and a sequential scheme with a
 simple inverse-distance penalty. Also: diversity pre-search, which spreads
-the initializations before any descent happens. Both sequential schemes
-run ``clue._descend`` with their repulsion term added to every step.
+the initializations before any descent happens. Every variant runs
+``clue._descend`` with its diversity term as the descent's repel term.
 
 All variants collapse bitwise to the plain constrained descent when the
 diversity weight is zero (the diversity branch is skipped entirely, so the
@@ -14,15 +14,15 @@ arithmetic sequence is identical).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffcore as dc
 from . import diversity as div
 from . import models
-from .clue import (CESet, _descend, _setup, make_candidate, make_starts, objective,
-                   project_to_ball)
+# objective is not called here; the benchmark's tracer tests read divclue.objective
+from .clue import CESet, _ceset, _descend, _setup, make_starts, objective, project_to_ball
 
 PENALTY_EPS = 1e-6
 PRESEARCH_LR = 0.1
@@ -30,12 +30,9 @@ PRESEARCH_LR = 0.1
 
 @dataclass
 class DivRunRecord:
-    config: object
-    spec: div.DiversitySpec
-    joint_loss: list  # length iters: -lambda_d*D + mean per-candidate loss
-    trajectories: list  # k arrays of (iters+1) x m', or empty when not traced
     ceset: CESet
-    metrics_rows: list = field(default_factory=list)  # all six metrics, all spaces
+    joint_loss: list  # length iters: -lambda_d*D + mean per-candidate loss
+    metrics_rows: list  # all six metrics, all spaces
 
 
 def _diversity(spec, bundle, z0, x0, free, const=None):
@@ -60,21 +57,16 @@ def _diversity(spec, bundle, z0, x0, free, const=None):
     return float(node.data), grads
 
 
-def _finalize(zs, trajs, x0, z0, bundle, config, x0_label, loss_curve, spec):
-    """Candidates, metric report and record; ``trajs`` holds None per
-    candidate when untraced."""
-    candidates = [make_candidate(z, x0, z0, bundle, config, i, x0_label, trajs[i])
-                  for i, z in enumerate(zs)]
-    ceset = CESet(candidates=candidates, config=config, x0=x0, z0=z0)
+def _finalize(zs, trajs, x0, z0, bundle, config, x0_label, loss_curve):
+    """Candidates, metric report and record."""
+    ceset = _ceset(zs, trajs, x0, z0, bundle, config, x0_label)
     use_accepted = bool(ceset.accepted())
     rows = div.metric_report_rows(
         ceset.points("input", use_accepted), ceset.points("latent", use_accepted),
         ceset.points("prediction", use_accepted), ceset.labels(use_accepted),
         x0, z0, bundle.c_classes,
     )
-    return DivRunRecord(config=config, spec=spec, joint_loss=loss_curve,
-                        trajectories=[t for t in trajs if t is not None],
-                        ceset=ceset, metrics_rows=rows)
+    return DivRunRecord(ceset=ceset, joint_loss=loss_curve, metrics_rows=rows)
 
 
 def nabla_clue_simultaneous(x0, bundle, config, spec, context=None, trace=False):
@@ -91,44 +83,33 @@ def nabla_clue_simultaneous(x0, bundle, config, spec, context=None, trace=False)
         zs = diversity_presearch(zs, spec, config.n_i, config.r, z0,
                                  bundle=bundle, x0=x0)
         zs = [project_to_ball(z, z0, config.delta) for z in zs]
-    trajs = [[z.copy()] for z in zs] if trace else [[] for _ in zs]
-    loss_curve = []
-    for _ in range(config.iters):
-        vals, grads = [], []
-        for z in zs:
-            v, g = objective(z, x0, bundle, config.lambda_x, config.lambda_y, x0_label)
-            vals.append(v)
-            grads.append(g)
-        if config.lambda_d > 0.0 and config.k > 1:
+    repel = None
+    if config.lambda_d > 0.0 and config.k > 1:
+        scale = -config.lambda_d * config.k
+
+        def repel(zs):
             d_val, d_grads = _diversity(spec, bundle, z0, x0, zs)
-            scale = config.lambda_d * config.k
-            grads = [g - scale * dg for g, dg in zip(grads, d_grads)]
-            loss_curve.append(-config.lambda_d * d_val + float(np.mean(vals)))
-        else:
-            loss_curve.append(float(np.mean(vals)))
-        zs = [project_to_ball(z - config.lr * g, z0, config.delta)
-              for z, g in zip(zs, grads)]
-        if trace:
-            for t, z in zip(trajs, zs):
-                t.append(z.copy())
-    trajs = [np.stack(t) if trace else None for t in trajs]
-    return _finalize(zs, trajs, x0, z0, bundle, config, x0_label, loss_curve, spec)
+            return -config.lambda_d * d_val, [scale * dg for dg in d_grads]
+
+    zs, trajs, loss_curve = _descend(zs, z0, x0, bundle, config, x0_label, trace, repel)
+    return _finalize(zs, trajs, x0, z0, bundle, config, x0_label, loss_curve)
 
 
-def _sequential(x0, bundle, config, spec, context, trace, repulsion):
+def _sequential(x0, bundle, config, context, trace, repulsion):
     """k greedy descents from ``make_starts``; once lambda_d > 0 and points
-    have been found, ``repulsion(found, z0, x0)`` gives the repel(z) term
+    have been found, ``repulsion(found, z0, x0)`` gives the repel(zs) term
     that descent adds to every step. The joint loss averages the k curves."""
     x0, z0, x0_label = _setup(x0, bundle)
     found, trajs, curves = [], [], []
     for z_start in make_starts(z0, config, context):
         repel = repulsion(found, z0, x0) if config.lambda_d > 0.0 and found else None
-        z, traj, curve = _descend(z_start, z0, x0, bundle, config, x0_label, trace, repel)
+        (z,), (traj,), curve = _descend([z_start], z0, x0, bundle, config, x0_label,
+                                        trace, repel)
         found.append(z)
         trajs.append(traj)
         curves.append(curve)
     joint = [float(np.mean([c[i] for c in curves])) for i in range(config.iters)]
-    return _finalize(found, trajs, x0, z0, bundle, config, x0_label, joint, spec)
+    return _finalize(found, trajs, x0, z0, bundle, config, x0_label, joint)
 
 
 def nabla_clue_sequential(x0, bundle, config, spec, context=None, trace=False):
@@ -143,12 +124,12 @@ def nabla_clue_sequential(x0, bundle, config, spec, context=None, trace=False):
         const = np.stack([models.decode(bundle, f) for f in found]
                          if spec.space == "input" else found)
 
-        def repel(z):
-            d_val, (d_grad,) = _diversity(spec, bundle, z0, x0, [z], const)
-            return -config.lambda_d * d_val, -config.lambda_d * d_grad
+        def repel(zs):
+            d_val, d_grads = _diversity(spec, bundle, z0, x0, zs, const)
+            return -config.lambda_d * d_val, [-config.lambda_d * dg for dg in d_grads]
         return repel
 
-    return _sequential(x0, bundle, config, spec, context, trace, repulsion)
+    return _sequential(x0, bundle, config, context, trace, repulsion)
 
 
 def _penalty(z, found, lambda_d):
@@ -170,12 +151,13 @@ def _penalty(z, found, lambda_d):
 def nabla_clue_penalty(x0, bundle, config, context=None, trace=False):
     """Sequential variant with an additive inverse-distance repulsion
     sum_f lambda_d / max(||z - z_f||, eps) instead of a diversity metric."""
-    spec = div.DiversitySpec(metric="dpp", space="latent")  # for the report only
-
     def repulsion(found, _z0, _x0):
-        return lambda z: _penalty(z, found, config.lambda_d)
+        def repel(zs):
+            value, grad = _penalty(zs[0], found, config.lambda_d)
+            return value, [grad]
+        return repel
 
-    return _sequential(x0, bundle, config, spec, context, trace, repulsion)
+    return _sequential(x0, bundle, config, context, trace, repulsion)
 
 
 def diversity_presearch(starts, spec, n_i, r, z0, bundle=None, x0=None):

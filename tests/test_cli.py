@@ -188,6 +188,7 @@ SWEEP = ["sweep", "--axis", "lambda_d", "--grid", "0,0.5"]
      "diversity search needs"),
     (["explain", "--method", "divclue-seq", "--set", "space=prediction"],
      "diversity search needs"),
+    (["explain", "--set", "lambda_x=true"], "lambda_x must be a real number"),
 ])
 def test_malformed_search_config_exit_2(workspace, tmp_path, argv, message, capsys):
     out = tmp_path / "bad"
@@ -274,6 +275,27 @@ def test_bench_outputs(workspace, tmp_path):
     for name, r in rows.items():
         assert float(r[1]) > 0.0
         assert int(r[2]) == 1
+
+
+def test_bench_wall_time_spans_the_timed_work(workspace, tmp_path, monkeypatch):
+    """wall_times_s.bench is the time from the start of mapper training to
+    the end of the last timed scheme, not a sum of per-scheme medians."""
+    readings = []
+
+    def clock():
+        readings.append(float(len(readings)))  # each reading one second later
+        return readings[-1]
+
+    monkeypatch.setattr(cli.time, "perf_counter", clock)
+    out = tmp_path / "be"
+    assert run(["bench", "--out", str(out), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"], "--repetitions", "2"]
+               + EXPLAIN_SETS) == 0
+    monkeypatch.undo()
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    rows = [r.split(",") for r in (out / "bench.csv").read_text().splitlines()[1:]]
+    assert manifest["wall_times_s"]["bench"] == readings[-1] - readings[0]
+    assert manifest["wall_times_s"]["bench"] > sum(float(r[1]) for r in rows) / 1000.0
 
 
 def test_config_file_and_override_precedence(workspace, tmp_path):

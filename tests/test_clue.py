@@ -65,6 +65,20 @@ def test_config_rejects_non_int_counts(field, value):
         clue.ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["delta", "r", "lambda_x", "lambda_y", "lambda_d", "lr",
+                                   "h_threshold"])
+@pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]])
+def test_config_rejects_non_real_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        clue.ExperimentConfig(**{field: value})
+
+
+def test_config_accepts_int_and_numpy_reals():
+    config = clue.ExperimentConfig(delta=2, r=1, lambda_x=np.float64(0.5), lr=1,
+                                   h_threshold=np.float32(0.25))
+    assert config.delta == 2 and config.lambda_x == 0.5
+
+
 @pytest.mark.parametrize("scheme", ["s9", "s0", "S1", ""])
 def test_config_rejects_unknown_scheme(scheme):
     # r=0 skips init_scheme's own check, so the config must catch it

@@ -65,8 +65,7 @@ def test_constraints_hold_for_all_variants(tiny_bundle):
     ):
         for c in run.ceset.candidates:
             assert c.rho <= config.delta + 1e-6
-        for traj in run.trajectories:
-            for point in traj:
+            for point in [] if c.trajectory is None else c.trajectory:
                 assert np.linalg.norm(point - run.ceset.z0) <= config.delta + 1e-6
 
 
@@ -274,11 +273,73 @@ def test_sequential_variants_match_reference_loops(tiny_bundle, variant, space):
         record = divclue.nabla_clue_penalty(x0, bundle, config, trace=True)
     found, trajs, joint, z0, x0_label = _ref_sequential(x0, bundle, config, spec)
     assert record.joint_loss == joint
-    assert len(record.trajectories) == config.k
+    assert len([c for c in record.ceset.candidates if c.trajectory is not None]) == config.k
     for i, (cand, z, traj) in enumerate(zip(record.ceset.candidates, found, trajs)):
         want = clue.make_candidate(z, x0, z0, bundle, config, i, x0_label)
         assert np.array_equal(cand.z, z)
         assert np.array_equal(cand.x, want.x)
         assert cand.cost == want.cost
         assert np.array_equal(cand.trajectory, traj)
-        assert np.array_equal(record.trajectories[i], traj)
+
+
+def _ref_simultaneous(x0, bundle, config, spec):
+    """Lockstep descent of all k latents with the joint diversity reward,
+    pre-search first when n_i > 0."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    z0 = models.encode(bundle, x0)
+    x0_label = models.argmax_label(models.predict(bundle, x0).probs)
+    zs = clue.make_starts(z0, config)
+    if config.n_i > 0:
+        zs = divclue.diversity_presearch(zs, spec, config.n_i, config.r, z0,
+                                         bundle=bundle, x0=x0)
+        zs = [clue.project_to_ball(z, z0, config.delta) for z in zs]
+    trajs = [[z.copy()] for z in zs]
+    loss_curve = []
+    for _ in range(config.iters):
+        vals, grads = [], []
+        for z in zs:
+            v, g = clue.objective(z, x0, bundle, config.lambda_x, config.lambda_y, x0_label)
+            vals.append(v)
+            grads.append(g)
+        if config.lambda_d > 0.0 and config.k > 1:
+            zts = [dc.Tensor(z, requires_grad=True) for z in zs]
+            rows = [zt if spec.space == "latent" else models.decode_graph(bundle, zt)
+                    for zt in zts]
+            node = div.diversity_node(spec, dc.concat([dc.reshape(r, (1, -1)) for r in rows]),
+                                      x0=z0 if spec.space == "latent" else x0)
+            node.backward()
+            scale = config.lambda_d * config.k
+            grads = [g - scale * zt.grad for g, zt in zip(grads, zts)]
+            loss_curve.append(-config.lambda_d * float(node.data) + float(np.mean(vals)))
+        else:
+            loss_curve.append(float(np.mean(vals)))
+        zs = [clue.project_to_ball(z - config.lr * g, z0, config.delta)
+              for z, g in zip(zs, grads)]
+        for t, z in zip(trajs, zs):
+            t.append(z.copy())
+    return zs, [np.stack(t) for t in trajs], loss_curve, z0, x0_label
+
+
+@pytest.mark.parametrize("space", ["latent", "input"])
+@pytest.mark.parametrize("n_i", [0, 3])
+def test_simultaneous_matches_reference_loop(tiny_bundle, space, n_i):
+    ds, bundle = tiny_bundle
+    x0 = ds.train_inputs()[9]
+    config = _config(k=4, lambda_d=0.5, n_i=n_i)
+    spec = div.DiversitySpec(metric="dpp", space=space)
+    record = divclue.nabla_clue_simultaneous(x0, bundle, config, spec, trace=True)
+    zs, trajs, joint, z0, x0_label = _ref_simultaneous(x0, bundle, config, spec)
+    assert record.joint_loss == joint
+    want = [clue.make_candidate(z, x0, z0, bundle, config, i, x0_label)
+            for i, z in enumerate(zs)]
+    for cand, w, traj in zip(record.ceset.candidates, want, trajs):
+        assert np.array_equal(cand.z, w.z)
+        assert np.array_equal(cand.x, w.x)
+        assert cand.cost == w.cost
+        assert np.array_equal(cand.trajectory, traj)
+    ref = clue.CESet(candidates=want, config=config, x0=x0, z0=z0)
+    use_accepted = bool(ref.accepted())
+    assert record.metrics_rows == div.metric_report_rows(
+        ref.points("input", use_accepted), ref.points("latent", use_accepted),
+        ref.points("prediction", use_accepted), ref.labels(use_accepted),
+        x0, z0, bundle.c_classes)

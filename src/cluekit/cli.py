@@ -129,6 +129,20 @@ def resolve_config(args):
     return cfg
 
 
+def _setting(cfg, key, default, kind=float, low=None):
+    """cfg[key], else the default, converted by ``kind``; a value that does
+    not convert, or one below ``low``, is a usage error naming the key."""
+    value = cfg.get(key, default)
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{key} must be {'an int' if kind is int else 'a number'}, "
+                         f"got {value!r}")
+    if low is not None and number < low:
+        raise UsageError(f"{key} must be >= {low}, got {value!r}")
+    return number
+
+
 def experiment_config(cfg):
     fields = {f for f in clue.ExperimentConfig.__dataclass_fields__}
     kwargs = {k: v for k, v in cfg.items() if k in fields}
@@ -145,20 +159,24 @@ def _ensure_out(args):
     return args.out
 
 
+def _load(what, loader, path):
+    """``loader(path)``, with a missing or malformed input as a usage error."""
+    if not path:
+        raise UsageError(f"--{what} is required for this command")
+    if not os.path.exists(path):
+        raise UsageError(f"{what} path not found: {path}")
+    try:
+        return loader(path)
+    except (OSError, ValueError) as e:
+        raise UsageError(f"cannot load {what} {path}: {e}")
+
+
 def _load_bundle(args):
-    if not args.bundle:
-        raise UsageError("--bundle is required for this command")
-    if not os.path.exists(args.bundle):
-        raise UsageError(f"bundle path not found: {args.bundle}")
-    return models.load_bundle(args.bundle)
+    return _load("bundle", models.load_bundle, args.bundle)
 
 
 def _load_dataset(args):
-    if not args.dataset:
-        raise UsageError("--dataset is required for this command")
-    if not os.path.exists(args.dataset):
-        raise UsageError(f"dataset path not found: {args.dataset}")
-    return data.load_dataset(args.dataset)
+    return _load("dataset", data.load_dataset, args.dataset)
 
 
 def _top_uncertain(dataset, bundle, n):
@@ -174,20 +192,22 @@ def _top_uncertain(dataset, bundle, n):
 
 def cmd_gen_data(args):
     cfg = resolve_config(args)
-    out = _ensure_out(args)
     kind = cfg.get("generator", "blobs")
-    seed = int(cfg.get("seed", 0))
+    seed = _setting(cfg, "seed", 0, int)
+    n, test_frac = _setting(cfg, "n", 2000, int), _setting(cfg, "test_frac", 0.2)
     t0 = time.perf_counter()
-    if kind == "blobs":
-        ds = data.gen_blobs(c=int(cfg.get("c", 4)), d=int(cfg.get("d", 16)),
-                            n=int(cfg.get("n", 2000)),
-                            spread=float(cfg.get("spread", 0.18)), seed=seed,
-                            test_frac=float(cfg.get("test_frac", 0.2)))
-    elif kind == "minidigits":
-        ds = data.gen_minidigits(n=int(cfg.get("n", 2000)), seed=seed,
-                                 test_frac=float(cfg.get("test_frac", 0.2)))
-    else:
-        raise UsageError(f"unknown generator {kind!r}")
+    try:
+        if kind == "blobs":
+            ds = data.gen_blobs(c=_setting(cfg, "c", 4, int), d=_setting(cfg, "d", 16, int),
+                                n=n, spread=_setting(cfg, "spread", 0.18), seed=seed,
+                                test_frac=test_frac)
+        elif kind == "minidigits":
+            ds = data.gen_minidigits(n=n, seed=seed, test_frac=test_frac)
+        else:
+            raise UsageError(f"unknown generator {kind!r}")
+    except ValueError as e:
+        raise UsageError(f"bad generator settings: {e}")
+    out = _ensure_out(args)
     ds_dir = os.path.join(out, "dataset")
     data.save_dataset(ds, ds_dir)
     csv_path = os.path.join(out, "dataset.csv")
@@ -200,25 +220,23 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     cfg = resolve_config(args)
-    out = _ensure_out(args)
-    ds = _load_dataset(args)
-    seed = int(cfg.get("seed", 0))
+    seed = _setting(cfg, "seed", 0, int)
+
+    def size(key, default):  # every size and count of training is >= 1
+        return _setting(cfg, key, default, int, low=1)
+
     vae_hp = models.VaeHyperparams(
-        hidden=int(cfg.get("vae_hidden", 64)),
-        latent=int(cfg.get("latent", 8)),
-        lr=float(cfg.get("vae_lr", 0.05)),
-        epochs=int(cfg.get("vae_epochs", 60)),
-        batch=int(cfg.get("batch", 128)),
-        recon=cfg.get("recon", "bernoulli"),
-        kl_weight=float(cfg.get("kl_weight", 0.1)))
+        hidden=size("vae_hidden", 64), latent=size("latent", 8),
+        lr=_setting(cfg, "vae_lr", 0.05), epochs=size("vae_epochs", 60),
+        batch=size("batch", 128), kl_weight=_setting(cfg, "kl_weight", 0.1))
     ens_hp = models.EnsembleHyperparams(
-        hidden=int(cfg.get("ens_hidden", 32)),
-        lr=float(cfg.get("ens_lr", 0.1)),
-        epochs=int(cfg.get("ens_epochs", 80)),
-        batch=int(cfg.get("batch", 128)))
+        hidden=size("ens_hidden", 32), lr=_setting(cfg, "ens_lr", 0.1),
+        epochs=size("ens_epochs", 80), batch=size("batch", 128))
+    members = size("members", 5)
+    ds = _load_dataset(args)
+    out = _ensure_out(args)
     t0 = time.perf_counter()
-    bundle = models.train_bundle(ds, vae_hp, ens_hp,
-                                 n_members=int(cfg.get("members", 5)), seed=seed)
+    bundle = models.train_bundle(ds, vae_hp, ens_hp, n_members=members, seed=seed)
     wall = time.perf_counter() - t0
     bundle_dir = os.path.join(out, "bundle")
     models.save_bundle(bundle, bundle_dir)
@@ -237,20 +255,20 @@ def cmd_train(args):
     return 0
 
 
-def _delta_clue(x0, bundle, config, spec):
-    return clue.delta_clue(x0, bundle, config)
+def _delta_clue(x0, bundle, config, spec, context):
+    return clue.delta_clue(x0, bundle, config, context)
 
 
-# method -> fn(x0, bundle, config, spec) -> CESet
+# method -> fn(x0, bundle, config, spec, context) -> CESet
 METHODS = {
     "clue": _delta_clue,  # run with delta=inf, r=0, k=1
     "dclue": _delta_clue,
-    "divclue-sim": lambda x0, bundle, config, spec:
-        divclue.nabla_clue_simultaneous(x0, bundle, config, spec).ceset,
-    "divclue-seq": lambda x0, bundle, config, spec:
-        divclue.nabla_clue_sequential(x0, bundle, config, spec).ceset,
-    "divclue-pen": lambda x0, bundle, config, spec:
-        divclue.nabla_clue_penalty(x0, bundle, config).ceset,
+    "divclue-sim": lambda x0, bundle, config, spec, context:
+        divclue.nabla_clue_simultaneous(x0, bundle, config, spec, context).ceset,
+    "divclue-seq": lambda x0, bundle, config, spec, context:
+        divclue.nabla_clue_sequential(x0, bundle, config, spec, context).ceset,
+    "divclue-pen": lambda x0, bundle, config, spec, context:
+        divclue.nabla_clue_penalty(x0, bundle, config, context).ceset,
 }
 DIVERSITY_METHODS = ("divclue-sim", "divclue-seq")  # optimize the spec's metric
 
@@ -270,6 +288,29 @@ def _diversity_spec(cfg, optimized):
     return spec
 
 
+def _partition(cfg, ds, bundle):
+    """The certainty partition of the training inputs under the config's
+    tau_low/tau_high, else the bundle's defaults."""
+    lo, hi = data.default_taus(bundle)
+    return data.partition_by_certainty(ds, bundle, _setting(cfg, "tau_low", lo),
+                                       _setting(cfg, "tau_high", hi))
+
+
+def _init_context(cfg, configs, ds, bundle):
+    """The start data of schemes s2 and s5, drawn from the certainty
+    partition, or None when no config starts with either away from z0."""
+    schemes = {c.scheme for c in configs if c.r > 0.0}
+    if not schemes & {"s2", "s5"}:
+        return None
+    part = _partition(cfg, ds, bundle)
+    if "s2" in schemes:
+        for j in range(bundle.c_classes):
+            if len(part.certain_of_class(j)) == 0:
+                raise UsageError(f"scheme s2 needs a certain training point in every "
+                                 f"class; class {j} has none at tau_low={part.tau_low!r}")
+    return clue.make_init_context(bundle, part, models.encode(bundle, ds.train_inputs()))
+
+
 def cmd_explain(args):
     if args.top < 0:
         raise UsageError(f"--top must be >= 0, got {args.top}")
@@ -281,14 +322,15 @@ def cmd_explain(args):
         cfg = dict(cfg, delta=float("inf"), r=0.0, k=1)
     config = experiment_config(cfg)
     spec = _diversity_spec(cfg, args.method in DIVERSITY_METHODS)
-    out = _ensure_out(args)
     bundle = _load_bundle(args)
     ds = _load_dataset(args)
+    context = _init_context(cfg, [config], ds, bundle)
+    out = _ensure_out(args)
     selected = _top_uncertain(ds, bundle, args.top)
     scatter_rows, dist_rows, outputs = [], [], []
     t0 = time.perf_counter()
     for idx, x0 in selected:
-        ceset = run_method(x0, bundle, config, spec)
+        ceset = run_method(x0, bundle, config, spec, context)
         path = os.path.join(out, f"ceset_{idx}.json")
         tmp = f"{path}.tmp"
         clue.dump_ceset(ceset, tmp)
@@ -344,17 +386,19 @@ def cmd_sweep(args):
                 "lambda_d": lambda v: {"lambda_d": v},
                 "n_i": lambda v: {"n_i": int(v) if v.is_integer() else v}}.get(args.axis)
     configs = [experiment_config(dict(cfg, **settings(v))) for v in grid] if settings else []
-    out = _ensure_out(args)
     bundle = _load_bundle(args)
     ds = _load_dataset(args)
+    groups = _groups(cfg, ds, bundle) if args.axis == "lambda_theta" else None
+    context = _init_context(cfg, configs, ds, bundle)
+    out = _ensure_out(args)
     t0 = time.perf_counter()
     rows = []
-    if args.axis == "lambda_theta":
-        rows = _sweep_lambda_theta(grid, cfg, ds, bundle)
+    if groups is not None:
+        rows = _sweep_lambda_theta(grid, cfg, groups, bundle)
     else:
         idx, x0 = _top_uncertain(ds, bundle, 1)[0]
         for value, config in zip(grid, configs):
-            record = divclue.nabla_clue_simultaneous(x0, bundle, config, spec)
+            record = divclue.nabla_clue_simultaneous(x0, bundle, config, spec, context)
             for stat, v in _sweep_stats(record).items():
                 rows.append([args.axis, value, stat, v])
     wall = time.perf_counter() - t0
@@ -362,7 +406,7 @@ def cmd_sweep(args):
     write_csv(sweep_path, ["axis", "value", "statistic", "result"], rows)
     write_manifest(out, "sweep", dict(cfg, axis=args.axis, grid=grid),
                    [args.bundle, args.dataset], [sweep_path],
-                   {"sweep": wall}, int(cfg.get("seed", 0)))
+                   {"sweep": wall}, _setting(cfg, "seed", 0, int))
     return 0
 
 
@@ -370,9 +414,7 @@ def _groups(cfg, ds, bundle):
     """{class: (uncertain, certain)} training inputs of every class with at
     least three of each under the config's (or the bundle's) entropy
     thresholds."""
-    lo, hi = data.default_taus(bundle)
-    part = data.partition_by_certainty(ds, bundle, float(cfg.get("tau_low", lo)),
-                                       float(cfg.get("tau_high", hi)))
+    part = _partition(cfg, ds, bundle)
     xt = ds.train_inputs()
     groups = {}
     for c in range(bundle.c_classes):
@@ -384,19 +426,14 @@ def _groups(cfg, ds, bundle):
     return groups
 
 
-def _sweep_lambda_theta(grid, cfg, ds, bundle):
-    groups = _groups(cfg, ds, bundle)
-    cap = int(cfg.get("cap", 20))
+def _sweep_lambda_theta(grid, cfg, groups, bundle):
+    """Mean H and d_x of glam1's counterfactuals at each lambda_theta (neither
+    depends on lambda_x, which only weights the cost)."""
     rows = []
     for value in grid:
-        hs, dxs = [], []
-        for c, (uncertain, certain) in groups.items():
-            mapper = glam.train_mapper(uncertain[:cap], certain[:cap], bundle,
-                                       lambda_theta=value, source_group=c, target_group=c)
-            for x in uncertain[:cap]:
-                ce = glam.apply_mapper(mapper, x, bundle)
-                hs.append(ce.entropy)
-                dxs.append(ce.d_x)
+        scheme, _ = _glam_scheme("glam1", dict(cfg, lambda_theta=value), groups, bundle, [])
+        ces = _apply_scheme(scheme, groups, cfg)
+        hs, dxs = [ce.entropy for ce in ces], [ce.d_x for ce in ces]
         rows.append(["lambda_theta", value, "mean_H", float(np.mean(hs))])
         rows.append(["lambda_theta", value, "mean_d_x", float(np.mean(dxs))])
     return rows
@@ -408,12 +445,12 @@ GLAM_VARIANTS = ("glam1", "glam2", "glam3",
 
 def _glam_scheme(variant, cfg, groups, bundle, cesets):
     """Build callable(x, class) -> CandidateCE for one comparison scheme."""
-    lam_x = float(cfg.get("lambda_x", 0.03))
-    cap = int(cfg.get("cap", 20))
+    lam_x = _setting(cfg, "lambda_x", 0.03)
+    cap = _setting(cfg, "cap", 20, int)
     if variant == "glam1":
         mappers = {c: glam.train_mapper(
             uncertain[:cap], certain[:cap], bundle,
-            lambda_theta=float(cfg.get("lambda_theta", 0.01)),
+            lambda_theta=_setting(cfg, "lambda_theta", 0.01),
             source_group=c, target_group=c)
             for c, (uncertain, certain) in groups.items()}
         return (lambda x, c: glam.apply_mapper(mappers[c], x, bundle, lam_x),
@@ -426,7 +463,7 @@ def _glam_scheme(variant, cfg, groups, bundle, cesets):
                   for cs in cesets]
         mappers = glam.mappers_from_cesets(
             cesets, labels, bundle,
-            lambda_theta=float(cfg.get("lambda_theta_clue", 0.0)))
+            lambda_theta=_setting(cfg, "lambda_theta_clue", 0.0))
         if not mappers:
             raise UsageError(f"{variant}: no (class, label) group has enough pairs")
         return (lambda x, c: glam.pick_best_mapper(mappers, x, bundle, lam_x),
@@ -439,31 +476,36 @@ def _glam_scheme(variant, cfg, groups, bundle, cesets):
     return lambda x, c: glam.nn_baseline(space, x, groups[c][1], bundle, lam_x), []
 
 
+def _apply_scheme(scheme, groups, cfg):
+    """The scheme's counterfactual of each group's first ``cap`` uncertain inputs."""
+    cap = _setting(cfg, "cap", 20, int)
+    return [scheme(x, c) for c, (uncertain, _certain) in groups.items()
+            for x in uncertain[:cap]]
+
+
 def cmd_glam(args):
     cfg = resolve_config(args)
-    out = _ensure_out(args)
-    bundle = _load_bundle(args)
-    ds = _load_dataset(args)
     variants = list(GLAM_VARIANTS) if args.variant == "all" else [args.variant]
     for v in variants:
         if v not in GLAM_VARIANTS:
             raise UsageError(f"unknown variant {v!r}; choose from "
                              f"{GLAM_VARIANTS + ('all',)}")
-    cesets = [clue.load_ceset(p) for p in (args.cesets or [])]
+    bundle = _load_bundle(args)
+    ds = _load_dataset(args)
+    cesets = [_load("cesets", clue.load_ceset, p) for p in (args.cesets or [])]
     groups = _groups(cfg, ds, bundle)
-    cap = int(cfg.get("cap", 20))
     t0 = time.perf_counter()
+    # every scheme is built before any file is written, so a variant that
+    # cannot be built leaves no partial outputs
+    built = [(v, *_glam_scheme(v, cfg, groups, bundle, cesets)) for v in variants]
+    out = _ensure_out(args)
     rows, summaries, outputs = [], [], []
-    for variant in variants:
-        scheme, mappers = _glam_scheme(variant, cfg, groups, bundle, cesets)
-        costs, pid = [], 0
-        for c, (uncertain, _certain) in groups.items():
-            for x in uncertain[:cap]:
-                ce = scheme(x, c)
-                rows.append([variant, pid, ce.entropy, ce.d_x, ce.cost, ce.label])
-                costs.append(ce.cost)
-                pid += 1
-        summaries.append([variant, "summary", float(np.mean(costs)), "", "", ""])
+    for variant, scheme, mappers in built:
+        ces = _apply_scheme(scheme, groups, cfg)
+        rows += [[variant, pid, ce.entropy, ce.d_x, ce.cost, ce.label]
+                 for pid, ce in enumerate(ces)]
+        summaries.append([variant, "summary", float(np.mean([ce.cost for ce in ces])),
+                          "", "", ""])
         for i, m in enumerate(mappers):
             mp = os.path.join(out, f"mapper_{variant}_{i}.json")
             tmp = f"{mp}.tmp"
@@ -477,7 +519,7 @@ def cmd_glam(args):
     outputs.append(cmp_path)
     write_manifest(out, "glam", dict(cfg, variant=args.variant),
                    [args.bundle, args.dataset] + (args.cesets or []), outputs,
-                   {"glam": wall}, int(cfg.get("seed", 0)))
+                   {"glam": wall}, _setting(cfg, "seed", 0, int))
     return 0
 
 
@@ -486,18 +528,19 @@ BENCH_SCHEMES = ("glam", "dclue", "dbm-input", "dbm-latent", "nn-input", "nn-lat
 
 def cmd_bench(args):
     cfg = resolve_config(args)
-    out = _ensure_out(args)
-    bundle = _load_bundle(args)
-    ds = _load_dataset(args)
     schemes = (list(BENCH_SCHEMES) if args.schemes == "all"
                else args.schemes.split(","))
     for s in schemes:
         if s not in BENCH_SCHEMES:
             raise UsageError(f"unknown scheme {s!r}; choose from "
                              f"{BENCH_SCHEMES + ('all',)}")
+    config = experiment_config(cfg)
+    bundle = _load_bundle(args)
+    ds = _load_dataset(args)
     c, (xu, xc) = next(iter(_groups(cfg, ds, bundle).items()))
     x = xu[0]
-    config = experiment_config(cfg)
+    context = _init_context(cfg, [config], ds, bundle)
+    out = _ensure_out(args)
     start = time.perf_counter()
     mapper = glam.train_mapper(xu, xc, bundle, source_group=c, target_group=c)
     train_ms = 1000.0 * (time.perf_counter() - start)
@@ -508,7 +551,7 @@ def cmd_bench(args):
     z_certain = np.stack([models.encode(bundle, v) for v in xc])
     runners = {
         "glam": lambda: glam.apply_mapper(mapper, x, bundle),
-        "dclue": lambda: clue.delta_clue(x, bundle, config),
+        "dclue": lambda: clue.delta_clue(x, bundle, config, context),
         "dbm-input": lambda: dbm_in.apply(x, bundle),
         "dbm-latent": lambda: dbm_lat.apply(x, bundle),
         "nn-input": lambda: glam.nn_baseline("input", x, xc, bundle),
@@ -530,7 +573,7 @@ def cmd_bench(args):
     write_manifest(out, "bench", dict(cfg, schemes=schemes),
                    [args.bundle, args.dataset], [bench_path],
                    {"bench": wall},
-                   int(cfg.get("seed", 0)))
+                   _setting(cfg, "seed", 0, int))
     return 0
 
 

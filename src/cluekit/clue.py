@@ -249,15 +249,14 @@ def _s5_point(z0, y, j, npaths, delta, ctx, n_steps=40):
     return (1.0 - t) * path[lo] + t * path[hi]
 
 
-def make_init_context(bundle, partition=None, train_latents=None, train_labels=None):
+def make_init_context(bundle, partition=None, train_latents=None):
+    """The bundle (s5) and, given the certainty partition of the training
+    points and their latents, the certain latents and labels (s2)."""
     ctx = InitContext(bundle=bundle, n_classes=bundle.c_classes)
     if partition is not None and train_latents is not None:
         certain = partition.flags == "certain"
         ctx.certain_latents = np.asarray(train_latents)[certain]
         ctx.certain_labels = np.asarray(partition.labels)[certain]
-    elif train_latents is not None:
-        ctx.certain_latents = np.asarray(train_latents)
-        ctx.certain_labels = np.asarray(train_labels)
     return ctx
 
 
@@ -282,28 +281,29 @@ def _descend(starts, z0, x0, bundle, config, x0_label, trace=False, repel=None):
     plus the repel value.
     """
     zs = [np.array(z, dtype=np.float64) for z in starts]
+    k = len(zs)
     trajs = [[z.copy()] for z in zs] if trace else None
-    losses = []
+    vals, grads, losses = [0.0] * k, [None] * k, []
     for _ in range(config.iters):
-        vals, grads = [], []
-        for z in zs:
-            v, g = objective(z, x0, bundle, config.lambda_x, config.lambda_y, x0_label)
-            vals.append(v)
-            grads.append(g)
+        # updated in place: rebuilding the lists every step is loop overhead
+        for i in range(k):
+            vals[i], grads[i] = objective(zs[i], x0, bundle, config.lambda_x,
+                                          config.lambda_y, x0_label)
         # bitwise np.mean(vals) without its call overhead; the mean of one
         # point's value is that value
-        loss = vals[0] if len(vals) == 1 else float(np.add.reduce(vals)) / len(vals)
+        loss = vals[0] if k == 1 else float(np.add.reduce(vals)) / k
         if repel is not None:
             rv, rgs = repel(zs)
             loss += rv
-            grads = [g + rg for g, rg in zip(grads, rgs)]
+            for i in range(k):
+                grads[i] += rgs[i]
         losses.append(loss)
-        zs = [project_to_ball(z - config.lr * g, z0, config.delta)
-              for z, g in zip(zs, grads)]
+        for i in range(k):
+            zs[i] = project_to_ball(zs[i] - config.lr * grads[i], z0, config.delta)
         if trace:
             for t, z in zip(trajs, zs):
                 t.append(z.copy())
-    trajs = [np.stack(t) for t in trajs] if trace else [None] * len(zs)
+    trajs = [np.stack(t) for t in trajs] if trace else [None] * k
     return zs, trajs, losses
 
 
@@ -374,7 +374,7 @@ def label_distribution(ceset):
     return weights / weights.sum()
 
 
-def ceset_to_json(ceset, include_trajectories=False):
+def ceset_to_json(ceset):
     """JSON-serializable export with config echo and per-candidate fields."""
     payload = {
         "config": asdict(ceset.config),
@@ -383,7 +383,7 @@ def ceset_to_json(ceset, include_trajectories=False):
         "candidates": [],
     }
     for c in ceset.candidates:
-        entry = {
+        payload["candidates"].append({
             "z": [float(v) for v in c.z],
             "x": [float(v) for v in c.x],
             "posterior": [float(v) for v in c.posterior],
@@ -395,34 +395,32 @@ def ceset_to_json(ceset, include_trajectories=False):
             "label": c.label,
             "accepted": c.accepted,
             "start_index": c.start_index,
-        }
-        if include_trajectories and c.trajectory is not None:
-            entry["trajectory"] = [[float(v) for v in row] for row in c.trajectory]
-        payload["candidates"].append(entry)
+        })
     return payload
 
 
-def dump_ceset(ceset, path, include_trajectories=False):
+def dump_ceset(ceset, path):
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(ceset_to_json(ceset, include_trajectories), f, indent=1, sort_keys=True)
+        json.dump(ceset_to_json(ceset), f, indent=1, sort_keys=True)
 
 
 def ceset_from_json(payload):
     config = ExperimentConfig(**payload["config"])
-    candidates = []
-    for e in payload["candidates"]:
-        traj = e.get("trajectory")
-        candidates.append(CandidateCE(
-            z=np.array(e["z"]), x=np.array(e["x"]),
-            posterior=np.array(e["posterior"]), entropy=e["entropy"],
-            d_x=e["d_x"], d_y=e["d_y"], rho=e["rho"], cost=e["cost"],
-            label=e["label"], accepted=e["accepted"],
-            start_index=e["start_index"],
-            trajectory=np.array(traj) if traj is not None else None))
+    candidates = [CandidateCE(
+        z=np.array(e["z"]), x=np.array(e["x"]),
+        posterior=np.array(e["posterior"]), entropy=e["entropy"],
+        d_x=e["d_x"], d_y=e["d_y"], rho=e["rho"], cost=e["cost"],
+        label=e["label"], accepted=e["accepted"], start_index=e["start_index"])
+        for e in payload["candidates"]]
     return CESet(candidates=candidates, config=config,
                  x0=np.array(payload["x0"]), z0=np.array(payload["z0"]))
 
 
 def load_ceset(path):
+    """Read a file written by ``dump_ceset``; a malformed one raises ``ValueError``."""
     with open(path, encoding="utf-8") as f:
-        return ceset_from_json(json.load(f))
+        payload = json.load(f)
+    try:
+        return ceset_from_json(payload)
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"{path} is malformed: {type(e).__name__} {e}") from e

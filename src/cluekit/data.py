@@ -28,9 +28,6 @@ class Dataset:
     def test_inputs(self):
         return self.inputs[self.split == "test"]
 
-    def test_labels(self):
-        return self.labels[self.split == "test"]
-
 
 @dataclass
 class GroupPartition:
@@ -56,7 +53,7 @@ def _split_tags(rng, n, test_frac, labels):
         tags = np.where(rng.random(n) < test_frac, "test", "train")
         if all(np.any((tags == "train") & (labels == c)) for c in classes):
             return tags
-    raise RuntimeError("could not produce a split covering all classes in train")
+    raise ValueError("could not produce a split covering all classes in train")
 
 
 def gen_blobs(c, d, n, spread, seed, test_frac=0.2):
@@ -194,15 +191,27 @@ def save_dataset(dataset, directory):
 
 
 def load_dataset(directory):
+    """Read a dataset written by ``save_dataset``; a malformed manifest or an
+    inputs blob whose length does not match it raises ``ValueError``."""
     directory = Path(directory)
-    with open(directory / "manifest.json", encoding="utf-8") as f:
+    manifest_path, inputs_path = directory / "manifest.json", directory / "inputs.bin"
+    with open(manifest_path, encoding="utf-8") as f:
         manifest = json.load(f)
-    blob = np.frombuffer((directory / "inputs.bin").read_bytes(), dtype="<f8")
-    inputs = blob.reshape(manifest["n"], manifest["d"]).astype(np.float64)
-    return Dataset(inputs=inputs,
-                   labels=np.array(manifest["labels"], dtype=np.int64),
-                   split=np.array(manifest["split"]),
-                   generator=manifest["generator"])
+    raw = inputs_path.read_bytes()
+    try:
+        n, d = int(manifest["n"]), int(manifest["d"])
+        if len(raw) != 8 * n * d:
+            raise ValueError(f"{inputs_path} holds {len(raw)} bytes, its manifest "
+                             f"needs {8 * n * d}")
+        if len(manifest["labels"]) != n or len(manifest["split"]) != n:
+            raise ValueError(f"{manifest_path}: labels and split must have n={n} entries")
+        inputs = np.frombuffer(raw, dtype="<f8").reshape(n, d).astype(np.float64)
+        return Dataset(inputs=inputs,
+                       labels=np.array(manifest["labels"], dtype=np.int64),
+                       split=np.array(manifest["split"]),
+                       generator=manifest["generator"])
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"{manifest_path} is malformed: {type(e).__name__} {e}") from e
 
 
 def export_csv(dataset, path):

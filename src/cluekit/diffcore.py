@@ -39,22 +39,10 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def backward(self, seed=None):
-        """Accumulate gradients of this (scalar) node into all grad leaves.
-
-        ``seed`` may override the output adjoint; by default it is 1.0 and
-        the node must be scalar.
-        """
-        if seed is None:
-            if self.data.size != 1:
-                raise ShapeError(
-                    f"backward() needs a scalar output or an explicit seed; got shape {self.shape}"
-                )
-            seed = np.ones_like(self.data)
-        else:
-            seed = np.asarray(seed, dtype=np.float64)
-            if seed.shape != self.data.shape:
-                raise ShapeError(f"seed shape {seed.shape} != output shape {self.shape}")
+    def backward(self):
+        """Accumulate gradients of this scalar node into all grad leaves."""
+        if self.data.size != 1:
+            raise ShapeError(f"backward() needs a scalar output; got shape {self.shape}")
 
         order = []
         seen = set()
@@ -76,7 +64,7 @@ class Tensor:
         visit(self)
         for n in order:
             n.grad = None
-        self.grad = seed
+        self.grad = np.ones_like(self.data)
         for n in reversed(order):
             if n._backward is not None and n.grad is not None:
                 n._backward(n.grad)

@@ -103,24 +103,6 @@ def label_entropy(labels, c):
     return min(1.0, max(0.0, h / log(c)))
 
 
-def evaluate(spec, *, points=None, x0=None, posteriors=None, labels=None, c=None):
-    """Dispatch a DiversitySpec to the right metric and arguments."""
-    m = spec.metric
-    if m == "dpp":
-        return dpp(points, spec.base)
-    if m == "apd":
-        return apd(points, spec.base)
-    if m == "coverage":
-        return coverage(points, x0)
-    if m == "prediction_coverage":
-        return prediction_coverage(posteriors)
-    if m == "distinct_labels":
-        return distinct_labels(labels, c)
-    if m == "label_entropy":
-        return label_entropy(labels, c)
-    raise ValueError(f"unknown metric {m!r}")
-
-
 def diversity_node(spec, points_node, x0=None):
     """Graph node for a differentiable metric over a k x dim Tensor."""
     k = points_node.shape[0]
@@ -142,18 +124,6 @@ def diversity_node(spec, points_node, x0=None):
         return dc.mul(dc.tsum(dc.add(pos, neg)), 1.0 / points_node.shape[1])
     raise ValueError(f"metric {spec.metric!r} is not differentiable; "
                      f"label-based metrics are evaluation-only")
-
-
-def diversity_grad(spec, points, x0=None):
-    """Value and per-point gradients of a differentiable metric."""
-    if spec.metric not in DIFFERENTIABLE_METRICS:
-        raise ValueError(f"metric {spec.metric!r} is not differentiable; "
-                         f"label-based metrics are evaluation-only")
-    pts = dc.Tensor(np.asarray(points, dtype=np.float64), requires_grad=True)
-    node = diversity_node(spec, pts, x0=x0)
-    node.backward()
-    grad = pts.grad if pts.grad is not None else np.zeros_like(pts.data)
-    return float(node.data), grad
 
 
 def metric_report_rows(xs, zs, posteriors, labels, x0, z0, c):

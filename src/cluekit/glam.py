@@ -8,7 +8,6 @@ one encode, one vector add, one decode, one predict — no optimization.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,6 @@ class MapperParams:
     theta: np.ndarray  # latent translation, length m'
     lambda_theta: float
     loss_curve: list = field(default_factory=list)
-    train_time_s: float = 0.0
 
 
 @dataclass
@@ -61,7 +59,6 @@ def train_mapper(x_uncertain, x_certain, bundle, lambda_theta=0.1,
     z_c_mean = np.stack([models.encode(bundle, x) for x in x_certain]).mean(axis=0)
     theta = z_c_mean - z_u.mean(axis=0)
 
-    t0 = time.perf_counter()
     curve = []
     for _ in range(hp.steps):
         tt = dc.Tensor(theta, requires_grad=True)
@@ -78,17 +75,16 @@ def train_mapper(x_uncertain, x_certain, bundle, lambda_theta=0.1,
         stepped = theta - hp.lr * tt.grad
         theta = np.sign(stepped) * np.maximum(np.abs(stepped) - hp.lr * lambda_theta, 0.0)
     return MapperParams(source_group=source_group, target_group=target_group,
-                        theta=theta, lambda_theta=lambda_theta, loss_curve=curve,
-                        train_time_s=time.perf_counter() - t0)
+                        theta=theta, lambda_theta=lambda_theta, loss_curve=curve)
 
 
-def _candidate_from(x_ce, x, bundle, lambda_x, z=None):
+def _score(z, x_ce, z0, x, bundle, lambda_x):
+    """The counterfactual x_ce (latent z) of the input x (latent z0) as a
+    scored candidate; the caller supplies both latents, so this is one
+    predict."""
     post = models.predict(bundle, x_ce)
     h = models.entropy(post)
-    d_x = float(np.sum(np.abs(x_ce - x)))
-    if z is None:
-        z = models.encode(bundle, x_ce)
-    z0 = models.encode(bundle, x)
+    d_x = float(np.abs(x_ce - x).sum())
     return CandidateCE(z=z, x=x_ce, posterior=post.probs, entropy=h, d_x=d_x,
                        d_y=0.0, rho=float(np.linalg.norm(z - z0)),
                        cost=h + lambda_x * d_x,
@@ -99,17 +95,9 @@ def _candidate_from(x_ce, x, bundle, lambda_x, z=None):
 def apply_mapper(mapper, x_uncertain, bundle, lambda_x=0.0):
     """One encode, one add, one decode, one predict; no iterative search."""
     x = np.asarray(x_uncertain, dtype=np.float64)
-    z = models.encode(bundle, x)
-    z_ce = z + mapper.theta
-    x_ce = models.decode(bundle, z_ce)
-    post = models.predict(bundle, x_ce)
-    h = models.entropy(post)
-    d_x = float(np.abs(x_ce - x).sum())
-    return CandidateCE(z=z_ce, x=x_ce, posterior=post.probs, entropy=h, d_x=d_x,
-                       d_y=0.0, rho=float(np.linalg.norm(mapper.theta)),
-                       cost=h + lambda_x * d_x,
-                       label=models.argmax_label(post.probs), accepted=True,
-                       start_index=0)
+    z0 = models.encode(bundle, x)
+    z = z0 + mapper.theta
+    return _score(z, models.decode(bundle, z), z0, x, bundle, lambda_x)
 
 
 @dataclass
@@ -119,14 +107,12 @@ class DbmBaseline:
 
     def apply(self, x, bundle, lambda_x=0.0):
         x = np.asarray(x, dtype=np.float64)
+        z0 = models.encode(bundle, x)
         if self.space == "input":
-            shifted = np.clip(x + self.translation, 0.0, 1.0)
-            x_ce = models.decode(bundle, models.encode(bundle, shifted))
+            z = models.encode(bundle, np.clip(x + self.translation, 0.0, 1.0))
         else:
-            z_ce = models.encode(bundle, x) + self.translation
-            return _candidate_from(models.decode(bundle, z_ce), x, bundle,
-                                   lambda_x, z=z_ce)
-        return _candidate_from(x_ce, x, bundle, lambda_x)
+            z = z0 + self.translation
+        return _score(z, models.decode(bundle, z), z0, x, bundle, lambda_x)
 
 
 def dbm_baseline(space, x_uncertain, x_certain, bundle):
@@ -156,21 +142,19 @@ def nn_baseline(space, x_uncertain, x_certain, bundle, lambda_x=0.0,
         raise ValueError("nn_baseline: empty certain set")
     x = np.asarray(x_uncertain, dtype=np.float64)
     x_c = np.asarray(x_certain, dtype=np.float64)
+    if space not in ("input", "latent"):
+        raise ValueError(f"unknown space {space!r}")
+    z0 = models.encode(bundle, x)
     if space == "input":
-        idx = int(np.argmin(np.linalg.norm(x_c - x, axis=1)))
-        return _candidate_from(x_c[idx], x, bundle, lambda_x)
-    if space == "latent":
-        z = models.encode(bundle, x)
-        z_c = (np.asarray(z_certain) if z_certain is not None
-               else np.stack([models.encode(bundle, xc) for xc in x_c]))
-        idx = int(np.argmin(np.linalg.norm(z_c - z, axis=1)))
-        z_ce = z_c[idx]
-        return _candidate_from(models.decode(bundle, z_ce), x, bundle, lambda_x, z=z_ce)
-    raise ValueError(f"unknown space {space!r}")
+        x_ce = x_c[int(np.argmin(np.linalg.norm(x_c - x, axis=1)))]
+        return _score(models.encode(bundle, x_ce), x_ce, z0, x, bundle, lambda_x)
+    z_c = (np.asarray(z_certain) if z_certain is not None
+           else np.stack([models.encode(bundle, xc) for xc in x_c]))
+    z = z_c[int(np.argmin(np.linalg.norm(z_c - z0, axis=1)))]
+    return _score(z, models.decode(bundle, z), z0, x, bundle, lambda_x)
 
 
-def mappers_from_cesets(cesets, source_labels, bundle, lambda_theta=0.0,
-                        hyperparams=None, min_pairs=3):
+def mappers_from_cesets(cesets, source_labels, bundle, lambda_theta=0.0, min_pairs=3):
     """Train one mapper per (source class, explanation label) group.
 
     Each uncertain input is paired with its best accepted counterfactual;
@@ -191,7 +175,6 @@ def mappers_from_cesets(cesets, source_labels, bundle, lambda_theta=0.0,
             continue
         mappers.append(train_mapper(np.stack(xs_u), np.stack(xs_c), bundle,
                                     lambda_theta=lambda_theta,
-                                    hyperparams=hyperparams,
                                     source_group=src, target_group=lab))
     return mappers
 

@@ -58,7 +58,6 @@ class TrainingReport:
     heldout_accuracy: float = 0.0
     entropy_histogram: list = field(default_factory=list)
     entropy_percentiles: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
 
 
 @dataclass
@@ -311,7 +310,6 @@ class VaeHyperparams:
     lr: float = 0.05
     epochs: int = 60
     batch: int = 128
-    recon: str = "bernoulli"  # or "l2"
     kl_weight: float = 0.1  # < 1 avoids posterior collapse at desk scale
 
 
@@ -350,12 +348,9 @@ def train_vae(dataset_inputs, hyperparams, seed):
             eps = rng.standard_normal((len(idx), m))
             z = dc.add(mu, dc.mul(dc.exp(dc.mul(logvar, 0.5)), dc.Tensor(eps)))
             logits = _mlp_graph(dec_t, z, dc.tanh)
-            if hp.recon == "bernoulli":
-                # cross-entropy from logits: softplus(a) - x*a (stable; valid for soft targets)
-                recon = dc.tsum(dc.sub(dc.softplus(logits), dc.mul(xb, logits)))
-            else:
-                diff = dc.sub(dc.sigmoid(logits), xb)
-                recon = dc.sq_norm(diff)
+            # Bernoulli cross-entropy from logits: softplus(a) - x*a (stable;
+            # valid for soft targets)
+            recon = dc.tsum(dc.sub(dc.softplus(logits), dc.mul(xb, logits)))
             kl = dc.mul(dc.tsum(dc.sub(dc.add(dc.mul(mu, mu), dc.exp(logvar)),
                                        dc.add(logvar, 1.0))), 0.5 * hp.kl_weight)
             loss = dc.mul(dc.add(recon, kl), 1.0 / len(idx))
@@ -384,7 +379,9 @@ class EnsembleHyperparams:
     lr: float = 0.1
     epochs: int = 80
     batch: int = 128
-    heldout_frac: float = 0.2
+
+
+HELDOUT_FRAC = 0.2  # share of the training inputs held out for the accuracy report
 
 
 def train_ensemble(inputs, labels, n_members, hyperparams, seed):
@@ -398,7 +395,7 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
     d = x_all.shape[1]
     split_rng = np.random.default_rng([seed, 999])
     perm = split_rng.permutation(len(x_all))
-    n_held = max(1, int(len(x_all) * hp.heldout_frac))
+    n_held = max(1, int(len(x_all) * HELDOUT_FRAC))
     held, train = perm[:n_held], perm[n_held:]
     xt, yt = x_all[train], y_all[train]
 
@@ -502,37 +499,45 @@ def save_bundle(bundle, directory):
 
 
 def load_bundle(directory):
+    """Read a bundle written by ``save_bundle``; a malformed manifest or a
+    weights blob whose length does not match it raises ``ValueError``."""
     directory = Path(directory)
-    with open(directory / "manifest.json", encoding="utf-8") as f:
+    manifest_path, weights_path = directory / "manifest.json", directory / "weights.bin"
+    with open(manifest_path, encoding="utf-8") as f:
         manifest = json.load(f)
-    dims = manifest["dims"]
-    blob = np.frombuffer((directory / "weights.bin").read_bytes(), dtype="<f8")
-    arrays = {}
-    offset = 0
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        arrays[entry["name"]] = blob[offset:offset + size].reshape(shape).astype(np.float64)
-        offset += size
+    raw = weights_path.read_bytes()
+    try:
+        dims = manifest["dims"]
+        shapes = [tuple(entry["shape"]) for entry in manifest["tensors"]]
+        ends = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
+        if len(raw) != 8 * ends[-1]:
+            raise ValueError(f"{weights_path} holds {len(raw)} bytes, its manifest "
+                             f"needs {8 * ends[-1]}")
+        blob = np.frombuffer(raw, dtype="<f8")
+        arrays = {entry["name"]: blob[lo:hi].reshape(shape).astype(np.float64)
+                  for entry, shape, lo, hi in zip(manifest["tensors"], shapes, ends, ends[1:])}
 
-    def _mlp(prefix, n_layers):
-        return MLP(weights=[arrays[f"{prefix}.w{i}"] for i in range(n_layers)],
-                   biases=[arrays[f"{prefix}.b{i}"] for i in range(n_layers)])
+        def _mlp(prefix, n_layers):
+            return MLP(weights=[arrays[f"{prefix}.w{i}"] for i in range(n_layers)],
+                       biases=[arrays[f"{prefix}.b{i}"] for i in range(n_layers)])
 
-    n_enc = len(manifest["architecture"]["encoder"])
-    n_dec = len(manifest["architecture"]["decoder"])
-    n_mem = len(manifest["architecture"]["ensemble"])
-    vrep = TrainingReport(loss_curve=manifest["vae_report"]["loss_curve"],
-                          final_loss=manifest["vae_report"]["final_loss"],
-                          mean_recon_l1=manifest["vae_report"]["mean_recon_l1"])
-    erep = TrainingReport(heldout_accuracy=manifest["ensemble_report"]["heldout_accuracy"],
-                          entropy_percentiles=manifest["ensemble_report"]["entropy_percentiles"],
-                          entropy_histogram=manifest["ensemble_report"].get("entropy_histogram", []))
-    return ModelBundle(
-        encoder=_mlp("encoder", n_enc),
-        decoder=_mlp("decoder", n_dec),
-        ensemble=[_mlp(f"ensemble{e}", n_mem) for e in range(dims["n_members"])],
-        d_in=dims["d_in"], m_latent=dims["m_latent"], c_classes=dims["c_classes"],
-        n_members=dims["n_members"], seed=manifest["seed"],
-        vae_report=vrep, ensemble_report=erep,
-    )
+        n_enc = len(manifest["architecture"]["encoder"])
+        n_dec = len(manifest["architecture"]["decoder"])
+        n_mem = len(manifest["architecture"]["ensemble"])
+        vrep = TrainingReport(loss_curve=manifest["vae_report"]["loss_curve"],
+                              final_loss=manifest["vae_report"]["final_loss"],
+                              mean_recon_l1=manifest["vae_report"]["mean_recon_l1"])
+        erep = TrainingReport(
+            heldout_accuracy=manifest["ensemble_report"]["heldout_accuracy"],
+            entropy_percentiles=manifest["ensemble_report"]["entropy_percentiles"],
+            entropy_histogram=manifest["ensemble_report"].get("entropy_histogram", []))
+        return ModelBundle(
+            encoder=_mlp("encoder", n_enc),
+            decoder=_mlp("decoder", n_dec),
+            ensemble=[_mlp(f"ensemble{e}", n_mem) for e in range(dims["n_members"])],
+            d_in=dims["d_in"], m_latent=dims["m_latent"], c_classes=dims["c_classes"],
+            n_members=dims["n_members"], seed=manifest["seed"],
+            vae_report=vrep, ensemble_report=erep,
+        )
+    except (KeyError, TypeError, IndexError) as e:
+        raise ValueError(f"{manifest_path} is malformed: {type(e).__name__} {e}") from e

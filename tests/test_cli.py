@@ -3,6 +3,7 @@ exit codes for usage and numerical failures, and byte-level determinism."""
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -324,3 +325,83 @@ def test_bad_config_file_exit_2(workspace, tmp_path, capsys):
                 "--dataset", workspace["dataset"],
                 "--set", "oops"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["explain", "sweep"])
+@pytest.mark.parametrize("scheme", ["s2", "s5"])
+def test_certainty_schemes_run_from_the_cli(workspace, tmp_path, command, scheme):
+    """s2 and s5 take their start data from the certainty partition."""
+    out = tmp_path / "out"
+    extra = (["--method", "dclue", "--top", "2"] if command == "explain"
+             else ["--axis", "lambda_d", "--grid", "0,0.3"])
+    assert run([command, "--out", str(out), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"], "--set", f"scheme={scheme}"]
+               + extra + EXPLAIN_SETS) == 0
+    if command == "explain":
+        names = [p for p in os.listdir(out) if p.startswith("ceset_")]
+        assert len(names) == 2
+        for name in names:
+            ceset = clue.load_ceset(str(out / name))
+            assert len(ceset.candidates) == 3
+            assert all(c.rho <= 1.2 + 1e-9 for c in ceset.candidates)
+    else:
+        assert (out / "sweep.csv").read_text().count("\nlambda_d,") > 0
+
+
+def test_s2_without_certain_points_exit_2(workspace, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["explain", "--out", str(out), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"], "--set", "scheme=s2",
+                "--set", "tau_low=-1"] + EXPLAIN_SETS) == 2
+    assert "class 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_glam_all_without_enough_pairs_leaves_no_outputs(workspace, tmp_path, capsys):
+    ex = tmp_path / "ex"
+    assert run(["explain", "--out", str(ex), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"], "--top", "1"] + EXPLAIN_SETS) == 0
+    ceset = next(str(ex / p) for p in os.listdir(ex) if p.startswith("ceset_"))
+    out = tmp_path / "gl"
+    assert run(["glam", "--out", str(out), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"], "--variant", "all",
+                "--cesets", ceset, "--set", "cap=5"]) == 2
+    assert "enough pairs" in capsys.readouterr().err
+    assert not list(out.glob("mapper_*.json"))
+    assert not (out / "comparison.csv").exists()
+
+
+def _truncated_weights(bundle):
+    path = bundle / "weights.bin"
+    path.write_bytes(path.read_bytes()[:-12])
+    return path
+
+
+def _manifest_without_tensors(bundle):
+    path = bundle / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["tensors"]
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+@pytest.mark.parametrize("case", ["weights", "manifest", "vae_epochs", "members",
+                                  "test_frac"])
+def test_malformed_input_exit_2(workspace, tmp_path, case, capsys):
+    """A broken bundle file or a bad numeric setting exits 2 with a message
+    that names the file or the key."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(workspace["bundle"], bundle)
+    out = tmp_path / "out"
+    dataset = ["--dataset", workspace["dataset"]]
+    if case in ("weights", "manifest"):
+        broken = (_truncated_weights if case == "weights" else _manifest_without_tensors)(bundle)
+        argv, named = ["explain", "--bundle", str(bundle)] + dataset + EXPLAIN_SETS, str(broken)
+    elif case == "test_frac":  # no split leaves every class a training point
+        argv, named = ["gen-data", "--set", "test_frac=1"], "split"
+    else:
+        value = "abc" if case == "vae_epochs" else "0"
+        argv, named = ["train", "--set", f"{case}={value}"] + dataset, case
+    assert run(argv + ["--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()

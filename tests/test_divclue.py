@@ -175,6 +175,31 @@ def test_presearch_rejects_label_metrics(tiny_bundle):
                                     bundle=bundle)
 
 
+def test_diversity_gradient_in_input_space_matches_fd(tiny_bundle):
+    """divclue._diversity decodes the free latents, stacks them under found
+    rows that are already in input space, and differentiates the metric;
+    its gradient w.r.t. the free latents matches central differences."""
+    ds, bundle = tiny_bundle
+    x0 = ds.train_inputs()[0]
+    rng = np.random.default_rng(23)
+    h = 1e-5
+    for t in range(15):
+        spec = div.DiversitySpec(metric=div.DIFFERENTIABLE_METRICS[t % 3], space="input")
+        free = rng.normal(0.0, 1.0, (int(rng.integers(1, 3)), bundle.m_latent))
+        found = rng.uniform(0.0, 1.0, (int(rng.integers(1, 3)), bundle.d_in))
+
+        def value(zs):
+            return divclue._diversity(spec, bundle, None, x0, list(zs), found)[0]
+
+        _, grads = divclue._diversity(spec, bundle, None, x0, list(free), found)
+        fd = np.zeros_like(free)
+        for idx in np.ndindex(free.shape):
+            bump = np.zeros_like(free)
+            bump[idx] = h
+            fd[idx] = (value(free + bump) - value(free - bump)) / (2.0 * h)
+        assert np.all(np.abs(np.stack(grads) - fd) <= 1e-4 * np.abs(fd) + 1e-7)
+
+
 def test_sequential_spreads_candidates(tiny_bundle):
     ds, bundle = tiny_bundle
     x0 = ds.train_inputs()[6]

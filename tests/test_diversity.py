@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cluekit.diffcore as dc
-from cluekit import diversity as div
+from cluekit import divclue, diversity as div
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +194,18 @@ def fd_points_grad(f, pts, step=1e-6):
     return g
 
 
+def latent_grad(spec, pts, z0=None):
+    """Per-point gradients of a latent-space metric, as the searches take them."""
+    _, grads = divclue._diversity(spec, None, z0, None, list(pts))
+    return np.stack(grads)
+
+
 def test_dpp_gradient_matches_fd():
     rng = np.random.default_rng(6)
     spec = div.DiversitySpec(metric="dpp", space="latent")
     for _ in range(10):
         pts = random_set(rng, k=3, dim=3)
-        _, grad = div.diversity_grad(spec, pts)
+        grad = latent_grad(spec, pts)
         numeric = fd_points_grad(lambda p: div.dpp(p), pts)
         denom = np.maximum(np.abs(numeric), 1e-3)
         assert np.max(np.abs(grad - numeric) / denom) < 1e-4
@@ -210,7 +216,7 @@ def test_apd_gradient_matches_fd():
     spec = div.DiversitySpec(metric="apd", space="latent")
     for _ in range(10):
         pts = random_set(rng, k=4, dim=3)
-        _, grad = div.diversity_grad(spec, pts)
+        grad = latent_grad(spec, pts)
         numeric = fd_points_grad(lambda p: div.apd(p), pts)
         denom = np.maximum(np.abs(numeric), 1e-3)
         assert np.max(np.abs(grad - numeric) / denom) < 1e-4
@@ -221,7 +227,7 @@ def test_coverage_gradient_is_plus_minus_one_over_d():
     pts = np.array([[2.0, -1.0], [0.5, 3.0], [-1.5, 0.2]])
     x0 = np.zeros(2)
     spec = div.DiversitySpec(metric="coverage", space="latent")
-    _, grad = div.diversity_grad(spec, pts, x0=x0)
+    grad = latent_grad(spec, pts, z0=x0)
     d = 2
     expected = np.array([[1 / d, -1 / d], [0.0, 1 / d], [-1 / d, 0.0]])
     assert np.allclose(grad, expected)
@@ -230,7 +236,7 @@ def test_coverage_gradient_is_plus_minus_one_over_d():
 def test_label_metrics_are_not_differentiable():
     spec = div.DiversitySpec(metric="label_entropy")
     with pytest.raises(ValueError, match="not differentiable"):
-        div.diversity_grad(spec, np.zeros((2, 2)))
+        div.diversity_node(spec, dc.Tensor(np.zeros((2, 2))))
 
 
 # ---------------------------------------------------------------------------

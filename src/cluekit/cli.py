@@ -130,14 +130,19 @@ def resolve_config(args):
 
 
 def _setting(cfg, key, default, kind=float, low=None):
-    """cfg[key], else the default, converted by ``kind``; a value that does
-    not convert, or one below ``low``, is a usage error naming the key."""
+    """cfg[key], else the default, as a ``kind`` (int or float); a value of
+    another kind, or one below ``low``, is a usage error naming the key. An
+    int setting takes only an integer, not 2.5, true or "2"."""
     value = cfg.get(key, default)
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{key} must be {'an int' if kind is int else 'a number'}, "
-                         f"got {value!r}")
+    if kind is int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise UsageError(f"{key} must be an int, got {value!r}")
+        number = value
+    else:
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise UsageError(f"{key} must be a number, got {value!r}")
     if low is not None and number < low:
         raise UsageError(f"{key} must be >= {low}, got {value!r}")
     return number
@@ -373,6 +378,7 @@ def _sweep_stats(record):
 
 def cmd_sweep(args):
     cfg = resolve_config(args)
+    seed = _setting(cfg, "seed", 0, int)
     if args.axis not in SWEEP_AXES:
         raise UsageError(f"unknown sweep axis {args.axis!r}; choose from {SWEEP_AXES}")
     try:
@@ -390,7 +396,6 @@ def cmd_sweep(args):
     ds = _load_dataset(args)
     groups = _groups(cfg, ds, bundle) if args.axis == "lambda_theta" else None
     context = _init_context(cfg, configs, ds, bundle)
-    out = _ensure_out(args)
     t0 = time.perf_counter()
     rows = []
     if groups is not None:
@@ -402,11 +407,11 @@ def cmd_sweep(args):
             for stat, v in _sweep_stats(record).items():
                 rows.append([args.axis, value, stat, v])
     wall = time.perf_counter() - t0
+    out = _ensure_out(args)  # after the sweep: a setting it rejects leaves no directory
     sweep_path = os.path.join(out, "sweep.csv")
     write_csv(sweep_path, ["axis", "value", "statistic", "result"], rows)
     write_manifest(out, "sweep", dict(cfg, axis=args.axis, grid=grid),
-                   [args.bundle, args.dataset], [sweep_path],
-                   {"sweep": wall}, _setting(cfg, "seed", 0, int))
+                   [args.bundle, args.dataset], [sweep_path], {"sweep": wall}, seed)
     return 0
 
 
@@ -485,6 +490,7 @@ def _apply_scheme(scheme, groups, cfg):
 
 def cmd_glam(args):
     cfg = resolve_config(args)
+    seed = _setting(cfg, "seed", 0, int)
     variants = list(GLAM_VARIANTS) if args.variant == "all" else [args.variant]
     for v in variants:
         if v not in GLAM_VARIANTS:
@@ -519,7 +525,7 @@ def cmd_glam(args):
     outputs.append(cmp_path)
     write_manifest(out, "glam", dict(cfg, variant=args.variant),
                    [args.bundle, args.dataset] + (args.cesets or []), outputs,
-                   {"glam": wall}, _setting(cfg, "seed", 0, int))
+                   {"glam": wall}, seed)
     return 0
 
 
@@ -572,8 +578,7 @@ def cmd_bench(args):
     write_csv(bench_path, ["scheme", "median_ms", "repetitions"], rows)
     write_manifest(out, "bench", dict(cfg, schemes=schemes),
                    [args.bundle, args.dataset], [bench_path],
-                   {"bench": wall},
-                   _setting(cfg, "seed", 0, int))
+                   {"bench": wall}, config.seed)
     return 0
 
 

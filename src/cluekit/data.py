@@ -48,6 +48,9 @@ class GroupPartition:
 
 def _split_tags(rng, n, test_frac, labels):
     """Random split, redrawn until every class appears in train."""
+    if not 0.0 < test_frac < 1.0:
+        raise ValueError(f"test_frac, the share of points in the test split, must lie "
+                         f"in (0, 1), got {test_frac!r}")
     classes = np.unique(labels)
     for _ in range(100):
         tags = np.where(rng.random(n) < test_frac, "test", "train")
@@ -66,6 +69,8 @@ def gen_blobs(c, d, n, spread, seed, test_frac=0.2):
         raise ValueError(f"gen_blobs: need c>=2 and d>=2, got c={c}, d={d}")
     if n < c:
         raise ValueError("gen_blobs: need at least one point per class")
+    if not 0.0 <= spread < np.inf:
+        raise ValueError(f"gen_blobs: spread must be finite and >= 0, got {spread!r}")
     rng = np.random.default_rng([seed, 0])
     means = 0.2 + 0.6 * rng.random((c, d))
     labels = rng.integers(0, c, size=n)

@@ -5,17 +5,22 @@ log-variance, MLP decoder with a sigmoid output head) and an ensemble of
 independent MLP classifiers. Predictive uncertainty is the entropy of the
 ensemble-averaged class posterior.
 
+The ensemble is one stacked ``MLP`` whose layer i holds all E members'
+weights as an E x in x out array, so each layer of all members is one
+matmul. The dimensions d', m', c' and E are read from the weight shapes;
+a saved bundle records shapes only in its manifest's ``tensors`` list.
+
 Two forward paths share the weights. Inference (``encode``, ``decode``,
 ``predict``) and the search objective (``search_objective``) run on plain
-numpy, with the ensemble's members stacked so that each layer of all E
-members is one matmul; the objective's gradient is derived by hand. The
-``*_graph`` functions build the same forward on the autodiff tape, which
-training, the diversity gradients and the s5 start scheme differentiate
-through, and against which the tests check the hand-derived kernel.
+numpy, and the objective's gradient is derived by hand. The ``*_graph``
+functions build the same forward on the autodiff tape, which training,
+the diversity gradients and the s5 start scheme differentiate through,
+and against which the tests check the hand-derived kernel.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,9 +51,6 @@ class MLP:
     weights: list  # list of np.ndarray, alternating W (in x out) per layer
     biases: list
 
-    def n_layers(self):
-        return len(self.weights)
-
 
 @dataclass
 class TrainingReport:
@@ -64,25 +66,23 @@ class TrainingReport:
 class ModelBundle:
     encoder: MLP  # d' -> ... -> 2 m' (mean, logvar)
     decoder: MLP  # m' -> ... -> d' logits (sigmoid applied on output)
-    ensemble: list  # E MLPs, d' -> ... -> c' logits
-    d_in: int
-    m_latent: int
-    c_classes: int
-    n_members: int
+    # the E members as one MLP: layer i holds their weights as an
+    # E x in x out array and their biases as E x 1 x out; d' -> ... -> c'
+    ensemble: MLP
     seed: int = 0
     vae_report: TrainingReport = field(default_factory=TrainingReport)
     ensemble_report: TrainingReport = field(default_factory=TrainingReport)
-    # the ensemble as one MLP: layer i holds every member's weights as an
-    # E x in x out array and its biases as E x 1 x out; built from
-    # ``ensemble`` here, so replace a member by building a new bundle
-    stacked: MLP = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        n = self.ensemble[0].n_layers()
-        self.stacked = MLP(
-            weights=[np.stack([m.weights[i] for m in self.ensemble]) for i in range(n)],
-            biases=[np.stack([m.biases[i] for m in self.ensemble])[:, None, :]
-                    for i in range(n)])
+    d_in = property(lambda self: self.encoder.weights[0].shape[0])
+    m_latent = property(lambda self: self.decoder.weights[0].shape[0])
+    c_classes = property(lambda self: self.ensemble.weights[-1].shape[-1])
+    n_members = property(lambda self: self.ensemble.weights[0].shape[0])
+
+
+def _stack(members):
+    """The member MLPs as one stacked ensemble MLP."""
+    return MLP(weights=[np.stack(ws) for ws in zip(*(m.weights for m in members))],
+               biases=[np.stack(bs)[:, None, :] for bs in zip(*(m.biases for m in members))])
 
 
 @dataclass
@@ -126,8 +126,14 @@ def decode_graph(bundle, z):
     return dc.sigmoid(decode_logits_graph(bundle, z))
 
 
+def _member(bundle, e):
+    """Member ``e`` of the stacked ensemble as a plain MLP (views of slab e)."""
+    ens = bundle.ensemble
+    return MLP(weights=[w[e] for w in ens.weights], biases=[b[e, 0] for b in ens.biases])
+
+
 def member_probs_graph(bundle, x, member):
-    logits = _mlp_graph(_params(bundle.ensemble[member]), x, dc.relu)
+    logits = _mlp_graph(_params(_member(bundle, member)), x, dc.relu)
     return dc.softmax(logits, axis=-1)
 
 
@@ -156,7 +162,7 @@ def _relu(v, out):
 def _forward(mlp, x, hidden_act, acts=None):
     """Output logits of ``mlp`` at ``x``, without the tape.
 
-    On ``bundle.stacked`` an n x d' input gives E x n x c' logits, one
+    On ``bundle.ensemble`` an n x d' input gives E x n x c' logits, one
     slab per member. ``acts``, if given, collects the hidden activations
     that ``_backprop`` needs.
     """
@@ -205,8 +211,8 @@ def search_objective(bundle, z, x0, lambda_x, lambda_y, label):
     """
     dec_acts, ens_acts = [], []
     x = expit(_forward(bundle.decoder, z, np.tanh, dec_acts))
-    s = _softmax(_forward(bundle.stacked, x[None], _relu, ens_acts))  # E x 1 x c'
-    p = s.sum(axis=0)[0] * (1.0 / bundle.n_members)
+    s = _softmax(_forward(bundle.ensemble, x[None], _relu, ens_acts))  # E x 1 x c'
+    p = s.sum(axis=0)[0] * (1.0 / len(s))
     logp = np.log(p)
     h = -(p * logp).sum()
     d_x = d_y = 0.0
@@ -223,9 +229,9 @@ def search_objective(bundle, z, x0, lambda_x, lambda_y, label):
         gp = -(logp + 1.0)  # dH/dp
         if lambda_y > 0.0:
             gp[label] -= lambda_y / p[label]
-        gp *= g * (1.0 / bundle.n_members)  # d/dp of the mean, to each member
+        gp *= g * (1.0 / len(s))  # d/dp of the mean, to each member
         gl = s * (gp - (s * gp).sum(axis=-1, keepdims=True))  # softmax
-        gx = _backprop(bundle.stacked, ens_acts, gl, _relu_grad).sum(axis=0)[0]
+        gx = _backprop(bundle.ensemble, ens_acts, gl, _relu_grad).sum(axis=0)[0]
         if lambda_x > 0.0:
             gx += g * lambda_x * np.sign(diff)
         return _backprop(bundle.decoder, dec_acts, gx * x * (1.0 - x), _tanh_grad)
@@ -233,32 +239,42 @@ def search_objective(bundle, z, x0, lambda_x, lambda_y, label):
     return h, d_x, d_y, grad
 
 
+# encode, decode and predict let the first matmul check the input width,
+# which costs nothing when it fits: they run row by row in several loops
+
+
 def encode(bundle, x):
     """Deterministic latent embedding: the encoder mean (no sampling)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != bundle.d_in:
-        raise dc.ShapeError(f"encode: input length {x.shape[-1]} != d'={bundle.d_in}")
+    try:
+        h = _forward(bundle.encoder, x, np.tanh)
+    except ValueError:
+        raise dc.ShapeError(f"encode: input length {x.shape[-1]} != d'={bundle.d_in}") from None
     EVAL_COUNTS["encode"] += 1
-    return _forward(bundle.encoder, x, np.tanh)[..., :bundle.m_latent]
+    return h[..., :h.shape[-1] // 2]
 
 
 def decode(bundle, z):
     z = np.asarray(z, dtype=np.float64)
-    if z.shape[-1] != bundle.m_latent:
-        raise dc.ShapeError(f"decode: latent length {z.shape[-1]} != m'={bundle.m_latent}")
+    try:
+        logits = _forward(bundle.decoder, z, np.tanh)
+    except ValueError:
+        raise dc.ShapeError(f"decode: latent length {z.shape[-1]} "
+                            f"!= m'={bundle.m_latent}") from None
     EVAL_COUNTS["decode"] += 1
-    return expit(_forward(bundle.decoder, z, np.tanh))
+    return expit(logits)
 
 
 def predict(bundle, x):
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != bundle.d_in:
-        raise dc.ShapeError(f"predict: input length {x.shape[-1]} != d'={bundle.d_in}")
+    try:
+        member = _softmax(_forward(bundle.ensemble, x.reshape(-1, x.shape[-1]), _relu))
+    except ValueError:
+        raise dc.ShapeError(f"predict: input length {x.shape[-1]} != d'={bundle.d_in}") from None
     EVAL_COUNTS["predict"] += 1
-    member = _softmax(_forward(bundle.stacked, x.reshape(-1, bundle.d_in), _relu))
     if x.ndim == 1:
         member = member[:, 0]
-    return Posterior(probs=member.sum(axis=0) / bundle.n_members, member_probs=member)
+    return Posterior(probs=member.sum(axis=0) / len(member), member_probs=member)
 
 
 def entropy(posterior):
@@ -298,7 +314,7 @@ def _sgd_step(tensors, lr):
 
 
 def _write_back(mlp, tensors):
-    for i in range(mlp.n_layers()):
+    for i in range(len(mlp.weights)):
         mlp.weights[i] = tensors[2 * i].data
         mlp.biases[i] = tensors[2 * i + 1].data
 
@@ -385,7 +401,10 @@ HELDOUT_FRAC = 0.2  # share of the training inputs held out for the accuracy rep
 
 
 def train_ensemble(inputs, labels, n_members, hyperparams, seed):
-    """Train E independent classifiers on cross-entropy from distinct inits."""
+    """Train E independent classifiers on cross-entropy from distinct inits.
+
+    Each member trains on its own tape; returns (stacked ensemble, report).
+    """
     x_all = np.asarray(inputs, dtype=np.float64)
     y_all = np.asarray(labels, dtype=np.int64)
     c = int(y_all.max()) + 1
@@ -421,20 +440,17 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
         members.append(mlp)
 
     # held-out accuracy + training entropy histogram of the full ensemble
-    def _post(xs):
-        return np.mean(np.stack([_softmax(_forward(mlp, xs, _relu)) for mlp in members]),
-                       axis=0)
-
-    p_held = _post(x_all[held])
+    ensemble = _stack(members)
+    p_held, p_train = (_softmax(_forward(ensemble, xs, _relu)).mean(axis=0)
+                       for xs in (x_all[held], xt))
     acc = float(np.mean(np.argmax(p_held, axis=1) == y_all[held]))
-    p_train = _post(xt)
     ents = -np.sum(xlogy(p_train, p_train), axis=1)
     report = TrainingReport(
         heldout_accuracy=acc,
         entropy_histogram=[float(v) for v in ents],
         entropy_percentiles={str(q): float(np.percentile(ents, q)) for q in (20, 50, 80)},
     )
-    return members, report
+    return ensemble, report
 
 
 def train_bundle(dataset, vae_hp=None, ens_hp=None, n_members=5, seed=0):
@@ -443,13 +459,9 @@ def train_bundle(dataset, vae_hp=None, ens_hp=None, n_members=5, seed=0):
     ens_hp = ens_hp or EnsembleHyperparams()
     xt, yt = dataset.train_inputs(), dataset.train_labels()
     enc, dec, vrep = train_vae(xt, vae_hp, seed)
-    members, erep = train_ensemble(xt, yt, n_members, ens_hp, seed)
-    c = int(np.max(dataset.labels)) + 1
-    return ModelBundle(
-        encoder=enc, decoder=dec, ensemble=members,
-        d_in=xt.shape[1], m_latent=vae_hp.latent, c_classes=c,
-        n_members=n_members, seed=seed, vae_report=vrep, ensemble_report=erep,
-    )
+    ensemble, erep = train_ensemble(xt, yt, n_members, ens_hp, seed)
+    return ModelBundle(encoder=enc, decoder=dec, ensemble=ensemble, seed=seed,
+                       vae_report=vrep, ensemble_report=erep)
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +470,11 @@ def train_bundle(dataset, vae_hp=None, ens_hp=None, n_members=5, seed=0):
 
 
 def _bundle_tensors(bundle):
-    out = []
-    for name, mlp in [("encoder", bundle.encoder), ("decoder", bundle.decoder)]:
-        for i in range(mlp.n_layers()):
-            out.append((f"{name}.w{i}", mlp.weights[i]))
-            out.append((f"{name}.b{i}", mlp.biases[i]))
-    for e, mlp in enumerate(bundle.ensemble):
-        for i in range(mlp.n_layers()):
-            out.append((f"ensemble{e}.w{i}", mlp.weights[i]))
-            out.append((f"ensemble{e}.b{i}", mlp.biases[i]))
-    return out
+    named = [("encoder", bundle.encoder), ("decoder", bundle.decoder)]
+    named += [(f"ensemble{e}", _member(bundle, e)) for e in range(bundle.n_members)]
+    return [(f"{name}.{kind}{i}", arrays[i])
+            for name, mlp in named for i in range(len(mlp.weights))
+            for kind, arrays in (("w", mlp.weights), ("b", mlp.biases))]
 
 
 def save_bundle(bundle, directory):
@@ -475,14 +482,7 @@ def save_bundle(bundle, directory):
     directory.mkdir(parents=True, exist_ok=True)
     tensors = _bundle_tensors(bundle)
     manifest = {
-        "dims": {"d_in": bundle.d_in, "m_latent": bundle.m_latent,
-                 "c_classes": bundle.c_classes, "n_members": bundle.n_members},
         "seed": bundle.seed,
-        "architecture": {
-            "encoder": [w.shape for w in bundle.encoder.weights],
-            "decoder": [w.shape for w in bundle.decoder.weights],
-            "ensemble": [w.shape for w in bundle.ensemble[0].weights],
-        },
         "tensors": [{"name": n, "shape": list(t.shape)} for n, t in tensors],
         "vae_report": {"loss_curve": bundle.vae_report.loss_curve,
                        "final_loss": bundle.vae_report.final_loss,
@@ -492,22 +492,49 @@ def save_bundle(bundle, directory):
                             "entropy_histogram": bundle.ensemble_report.entropy_histogram},
     }
     with open(directory / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True, default=list)
+        json.dump(manifest, f, indent=1, sort_keys=True)
     with open(directory / "weights.bin", "wb") as f:
         for _, t in tensors:
             f.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
 
 
+def _shape_error(encoder, decoder, members):
+    """Why the three networks' weights do not fit together, or None."""
+    nets = [("encoder", encoder), ("decoder", decoder)]
+    nets += [(f"ensemble{e}", m) for e, m in enumerate(members)]
+    for name, mlp in nets:
+        for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+            if w.ndim != 2 or b.shape != w.shape[1:]:
+                return f"{name} layer {i} has weights {w.shape} and biases {b.shape}"
+            if i and w.shape[0] != mlp.weights[i - 1].shape[1]:
+                return (f"{name}.w{i} takes {w.shape[0]} inputs, layer {i - 1} "
+                        f"gives {mlp.weights[i - 1].shape[1]}")
+    if not members:
+        return "the ensemble has no members"
+    d_in, m_latent = encoder.weights[0].shape[0], decoder.weights[0].shape[0]
+    if encoder.weights[-1].shape[1] != 2 * m_latent:
+        return (f"the encoder gives {encoder.weights[-1].shape[1]} outputs, "
+                f"not 2 x the decoder's {m_latent} inputs")
+    if decoder.weights[-1].shape[1] != d_in or members[0].weights[0].shape[0] != d_in:
+        return (f"encoder input {d_in}, decoder output {decoder.weights[-1].shape[1]} "
+                f"and ensemble input {members[0].weights[0].shape[0]} differ")
+    shapes = [[w.shape for w in m.weights] for m in members]
+    if any(s != shapes[0] for s in shapes):
+        return f"the ensemble members have different shapes {shapes}"
+    return None
+
+
 def load_bundle(directory):
-    """Read a bundle written by ``save_bundle``; a malformed manifest or a
-    weights blob whose length does not match it raises ``ValueError``."""
+    """Read a bundle written by ``save_bundle``; a malformed manifest, a
+    weights blob whose length does not match it, or tensors that do not form
+    the three networks raise ``ValueError``. Layer and member counts come
+    from the tensor names."""
     directory = Path(directory)
     manifest_path, weights_path = directory / "manifest.json", directory / "weights.bin"
     with open(manifest_path, encoding="utf-8") as f:
         manifest = json.load(f)
     raw = weights_path.read_bytes()
     try:
-        dims = manifest["dims"]
         shapes = [tuple(entry["shape"]) for entry in manifest["tensors"]]
         ends = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
         if len(raw) != 8 * ends[-1]:
@@ -517,13 +544,20 @@ def load_bundle(directory):
         arrays = {entry["name"]: blob[lo:hi].reshape(shape).astype(np.float64)
                   for entry, shape, lo, hi in zip(manifest["tensors"], shapes, ends, ends[1:])}
 
-        def _mlp(prefix, n_layers):
-            return MLP(weights=[arrays[f"{prefix}.w{i}"] for i in range(n_layers)],
-                       biases=[arrays[f"{prefix}.b{i}"] for i in range(n_layers)])
+        def _count(name):  # how many i give a tensor ``name.format(i)``
+            return next(i for i in itertools.count() if name.format(i) not in arrays)
 
-        n_enc = len(manifest["architecture"]["encoder"])
-        n_dec = len(manifest["architecture"]["decoder"])
-        n_mem = len(manifest["architecture"]["ensemble"])
+        def _mlp(prefix):
+            n = _count(prefix + ".w{}")
+            return MLP(weights=[arrays[f"{prefix}.w{i}"] for i in range(n)],
+                       biases=[arrays[f"{prefix}.b{i}"] for i in range(n)])
+
+        encoder, decoder = _mlp("encoder"), _mlp("decoder")
+        members = [_mlp(f"ensemble{e}") for e in range(_count("ensemble{}.w0"))]
+        problem = _shape_error(encoder, decoder, members)
+        if problem:
+            raise ValueError(f"{manifest_path}: its tensors do not form the bundle's "
+                             f"networks: {problem}")
         vrep = TrainingReport(loss_curve=manifest["vae_report"]["loss_curve"],
                               final_loss=manifest["vae_report"]["final_loss"],
                               mean_recon_l1=manifest["vae_report"]["mean_recon_l1"])
@@ -531,13 +565,7 @@ def load_bundle(directory):
             heldout_accuracy=manifest["ensemble_report"]["heldout_accuracy"],
             entropy_percentiles=manifest["ensemble_report"]["entropy_percentiles"],
             entropy_histogram=manifest["ensemble_report"].get("entropy_histogram", []))
-        return ModelBundle(
-            encoder=_mlp("encoder", n_enc),
-            decoder=_mlp("decoder", n_dec),
-            ensemble=[_mlp(f"ensemble{e}", n_mem) for e in range(dims["n_members"])],
-            d_in=dims["d_in"], m_latent=dims["m_latent"], c_classes=dims["c_classes"],
-            n_members=dims["n_members"], seed=manifest["seed"],
-            vae_report=vrep, ensemble_report=erep,
-        )
+        return ModelBundle(encoder=encoder, decoder=decoder, ensemble=_stack(members),
+                           seed=manifest["seed"], vae_report=vrep, ensemble_report=erep)
     except (KeyError, TypeError, IndexError) as e:
         raise ValueError(f"{manifest_path} is malformed: {type(e).__name__} {e}") from e

@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from cluekit import cli, clue
+from cluekit import cli, clue, models
 
 
 def run(argv):
@@ -377,31 +377,90 @@ def _truncated_weights(bundle):
     return path
 
 
-def _manifest_without_tensors(bundle):
+def _edit_manifest(bundle, edit):
     path = bundle / "manifest.json"
     manifest = json.loads(path.read_text())
-    del manifest["tensors"]
-    path.write_text(json.dumps(manifest))
+    edit(manifest)
+    path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
     return path
 
 
-@pytest.mark.parametrize("case", ["weights", "manifest", "vae_epochs", "members",
-                                  "test_frac"])
+def _manifest_without_tensors(bundle):
+    return _edit_manifest(bundle, lambda manifest: manifest.pop("tensors"))
+
+
+def _transposed_decoder_w0(bundle):
+    """decoder.w0 read as out x in: the blob length still matches."""
+    def edit(manifest):
+        entry = next(t for t in manifest["tensors"] if t["name"] == "decoder.w0")
+        entry["shape"] = entry["shape"][::-1]
+    return _edit_manifest(bundle, edit)
+
+
+BROKEN_BUNDLES = {"weights": _truncated_weights, "manifest": _manifest_without_tensors,
+                  "decoder_w0": _transposed_decoder_w0}
+LAMBDA_THETA = ["sweep", "--axis", "lambda_theta", "--grid", "0"]
+BAD_SETTINGS = {  # case -> (argv, the text the error must hold)
+    "vae_epochs": (["train", "--set", "vae_epochs=abc"], "vae_epochs"),
+    "members": (["train", "--set", "members=0"], "members"),
+    # no split leaves every class a training point
+    "test_frac": (["gen-data", "--set", "test_frac=1"], "split"),
+    "members_fraction": (["train", "--set", "members=2.5"], "members must be an int"),
+    "members_bool": (["train", "--set", "members=true"], "members must be an int"),
+    "n_fraction": (["gen-data", "--set", "n=100.5"], "n must be an int"),
+    "cap_glam": (["glam", "--variant", "glam1", "--set", "cap=2.5"], "cap must be an int"),
+    "cap_sweep": (LAMBDA_THETA + ["--set", "cap=2.5"], "cap must be an int"),
+    "seed_gen_data": (["gen-data", "--set", "seed=1.5"], "seed must be an int"),
+    "seed_glam": (["glam", "--variant", "glam1", "--set", "seed=1.5"], "seed must be an int"),
+    "test_frac_nan": (["gen-data", "--set", "test_frac=nan"], "test_frac"),
+    "test_frac_negative": (["gen-data", "--set", "test_frac=-0.5"], "test_frac"),
+    "spread_nan": (["gen-data", "--set", "spread=nan"], "spread"),
+}
+
+
+@pytest.mark.parametrize("case", list(BROKEN_BUNDLES) + list(BAD_SETTINGS))
 def test_malformed_input_exit_2(workspace, tmp_path, case, capsys):
     """A broken bundle file or a bad numeric setting exits 2 with a message
-    that names the file or the key."""
+    that names the file or the key, and writes nothing."""
     bundle = tmp_path / "bundle"
     shutil.copytree(workspace["bundle"], bundle)
     out = tmp_path / "out"
-    dataset = ["--dataset", workspace["dataset"]]
-    if case in ("weights", "manifest"):
-        broken = (_truncated_weights if case == "weights" else _manifest_without_tensors)(bundle)
-        argv, named = ["explain", "--bundle", str(bundle)] + dataset + EXPLAIN_SETS, str(broken)
-    elif case == "test_frac":  # no split leaves every class a training point
-        argv, named = ["gen-data", "--set", "test_frac=1"], "split"
+    inputs = ["--bundle", str(bundle), "--dataset", workspace["dataset"]]
+    if case in BROKEN_BUNDLES:
+        broken = BROKEN_BUNDLES[case](bundle)
+        argv, named = ["explain"] + inputs + EXPLAIN_SETS, str(broken)
     else:
-        value = "abc" if case == "vae_epochs" else "0"
-        argv, named = ["train", "--set", f"{case}={value}"] + dataset, case
+        argv, named = BAD_SETTINGS[case]
+        argv = argv + {"gen-data": [], "train": inputs[2:]}.get(argv[0], inputs)
     assert run(argv + ["--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_older_manifest_loads_with_the_dimensions_of_its_weights(workspace, tmp_path):
+    """A manifest in the older format, which also held ``dims`` and
+    ``architecture``, loads with the dimensions its weights have, even where
+    ``dims`` says otherwise, and every command runs on it."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(workspace["bundle"], bundle)
+
+    def older(manifest):
+        shapes = {t["name"]: t["shape"] for t in manifest["tensors"]}
+        manifest["architecture"] = {
+            net: [shape for name, shape in shapes.items() if name.startswith(f"{prefix}.w")]
+            for net, prefix in (("encoder", "encoder"), ("decoder", "decoder"),
+                                ("ensemble", "ensemble0"))}
+        manifest["dims"] = {"d_in": 9, "m_latent": 3, "c_classes": 5, "n_members": 3}
+    _edit_manifest(bundle, older)
+    loaded = models.load_bundle(str(bundle))
+    assert (loaded.d_in, loaded.m_latent, loaded.c_classes, loaded.n_members) == (8, 3, 3, 3)
+    inputs = ["--bundle", str(bundle), "--dataset", workspace["dataset"]]
+    assert run(["explain", "--out", str(tmp_path / "ex"), "--set", "scheme=s5"]
+               + inputs + EXPLAIN_SETS) == 0
+    sw = tmp_path / "sw"
+    assert run(["sweep", "--out", str(sw), "--axis", "lambda_d", "--grid", "0.5"]
+               + inputs + EXPLAIN_SETS) == 0
+    rows = [line.split(",") for line in (sw / "sweep.csv").read_text().splitlines()[1:]]
+    shares = [float(r[3]) for r in rows if r[2].startswith("distinct_labels")]
+    # distinct labels over c' = 3 classes: a multiple of 1/3, never 0.2 or 0.4
+    assert shares and all(v > 0 and abs(3 * v - round(3 * v)) < 1e-12 for v in shares)

@@ -50,6 +50,25 @@ def test_dataset_persistence_roundtrip(tmp_path):
     assert ds.generator == loaded.generator
 
 
+@pytest.mark.parametrize("test_frac", [float("nan"), 0.0, 1.0, -0.5, 1.5, float("inf")])
+def test_generators_reject_test_frac_outside_the_open_unit_interval(test_frac):
+    with pytest.raises(ValueError, match="test_frac"):
+        data.gen_blobs(c=3, d=6, n=60, spread=0.15, seed=0, test_frac=test_frac)
+    with pytest.raises(ValueError, match="test_frac"):
+        data.gen_minidigits(n=60, seed=0, test_frac=test_frac)
+
+
+@pytest.mark.parametrize("spread", [float("nan"), float("inf"), -0.1])
+def test_blobs_reject_a_spread_that_is_not_finite_and_non_negative(spread):
+    with pytest.raises(ValueError, match="spread"):
+        data.gen_blobs(c=3, d=6, n=60, spread=spread, seed=0)
+
+
+def test_blobs_accept_zero_spread():
+    ds = data.gen_blobs(c=3, d=6, n=60, spread=0.0, seed=0)
+    assert np.all(np.isfinite(ds.inputs))
+
+
 def test_export_csv(tmp_path):
     ds = data.gen_blobs(c=3, d=6, n=50, spread=0.15, seed=5)
     path = tmp_path / "ds.csv"

@@ -116,17 +116,12 @@ def test_numpy_forward_matches_tape(which, tiny_bundle, request):
 def _with_dead_class(bundle, dead):
     """The bundle with every member's logit for class ``dead`` pushed to -1e4,
     so the ensemble posterior of that class underflows to exactly 0."""
-    members = []
-    for mlp in bundle.ensemble:
-        weights, biases = list(mlp.weights), list(mlp.biases)
-        weights[-1] = np.zeros_like(weights[-1])
-        biases[-1] = np.zeros_like(biases[-1])
-        biases[-1][dead] = -1e4
-        members.append(models.MLP(weights=weights, biases=biases))
+    weights, biases = list(bundle.ensemble.weights), list(bundle.ensemble.biases)
+    weights[-1] = np.zeros_like(weights[-1])
+    biases[-1] = np.zeros_like(biases[-1])
+    biases[-1][..., dead] = -1e4
     return models.ModelBundle(encoder=bundle.encoder, decoder=bundle.decoder,
-                              ensemble=members, d_in=bundle.d_in,
-                              m_latent=bundle.m_latent, c_classes=bundle.c_classes,
-                              n_members=bundle.n_members)
+                              ensemble=models.MLP(weights=weights, biases=biases))
 
 
 def test_zero_posterior_entry_raises(tiny_bundle):

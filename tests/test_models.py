@@ -95,9 +95,9 @@ def test_vae_divergence_raises():
 def test_single_member_ensemble(tiny_bundle):
     ds, _ = tiny_bundle
     hp = models.EnsembleHyperparams(hidden=8, epochs=10)
-    members, report = models.train_ensemble(ds.train_inputs(), ds.train_labels(),
-                                            1, hp, seed=9)
-    assert len(members) == 1
+    ensemble, report = models.train_ensemble(ds.train_inputs(), ds.train_labels(),
+                                             1, hp, seed=9)
+    assert all(w.shape[0] == 1 for w in ensemble.weights)
     assert 0.0 <= report.heldout_accuracy <= 1.0
 
 
@@ -120,6 +120,27 @@ def test_serialization_roundtrip_bitwise(tiny_bundle, tmp_path):
     assert np.array_equal(models.decode(bundle, z), models.decode(loaded, z))
     assert np.array_equal(models.predict(bundle, x).probs,
                           models.predict(loaded, x).probs)
+
+
+@pytest.mark.parametrize("net,layer,rows,cols,bias_cols", [
+    ("encoder", -1, 0, 2, 2),  # encoder output not 2 x the decoder input
+    ("decoder", -1, 0, 1, 1),  # decoder output not the encoder input
+    ("ensemble", 0, 1, 0, 0),  # ensemble input not the encoder input
+    ("decoder", 1, 1, 0, 0),  # a layer's input not the previous layer's output
+    ("decoder", 0, 0, 0, 1),  # a bias longer than its layer's output
+])
+def test_load_rejects_tensors_that_do_not_form_the_networks(tiny_bundle, tmp_path, net,
+                                                            layer, rows, cols, bias_cols):
+    _, bundle = tiny_bundle
+    nets = {name: models.MLP(list(getattr(bundle, name).weights),
+                             list(getattr(bundle, name).biases))
+            for name in ("encoder", "decoder", "ensemble")}
+    w, b = nets[net].weights[layer], nets[net].biases[layer]
+    nets[net].weights[layer] = np.pad(w, [(0, 0)] * (w.ndim - 2) + [(0, rows), (0, cols)])
+    nets[net].biases[layer] = np.pad(b, [(0, 0)] * (b.ndim - 1) + [(0, bias_cols)])
+    models.save_bundle(models.ModelBundle(**nets), tmp_path)
+    with pytest.raises(ValueError, match="do not form the bundle's networks"):
+        models.load_bundle(tmp_path)
 
 
 def test_serialization_is_hash_stable(tiny_bundle, tmp_path):

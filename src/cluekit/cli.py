@@ -132,17 +132,16 @@ def resolve_config(args):
 def _setting(cfg, key, default, kind=float, low=None):
     """cfg[key], else the default, as a ``kind`` (int or float); a value of
     another kind, or one below ``low``, is a usage error naming the key. An
-    int setting takes only an integer, not 2.5, true or "2"."""
+    int setting takes only an integer, not 2.5, true or "2"; a float setting
+    takes a number or a string that converts, such as "nan", but not true."""
     value = cfg.get(key, default)
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise UsageError(f"{key} must be an int, got {value!r}")
-        number = value
-    else:
-        try:
-            number = float(value)
-        except (TypeError, ValueError, OverflowError):
-            raise UsageError(f"{key} must be a number, got {value!r}")
+    what = "an int" if kind is int else "a number"
+    if isinstance(value, bool) or (kind is int and not isinstance(value, int)):
+        raise UsageError(f"{key} must be {what}, got {value!r}")
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{key} must be {what}, got {value!r}")
     if low is not None and number < low:
         raise UsageError(f"{key} must be >= {low}, got {value!r}")
     return number

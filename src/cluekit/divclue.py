@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
-from . import diffcore as dc
 from . import diversity as div
 from . import models
 # objective is not called here; the benchmark's tracer tests read divclue.objective
@@ -36,25 +36,27 @@ class DivRunRecord:
 
 
 def _diversity(spec, bundle, z0, x0, free, const=None):
-    """Diversity of const + free in the spec's space, and its gradients
-    w.r.t. the free latents only.
+    """Diversity of const + free in the spec's space, and its gradient
+    w.r.t. the free latents only, one row per free latent.
 
     ``const`` holds rows already mapped into the spec's space (found points
-    of a sequential search); ``free`` holds latents.
+    of a sequential search); ``free`` holds latents. In input space the free
+    latents are decoded in one batch and the metric's gradient is taken back
+    through the decoder, as ``models.search_objective`` does.
     """
     if spec.space not in ("latent", "input"):
         raise ValueError("diversity optimization supports latent or input space")
-    zts = [dc.Tensor(z, requires_grad=True) for z in free]
-    rows = [zt if spec.space == "latent" else models.decode_graph(bundle, zt) for zt in zts]
-    rows = [dc.reshape(r, (1, -1)) for r in rows]
-    if const is not None:
-        rows = [dc.Tensor(const)] + rows
-    node = div.diversity_node(spec, dc.concat(rows, axis=0),
-                              x0=z0 if spec.space == "latent" else x0)
-    if node._parents:
-        node.backward()
-    grads = [zt.grad if zt.grad is not None else np.zeros_like(zt.data) for zt in zts]
-    return float(node.data), grads
+    rows = np.array(free, dtype=np.float64)
+    if spec.space == "input":
+        acts = []
+        rows = expit(models._forward(bundle.decoder, rows, np.tanh, acts))
+    pts = rows if const is None else np.concatenate((const, rows))
+    value, grad = div.value_and_grad(spec, pts, len(rows),
+                                     z0 if spec.space == "latent" else x0)
+    if spec.space == "input":
+        grad = models._backprop(bundle.decoder, acts, grad * rows * (1.0 - rows),
+                                models._tanh_grad)
+    return value, grad
 
 
 def _finalize(zs, trajs, x0, z0, bundle, config, x0_label, loss_curve):
@@ -89,7 +91,7 @@ def nabla_clue_simultaneous(x0, bundle, config, spec, context=None, trace=False)
 
         def repel(zs):
             d_val, d_grads = _diversity(spec, bundle, z0, x0, zs)
-            return -config.lambda_d * d_val, [scale * dg for dg in d_grads]
+            return -config.lambda_d * d_val, scale * d_grads
 
     zs, trajs, loss_curve = _descend(zs, z0, x0, bundle, config, x0_label, trace, repel)
     return _finalize(zs, trajs, x0, z0, bundle, config, x0_label, loss_curve)
@@ -126,7 +128,7 @@ def nabla_clue_sequential(x0, bundle, config, spec, context=None, trace=False):
 
         def repel(zs):
             d_val, d_grads = _diversity(spec, bundle, z0, x0, zs, const)
-            return -config.lambda_d * d_val, [-config.lambda_d * dg for dg in d_grads]
+            return -config.lambda_d * d_val, -config.lambda_d * d_grads
         return repel
 
     return _sequential(x0, bundle, config, context, trace, repulsion)

@@ -3,15 +3,19 @@
 Six metrics: DPP kernel determinant, average pairwise distance, coverage
 (input or latent space), prediction coverage, distinct labels, and label
 entropy. The first three are differentiable and can serve as optimization
-terms; the label-based metrics are evaluation-only.
+terms; the label-based metrics are evaluation-only. The searches take the
+differentiable three from a closed-form numpy kernel (``value_and_grad``);
+their tape graph (``diversity_node``) gives the reported values and is the
+kernel's test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, log
+from math import comb, isfinite, log
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetri
 
 from . import diffcore as dc
 
@@ -122,8 +126,73 @@ def diversity_node(spec, points_node, x0=None):
         pos = dc.amax(diff, axis=0)
         neg = dc.amax(dc.mul(diff, -1.0), axis=0)
         return dc.mul(dc.tsum(dc.add(pos, neg)), 1.0 / points_node.shape[1])
-    raise ValueError(f"metric {spec.metric!r} is not differentiable; "
-                     f"label-based metrics are evaluation-only")
+    raise _not_differentiable(spec.metric)
+
+
+def _not_differentiable(metric):
+    return ValueError(f"metric {metric!r} is not differentiable; "
+                      f"label-based metrics are evaluation-only")
+
+
+def value_and_grad(spec, points, n_free, x0=None):
+    """``diversity_node``'s value over a k x dim array and its gradient
+    w.r.t. the last ``n_free`` rows (an n_free x dim array), in closed form.
+
+    dpp is det(K) for K = 1/(1 + D), through the same LU as ``dc.det``;
+    its gradient det * K^-T (the adjugate when K is singular) is chained
+    through the reciprocal and the pairwise distances. apd spreads a
+    constant over the distances; coverage routes +-1/dim to the first
+    argmax of each coordinate's deviation from x0 (``x0`` is its origin).
+    A non-finite value, which non-finite points give, raises ValueError.
+    """
+    k, dim = points.shape
+    lo = k - n_free
+    if spec.metric == "coverage":
+        diff = points - x0
+        value = _finite(spec, (diff.max(axis=0) - diff.min(axis=0)).sum() * (1.0 / dim))
+        grad = np.zeros((k, dim))
+        cols = np.arange(dim)
+        grad[diff.argmax(axis=0), cols] = 1.0 / dim
+        grad[diff.argmin(axis=0), cols] -= 1.0 / dim
+        return value, grad[lo:]
+    if spec.metric not in ("dpp", "apd"):
+        raise _not_differentiable(spec.metric)
+    if k == 1:
+        return 0.0, np.zeros((n_free, dim))
+    diff = points[:, None, :] - points[None, :, :]  # k x k x dim
+    if spec.base == "l2":
+        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    else:
+        dist = np.sum(np.abs(diff), axis=-1)
+        diff = np.sign(diff)  # all that the l1 gradient needs of diff
+    if spec.metric == "apd":
+        scale = 1.0 / (2.0 * comb(k, 2))
+        value = _finite(spec, np.sum(dist) * scale)
+        gdist = np.full((n_free, k), 2.0 * scale)  # both index slots of D
+    else:
+        kern = 1.0 / (dist + 1.0)
+        lu, piv, _ = dgetrf(kern)
+        value = _finite(spec, lu.diagonal().prod())
+        if sum(p != i for i, p in enumerate(piv.tolist())) % 2:
+            value = -value
+        if value == 0.0:  # a zero pivot, or underflow; -0.0 reads 0.0, as in dc.det
+            value = 0.0
+            gkern = dc._adjugate(kern).T
+        else:
+            gkern = value * dgetri(lu, piv)[0].T
+        gdist = -gkern * kern * kern
+        gdist = gdist[lo:] + gdist[:, lo:].T  # both index slots of D, free rows
+    if spec.base == "l2":
+        gdist = np.divide(gdist, dist[lo:], out=np.zeros(gdist.shape), where=dist[lo:] > 0.0)
+    return value, np.matmul(gdist[:, None, :], diff[lo:])[:, 0]
+
+
+def _finite(spec, value):
+    """``value`` as a float; non-finite points give a non-finite value."""
+    value = float(value)
+    if not isfinite(value):
+        raise ValueError(f"{spec.metric}: non-finite value; a point is non-finite or too large")
+    return value
 
 
 def metric_report_rows(xs, zs, posteriors, labels, x0, z0, c):

@@ -11,11 +11,12 @@ matmul. The dimensions d', m', c' and E are read from the weight shapes;
 a saved bundle records shapes only in its manifest's ``tensors`` list.
 
 Two forward paths share the weights. Inference (``encode``, ``decode``,
-``predict``) and the search objective (``search_objective``) run on plain
-numpy, and the objective's gradient is derived by hand. The ``*_graph``
-functions build the same forward on the autodiff tape, which training,
-the diversity gradients and the s5 start scheme differentiate through,
-and against which the tests check the hand-derived kernel.
+``predict``), the search objective (``search_objective``) and the decoder
+chain of the diversity gradients run on plain numpy, and their gradients
+are derived by hand. The ``*_graph`` functions build the same forward on
+the autodiff tape, which training, the mapper fit and the s5 start scheme
+differentiate through, and against which the tests check the
+hand-derived kernels.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ class Posterior:
 
 
 # ---------------------------------------------------------------------------
-# tape forward: the graph the training loops and diversity gradients
-# differentiate, and the oracle for the numpy path below
+# tape forward: the graph the training loops, the mapper fit and the s5
+# start scheme differentiate, and the oracle for the numpy path below
 
 
 def _mlp_graph(params, x, hidden_act):
@@ -404,6 +405,8 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
     """Train E independent classifiers on cross-entropy from distinct inits.
 
     Each member trains on its own tape; returns (stacked ensemble, report).
+    The report's loss curve holds, per epoch, the members' mean batch loss
+    averaged over the members.
     """
     x_all = np.asarray(inputs, dtype=np.float64)
     y_all = np.asarray(labels, dtype=np.int64)
@@ -419,6 +422,7 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
     xt, yt = x_all[train], y_all[train]
 
     members = []
+    batch_loss_sums = np.zeros((n_members, hp.epochs))
     for e in range(n_members):
         rng = np.random.default_rng([seed, 1 + e])
         mlp = _init_mlp(rng, [d, hp.hidden, hp.hidden, c])
@@ -436,6 +440,7 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
                     raise TrainingDivergence(f"ensemble member {e} diverged at epoch {epoch}")
                 loss.backward()
                 _sgd_step(ts, hp.lr)
+                batch_loss_sums[e, epoch] += float(loss.data)
         _write_back(mlp, ts)
         members.append(mlp)
 
@@ -445,8 +450,9 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
                        for xs in (x_all[held], xt))
     acc = float(np.mean(np.argmax(p_held, axis=1) == y_all[held]))
     ents = -np.sum(xlogy(p_train, p_train), axis=1)
+    n_batches = -(-len(xt) // hp.batch)
     report = TrainingReport(
-        heldout_accuracy=acc,
+        loss_curve=(batch_loss_sums / n_batches).mean(axis=0).tolist(), heldout_accuracy=acc,
         entropy_histogram=[float(v) for v in ents],
         entropy_percentiles={str(q): float(np.percentile(ents, q)) for q in (20, 50, 80)},
     )

@@ -415,6 +415,10 @@ BAD_SETTINGS = {  # case -> (argv, the text the error must hold)
     "test_frac_nan": (["gen-data", "--set", "test_frac=nan"], "test_frac"),
     "test_frac_negative": (["gen-data", "--set", "test_frac=-0.5"], "test_frac"),
     "spread_nan": (["gen-data", "--set", "spread=nan"], "spread"),
+    "spread_bool": (["gen-data", "--set", "spread=true"], "spread must be a number"),
+    "kl_weight_bool": (["train", "--set", "kl_weight=false"], "kl_weight must be a number"),
+    "lambda_x_glam": (["glam", "--variant", "glam1", "--set", "lambda_x=true"],
+                      "lambda_x must be a number"),
 }
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cluekit import clue, divclue, diversity as div, models
-from cluekit import diffcore as dc
 
 
 def _config(**kw):
@@ -216,26 +215,20 @@ def test_sequential_spreads_candidates(tiny_bundle):
 # ---------------------------------------------------------------------------
 # reference loops: the sequential and penalty descents written out in full,
 # each with its own copy of the projected-gradient loop; the variants built
-# on clue._descend must reproduce them bit for bit at lambda_d > 0
+# on clue._descend must reproduce them bit for bit at lambda_d > 0. Their
+# diversity term is divclue._diversity, so they pin the loops; the kernel
+# itself is pinned to the tape in tests/test_kernel.py
 
 
 def _ref_sequential_diversity_grad(found, z, spec, bundle, z0, x0):
-    zt = dc.Tensor(z, requires_grad=True)
+    """D(found + {z}) and its z-gradient; found points are mapped into the
+    spec's space here, at every step."""
     if spec.space == "latent":
-        rows = [dc.Tensor(np.stack(found))] if found else []
-        pts = dc.concat(rows + [dc.reshape(zt, (1, -1))], axis=0)
-        origin = z0
+        const = np.stack(found)
     else:
-        xs_prev = [models.decode(bundle, f) for f in found]
-        rows = [dc.Tensor(np.stack(xs_prev))] if xs_prev else []
-        pts = dc.concat(rows + [dc.reshape(models.decode_graph(bundle, zt), (1, -1))],
-                        axis=0)
-        origin = x0
-    node = div.diversity_node(spec, pts, x0=origin)
-    if node._parents:
-        node.backward()
-    g = zt.grad if zt.grad is not None else np.zeros_like(z)
-    return float(node.data), g
+        const = np.stack([models.decode(bundle, f) for f in found])
+    d_val, d_grads = divclue._diversity(spec, bundle, z0, x0, [z], const)
+    return d_val, d_grads[0]
 
 
 def _ref_sequential(x0, bundle, config, spec=None):
@@ -327,15 +320,10 @@ def _ref_simultaneous(x0, bundle, config, spec):
             vals.append(v)
             grads.append(g)
         if config.lambda_d > 0.0 and config.k > 1:
-            zts = [dc.Tensor(z, requires_grad=True) for z in zs]
-            rows = [zt if spec.space == "latent" else models.decode_graph(bundle, zt)
-                    for zt in zts]
-            node = div.diversity_node(spec, dc.concat([dc.reshape(r, (1, -1)) for r in rows]),
-                                      x0=z0 if spec.space == "latent" else x0)
-            node.backward()
+            d_val, d_grads = divclue._diversity(spec, bundle, z0, x0, zs)
             scale = config.lambda_d * config.k
-            grads = [g - scale * zt.grad for g, zt in zip(grads, zts)]
-            loss_curve.append(-config.lambda_d * float(node.data) + float(np.mean(vals)))
+            grads = [g - scale * dg for g, dg in zip(grads, d_grads)]
+            loss_curve.append(-config.lambda_d * d_val + float(np.mean(vals)))
         else:
             loss_curve.append(float(np.mean(vals)))
         zs = [clue.project_to_ball(z - config.lr * g, z0, config.delta)

@@ -1,15 +1,17 @@
-"""The fused search kernel and the numpy forward against the autodiff tape.
+"""The fused search kernel, the diversity kernel and the numpy forward
+against the autodiff tape.
 
-``clue.objective`` and ``models.encode``/``decode``/``predict`` run on
-plain numpy with a hand-derived backward; the ``*_graph`` functions build
-the same computation on the tape, which is the oracle here.
+``clue.objective``, ``divclue._diversity`` and ``models.encode``/``decode``/
+``predict`` run on plain numpy with a hand-derived backward; the
+``*_graph`` functions and ``diversity.diversity_node`` build the same
+computation on the tape, which is the oracle here.
 """
 
 import numpy as np
 import pytest
 
 import cluekit.diffcore as dc
-from cluekit import clue, data, models
+from cluekit import clue, data, divclue, diversity as div, models
 
 RTOL = 1e-10
 
@@ -135,3 +137,85 @@ def test_zero_posterior_entry_raises(tiny_bundle):
             clue.objective(z, x0, dead, 0.1, 0.0, 0)
         with pytest.raises(FloatingPointError, match="prediction-distance term"):
             clue.objective(z, x0, dead, 0.1, 0.1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the diversity kernel
+
+
+def tape_diversity(spec, bundle, z0, x0, free, const=None):
+    """The diversity term and its free-latent gradients on the tape: free
+    latents (decoded on the tape in input space) under constant rows."""
+    zts = [dc.Tensor(z, requires_grad=True) for z in free]
+    rows = [zt if spec.space == "latent" else models.decode_graph(bundle, zt) for zt in zts]
+    rows = [dc.reshape(r, (1, -1)) for r in rows]
+    if const is not None:
+        rows = [dc.Tensor(const)] + rows
+    node = div.diversity_node(spec, dc.concat(rows, axis=0),
+                              x0=z0 if spec.space == "latent" else x0)
+    if node._parents:
+        node.backward()
+    return float(node.data), np.stack([np.zeros_like(zt.data) if zt.grad is None else zt.grad
+                                       for zt in zts])
+
+
+@pytest.mark.parametrize("metric", div.DIFFERENTIABLE_METRICS)
+@pytest.mark.parametrize("space", ["latent", "input"])
+@pytest.mark.parametrize("base", div.BASES)
+def test_diversity_kernel_matches_tape(metric, space, base, tiny_bundle):
+    """Every metric x space x base, 1-5 free points under 0-3 found rows."""
+    ds, bundle = tiny_bundle
+    spec = div.DiversitySpec(metric=metric, space=space, base=base)
+    rng = np.random.default_rng(31)
+    z0s = models.encode(bundle, ds.train_inputs()[:10])
+    for n_free in range(1, 6):
+        for n_const in range(4):
+            for _ in range(3):
+                z0 = z0s[int(rng.integers(len(z0s)))]
+                x0 = models.decode(bundle, z0)
+                free = list(z0 + rng.normal(0.0, 1.0, (n_free, bundle.m_latent)))
+                const = None
+                if n_const:
+                    found = z0 + rng.normal(0.0, 1.0, (n_const, bundle.m_latent))
+                    const = found if space == "latent" else models.decode(bundle, found)
+                value, grad = divclue._diversity(spec, bundle, z0, x0, free, const)
+                ref_value, ref_grad = tape_diversity(spec, bundle, z0, x0, free, const)
+                np.testing.assert_allclose(value, ref_value, rtol=RTOL, atol=0.0)
+                np.testing.assert_allclose(grad, ref_grad, rtol=RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("base", div.BASES)
+def test_diversity_kernel_matches_tape_at_coincident_points(base):
+    """Coincident points make the dpp kernel singular: both take the
+    gradient through the adjugate, and a zero distance has no direction."""
+    rng = np.random.default_rng(32)
+    z0 = np.zeros(3)
+    for metric in div.DIFFERENTIABLE_METRICS:
+        spec = div.DiversitySpec(metric=metric, base=base)
+        free = rng.normal(0.0, 1.0, (3, 3))
+        free[2] = free[0]
+        value, grad = divclue._diversity(spec, None, z0, None, list(free))
+        ref_value, ref_grad = tape_diversity(spec, None, z0, None, list(free))
+        assert value == ref_value
+        np.testing.assert_allclose(grad, ref_grad, rtol=RTOL, atol=0.0)
+
+
+def test_diversity_kernel_errors(tiny_bundle):
+    _, bundle = tiny_bundle
+    z0 = np.zeros(bundle.m_latent)
+    free = [z0 + 0.1, z0 - 0.2]
+    for spec in (div.DiversitySpec(metric="distinct_labels"),
+                 div.DiversitySpec(metric="dpp", space="prediction")):
+        with pytest.raises(ValueError, match="latent or input space"):
+            divclue._diversity(spec, bundle, z0, None, free)
+    with pytest.raises(ValueError, match="not differentiable"):
+        div.value_and_grad(div.DiversitySpec(metric="label_entropy"), np.zeros((2, 2)), 1)
+    bad = [free[0], np.full(bundle.m_latent, np.nan)]
+    with np.errstate(invalid="ignore"):
+        for metric in div.DIFFERENTIABLE_METRICS:
+            spec = div.DiversitySpec(metric=metric)
+            with pytest.raises(ValueError, match="non-finite"):
+                divclue._diversity(spec, bundle, z0, None, bad)
+            with pytest.raises(ValueError, match="non-finite"):
+                divclue._diversity(spec, bundle, z0, None, free[:1],
+                                   np.full((1, bundle.m_latent), np.inf))

@@ -101,6 +101,14 @@ def test_single_member_ensemble(tiny_bundle):
     assert 0.0 <= report.heldout_accuracy <= 1.0
 
 
+def test_ensemble_loss_curve_has_one_finite_entry_per_epoch(tiny_bundle):
+    ds, _ = tiny_bundle
+    hp = models.EnsembleHyperparams(hidden=8, epochs=7)
+    _, report = models.train_ensemble(ds.train_inputs(), ds.train_labels(), 2, hp, seed=9)
+    assert len(report.loss_curve) == hp.epochs
+    assert all(isinstance(v, float) and np.isfinite(v) for v in report.loss_curve)
+
+
 def test_noise_inputs_are_more_uncertain_than_median(blobs, blobs_bundle):
     median_h = blobs_bundle.ensemble_report.entropy_percentiles["50"]
     rng = np.random.default_rng(2)

@@ -391,6 +391,9 @@ def cmd_sweep(args):
                 "lambda_d": lambda v: {"lambda_d": v},
                 "n_i": lambda v: {"n_i": int(v) if v.is_integer() else v}}.get(args.axis)
     configs = [experiment_config(dict(cfg, **settings(v))) for v in grid] if settings else []
+    if args.axis in ("lambda_d", "n_i") and configs[0].k == 1:
+        raise UsageError(f"sweep --axis {args.axis} needs k >= 2, got k=1: a one-point "
+                         f"set has no diversity, so every grid point gives the same result")
     bundle = _load_bundle(args)
     ds = _load_dataset(args)
     groups = _groups(cfg, ds, bundle) if args.axis == "lambda_theta" else None
@@ -443,8 +446,7 @@ def _sweep_lambda_theta(grid, cfg, groups, bundle):
     return rows
 
 
-GLAM_VARIANTS = ("glam1", "glam2", "glam3",
-                 "dbm-input", "dbm-latent", "nn-input", "nn-latent")
+GLAM_VARIANTS = ("glam1", "glam2", "dbm-input", "dbm-latent", "nn-input", "nn-latent")
 
 
 def _glam_scheme(variant, cfg, groups, bundle, cesets):
@@ -459,9 +461,9 @@ def _glam_scheme(variant, cfg, groups, bundle, cesets):
             for c, (uncertain, certain) in groups.items()}
         return (lambda x, c: glam.apply_mapper(mappers[c], x, bundle, lam_x),
                 list(mappers.values()))
-    if variant in ("glam2", "glam3"):
+    if variant == "glam2":
         if not cesets:
-            raise UsageError(f"{variant} requires prior CESet files "
+            raise UsageError("glam2 requires prior CESet files "
                              "(pass --cesets with explain outputs)")
         labels = [models.argmax_label(models.predict(bundle, cs.x0).probs)
                   for cs in cesets]
@@ -469,7 +471,7 @@ def _glam_scheme(variant, cfg, groups, bundle, cesets):
             cesets, labels, bundle,
             lambda_theta=_setting(cfg, "lambda_theta_clue", 0.0))
         if not mappers:
-            raise UsageError(f"{variant}: no (class, label) group has enough pairs")
+            raise UsageError("glam2: no (class, label) group has enough pairs")
         return (lambda x, c: glam.pick_best_mapper(mappers, x, bundle, lam_x),
                 mappers)
     kind, space = variant.split("-")
@@ -532,6 +534,8 @@ BENCH_SCHEMES = ("glam", "dclue", "dbm-input", "dbm-latent", "nn-input", "nn-lat
 
 
 def cmd_bench(args):
+    if args.repetitions < 1:
+        raise UsageError(f"--repetitions must be >= 1, got {args.repetitions}")
     cfg = resolve_config(args)
     schemes = (list(BENCH_SCHEMES) if args.schemes == "all"
                else args.schemes.split(","))
@@ -566,7 +570,7 @@ def cmd_bench(args):
     rows = []
     for name in schemes:
         times = []
-        for _ in range(max(args.repetitions, 1)):
+        for _ in range(args.repetitions):
             t0 = time.perf_counter()
             runners[name]()
             times.append(1000.0 * (time.perf_counter() - t0))
@@ -628,7 +632,7 @@ def build_parser():
     p.add_argument("--variant", default="all",
                    help=f"one of {GLAM_VARIANTS + ('all',)}")
     p.add_argument("--cesets", nargs="*", default=None,
-                   help="CESet JSON files (required for glam2/glam3)")
+                   help="CESet JSON files (required for glam2)")
     p.set_defaults(fn=cmd_glam)
 
     p = sub.add_parser("bench", help="per-CE inference timing")

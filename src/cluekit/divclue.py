@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import diversity as div
 from . import models
@@ -48,14 +47,12 @@ def _diversity(spec, bundle, z0, x0, free, const=None):
         raise ValueError("diversity optimization supports latent or input space")
     rows = np.array(free, dtype=np.float64)
     if spec.space == "input":
-        acts = []
-        rows = expit(models._forward(bundle.decoder, rows, np.tanh, acts))
+        rows, decoder_grad = models._decode_with_grad(bundle, rows)
     pts = rows if const is None else np.concatenate((const, rows))
     value, grad = div.value_and_grad(spec, pts, len(rows),
                                      z0 if spec.space == "latent" else x0)
     if spec.space == "input":
-        grad = models._backprop(bundle.decoder, acts, grad * rows * (1.0 - rows),
-                                models._tanh_grad)
+        grad = decoder_grad(grad)
     return value, grad
 
 

@@ -3,10 +3,11 @@
 Six metrics: DPP kernel determinant, average pairwise distance, coverage
 (input or latent space), prediction coverage, distinct labels, and label
 entropy. The first three are differentiable and can serve as optimization
-terms; the label-based metrics are evaluation-only. The searches take the
-differentiable three from a closed-form numpy kernel (``value_and_grad``);
-their tape graph (``diversity_node``) gives the reported values and is the
-kernel's test oracle.
+terms; the label-based metrics are evaluation-only. The differentiable
+three come from one closed-form numpy kernel (``value_and_grad``): the
+searches take their values and gradients from it, and ``dpp``, ``apd`` and
+``coverage``, which the metric report calls, their values. Their tape graph
+(``diversity_node``) is the kernel's test oracle.
 """
 
 from __future__ import annotations
@@ -46,12 +47,11 @@ class DiversitySpec:
 
 
 def _value(metric, points, base="l2", x0=None):
-    """A differentiable metric's value: ``diversity_node`` on constant points."""
+    """A differentiable metric's value: ``value_and_grad`` with no free rows."""
     pts = np.asarray(points, dtype=np.float64)
     if not np.all(np.isfinite(pts)):
         raise ValueError(f"{metric}: non-finite point")
-    node = diversity_node(DiversitySpec(metric=metric, base=base), dc.Tensor(pts), x0=x0)
-    return float(node.data)
+    return value_and_grad(DiversitySpec(metric=metric, base=base), pts, 0, x0)[0]
 
 
 def dpp(points, base="l2"):

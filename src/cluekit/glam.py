@@ -3,6 +3,8 @@
 A mapper is a single translation vector in latent space, trained once per
 (source group, target group) pair; applying it to a new uncertain input is
 one encode, one vector add, one decode, one predict — no optimization.
+The fit differentiates its loss in plain numpy, back through the decoder
+with ``models._decode_with_grad``, as the searches do.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import diffcore as dc
 from . import models
 from .clue import CandidateCE
 
@@ -61,21 +62,25 @@ def train_mapper(x_uncertain, x_certain, bundle, lambda_theta=0.1,
 
     curve = []
     for _ in range(hp.steps):
-        tt = dc.Tensor(theta, requires_grad=True)
-        shifted = dc.add(dc.Tensor(z_u), tt)  # broadcast theta over rows
-        dec = models.decode_graph(bundle, shifted)
-        # nearest certain point per row, held fixed within this step
-        d2 = (np.sum(dec.data ** 2, axis=1)[:, None]
-              - 2.0 * dec.data @ x_certain.T
-              + np.sum(x_certain ** 2, axis=1)[None, :])
-        targets = x_certain[np.argmin(d2, axis=1)]
-        recon = dc.mul(dc.sq_norm(dc.sub(dec, dc.Tensor(targets))), 1.0 / len(z_u))
-        curve.append(float(recon.data) + lambda_theta * float(np.abs(theta).sum()))
-        recon.backward()
-        stepped = theta - hp.lr * tt.grad
+        recon, grad = _recon_and_grad(bundle, z_u, x_certain, theta)
+        curve.append(float(recon) + lambda_theta * float(np.abs(theta).sum()))
+        stepped = theta - hp.lr * grad
         theta = np.sign(stepped) * np.maximum(np.abs(stepped) - hp.lr * lambda_theta, 0.0)
     return MapperParams(source_group=source_group, target_group=target_group,
                         theta=theta, lambda_theta=lambda_theta, loss_curve=curve)
+
+
+def _recon_and_grad(bundle, z_u, x_certain, theta):
+    """The fit's reconstruction term mean_z min_x ||decode(z + theta) - x||_2^2
+    over the rows of ``z_u`` and its gradient in theta, with each row's
+    nearest certain point held fixed."""
+    dec, decoder_grad = models._decode_with_grad(bundle, z_u + theta)
+    d2 = (np.sum(dec ** 2, axis=1)[:, None]
+          - 2.0 * dec @ x_certain.T
+          + np.sum(x_certain ** 2, axis=1)[None, :])
+    diff = dec - x_certain[np.argmin(d2, axis=1)]
+    scale = 1.0 / len(z_u)
+    return np.sum(diff * diff) * scale, decoder_grad(scale * 2.0 * diff).sum(axis=0)
 
 
 def _score(z, x_ce, z0, x, bundle, lambda_x):

@@ -11,12 +11,13 @@ matmul. The dimensions d', m', c' and E are read from the weight shapes;
 a saved bundle records shapes only in its manifest's ``tensors`` list.
 
 Two forward paths share the weights. Inference (``encode``, ``decode``,
-``predict``), the search objective (``search_objective``) and the decoder
-chain of the diversity gradients run on plain numpy, and their gradients
-are derived by hand. The ``*_graph`` functions build the same forward on
-the autodiff tape, which training, the mapper fit and the s5 start scheme
-differentiate through, and against which the tests check the
-hand-derived kernels.
+``predict``) and the search objective (``search_objective``) run on plain
+numpy, and their gradients are derived by hand; ``_decode_with_grad`` is
+the one decoder chain that the search objective, the diversity gradients
+and the mapper fit take back to the latent. The ``*_graph`` functions
+build the same forward on the autodiff tape: the s5 start scheme
+differentiates through them, and the tests check the hand-derived kernels
+against them. Training runs its own tape graphs through ``_mlp_graph``.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ class Posterior:
 
 
 # ---------------------------------------------------------------------------
-# tape forward: the graph the training loops, the mapper fit and the s5
-# start scheme differentiate, and the oracle for the numpy path below
+# tape forward: the graph the training loops and the s5 start scheme
+# differentiate, and the oracle for the numpy path below
 
 
 def _mlp_graph(params, x, hidden_act):
@@ -194,6 +195,18 @@ def _relu_grad(a):
     return a > 0.0
 
 
+def _decode_with_grad(bundle, z):
+    """decode(z) for one latent or a batch, not counted in EVAL_COUNTS, and
+    the function that takes an adjoint of the output back to one of ``z``."""
+    acts = []
+    x = expit(_forward(bundle.decoder, z, np.tanh, acts))
+
+    def grad(g):
+        return _backprop(bundle.decoder, acts, g * x * (1.0 - x), _tanh_grad)
+
+    return x, grad
+
+
 def _softmax(v):
     e = np.exp(v - v.max(axis=-1, keepdims=True))
     e /= e.sum(axis=-1, keepdims=True)
@@ -210,8 +223,8 @@ def search_objective(bundle, z, x0, lambda_x, lambda_y, label):
     grad(g) is g times the loss's gradient in z. Non-finite terms are
     returned as they are, for the caller to reject.
     """
-    dec_acts, ens_acts = [], []
-    x = expit(_forward(bundle.decoder, z, np.tanh, dec_acts))
+    ens_acts = []
+    x, decoder_grad = _decode_with_grad(bundle, z)
     s = _softmax(_forward(bundle.ensemble, x[None], _relu, ens_acts))  # E x 1 x c'
     p = s.sum(axis=0)[0] * (1.0 / len(s))
     logp = np.log(p)
@@ -235,7 +248,7 @@ def search_objective(bundle, z, x0, lambda_x, lambda_y, label):
         gx = _backprop(bundle.ensemble, ens_acts, gl, _relu_grad).sum(axis=0)[0]
         if lambda_x > 0.0:
             gx += g * lambda_x * np.sign(diff)
-        return _backprop(bundle.decoder, dec_acts, gx * x * (1.0 - x), _tanh_grad)
+        return decoder_grad(gx)
 
     return h, d_x, d_y, grad
 

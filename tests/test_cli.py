@@ -190,6 +190,8 @@ SWEEP = ["sweep", "--axis", "lambda_d", "--grid", "0,0.5"]
     (["explain", "--method", "divclue-seq", "--set", "space=prediction"],
      "diversity search needs"),
     (["explain", "--set", "lambda_x=true"], "lambda_x must be a real number"),
+    (SWEEP, "needs k >= 2"),
+    (["sweep", "--axis", "n_i", "--grid", "0,5"], "needs k >= 2"),
 ])
 def test_malformed_search_config_exit_2(workspace, tmp_path, argv, message, capsys):
     out = tmp_path / "bad"
@@ -208,6 +210,8 @@ def test_unknown_method_axis_variant_exit_2(workspace, tmp_path, capsys):
     assert run(["glam", "--variant", "glam9"] + common) == 2
     assert run(["bench", "--schemes", "warp"] + common) == 2
     capsys.readouterr()
+    assert run(["glam", "--variant", "glam3"] + common) == 2
+    assert "unknown variant 'glam3'" in capsys.readouterr().err
 
 
 def test_sweep_single_point_grid(workspace, tmp_path):
@@ -276,6 +280,16 @@ def test_bench_outputs(workspace, tmp_path):
     for name, r in rows.items():
         assert float(r[1]) > 0.0
         assert int(r[2]) == 1
+
+
+@pytest.mark.parametrize("repetitions", ["0", "-3"])
+def test_bench_repetitions_below_1_exit_2(workspace, tmp_path, repetitions, capsys):
+    out = tmp_path / "be"
+    assert run(["bench", "--out", str(out), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"], "--repetitions", repetitions]
+               + EXPLAIN_SETS) == 2
+    assert "--repetitions" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_wall_time_spans_the_timed_work(workspace, tmp_path, monkeypatch):

@@ -1,8 +1,9 @@
-"""The fused search kernel, the diversity kernel and the numpy forward
-against the autodiff tape.
+"""The fused search kernel, the diversity kernel, the mapper fit's step and
+the numpy forward against the autodiff tape.
 
-``clue.objective``, ``divclue._diversity`` and ``models.encode``/``decode``/
-``predict`` run on plain numpy with a hand-derived backward; the
+``clue.objective``, ``divclue._diversity``, the metric report's ``dpp``,
+``apd`` and ``coverage``, ``glam._recon_and_grad`` and ``models.encode``/
+``decode``/``predict`` run on plain numpy with a hand-derived backward; the
 ``*_graph`` functions and ``diversity.diversity_node`` build the same
 computation on the tape, which is the oracle here.
 """
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import cluekit.diffcore as dc
-from cluekit import clue, data, divclue, diversity as div, models
+from cluekit import clue, data, divclue, diversity as div, glam, models
 
 RTOL = 1e-10
 
@@ -219,3 +220,57 @@ def test_diversity_kernel_errors(tiny_bundle):
             with pytest.raises(ValueError, match="non-finite"):
                 divclue._diversity(spec, bundle, z0, None, free[:1],
                                    np.full((1, bundle.m_latent), np.inf))
+
+
+@pytest.mark.parametrize("base", div.BASES)
+def test_metric_values_equal_the_tape(base):
+    """The metric report's dpp, apd and coverage equal the tape's values
+    exactly, for k = 1..6 over random, coincident and simplex rows."""
+    rng = np.random.default_rng(33)
+    for k in range(1, 7):
+        for rows in ("random", "coincident", "simplex"):
+            for _ in range(20):
+                dim = int(rng.integers(2, 6))
+                pts = rng.normal(0.0, 1.0, (k, dim))
+                if rows == "coincident" and k > 1:
+                    i, j = rng.choice(k, 2, replace=False)
+                    pts[j] = pts[i]
+                elif rows == "simplex":
+                    pts = rng.dirichlet(np.ones(dim), k)
+                x0 = rng.normal(0.0, 1.0, dim)
+                for metric, value in (("dpp", div.dpp(pts, base)), ("apd", div.apd(pts, base)),
+                                      ("coverage", div.coverage(pts, x0))):
+                    spec = div.DiversitySpec(metric=metric, base=base)
+                    ref = float(div.diversity_node(spec, dc.Tensor(pts), x0=x0).data)
+                    assert value == (min(1.0, max(0.0, ref)) if metric == "dpp" else ref)
+
+
+# ---------------------------------------------------------------------------
+# the mapper fit's step
+
+
+def tape_recon(bundle, z_u, x_c, theta):
+    """The mapper fit's reconstruction term and its theta gradient on the
+    tape, each row's nearest certain point held fixed."""
+    tt = dc.Tensor(np.asarray(theta), requires_grad=True)
+    dec = models.decode_graph(bundle, dc.add(dc.Tensor(z_u), tt))
+    idx = np.argmin(((dec.data[:, None, :] - x_c[None]) ** 2).sum(axis=2), axis=1)
+    node = dc.mul(dc.sq_norm(dc.sub(dec, dc.Tensor(x_c[idx]))), 1.0 / len(z_u))
+    node.backward()
+    return float(node.data), tt.grad
+
+
+@pytest.mark.parametrize("which", ["tiny", "digits64"])
+def test_mapper_step_matches_tape(which, tiny_bundle, request):
+    ds, bundle = tiny_bundle if which == "tiny" else request.getfixturevalue("digits64_bundle")
+    rng = np.random.default_rng(34)
+    z0s = models.encode(bundle, ds.train_inputs()[:20])
+    for n_rows in range(1, 6):
+        for n_certain in (1, 4, 9):
+            theta = rng.normal(0.0, 0.5, bundle.m_latent)
+            z_u = z0s[rng.choice(len(z0s), n_rows, replace=False)]
+            x_c = rng.uniform(0.0, 1.0, (n_certain, bundle.d_in))
+            value, grad = glam._recon_and_grad(bundle, z_u, x_c, theta)
+            ref_value, ref_grad = tape_recon(bundle, z_u, x_c, theta)
+            np.testing.assert_allclose(value, ref_value, rtol=RTOL, atol=0.0)
+            np.testing.assert_allclose(grad, ref_grad, rtol=RTOL, atol=0.0)

@@ -326,6 +326,10 @@ def cmd_explain(args):
         cfg = dict(cfg, delta=float("inf"), r=0.0, k=1)
     config = experiment_config(cfg)
     spec = _diversity_spec(cfg, args.method in DIVERSITY_METHODS)
+    if config.k >= 2 and config.r == 0.0 and not (
+            args.method in ("divclue-seq", "divclue-pen") and config.lambda_d > 0.0):
+        raise UsageError(f"--method {args.method} with k={config.k} needs r > 0: at r=0 all k "
+                         f"start points sit at z0, so it writes k identical candidates")
     bundle = _load_bundle(args)
     ds = _load_dataset(args)
     context = _init_context(cfg, [config], ds, bundle)
@@ -391,9 +395,10 @@ def cmd_sweep(args):
                 "lambda_d": lambda v: {"lambda_d": v},
                 "n_i": lambda v: {"n_i": int(v) if v.is_integer() else v}}.get(args.axis)
     configs = [experiment_config(dict(cfg, **settings(v))) for v in grid] if settings else []
-    if args.axis in ("lambda_d", "n_i") and configs[0].k == 1:
-        raise UsageError(f"sweep --axis {args.axis} needs k >= 2, got k=1: a one-point "
-                         f"set has no diversity, so every grid point gives the same result")
+    if args.axis in ("lambda_d", "n_i") and (configs[0].k == 1 or configs[0].r == 0.0):
+        raise UsageError(f"sweep --axis {args.axis} needs k >= 2 and r > 0, got k={configs[0].k} "
+                         f"and r={configs[0].r}: one point, or k copies of z0, has no "
+                         f"diversity, so every grid point gives the same result")
     bundle = _load_bundle(args)
     ds = _load_dataset(args)
     groups = _groups(cfg, ds, bundle) if args.axis == "lambda_theta" else None

@@ -148,16 +148,17 @@ def mul(a, b):
 
 
 def matmul(a, b):
+    """a @ b over the last two axes; leading axes broadcast (n x m @ E x m x k)."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    if min(a.data.ndim, b.data.ndim) < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = Tensor(a.data @ b.data, _parents=(a, b), op="matmul")
 
     def bw(g):
         if a.requires_grad or a._parents:
-            a._accum(g @ b.data.T)
+            a._accum(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
         if b.requires_grad or b._parents:
-            b._accum(a.data.T @ g)
+            b._accum(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     out._backward = bw
     return out

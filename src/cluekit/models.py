@@ -17,7 +17,8 @@ the one decoder chain that the search objective, the diversity gradients
 and the mapper fit take back to the latent. The ``*_graph`` functions
 build the same forward on the autodiff tape: the s5 start scheme
 differentiates through them, and the tests check the hand-derived kernels
-against them. Training runs its own tape graphs through ``_mlp_graph``.
+against them. Training runs its own tape graphs through ``_mlp_graph``;
+the ensemble's are stacked too, one graph per batch for all E members.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ class TrainingReport:
     final_loss: float = 0.0
     mean_recon_l1: float = 0.0
     heldout_accuracy: float = 0.0
-    entropy_histogram: list = field(default_factory=list)
     entropy_percentiles: dict = field(default_factory=dict)
 
 
@@ -87,6 +87,12 @@ def _stack(members):
                biases=[np.stack(bs)[:, None, :] for bs in zip(*(m.biases for m in members))])
 
 
+def _member(bundle, e):
+    """Member ``e`` of the stacked ensemble as a plain MLP (views of slab e)."""
+    ens = bundle.ensemble
+    return MLP(weights=[w[e] for w in ens.weights], biases=[b[e, 0] for b in ens.biases])
+
+
 @dataclass
 class Posterior:
     probs: np.ndarray  # length c' simplex, mean over members
@@ -99,7 +105,8 @@ class Posterior:
 
 
 def _mlp_graph(params, x, hidden_act):
-    """MLP forward on the tape; ``params`` alternates weight and bias."""
+    """MLP forward on the tape, as ``_forward``: ``params`` alternates weight
+    and bias, and a vector input loses its row axis in the output."""
     vec = x.data.ndim == 1
     h = dc.reshape(x, (1, -1)) if vec else x
     n = len(params) // 2
@@ -107,7 +114,7 @@ def _mlp_graph(params, x, hidden_act):
         h = dc.affine(h, params[2 * i], params[2 * i + 1])
         if i < n - 1:
             h = hidden_act(h)
-    return dc.reshape(h, (-1,)) if vec else h
+    return dc.reshape(h, h.shape[:-2] + h.shape[-1:]) if vec else h
 
 
 def _params(mlp):
@@ -128,24 +135,15 @@ def decode_graph(bundle, z):
     return dc.sigmoid(decode_logits_graph(bundle, z))
 
 
-def _member(bundle, e):
-    """Member ``e`` of the stacked ensemble as a plain MLP (views of slab e)."""
-    ens = bundle.ensemble
-    return MLP(weights=[w[e] for w in ens.weights], biases=[b[e, 0] for b in ens.biases])
-
-
-def member_probs_graph(bundle, x, member):
-    logits = _mlp_graph(_params(_member(bundle, member)), x, dc.relu)
-    return dc.softmax(logits, axis=-1)
+def member_probs_graph(bundle, x):
+    """Every member's class posterior as one graph node: E x c' for a vector
+    input, E x n x c' for an n x d' matrix."""
+    return dc.softmax(_mlp_graph(_params(bundle.ensemble), x, dc.relu), axis=-1)
 
 
 def posterior_graph(bundle, x):
     """Ensemble-mean class posterior as a graph node (vector input)."""
-    probs = [member_probs_graph(bundle, x, e) for e in range(bundle.n_members)]
-    acc = probs[0]
-    for p in probs[1:]:
-        acc = dc.add(acc, p)
-    return dc.mul(acc, 1.0 / bundle.n_members)
+    return dc.mul(dc.tsum(member_probs_graph(bundle, x), axis=0), 1.0 / bundle.n_members)
 
 
 def entropy_graph(p):
@@ -417,7 +415,9 @@ HELDOUT_FRAC = 0.2  # share of the training inputs held out for the accuracy rep
 def train_ensemble(inputs, labels, n_members, hyperparams, seed):
     """Train E independent classifiers on cross-entropy from distinct inits.
 
-    Each member trains on its own tape; returns (stacked ensemble, report).
+    The members train together as the stacked MLP of ``ModelBundle.ensemble``,
+    one tape graph per batch; member e draws its init and epoch orders from its
+    own rng and sees row e of each E x B x d' batch. Returns (ensemble, report).
     The report's loss curve holds, per epoch, the members' mean batch loss
     averaged over the members.
     """
@@ -434,31 +434,27 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
     held, train = perm[:n_held], perm[n_held:]
     xt, yt = x_all[train], y_all[train]
 
-    members = []
+    rngs = [np.random.default_rng([seed, 1 + e]) for e in range(n_members)]
+    ensemble = _stack([_init_mlp(rng, [d, hp.hidden, hp.hidden, c]) for rng in rngs])
+    ts = _mlp_tensors(ensemble)
+    onehot = np.eye(c)[yt]
     batch_loss_sums = np.zeros((n_members, hp.epochs))
-    for e in range(n_members):
-        rng = np.random.default_rng([seed, 1 + e])
-        mlp = _init_mlp(rng, [d, hp.hidden, hp.hidden, c])
-        ts = _mlp_tensors(mlp)
-        onehot = np.eye(c)[yt]
-        for epoch in range(hp.epochs):
-            order = rng.permutation(len(xt))
-            for lo in range(0, len(xt), hp.batch):
-                idx = order[lo:lo + hp.batch]
-                xb = dc.Tensor(xt[idx])
-                logits = _mlp_graph(ts, xb, dc.relu)
-                p = dc.softmax(logits, axis=-1)
-                loss = dc.mul(dc.tsum(dc.mul(dc.Tensor(onehot[idx]), dc.log(p))), -1.0 / len(idx))
-                if not np.isfinite(loss.data):
-                    raise TrainingDivergence(f"ensemble member {e} diverged at epoch {epoch}")
-                loss.backward()
-                _sgd_step(ts, hp.lr)
-                batch_loss_sums[e, epoch] += float(loss.data)
-        _write_back(mlp, ts)
-        members.append(mlp)
+    for epoch in range(hp.epochs):
+        orders = np.stack([rng.permutation(len(xt)) for rng in rngs])
+        for lo in range(0, len(xt), hp.batch):
+            idx = orders[:, lo:lo + hp.batch]  # row e: member e's batch
+            p = dc.softmax(_mlp_graph(ts, dc.Tensor(xt[idx]), dc.relu), axis=-1)
+            losses = dc.mul(dc.tsum(dc.mul(dc.Tensor(onehot[idx]), dc.log(p)), axis=(1, 2)),
+                            -1.0 / idx.shape[1])
+            bad = np.flatnonzero(~np.isfinite(losses.data))
+            if bad.size:
+                raise TrainingDivergence(f"ensemble member {bad[0]} diverged at epoch {epoch}")
+            dc.tsum(losses).backward()
+            _sgd_step(ts, hp.lr)
+            batch_loss_sums[:, epoch] += losses.data
+    _write_back(ensemble, ts)
 
-    # held-out accuracy + training entropy histogram of the full ensemble
-    ensemble = _stack(members)
+    # held-out accuracy + training entropy percentiles of the full ensemble
     p_held, p_train = (_softmax(_forward(ensemble, xs, _relu)).mean(axis=0)
                        for xs in (x_all[held], xt))
     acc = float(np.mean(np.argmax(p_held, axis=1) == y_all[held]))
@@ -466,7 +462,6 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
     n_batches = -(-len(xt) // hp.batch)
     report = TrainingReport(
         loss_curve=(batch_loss_sums / n_batches).mean(axis=0).tolist(), heldout_accuracy=acc,
-        entropy_histogram=[float(v) for v in ents],
         entropy_percentiles={str(q): float(np.percentile(ents, q)) for q in (20, 50, 80)},
     )
     return ensemble, report
@@ -507,8 +502,7 @@ def save_bundle(bundle, directory):
                        "final_loss": bundle.vae_report.final_loss,
                        "mean_recon_l1": bundle.vae_report.mean_recon_l1},
         "ensemble_report": {"heldout_accuracy": bundle.ensemble_report.heldout_accuracy,
-                            "entropy_percentiles": bundle.ensemble_report.entropy_percentiles,
-                            "entropy_histogram": bundle.ensemble_report.entropy_histogram},
+                            "entropy_percentiles": bundle.ensemble_report.entropy_percentiles},
     }
     with open(directory / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
@@ -582,8 +576,7 @@ def load_bundle(directory):
                               mean_recon_l1=manifest["vae_report"]["mean_recon_l1"])
         erep = TrainingReport(
             heldout_accuracy=manifest["ensemble_report"]["heldout_accuracy"],
-            entropy_percentiles=manifest["ensemble_report"]["entropy_percentiles"],
-            entropy_histogram=manifest["ensemble_report"].get("entropy_histogram", []))
+            entropy_percentiles=manifest["ensemble_report"]["entropy_percentiles"])
         return ModelBundle(encoder=encoder, decoder=decoder, ensemble=_stack(members),
                            seed=manifest["seed"], vae_report=vrep, ensemble_report=erep)
     except (KeyError, TypeError, IndexError) as e:

@@ -192,6 +192,14 @@ SWEEP = ["sweep", "--axis", "lambda_d", "--grid", "0,0.5"]
     (["explain", "--set", "lambda_x=true"], "lambda_x must be a real number"),
     (SWEEP, "needs k >= 2"),
     (["sweep", "--axis", "n_i", "--grid", "0,5"], "needs k >= 2"),
+    (["explain", "--set", "k=4", "--set", "delta=2"], "needs r > 0"),
+    (["explain", "--method", "divclue-sim", "--set", "k=4", "--set", "delta=2",
+      "--set", "lambda_d=0.5"], "needs r > 0"),
+    (["explain", "--method", "divclue-seq", "--set", "k=4", "--set", "delta=2"],
+     "needs r > 0"),
+    (SWEEP + ["--set", "k=4", "--set", "delta=2"], "needs k >= 2 and r > 0"),
+    (["sweep", "--axis", "n_i", "--grid", "0,5", "--set", "k=4", "--set", "delta=2"],
+     "needs k >= 2 and r > 0"),
 ])
 def test_malformed_search_config_exit_2(workspace, tmp_path, argv, message, capsys):
     out = tmp_path / "bad"
@@ -199,6 +207,19 @@ def test_malformed_search_config_exit_2(workspace, tmp_path, argv, message, caps
                        "--dataset", workspace["dataset"]]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["divclue-seq", "divclue-pen"])
+def test_repelled_sequential_search_runs_at_r_0(workspace, tmp_path, method):
+    """With lambda_d > 0 the sequential variants repel each descent from the
+    points found before it, so k starts at z0 still give distinct candidates."""
+    out = tmp_path / method
+    assert run(["explain", "--out", str(out), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"], "--method", method, "--top", "1",
+                "--set", "k=3", "--set", "delta=1.2", "--set", "lambda_d=0.5",
+                "--set", "iters=10", "--set", "lr=0.3"]) == 0
+    rows = (out / "scatter.csv").read_text().strip().splitlines()[1:]
+    assert len({tuple(r.split(",")[2:4]) for r in rows}) == 3
 
 
 def test_unknown_method_axis_variant_exit_2(workspace, tmp_path, capsys):

@@ -75,6 +75,15 @@ def test_matmul_affine_gradcheck():
         check_grad(lambda t: dc.tsum(dc.matmul(dc.Tensor(a), t)), b.copy())
         check_grad(lambda t: dc.sq_norm(dc.affine(dc.Tensor(a), dc.Tensor(b), t)),
                    bias.copy())
+        # stacked: E x n x m @ E x m x k, and n x m @ E x m x k, whose input
+        # gradient sums over the E slabs
+        e = int(rng.integers(1, 4))
+        sa = rng.standard_normal((e, n, m))
+        sb = rng.standard_normal((e, m, k))
+        check_grad(lambda t: dc.sq_norm(dc.matmul(t, dc.Tensor(sb))), sa.copy())
+        check_grad(lambda t: dc.sq_norm(dc.matmul(dc.Tensor(sa), t)), sb.copy())
+        check_grad(lambda t: dc.sq_norm(dc.matmul(t, dc.Tensor(sb))), a.copy())
+        check_grad(lambda t: dc.sq_norm(dc.matmul(dc.Tensor(a), t)), sb.copy())
 
 
 def test_reshape_and_cols_gradcheck():
@@ -119,6 +128,10 @@ def test_reduction_ops_gradcheck():
         # perturb away from argmax ties so amax is differentiable
         x = x + rng.uniform(0, 0.01, size=x.shape)
         check_grad(lambda t: dc.amax(dc.tsum(t, axis=1), axis=0), x.copy())
+        # a tuple of axes, as the stacked ensemble's per-member loss sums
+        w = rng.standard_normal(2)
+        check_grad(lambda t: dc.tsum(dc.mul(dc.tsum(dc.tanh(t), axis=(1, 2)), dc.Tensor(w))),
+                   rng.standard_normal((2, 3, 4)))
 
 
 def test_distance_ops_gradcheck():
@@ -203,6 +216,8 @@ def test_backward_requires_scalar():
 def test_matmul_shape_error():
     with pytest.raises(dc.ShapeError):
         dc.matmul(dc.Tensor(np.ones((2, 3))), dc.Tensor(np.ones((4, 2))))
+    with pytest.raises(dc.ShapeError):
+        dc.matmul(dc.Tensor(np.ones(3)), dc.Tensor(np.ones((3, 2))))
 
 
 def test_forward_backward_deterministic():
@@ -223,5 +238,5 @@ def test_forward_backward_deterministic():
 
 def test_trial_count_meets_contract():
     """The per-op loops above add up to at least 100 seeded trials."""
-    counts = [25 * len(UNARY_OPS), 50, 75, 100, 50, 30, 25, 50, 30, 25]
+    counts = [25 * len(UNARY_OPS), 50, 175, 100, 50, 30, 50, 50, 30, 25]
     assert sum(counts) >= 100

@@ -107,8 +107,7 @@ def test_numpy_forward_matches_tape(which, tiny_bundle, request):
                                    models.decode_graph(bundle, dc.Tensor(z)).data,
                                    rtol=RTOL, atol=0.0)
         post = models.predict(bundle, x)
-        members = np.stack([models.member_probs_graph(bundle, dc.Tensor(x), e).data
-                            for e in range(bundle.n_members)])
+        members = models.member_probs_graph(bundle, dc.Tensor(x)).data
         np.testing.assert_allclose(post.member_probs, members, rtol=RTOL, atol=0.0)
         np.testing.assert_allclose(post.probs, members.mean(axis=0), rtol=RTOL, atol=0.0)
     # a batch row equals the same row on its own

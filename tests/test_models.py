@@ -1,6 +1,8 @@
 """Model bundle behavior: forward shapes, entropy contract, training,
 serialization round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,65 @@ def test_vae_divergence_raises():
             models.train_vae(ds.train_inputs(), hp, seed=4)
 
 
+def test_ensemble_divergence_raises_naming_member_and_epoch():
+    ds = data.gen_blobs(c=3, d=8, n=120, spread=0.2, seed=3)
+    hp = models.EnsembleHyperparams(hidden=8, epochs=5, lr=1e6)
+    with pytest.raises(models.TrainingDivergence,
+                       match="ensemble member 0 diverged at epoch 1"):
+        with np.errstate(all="ignore"):
+            models.train_ensemble(ds.train_inputs(), ds.train_labels(), 3, hp, seed=4)
+
+
+def _per_member_reference(inputs, labels, n_members, hp, seed):
+    """The ensemble trained one member at a time, each on its own tape, as
+    the loop before stacked training did; returns (members, loss curve)."""
+    x_all = np.asarray(inputs, dtype=np.float64)
+    y_all = np.asarray(labels, dtype=np.int64)
+    c = int(y_all.max()) + 1
+    perm = np.random.default_rng([seed, 999]).permutation(len(x_all))
+    train = perm[max(1, int(len(x_all) * models.HELDOUT_FRAC)):]
+    xt, yt = x_all[train], y_all[train]
+    members = []
+    batch_loss_sums = np.zeros((n_members, hp.epochs))
+    for e in range(n_members):
+        rng = np.random.default_rng([seed, 1 + e])
+        mlp = models._init_mlp(rng, [x_all.shape[1], hp.hidden, hp.hidden, c])
+        ts = models._mlp_tensors(mlp)
+        onehot = np.eye(c)[yt]
+        for epoch in range(hp.epochs):
+            order = rng.permutation(len(xt))
+            for lo in range(0, len(xt), hp.batch):
+                idx = order[lo:lo + hp.batch]
+                logits = models._mlp_graph(ts, dc.Tensor(xt[idx]), dc.relu)
+                p = dc.softmax(logits, axis=-1)
+                loss = dc.mul(dc.tsum(dc.mul(dc.Tensor(onehot[idx]), dc.log(p))),
+                              -1.0 / len(idx))
+                loss.backward()
+                models._sgd_step(ts, hp.lr)
+                batch_loss_sums[e, epoch] += float(loss.data)
+        models._write_back(mlp, ts)
+        members.append(mlp)
+    n_batches = -(-len(xt) // hp.batch)
+    return members, (batch_loss_sums / n_batches).mean(axis=0).tolist()
+
+
+@pytest.mark.parametrize("n_members", [1, 3])
+def test_stacked_training_equals_per_member_loop(n_members):
+    """Several batches per epoch, a short last batch: every weight, bias and
+    loss-curve entry equals the one-member-at-a-time loop bit for bit."""
+    ds = data.gen_blobs(c=3, d=8, n=400, spread=0.2, seed=3)
+    hp = models.EnsembleHyperparams(hidden=8, epochs=6, batch=64)
+    ensemble, report = models.train_ensemble(ds.train_inputs(), ds.train_labels(),
+                                             n_members, hp, seed=9)
+    members, curve = _per_member_reference(ds.train_inputs(), ds.train_labels(),
+                                           n_members, hp, seed=9)
+    assert report.loss_curve == curve
+    for e, member in enumerate(members):
+        for i, (w, b) in enumerate(zip(member.weights, member.biases)):
+            assert np.array_equal(ensemble.weights[i][e], w), (e, i)
+            assert np.array_equal(ensemble.biases[i][e, 0], b), (e, i)
+
+
 def test_single_member_ensemble(tiny_bundle):
     ds, _ = tiny_bundle
     hp = models.EnsembleHyperparams(hidden=8, epochs=10)
@@ -128,6 +189,20 @@ def test_serialization_roundtrip_bitwise(tiny_bundle, tmp_path):
     assert np.array_equal(models.decode(bundle, z), models.decode(loaded, z))
     assert np.array_equal(models.predict(bundle, x).probs,
                           models.predict(loaded, x).probs)
+
+
+def test_load_accepts_manifest_with_entropy_histogram(tiny_bundle, tmp_path):
+    """Bundles saved before the histogram was dropped still load."""
+    _, bundle = tiny_bundle
+    models.save_bundle(bundle, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert "entropy_histogram" not in manifest["ensemble_report"]
+    manifest["ensemble_report"]["entropy_histogram"] = [0.1, 0.2]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    loaded = models.load_bundle(tmp_path)
+    assert loaded.ensemble_report.entropy_percentiles == bundle.ensemble_report.entropy_percentiles
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.ensemble.weights,
+                                                     bundle.ensemble.weights))
 
 
 @pytest.mark.parametrize("net,layer,rows,cols,bias_cols", [

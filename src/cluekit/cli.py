@@ -38,10 +38,8 @@ def _sha256(path):
 
 
 def atomic_write_text(path, text):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
+    with models._atomic_open(path) as f:
         f.write(text)
-    os.replace(tmp, path)
 
 
 def write_json(path, payload):
@@ -197,7 +195,7 @@ def _top_uncertain(dataset, bundle, n):
 def cmd_gen_data(args):
     cfg = resolve_config(args)
     kind = cfg.get("generator", "blobs")
-    seed = _setting(cfg, "seed", 0, int)
+    seed = _setting(cfg, "seed", 0, int, low=0)
     n, test_frac = _setting(cfg, "n", 2000, int), _setting(cfg, "test_frac", 0.2)
     t0 = time.perf_counter()
     try:
@@ -224,7 +222,7 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     cfg = resolve_config(args)
-    seed = _setting(cfg, "seed", 0, int)
+    seed = _setting(cfg, "seed", 0, int, low=0)
 
     def size(key, default):  # every size and count of training is >= 1
         return _setting(cfg, key, default, int, low=1)
@@ -326,8 +324,7 @@ def cmd_explain(args):
         cfg = dict(cfg, delta=float("inf"), r=0.0, k=1)
     config = experiment_config(cfg)
     spec = _diversity_spec(cfg, args.method in DIVERSITY_METHODS)
-    if config.k >= 2 and config.r == 0.0 and not (
-            args.method in ("divclue-seq", "divclue-pen") and config.lambda_d > 0.0):
+    if clue.coincident_starts(config, args.method in ("divclue-seq", "divclue-pen")):
         raise UsageError(f"--method {args.method} with k={config.k} needs r > 0: at r=0 all k "
                          f"start points sit at z0, so it writes k identical candidates")
     bundle = _load_bundle(args)
@@ -340,9 +337,7 @@ def cmd_explain(args):
     for idx, x0 in selected:
         ceset = run_method(x0, bundle, config, spec, context)
         path = os.path.join(out, f"ceset_{idx}.json")
-        tmp = f"{path}.tmp"
-        clue.dump_ceset(ceset, tmp)
-        os.replace(tmp, path)
+        clue.dump_ceset(ceset, path)
         outputs.append(path)
         for ci, c in enumerate(ceset.candidates):
             scatter_rows.append([idx, ci, c.entropy, c.d_x, c.rho, c.cost,
@@ -381,7 +376,7 @@ def _sweep_stats(record):
 
 def cmd_sweep(args):
     cfg = resolve_config(args)
-    seed = _setting(cfg, "seed", 0, int)
+    seed = _setting(cfg, "seed", 0, int, low=0)
     if args.axis not in SWEEP_AXES:
         raise UsageError(f"unknown sweep axis {args.axis!r}; choose from {SWEEP_AXES}")
     try:
@@ -395,7 +390,8 @@ def cmd_sweep(args):
                 "lambda_d": lambda v: {"lambda_d": v},
                 "n_i": lambda v: {"n_i": int(v) if v.is_integer() else v}}.get(args.axis)
     configs = [experiment_config(dict(cfg, **settings(v))) for v in grid] if settings else []
-    if args.axis in ("lambda_d", "n_i") and (configs[0].k == 1 or configs[0].r == 0.0):
+    if args.axis in ("lambda_d", "n_i") and (configs[0].k == 1
+                                             or clue.coincident_starts(configs[0])):
         raise UsageError(f"sweep --axis {args.axis} needs k >= 2 and r > 0, got k={configs[0].k} "
                          f"and r={configs[0].r}: one point, or k copies of z0, has no "
                          f"diversity, so every grid point gives the same result")
@@ -438,13 +434,18 @@ def _groups(cfg, ds, bundle):
     return groups
 
 
+def _cap(cfg):
+    """How many of each group's inputs glam1 trains on and every scheme explains."""
+    return _setting(cfg, "cap", 20, int, low=1)
+
+
 def _sweep_lambda_theta(grid, cfg, groups, bundle):
     """Mean H and d_x of glam1's counterfactuals at each lambda_theta (neither
     depends on lambda_x, which only weights the cost)."""
-    rows = []
+    rows, cap = [], _cap(cfg)
     for value in grid:
-        scheme, _ = _glam_scheme("glam1", dict(cfg, lambda_theta=value), groups, bundle, [])
-        ces = _apply_scheme(scheme, groups, cfg)
+        scheme, _ = _glam_scheme("glam1", dict(cfg, lambda_theta=value), groups, bundle, [], cap)
+        ces = _apply_scheme(scheme, groups, cap)
         hs, dxs = [ce.entropy for ce in ces], [ce.d_x for ce in ces]
         rows.append(["lambda_theta", value, "mean_H", float(np.mean(hs))])
         rows.append(["lambda_theta", value, "mean_d_x", float(np.mean(dxs))])
@@ -454,10 +455,9 @@ def _sweep_lambda_theta(grid, cfg, groups, bundle):
 GLAM_VARIANTS = ("glam1", "glam2", "dbm-input", "dbm-latent", "nn-input", "nn-latent")
 
 
-def _glam_scheme(variant, cfg, groups, bundle, cesets):
+def _glam_scheme(variant, cfg, groups, bundle, cesets, cap):
     """Build callable(x, class) -> CandidateCE for one comparison scheme."""
     lam_x = _setting(cfg, "lambda_x", 0.03)
-    cap = _setting(cfg, "cap", 20, int)
     if variant == "glam1":
         mappers = {c: glam.train_mapper(
             uncertain[:cap], certain[:cap], bundle,
@@ -487,16 +487,15 @@ def _glam_scheme(variant, cfg, groups, bundle, cesets):
     return lambda x, c: glam.nn_baseline(space, x, groups[c][1], bundle, lam_x), []
 
 
-def _apply_scheme(scheme, groups, cfg):
+def _apply_scheme(scheme, groups, cap):
     """The scheme's counterfactual of each group's first ``cap`` uncertain inputs."""
-    cap = _setting(cfg, "cap", 20, int)
     return [scheme(x, c) for c, (uncertain, _certain) in groups.items()
             for x in uncertain[:cap]]
 
 
 def cmd_glam(args):
     cfg = resolve_config(args)
-    seed = _setting(cfg, "seed", 0, int)
+    seed, cap = _setting(cfg, "seed", 0, int, low=0), _cap(cfg)
     variants = list(GLAM_VARIANTS) if args.variant == "all" else [args.variant]
     for v in variants:
         if v not in GLAM_VARIANTS:
@@ -509,20 +508,18 @@ def cmd_glam(args):
     t0 = time.perf_counter()
     # every scheme is built before any file is written, so a variant that
     # cannot be built leaves no partial outputs
-    built = [(v, *_glam_scheme(v, cfg, groups, bundle, cesets)) for v in variants]
+    built = [(v, *_glam_scheme(v, cfg, groups, bundle, cesets, cap)) for v in variants]
     out = _ensure_out(args)
     rows, summaries, outputs = [], [], []
     for variant, scheme, mappers in built:
-        ces = _apply_scheme(scheme, groups, cfg)
+        ces = _apply_scheme(scheme, groups, cap)
         rows += [[variant, pid, ce.entropy, ce.d_x, ce.cost, ce.label]
                  for pid, ce in enumerate(ces)]
         summaries.append([variant, "summary", float(np.mean([ce.cost for ce in ces])),
                           "", "", ""])
         for i, m in enumerate(mappers):
             mp = os.path.join(out, f"mapper_{variant}_{i}.json")
-            tmp = f"{mp}.tmp"
-            glam.save_mapper(m, tmp)
-            os.replace(tmp, mp)
+            glam.save_mapper(m, mp)
             outputs.append(mp)
     wall = time.perf_counter() - t0
     cmp_path = os.path.join(out, "comparison.csv")
@@ -549,6 +546,9 @@ def cmd_bench(args):
             raise UsageError(f"unknown scheme {s!r}; choose from "
                              f"{BENCH_SCHEMES + ('all',)}")
     config = experiment_config(cfg)
+    if "dclue" in schemes and clue.coincident_starts(config):
+        raise UsageError(f"--schemes dclue with k={config.k} needs r > 0: at r=0 all k start "
+                         f"points sit at z0, so it times k identical descents")
     bundle = _load_bundle(args)
     ds = _load_dataset(args)
     c, (xu, xc) = next(iter(_groups(cfg, ds, bundle).items()))

@@ -52,6 +52,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.r < 0.0 or self.k < 1 or self.iters < 1 or self.n_i < 0:
             raise ValueError("invalid config: need r >= 0, k >= 1, iters >= 1, n_i >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if min(self.lambda_x, self.lambda_y, self.lambda_d) < 0.0:
             raise ValueError("lambda weights must be >= 0")
         if self.lr <= 0.0:
@@ -225,13 +227,13 @@ def _s5_point(z0, y, j, npaths, delta, ctx, n_steps=40):
     then return the point at arc-length fraction j/npaths along the path."""
     bundle = ctx.bundle
     step = delta / n_steps
+    onehot = np.eye(bundle.c_classes)[y]
     path = [z0.copy()]
     z = z0.copy()
     for _ in range(n_steps):
-        zt = dc.Tensor(z, requires_grad=True)
-        p = models.posterior_graph(bundle, models.decode_graph(bundle, zt))
-        dc.pick(p, y).backward()
-        g = zt.grad
+        x, decoder_grad = models._decode_with_grad(bundle, z)
+        _, posterior_grad = models._posterior_with_grad(bundle, x)
+        g = decoder_grad(posterior_grad(onehot))  # the gradient of p_y
         gn = float(np.linalg.norm(g))
         if gn == 0.0:
             break
@@ -260,8 +262,20 @@ def make_init_context(bundle, partition=None, train_latents=None):
     return ctx
 
 
-def make_starts(z0, config, context=None):
-    """The k start points, each projected into the delta ball."""
+def coincident_starts(config, sequential=False):
+    """Whether all k >= 2 start points sit at z0 (r = 0), so that the k
+    descents give k copies of one candidate. Sequential searches at
+    lambda_d > 0 are exempt: each descent is repelled from the points found
+    before it."""
+    return config.k >= 2 and config.r == 0.0 and not (sequential and config.lambda_d > 0.0)
+
+
+def make_starts(z0, config, context=None, sequential=False):
+    """The k start points, each projected into the delta ball; k copies of
+    z0 (``coincident_starts``) raise ValueError."""
+    if coincident_starts(config, sequential):
+        raise ValueError(f"k={config.k} start points need r > 0: at r=0 they all sit at z0, "
+                         f"so the search gives {config.k} identical candidates")
     starts = []
     for i in range(config.k):
         rng = candidate_rng(config.seed, i)
@@ -400,7 +414,7 @@ def ceset_to_json(ceset):
 
 
 def dump_ceset(ceset, path):
-    with open(path, "w", encoding="utf-8") as f:
+    with models._atomic_open(path) as f:
         json.dump(ceset_to_json(ceset), f, indent=1, sort_keys=True)
 
 

@@ -189,9 +189,9 @@ def save_dataset(dataset, directory):
         "labels": [int(v) for v in dataset.labels],
         "split": list(dataset.split),
     }
-    with open(directory / "manifest.json", "w", encoding="utf-8") as f:
+    with models._atomic_open(directory / "manifest.json") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
-    with open(directory / "inputs.bin", "wb") as f:
+    with models._atomic_open(directory / "inputs.bin", "wb") as f:
         f.write(np.ascontiguousarray(dataset.inputs, dtype="<f8").tobytes())
 
 
@@ -222,7 +222,7 @@ def load_dataset(directory):
 def export_csv(dataset, path):
     d = dataset.inputs.shape[1]
     header = "label,split," + ",".join(f"x{i}" for i in range(d))
-    with open(path, "w", encoding="utf-8") as f:
+    with models._atomic_open(path) as f:
         f.write(header + "\n")
         for y, tag, row in zip(dataset.labels, dataset.split, dataset.inputs):
             f.write(f"{int(y)},{tag}," + ",".join(repr(float(v)) for v in row) + "\n")

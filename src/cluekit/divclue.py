@@ -100,7 +100,7 @@ def _sequential(x0, bundle, config, context, trace, repulsion):
     that descent adds to every step. The joint loss averages the k curves."""
     x0, z0, x0_label = _setup(x0, bundle)
     found, trajs, curves = [], [], []
-    for z_start in make_starts(z0, config, context):
+    for z_start in make_starts(z0, config, context, sequential=True):
         repel = repulsion(found, z0, x0) if config.lambda_d > 0.0 and found else None
         (z,), (traj,), curve = _descend([z_start], z0, x0, bundle, config, x0_label,
                                         trace, repel)

@@ -6,8 +6,8 @@ entropy. The first three are differentiable and can serve as optimization
 terms; the label-based metrics are evaluation-only. The differentiable
 three come from one closed-form numpy kernel (``value_and_grad``): the
 searches take their values and gradients from it, and ``dpp``, ``apd`` and
-``coverage``, which the metric report calls, their values. Their tape graph
-(``diversity_node``) is the kernel's test oracle.
+``coverage``, which the metric report calls, their values. The tests check
+the kernel against the same metrics built on the autodiff tape.
 """
 
 from __future__ import annotations
@@ -107,35 +107,13 @@ def label_entropy(labels, c):
     return min(1.0, max(0.0, h / log(c)))
 
 
-def diversity_node(spec, points_node, x0=None):
-    """Graph node for a differentiable metric over a k x dim Tensor."""
-    k = points_node.shape[0]
-    if spec.metric == "dpp":
-        if k == 1:
-            return dc.Tensor(0.0)
-        dmat = dc.pairwise_dist(points_node, spec.base)
-        kern = dc.recip(dc.add(dmat, 1.0))
-        return dc.det(kern)
-    if spec.metric == "apd":
-        if k == 1:
-            return dc.Tensor(0.0)
-        dmat = dc.pairwise_dist(points_node, spec.base)
-        return dc.mul(dc.tsum(dmat), 1.0 / (2.0 * comb(k, 2)))
-    if spec.metric == "coverage":
-        diff = dc.sub(points_node, dc.Tensor(np.asarray(x0, dtype=np.float64)))
-        pos = dc.amax(diff, axis=0)
-        neg = dc.amax(dc.mul(diff, -1.0), axis=0)
-        return dc.mul(dc.tsum(dc.add(pos, neg)), 1.0 / points_node.shape[1])
-    raise _not_differentiable(spec.metric)
-
-
 def _not_differentiable(metric):
     return ValueError(f"metric {metric!r} is not differentiable; "
                       f"label-based metrics are evaluation-only")
 
 
 def value_and_grad(spec, points, n_free, x0=None):
-    """``diversity_node``'s value over a k x dim array and its gradient
+    """A differentiable metric's value over a k x dim array and its gradient
     w.r.t. the last ``n_free`` rows (an n_free x dim array), in closed form.
 
     dpp is det(K) for K = 1/(1 + D), through the same LU as ``dc.det``;

@@ -199,7 +199,7 @@ def save_mapper(mapper, path):
         "theta": [float(v) for v in mapper.theta],
         "loss_curve": [float(v) for v in mapper.loss_curve],
     }
-    with open(path, "w", encoding="utf-8") as f:
+    with models._atomic_open(path) as f:
         json.dump(payload, f, indent=1, sort_keys=True)
 
 

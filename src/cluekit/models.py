@@ -10,21 +10,24 @@ weights as an E x in x out array, so each layer of all members is one
 matmul. The dimensions d', m', c' and E are read from the weight shapes;
 a saved bundle records shapes only in its manifest's ``tensors`` list.
 
-Two forward paths share the weights. Inference (``encode``, ``decode``,
-``predict``) and the search objective (``search_objective``) run on plain
-numpy, and their gradients are derived by hand; ``_decode_with_grad`` is
-the one decoder chain that the search objective, the diversity gradients
-and the mapper fit take back to the latent. The ``*_graph`` functions
-build the same forward on the autodiff tape: the s5 start scheme
-differentiates through them, and the tests check the hand-derived kernels
-against them. Training runs its own tape graphs through ``_mlp_graph``;
-the ensemble's are stacked too, one graph per batch for all E members.
+One numpy forward (``_forward``) and its hand-derived backward
+(``_backprop``) serve every use of the networks. Inference (``encode``,
+``decode``, ``predict``) runs the forward alone. The search objective
+(``search_objective``), the s5 start walk, the diversity gradients and the
+mapper fit take adjoints back to the latent through ``_decode_with_grad``
+and ``_posterior_with_grad``. Training takes them on to the weights: given
+the input as well, ``_backprop`` returns each layer's weight and bias
+adjoints. The tests build the same networks on the autodiff tape as the
+oracle, and training repeats the tape's arithmetic term by term, so it
+gives the tape's weights bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -100,58 +103,6 @@ class Posterior:
 
 
 # ---------------------------------------------------------------------------
-# tape forward: the graph the training loops and the s5 start scheme
-# differentiate, and the oracle for the numpy path below
-
-
-def _mlp_graph(params, x, hidden_act):
-    """MLP forward on the tape, as ``_forward``: ``params`` alternates weight
-    and bias, and a vector input loses its row axis in the output."""
-    vec = x.data.ndim == 1
-    h = dc.reshape(x, (1, -1)) if vec else x
-    n = len(params) // 2
-    for i in range(n):
-        h = dc.affine(h, params[2 * i], params[2 * i + 1])
-        if i < n - 1:
-            h = hidden_act(h)
-    return dc.reshape(h, h.shape[:-2] + h.shape[-1:]) if vec else h
-
-
-def _params(mlp):
-    return [a for wb in zip(mlp.weights, mlp.biases) for a in wb]
-
-
-def encode_graph(bundle, x):
-    """Encoder mean as a graph node. ``x`` is a Tensor vector or matrix."""
-    return dc.cols(_mlp_graph(_params(bundle.encoder), x, dc.tanh), 0, bundle.m_latent)
-
-
-def decode_logits_graph(bundle, z):
-    return _mlp_graph(_params(bundle.decoder), z, dc.tanh)
-
-
-def decode_graph(bundle, z):
-    """Decoder output in [0,1] as a graph node."""
-    return dc.sigmoid(decode_logits_graph(bundle, z))
-
-
-def member_probs_graph(bundle, x):
-    """Every member's class posterior as one graph node: E x c' for a vector
-    input, E x n x c' for an n x d' matrix."""
-    return dc.softmax(_mlp_graph(_params(bundle.ensemble), x, dc.relu), axis=-1)
-
-
-def posterior_graph(bundle, x):
-    """Ensemble-mean class posterior as a graph node (vector input)."""
-    return dc.mul(dc.tsum(member_probs_graph(bundle, x), axis=0), 1.0 / bundle.n_members)
-
-
-def entropy_graph(p):
-    """Shannon entropy of a strictly positive simplex node (softmax output)."""
-    return dc.mul(dc.tsum(dc.mul(p, dc.log(p))), -1.0)
-
-
-# ---------------------------------------------------------------------------
 # numpy forward and the hand-derived search kernel
 
 
@@ -177,12 +128,21 @@ def _forward(mlp, x, hidden_act, acts=None):
     return x
 
 
-def _backprop(mlp, acts, g, act_grad):
-    """Adjoint of ``_forward``'s input from the adjoint ``g`` of its logits."""
-    for w, a in zip(mlp.weights[:0:-1], acts[::-1]):
-        g = g @ w.swapaxes(-1, -2)
-        g *= act_grad(a)
-    return g @ mlp.weights[0].swapaxes(-1, -2)
+def _backprop(mlp, acts, g, act_grad, x=None):
+    """Adjoint of ``_forward``'s input from the adjoint ``g`` of its logits.
+
+    Given the input ``x`` as well, returns (input adjoint, weight adjoints,
+    bias adjoints), the last two in layer order.
+    """
+    ins, gw, gb = [x, *acts], [], []  # ins[i]: the input of layer i
+    for i in range(len(mlp.weights) - 1, -1, -1):
+        if x is not None:
+            gw.insert(0, ins[i].swapaxes(-1, -2) @ g)
+            gb.insert(0, g.sum(axis=-2).reshape(mlp.biases[i].shape))
+        g = g @ mlp.weights[i].swapaxes(-1, -2)
+        if i:
+            g *= act_grad(ins[i])
+    return g if x is None else (g, gw, gb)
 
 
 def _tanh_grad(a):
@@ -211,6 +171,21 @@ def _softmax(v):
     return e
 
 
+def _posterior_with_grad(bundle, x):
+    """The ensemble-mean posterior at one input, not counted in EVAL_COUNTS,
+    and the function that takes an adjoint of it back to one of ``x``."""
+    acts = []
+    s = _softmax(_forward(bundle.ensemble, x[None], _relu, acts))  # E x 1 x c'
+    scale = 1.0 / len(s)
+
+    def grad(gp):
+        gp = gp * scale  # d/dp of the mean, to each member
+        gl = s * (gp - (s * gp).sum(axis=-1, keepdims=True))  # softmax
+        return _backprop(bundle.ensemble, acts, gl, _relu_grad).sum(axis=0)[0]
+
+    return s.sum(axis=0)[0] * scale, grad
+
+
 def search_objective(bundle, z, x0, lambda_x, lambda_y, label):
     """The search loss at one latent ``z``, split into its terms.
 
@@ -221,10 +196,8 @@ def search_objective(bundle, z, x0, lambda_x, lambda_y, label):
     grad(g) is g times the loss's gradient in z. Non-finite terms are
     returned as they are, for the caller to reject.
     """
-    ens_acts = []
     x, decoder_grad = _decode_with_grad(bundle, z)
-    s = _softmax(_forward(bundle.ensemble, x[None], _relu, ens_acts))  # E x 1 x c'
-    p = s.sum(axis=0)[0] * (1.0 / len(s))
+    p, posterior_grad = _posterior_with_grad(bundle, x)
     logp = np.log(p)
     h = -(p * logp).sum()
     d_x = d_y = 0.0
@@ -241,9 +214,8 @@ def search_objective(bundle, z, x0, lambda_x, lambda_y, label):
         gp = -(logp + 1.0)  # dH/dp
         if lambda_y > 0.0:
             gp[label] -= lambda_y / p[label]
-        gp *= g * (1.0 / len(s))  # d/dp of the mean, to each member
-        gl = s * (gp - (s * gp).sum(axis=-1, keepdims=True))  # softmax
-        gx = _backprop(bundle.ensemble, ens_acts, gl, _relu_grad).sum(axis=0)[0]
+        gp *= g
+        gx = posterior_grad(gp)
         if lambda_x > 0.0:
             gx += g * lambda_x * np.sign(diff)
         return decoder_grad(gx)
@@ -315,20 +287,9 @@ def _init_mlp(rng, sizes):
     return MLP(weights=ws, biases=bs)
 
 
-def _mlp_tensors(mlp):
-    return [dc.Tensor(a, requires_grad=True) for a in _params(mlp)]
-
-
-def _sgd_step(tensors, lr):
-    for t in tensors:
-        if t.grad is not None:
-            t.data = t.data - lr * t.grad
-
-
-def _write_back(mlp, tensors):
-    for i in range(len(mlp.weights)):
-        mlp.weights[i] = tensors[2 * i].data
-        mlp.biases[i] = tensors[2 * i + 1].data
+def _sgd_step(arrays, grads, lr):
+    for a, g in zip(arrays, grads):
+        a -= lr * g
 
 
 @dataclass
@@ -358,9 +319,7 @@ def train_vae(dataset_inputs, hyperparams, seed):
     rng = np.random.default_rng([seed, 0])
     enc = _init_mlp(rng, [d, hp.hidden, hp.hidden, 2 * m])
     dec = _init_mlp(rng, [m, hp.hidden, hp.hidden, d])
-    enc_t = _mlp_tensors(enc)
-    dec_t = _mlp_tensors(dec)
-    params = enc_t + dec_t
+    params = enc.weights + enc.biases + dec.weights + dec.biases
 
     n = x_all.shape[0]
     curve = []
@@ -369,28 +328,35 @@ def train_vae(dataset_inputs, hyperparams, seed):
         epoch_loss = 0.0
         for lo in range(0, n, hp.batch):
             idx = perm[lo:lo + hp.batch]
-            xb = dc.Tensor(x_all[idx])
-            h = _mlp_graph(enc_t, xb, dc.tanh)
-            mu = dc.cols(h, 0, m)
-            logvar = dc.cols(h, m, 2 * m)
+            xb = x_all[idx]
+            enc_acts, dec_acts = [], []
+            h = _forward(enc, xb, np.tanh, enc_acts)
+            mu, logvar = h[:, :m], h[:, m:]
             eps = rng.standard_normal((len(idx), m))
-            z = dc.add(mu, dc.mul(dc.exp(dc.mul(logvar, 0.5)), dc.Tensor(eps)))
-            logits = _mlp_graph(dec_t, z, dc.tanh)
+            sd = np.exp(logvar * 0.5)
+            z = mu + sd * eps
+            logits = _forward(dec, z, np.tanh, dec_acts)
             # Bernoulli cross-entropy from logits: softplus(a) - x*a (stable;
             # valid for soft targets)
-            recon = dc.tsum(dc.sub(dc.softplus(logits), dc.mul(xb, logits)))
-            kl = dc.mul(dc.tsum(dc.sub(dc.add(dc.mul(mu, mu), dc.exp(logvar)),
-                                       dc.add(logvar, 1.0))), 0.5 * hp.kl_weight)
-            loss = dc.mul(dc.add(recon, kl), 1.0 / len(idx))
-            if not np.isfinite(loss.data):
+            recon = np.sum(np.logaddexp(0.0, logits) - xb * logits)
+            var = np.exp(logvar)
+            kl = np.sum((mu * mu + var) - (logvar + 1.0)) * (0.5 * hp.kl_weight)
+            loss = (recon + kl) * (1.0 / len(idx))
+            if not np.isfinite(loss):
                 raise TrainingDivergence(f"VAE loss diverged at epoch {epoch}")
-            loss.backward()
-            _sgd_step(params, hp.lr)
-            epoch_loss += float(loss.data) * len(idx)
+            # the backward repeats the autodiff tape's arithmetic term by term,
+            # so that training gives the tape's weights bit for bit
+            g = 1.0 / len(idx)
+            g_kl = g * (0.5 * hp.kl_weight)
+            g_z, dec_w, dec_b = _backprop(dec, dec_acts, g * dc._stable_sigmoid(logits) - g * xb,
+                                          _tanh_grad, z)
+            g_mu = (g_z + g_kl * mu) + g_kl * mu
+            g_logvar = ((g_z * eps) * sd) * 0.5 + g_kl * var - g_kl
+            _, enc_w, enc_b = _backprop(enc, enc_acts, np.concatenate([g_mu, g_logvar], axis=1),
+                                        _tanh_grad, xb)
+            _sgd_step(params, enc_w + enc_b + dec_w + dec_b, hp.lr)
+            epoch_loss += float(loss) * len(idx)
         curve.append(epoch_loss / n)
-
-    _write_back(enc, enc_t)
-    _write_back(dec, dec_t)
 
     # reconstruction statistic on the training set
     mu = _forward(enc, x_all, np.tanh)[:, :m]
@@ -416,10 +382,10 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
     """Train E independent classifiers on cross-entropy from distinct inits.
 
     The members train together as the stacked MLP of ``ModelBundle.ensemble``,
-    one tape graph per batch; member e draws its init and epoch orders from its
-    own rng and sees row e of each E x B x d' batch. Returns (ensemble, report).
-    The report's loss curve holds, per epoch, the members' mean batch loss
-    averaged over the members.
+    one forward and backward per batch; member e draws its init and epoch
+    orders from its own rng and sees row e of each E x B x d' batch. Returns
+    (ensemble, report). The report's loss curve holds, per epoch, the
+    members' mean batch loss averaged over the members.
     """
     x_all = np.asarray(inputs, dtype=np.float64)
     y_all = np.asarray(labels, dtype=np.int64)
@@ -436,24 +402,24 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
 
     rngs = [np.random.default_rng([seed, 1 + e]) for e in range(n_members)]
     ensemble = _stack([_init_mlp(rng, [d, hp.hidden, hp.hidden, c]) for rng in rngs])
-    ts = _mlp_tensors(ensemble)
+    params = ensemble.weights + ensemble.biases
     onehot = np.eye(c)[yt]
     batch_loss_sums = np.zeros((n_members, hp.epochs))
     for epoch in range(hp.epochs):
         orders = np.stack([rng.permutation(len(xt)) for rng in rngs])
         for lo in range(0, len(xt), hp.batch):
             idx = orders[:, lo:lo + hp.batch]  # row e: member e's batch
-            p = dc.softmax(_mlp_graph(ts, dc.Tensor(xt[idx]), dc.relu), axis=-1)
-            losses = dc.mul(dc.tsum(dc.mul(dc.Tensor(onehot[idx]), dc.log(p)), axis=(1, 2)),
-                            -1.0 / idx.shape[1])
-            bad = np.flatnonzero(~np.isfinite(losses.data))
+            xb, yb, acts = xt[idx], onehot[idx], []
+            p = _softmax(_forward(ensemble, xb, _relu, acts))
+            losses = np.sum(yb * np.log(p), axis=(1, 2)) * (-1.0 / idx.shape[1])
+            bad = np.flatnonzero(~np.isfinite(losses))
             if bad.size:
                 raise TrainingDivergence(f"ensemble member {bad[0]} diverged at epoch {epoch}")
-            dc.tsum(losses).backward()
-            _sgd_step(ts, hp.lr)
-            batch_loss_sums[:, epoch] += losses.data
-    _write_back(ensemble, ts)
-
+            g = (yb * (-1.0 / idx.shape[1])) / p  # in the tape's order, as in train_vae
+            g = p * (g - (g * p).sum(axis=-1, keepdims=True))
+            _, gw, gb = _backprop(ensemble, acts, g, _relu_grad, xb)
+            _sgd_step(params, gw + gb, hp.lr)
+            batch_loss_sums[:, epoch] += losses
     # held-out accuracy + training entropy percentiles of the full ensemble
     p_held, p_train = (_softmax(_forward(ensemble, xs, _relu)).mean(axis=0)
                        for xs in (x_all[held], xt))
@@ -483,6 +449,23 @@ def train_bundle(dataset, vae_hp=None, ens_hp=None, n_members=5, seed=0):
 # every parameter tensor in manifest order
 
 
+@contextmanager
+def _atomic_open(path, mode="w"):
+    """``open(path, mode)`` for writing, through a temp file that replaces
+    ``path`` once the block has written it whole; on an error the temp file
+    is removed and ``path`` keeps its old content. Every file the package
+    writes goes through here."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def _bundle_tensors(bundle):
     named = [("encoder", bundle.encoder), ("decoder", bundle.decoder)]
     named += [(f"ensemble{e}", _member(bundle, e)) for e in range(bundle.n_members)]
@@ -504,9 +487,9 @@ def save_bundle(bundle, directory):
         "ensemble_report": {"heldout_accuracy": bundle.ensemble_report.heldout_accuracy,
                             "entropy_percentiles": bundle.ensemble_report.entropy_percentiles},
     }
-    with open(directory / "manifest.json", "w", encoding="utf-8") as f:
+    with _atomic_open(directory / "manifest.json") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
-    with open(directory / "weights.bin", "wb") as f:
+    with _atomic_open(directory / "weights.bin", "wb") as f:
         for _, t in tensors:
             f.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
 

@@ -4,9 +4,12 @@ exit codes for usage and numerical failures, and byte-level determinism."""
 import json
 import os
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cluekit import cli, clue, models
 
@@ -200,6 +203,7 @@ SWEEP = ["sweep", "--axis", "lambda_d", "--grid", "0,0.5"]
     (SWEEP + ["--set", "k=4", "--set", "delta=2"], "needs k >= 2 and r > 0"),
     (["sweep", "--axis", "n_i", "--grid", "0,5", "--set", "k=4", "--set", "delta=2"],
      "needs k >= 2 and r > 0"),
+    (["bench", "--schemes", "dclue", "--set", "k=4", "--set", "delta=2"], "needs r > 0"),
 ])
 def test_malformed_search_config_exit_2(workspace, tmp_path, argv, message, capsys):
     out = tmp_path / "bad"
@@ -454,6 +458,13 @@ BAD_SETTINGS = {  # case -> (argv, the text the error must hold)
     "kl_weight_bool": (["train", "--set", "kl_weight=false"], "kl_weight must be a number"),
     "lambda_x_glam": (["glam", "--variant", "glam1", "--set", "lambda_x=true"],
                       "lambda_x must be a number"),
+    "cap_zero_glam1": (["glam", "--variant", "glam1", "--set", "cap=0"], "cap must be >= 1"),
+    "cap_zero_dbm": (["glam", "--variant", "dbm-input", "--set", "cap=0"], "cap must be >= 1"),
+    "cap_negative": (["glam", "--variant", "glam1", "--set", "cap=-1"], "cap must be >= 1"),
+    "cap_zero_sweep": (LAMBDA_THETA + ["--set", "cap=0"], "cap must be >= 1"),
+    "seed_train": (["train", "--seed", "-1"], "seed must be >= 0"),
+    "seed_explain": (["explain", "--set", "seed=-1"], "seed must be >= 0"),
+    "seed_bench": (["bench", "--set", "seed=-1"], "seed must be >= 0"),
 }
 
 
@@ -503,3 +514,24 @@ def test_older_manifest_loads_with_the_dimensions_of_its_weights(workspace, tmp_
     shares = [float(r[3]) for r in rows if r[2].startswith("distinct_labels")]
     # distinct labels over c' = 3 classes: a multiple of 1/3, never 0.2 or 0.4
     assert shares and all(v > 0 and abs(3 * v - round(3 * v)) < 1e-12 for v in shares)
+
+
+SET_KEYS = sorted(clue.ExperimentConfig.__dataclass_fields__) + [
+    "metric", "space", "tau_low", "tau_high"]
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.sampled_from(SET_KEYS),
+       value=(JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3)).map(json.dumps)
+       | st.text(max_size=6))
+def test_any_single_setting_exits_0_or_2(workspace, key, value):
+    """Whatever one --set holds, explain exits 0, or exits 2 and leaves no
+    output directory."""
+    with tempfile.TemporaryDirectory() as root:
+        out = os.path.join(root, "out")
+        code = run(["explain", "--out", out, "--bundle", workspace["bundle"],
+                    "--dataset", workspace["dataset"], "--top", "0",
+                    "--set", f"{key}={value}"])
+        assert code in (0, 2)
+        assert code == 0 or not os.path.exists(out)

@@ -77,6 +77,23 @@ def test_export_csv(tmp_path):
     assert len(lines) == 51  # header + one row per point
 
 
+def test_failed_writes_leave_the_old_files_whole(tmp_path):
+    """A write that fails partway leaves the file it would replace as it was,
+    and no temp file beside it."""
+    ds = data.gen_blobs(c=3, d=6, n=50, spread=0.15, seed=5)
+    data.export_csv(ds, tmp_path / "ds.csv")
+    data.save_dataset(ds, tmp_path / "dataset")
+    before = {p.name: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    broken = data.Dataset(inputs=ds.inputs.astype(object), labels=ds.labels, split=ds.split,
+                          generator=ds.generator)
+    broken.inputs[30, 2] = "not a number"  # fails the row loop and the blob alike
+    with pytest.raises(ValueError):
+        data.export_csv(broken, tmp_path / "ds.csv")
+    with pytest.raises(ValueError):
+        data.save_dataset(broken, tmp_path / "dataset")
+    assert {p.name: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 def test_partition_matches_brute_force_recount(blobs, blobs_bundle):
     lo, hi = data.default_taus(blobs_bundle)
     part = data.partition_by_certainty(blobs, blobs_bundle, lo, hi)

@@ -101,6 +101,23 @@ def test_diversity_costs_some_certainty(blobs, blobs_bundle):
     assert means[1] > means[0]
 
 
+def test_coincident_starts_are_rejected_unless_repelled(tiny_bundle):
+    """At r = 0 all k >= 2 starts sit at z0: every search raises rather than
+    give k copies of one candidate, except a sequential one at lambda_d > 0."""
+    ds, bundle = tiny_bundle
+    x0 = ds.train_inputs()[0]
+    config, repelled = _config(k=4, r=0.0, iters=3), _config(k=4, r=0.0, iters=3, lambda_d=0.5)
+    for search in (lambda: clue.delta_clue(x0, bundle, config),
+                   lambda: divclue.nabla_clue_simultaneous(x0, bundle, repelled, SPEC),
+                   lambda: divclue.nabla_clue_sequential(x0, bundle, config, SPEC),
+                   lambda: divclue.nabla_clue_penalty(x0, bundle, config)):
+        with pytest.raises(ValueError, match="need r > 0"):
+            search()
+    for record in (divclue.nabla_clue_sequential(x0, bundle, repelled, SPEC),
+                   divclue.nabla_clue_penalty(x0, bundle, repelled)):
+        assert len({c.z.tobytes() for c in record.ceset.candidates}) == 4
+
+
 def test_penalty_clamp_value():
     z = np.zeros(3)
     found = [np.zeros(3)]

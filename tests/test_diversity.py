@@ -234,9 +234,9 @@ def test_coverage_gradient_is_plus_minus_one_over_d():
 
 
 def test_label_metrics_are_not_differentiable():
-    spec = div.DiversitySpec(metric="label_entropy")
-    with pytest.raises(ValueError, match="not differentiable"):
-        div.diversity_node(spec, dc.Tensor(np.zeros((2, 2))))
+    for metric in div.LABEL_METRICS:
+        with pytest.raises(ValueError, match="not differentiable"):
+            div.value_and_grad(div.DiversitySpec(metric=metric), np.zeros((2, 2)), 1)
 
 
 # ---------------------------------------------------------------------------

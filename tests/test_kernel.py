@@ -3,9 +3,9 @@ the numpy forward against the autodiff tape.
 
 ``clue.objective``, ``divclue._diversity``, the metric report's ``dpp``,
 ``apd`` and ``coverage``, ``glam._recon_and_grad`` and ``models.encode``/
-``decode``/``predict`` run on plain numpy with a hand-derived backward; the
-``*_graph`` functions and ``diversity.diversity_node`` build the same
-computation on the tape, which is the oracle here.
+``decode``/``predict`` run on plain numpy with a hand-derived backward;
+``tape_oracle`` builds the same computations on the tape, which is the
+oracle here. Training is checked against the tape in ``test_models``.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 
 import cluekit.diffcore as dc
 from cluekit import clue, data, divclue, diversity as div, glam, models
+import tape_oracle as tape
 
 RTOL = 1e-10
 
@@ -28,9 +29,9 @@ def digits64_bundle():
 
 def tape_objective(z, x0, bundle, lambda_x, lambda_y, label):
     zt = dc.Tensor(np.asarray(z, dtype=np.float64), requires_grad=True)
-    x = models.decode_graph(bundle, zt)
-    p = models.posterior_graph(bundle, x)
-    loss = models.entropy_graph(p)
+    x = tape.decode_graph(bundle, zt)
+    p = tape.posterior_graph(bundle, x)
+    loss = tape.entropy_graph(p)
     if lambda_x > 0.0:
         loss = dc.add(loss, dc.mul(dc.l1_dist(x, dc.Tensor(x0)), lambda_x))
     if lambda_y > 0.0:
@@ -101,18 +102,35 @@ def test_numpy_forward_matches_tape(which, tiny_bundle, request):
     zs = models.encode(bundle, xs)
     for x, z in ((xs[0], zs[0]), (xs, zs)):  # one row, then a batch
         np.testing.assert_allclose(models.encode(bundle, x),
-                                   models.encode_graph(bundle, dc.Tensor(x)).data,
+                                   tape.encode_graph(bundle, dc.Tensor(x)).data,
                                    rtol=RTOL, atol=0.0)
         np.testing.assert_allclose(models.decode(bundle, z),
-                                   models.decode_graph(bundle, dc.Tensor(z)).data,
+                                   tape.decode_graph(bundle, dc.Tensor(z)).data,
                                    rtol=RTOL, atol=0.0)
         post = models.predict(bundle, x)
-        members = models.member_probs_graph(bundle, dc.Tensor(x)).data
+        members = tape.member_probs_graph(bundle, dc.Tensor(x)).data
         np.testing.assert_allclose(post.member_probs, members, rtol=RTOL, atol=0.0)
         np.testing.assert_allclose(post.probs, members.mean(axis=0), rtol=RTOL, atol=0.0)
     # a batch row equals the same row on its own
     np.testing.assert_allclose(models.encode(bundle, xs)[3], models.encode(bundle, xs[3]),
                                rtol=RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("which", ["tiny", "digits64"])
+def test_s5_ascent_gradient_matches_tape(which, tiny_bundle, request):
+    """The s5 walk's step direction: the gradient of p_y(decode(z)) from the
+    decoder and posterior kernels seeded with one-hot(y)."""
+    ds, bundle = tiny_bundle if which == "tiny" else request.getfixturevalue("digits64_bundle")
+    for z in models.encode(bundle, ds.train_inputs()[:4]):
+        for y in range(bundle.c_classes):
+            x, decoder_grad = models._decode_with_grad(bundle, z)
+            p, posterior_grad = models._posterior_with_grad(bundle, x)
+            grad = decoder_grad(posterior_grad(np.eye(bundle.c_classes)[y]))
+            zt = dc.Tensor(z, requires_grad=True)
+            ref = tape.posterior_graph(bundle, tape.decode_graph(bundle, zt))
+            dc.pick(ref, y).backward()
+            np.testing.assert_allclose(p, ref.data, rtol=RTOL, atol=0.0)
+            np.testing.assert_allclose(grad, zt.grad, rtol=RTOL, atol=0.0)
 
 
 def _with_dead_class(bundle, dead):
@@ -147,12 +165,12 @@ def tape_diversity(spec, bundle, z0, x0, free, const=None):
     """The diversity term and its free-latent gradients on the tape: free
     latents (decoded on the tape in input space) under constant rows."""
     zts = [dc.Tensor(z, requires_grad=True) for z in free]
-    rows = [zt if spec.space == "latent" else models.decode_graph(bundle, zt) for zt in zts]
+    rows = [zt if spec.space == "latent" else tape.decode_graph(bundle, zt) for zt in zts]
     rows = [dc.reshape(r, (1, -1)) for r in rows]
     if const is not None:
         rows = [dc.Tensor(const)] + rows
-    node = div.diversity_node(spec, dc.concat(rows, axis=0),
-                              x0=z0 if spec.space == "latent" else x0)
+    node = tape.diversity_node(spec, dc.concat(rows, axis=0),
+                               x0=z0 if spec.space == "latent" else x0)
     if node._parents:
         node.backward()
     return float(node.data), np.stack([np.zeros_like(zt.data) if zt.grad is None else zt.grad
@@ -240,7 +258,7 @@ def test_metric_values_equal_the_tape(base):
                 for metric, value in (("dpp", div.dpp(pts, base)), ("apd", div.apd(pts, base)),
                                       ("coverage", div.coverage(pts, x0))):
                     spec = div.DiversitySpec(metric=metric, base=base)
-                    ref = float(div.diversity_node(spec, dc.Tensor(pts), x0=x0).data)
+                    ref = float(tape.diversity_node(spec, dc.Tensor(pts), x0=x0).data)
                     assert value == (min(1.0, max(0.0, ref)) if metric == "dpp" else ref)
 
 
@@ -252,7 +270,7 @@ def tape_recon(bundle, z_u, x_c, theta):
     """The mapper fit's reconstruction term and its theta gradient on the
     tape, each row's nearest certain point held fixed."""
     tt = dc.Tensor(np.asarray(theta), requires_grad=True)
-    dec = models.decode_graph(bundle, dc.add(dc.Tensor(z_u), tt))
+    dec = tape.decode_graph(bundle, dc.add(dc.Tensor(z_u), tt))
     idx = np.argmin(((dec.data[:, None, :] - x_c[None]) ** 2).sum(axis=2), axis=1)
     node = dc.mul(dc.sq_norm(dc.sub(dec, dc.Tensor(x_c[idx]))), 1.0 / len(z_u))
     node.backward()

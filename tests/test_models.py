@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import cluekit.diffcore as dc
-from cluekit import data, models
+from cluekit import clue, data, models
+import tape_oracle as tape
 
 
 def test_forward_shapes(tiny_bundle):
@@ -117,20 +118,20 @@ def _per_member_reference(inputs, labels, n_members, hp, seed):
     for e in range(n_members):
         rng = np.random.default_rng([seed, 1 + e])
         mlp = models._init_mlp(rng, [x_all.shape[1], hp.hidden, hp.hidden, c])
-        ts = models._mlp_tensors(mlp)
+        ts = tape._mlp_tensors(mlp)
         onehot = np.eye(c)[yt]
         for epoch in range(hp.epochs):
             order = rng.permutation(len(xt))
             for lo in range(0, len(xt), hp.batch):
                 idx = order[lo:lo + hp.batch]
-                logits = models._mlp_graph(ts, dc.Tensor(xt[idx]), dc.relu)
+                logits = tape._mlp_graph(ts, dc.Tensor(xt[idx]), dc.relu)
                 p = dc.softmax(logits, axis=-1)
                 loss = dc.mul(dc.tsum(dc.mul(dc.Tensor(onehot[idx]), dc.log(p))),
                               -1.0 / len(idx))
                 loss.backward()
-                models._sgd_step(ts, hp.lr)
+                tape._sgd_step(ts, hp.lr)
                 batch_loss_sums[e, epoch] += float(loss.data)
-        models._write_back(mlp, ts)
+        tape._write_back(mlp, ts)
         members.append(mlp)
     n_batches = -(-len(xt) // hp.batch)
     return members, (batch_loss_sums / n_batches).mean(axis=0).tolist()
@@ -151,6 +152,52 @@ def test_stacked_training_equals_per_member_loop(n_members):
         for i, (w, b) in enumerate(zip(member.weights, member.biases)):
             assert np.array_equal(ensemble.weights[i][e], w), (e, i)
             assert np.array_equal(ensemble.biases[i][e, 0], b), (e, i)
+
+
+def _arrays(*mlps):
+    return [a for mlp in mlps for a in mlp.weights + mlp.biases]
+
+
+@pytest.mark.parametrize("n_members", [1, 3])
+def test_training_equals_the_tape(n_members):
+    """The numpy training loops give the tape loops' weights, biases, loss
+    curves and report statistics bit for bit, with a one-row last batch."""
+    ds = data.gen_blobs(c=3, d=8, n=120, spread=0.2, seed=3)
+    x, y = ds.train_inputs(), ds.train_labels()
+    vae_hp = models.VaeHyperparams(hidden=12, latent=3, epochs=4, batch=32)
+    ens_hp = models.EnsembleHyperparams(hidden=8, epochs=4, batch=11)
+    n_fit = len(x) - max(1, int(len(x) * models.HELDOUT_FRAC))
+    assert len(x) % vae_hp.batch == 1 and n_fit % ens_hp.batch == 1
+    enc, dec, vae_report = models.train_vae(x, vae_hp, seed=4)
+    ref_enc, ref_dec, ref_vae_report = tape.train_vae(x, vae_hp, seed=4)
+    ensemble, ens_report = models.train_ensemble(x, y, n_members, ens_hp, seed=9)
+    ref_ensemble, ref_ens_report = tape.train_ensemble(x, y, n_members, ens_hp, seed=9)
+    got, ref = _arrays(enc, dec, ensemble), _arrays(ref_enc, ref_dec, ref_ensemble)
+    assert len(got) == len(ref) == 18
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    assert vae_report.loss_curve == ref_vae_report.loss_curve
+    assert vae_report.mean_recon_l1 == ref_vae_report.mean_recon_l1
+    assert ens_report.loss_curve == ref_ens_report.loss_curve
+    assert ens_report.heldout_accuracy == ref_ens_report.heldout_accuracy
+
+
+def test_training_and_the_s5_walk_build_no_tensor(monkeypatch):
+    made = []
+    init = dc.Tensor.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(dc.Tensor, "__init__", counted_init)
+    ds = data.gen_blobs(c=3, d=8, n=120, spread=0.2, seed=3)
+    bundle = models.train_bundle(ds, models.VaeHyperparams(hidden=12, latent=3, epochs=2),
+                                 models.EnsembleHyperparams(hidden=8, epochs=2),
+                                 n_members=2, seed=3)
+    assert not made
+    z0 = models.encode(bundle, ds.train_inputs()[0])
+    clue.init_scheme("s5", z0, 1.0, 1, 3, delta=1.0, context=clue.make_init_context(bundle))
+    assert not made
 
 
 def test_single_member_ensemble(tiny_bundle):
@@ -224,6 +271,19 @@ def test_load_rejects_tensors_that_do_not_form_the_networks(tiny_bundle, tmp_pat
     models.save_bundle(models.ModelBundle(**nets), tmp_path)
     with pytest.raises(ValueError, match="do not form the bundle's networks"):
         models.load_bundle(tmp_path)
+
+
+def test_failed_save_leaves_the_old_weights_whole(tiny_bundle, tmp_path):
+    _, bundle = tiny_bundle
+    models.save_bundle(bundle, tmp_path)
+    before = (tmp_path / "weights.bin").read_bytes()
+    decoder = models.MLP(list(bundle.decoder.weights), list(bundle.decoder.biases))
+    decoder.weights[-1] = np.full(decoder.weights[-1].shape, "not a number", dtype=object)
+    with pytest.raises(ValueError):  # after the encoder's tensors are written
+        models.save_bundle(models.ModelBundle(bundle.encoder, decoder, bundle.ensemble),
+                           tmp_path)
+    assert (tmp_path / "weights.bin").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "weights.bin"]
 
 
 def test_serialization_is_hash_stable(tiny_bundle, tmp_path):

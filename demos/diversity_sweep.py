@@ -15,8 +15,7 @@ ens_hp = models.EnsembleHyperparams(hidden=32, epochs=80)
 bundle = models.train_bundle(ds, vae_hp, ens_hp, n_members=5, seed=11)
 print(f"held-out accuracy: {bundle.ensemble_report.heldout_accuracy:.3f}")
 
-entropies = [models.entropy(models.predict(bundle, x))
-             for x in ds.test_inputs()[:60]]
+entropies = models.predict_entropy(bundle, ds.test_inputs()[:60])
 x0 = ds.test_inputs()[int(np.argmax(entropies))]
 
 spec = diversity.DiversitySpec(metric="dpp", space="latent")

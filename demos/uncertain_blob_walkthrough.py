@@ -15,8 +15,7 @@ ens_hp = models.EnsembleHyperparams(hidden=32, epochs=150)
 bundle = models.train_bundle(ds, vae_hp, ens_hp, n_members=5, seed=7)
 print(f"held-out accuracy: {bundle.ensemble_report.heldout_accuracy:.3f}")
 
-entropies = np.array([models.entropy(models.predict(bundle, x))
-                      for x in ds.test_inputs()])
+entropies = models.predict_entropy(bundle, ds.test_inputs())  # one call for the set
 idx = int(np.argmax(entropies))
 x0 = ds.test_inputs()[idx]
 print(f"most uncertain test point: #{idx}, H = {entropies[idx]:.3f} nats")

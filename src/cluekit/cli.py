@@ -173,18 +173,20 @@ def _load(what, loader, path):
         raise UsageError(f"cannot load {what} {path}: {e}")
 
 
-def _load_bundle(args):
-    return _load("bundle", models.load_bundle, args.bundle)
-
-
-def _load_dataset(args):
-    return _load("dataset", data.load_dataset, args.dataset)
+def _load_inputs(args):
+    """The bundle and the dataset; a dataset of another input width than the
+    bundle's is a usage error."""
+    bundle = _load("bundle", models.load_bundle, args.bundle)
+    ds = _load("dataset", data.load_dataset, args.dataset)
+    if ds.inputs.shape[1] != bundle.d_in:
+        raise UsageError(f"dataset {args.dataset} has inputs of width {ds.inputs.shape[1]}, "
+                         f"bundle {args.bundle} takes width {bundle.d_in}")
+    return bundle, ds
 
 
 def _top_uncertain(dataset, bundle, n):
     xs = dataset.test_inputs()
-    ents = np.array([models.entropy(models.predict(bundle, x)) for x in xs])
-    order = np.argsort(-ents, kind="stable")[:n]
+    order = np.argsort(-models.predict_entropy(bundle, xs), kind="stable")[:n]
     return [(int(i), xs[int(i)]) for i in order]
 
 
@@ -235,7 +237,7 @@ def cmd_train(args):
         hidden=size("ens_hidden", 32), lr=_setting(cfg, "ens_lr", 0.1),
         epochs=size("ens_epochs", 80), batch=size("batch", 128))
     members = size("members", 5)
-    ds = _load_dataset(args)
+    ds = _load("dataset", data.load_dataset, args.dataset)
     out = _ensure_out(args)
     t0 = time.perf_counter()
     bundle = models.train_bundle(ds, vae_hp, ens_hp, n_members=members, seed=seed)
@@ -327,8 +329,7 @@ def cmd_explain(args):
     if clue.coincident_starts(config, args.method in ("divclue-seq", "divclue-pen")):
         raise UsageError(f"--method {args.method} with k={config.k} needs r > 0: at r=0 all k "
                          f"start points sit at z0, so it writes k identical candidates")
-    bundle = _load_bundle(args)
-    ds = _load_dataset(args)
+    bundle, ds = _load_inputs(args)
     context = _init_context(cfg, [config], ds, bundle)
     out = _ensure_out(args)
     selected = _top_uncertain(ds, bundle, args.top)
@@ -395,8 +396,7 @@ def cmd_sweep(args):
         raise UsageError(f"sweep --axis {args.axis} needs k >= 2 and r > 0, got k={configs[0].k} "
                          f"and r={configs[0].r}: one point, or k copies of z0, has no "
                          f"diversity, so every grid point gives the same result")
-    bundle = _load_bundle(args)
-    ds = _load_dataset(args)
+    bundle, ds = _load_inputs(args)
     groups = _groups(cfg, ds, bundle) if args.axis == "lambda_theta" else None
     context = _init_context(cfg, configs, ds, bundle)
     t0 = time.perf_counter()
@@ -470,8 +470,7 @@ def _glam_scheme(variant, cfg, groups, bundle, cesets, cap):
         if not cesets:
             raise UsageError("glam2 requires prior CESet files "
                              "(pass --cesets with explain outputs)")
-        labels = [models.argmax_label(models.predict(bundle, cs.x0).probs)
-                  for cs in cesets]
+        labels = models.predict(bundle, np.stack([cs.x0 for cs in cesets])).argmax(axis=1)
         mappers = glam.mappers_from_cesets(
             cesets, labels, bundle,
             lambda_theta=_setting(cfg, "lambda_theta_clue", 0.0))
@@ -501,9 +500,12 @@ def cmd_glam(args):
         if v not in GLAM_VARIANTS:
             raise UsageError(f"unknown variant {v!r}; choose from "
                              f"{GLAM_VARIANTS + ('all',)}")
-    bundle = _load_bundle(args)
-    ds = _load_dataset(args)
+    bundle, ds = _load_inputs(args)
     cesets = [_load("cesets", clue.load_ceset, p) for p in (args.cesets or [])]
+    for path, cs in zip(args.cesets or [], cesets):
+        if len(cs.x0) != bundle.d_in:
+            raise UsageError(f"ceset {path} has an input of width {len(cs.x0)}, "
+                             f"bundle {args.bundle} takes width {bundle.d_in}")
     groups = _groups(cfg, ds, bundle)
     t0 = time.perf_counter()
     # every scheme is built before any file is written, so a variant that
@@ -549,8 +551,7 @@ def cmd_bench(args):
     if "dclue" in schemes and clue.coincident_starts(config):
         raise UsageError(f"--schemes dclue with k={config.k} needs r > 0: at r=0 all k start "
                          f"points sit at z0, so it times k identical descents")
-    bundle = _load_bundle(args)
-    ds = _load_dataset(args)
+    bundle, ds = _load_inputs(args)
     c, (xu, xc) = next(iter(_groups(cfg, ds, bundle).items()))
     x = xu[0]
     context = _init_context(cfg, [config], ds, bundle)
@@ -562,7 +563,7 @@ def cmd_bench(args):
     # the timed loop below measures per-point inference only
     dbm_in = glam.dbm_baseline("input", xu, xc, bundle)
     dbm_lat = glam.dbm_baseline("latent", xu, xc, bundle)
-    z_certain = np.stack([models.encode(bundle, v) for v in xc])
+    z_certain = models.encode(bundle, xc)
     runners = {
         "glam": lambda: glam.apply_mapper(mapper, x, bundle),
         "dclue": lambda: clue.delta_clue(x, bundle, config, context),

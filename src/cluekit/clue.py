@@ -115,7 +115,7 @@ def objective(z, x0, bundle, lambda_x=0.0, lambda_y=0.0, x0_label=None):
     """
     zt = dc.Tensor(np.asarray(z, dtype=np.float64), requires_grad=True)
     if lambda_y > 0.0 and x0_label is None:
-        x0_label = models.argmax_label(models.predict(bundle, x0).probs)
+        x0_label = models.argmax_label(models.predict(bundle, x0))
     h_term, dx_term, dy_term, grad = models.search_objective(
         bundle, zt.data, x0, lambda_x, lambda_y, x0_label)
     value = h_term
@@ -324,19 +324,24 @@ def _descend(starts, z0, x0, bundle, config, x0_label, trace=False, repel=None):
 def _setup(x0, bundle):
     """The input as float64, its latent z0 and its predicted label."""
     x0 = np.asarray(x0, dtype=np.float64)
-    return x0, models.encode(bundle, x0), models.argmax_label(models.predict(bundle, x0).probs)
+    return x0, models.encode(bundle, x0), models.argmax_label(models.predict(bundle, x0))
 
 
 def make_candidate(z, x0, z0, bundle, config, start_index, x0_label, trajectory=None):
-    x = models.decode(bundle, z)
-    post = models.predict(bundle, x)
-    h = models.entropy(post)
-    d_x = float(np.sum(np.abs(x - x0)))
-    d_y = float(-np.log(max(post.probs[x0_label], 1e-300)))
+    """The search end point ``z`` decoded and scored; a non-finite latent
+    distance to z0 (a diverged search) raises ``FloatingPointError``."""
     rho = float(np.linalg.norm(z - z0))
+    if not math.isfinite(rho):
+        raise FloatingPointError(f"candidate {start_index} diverged: its latent distance "
+                                 f"to z0 is {rho} (lower lr, or bound it with delta)")
+    x = models.decode(bundle, z)
+    p = models.predict(bundle, x)
+    h = models.entropy(p)
+    d_x = float(np.sum(np.abs(x - x0)))
+    d_y = float(-np.log(max(p[x0_label], 1e-300)))
     cost = h + config.lambda_x * d_x + config.lambda_y * d_y
-    return CandidateCE(z=z, x=x, posterior=post.probs, entropy=h, d_x=d_x, d_y=d_y,
-                       rho=rho, cost=cost, label=models.argmax_label(post.probs),
+    return CandidateCE(z=z, x=x, posterior=p, entropy=h, d_x=d_x, d_y=d_y,
+                       rho=rho, cost=cost, label=models.argmax_label(p),
                        accepted=bool(h < config.h_threshold), start_index=start_index,
                        trajectory=trajectory)
 
@@ -431,10 +436,14 @@ def ceset_from_json(payload):
 
 
 def load_ceset(path):
-    """Read a file written by ``dump_ceset``; a malformed one raises ``ValueError``."""
+    """Read a file written by ``dump_ceset``; a malformed one, or one with no
+    candidates, raises ``ValueError``."""
     with open(path, encoding="utf-8") as f:
         payload = json.load(f)
     try:
-        return ceset_from_json(payload)
+        ceset = ceset_from_json(payload)
     except (KeyError, TypeError) as e:
         raise ValueError(f"{path} is malformed: {type(e).__name__} {e}") from e
+    if not ceset.candidates:
+        raise ValueError(f"{path} holds no candidates")
+    return ceset

@@ -162,7 +162,7 @@ def partition_by_certainty(dataset, bundle, tau_low, tau_high):
     """
     xs = dataset.train_inputs()
     ys = dataset.train_labels()
-    ents = np.array([models.predict_entropy(bundle, x) for x in xs])
+    ents = models.predict_entropy(bundle, xs)
     flags = np.where(ents <= tau_low, "certain",
                      np.where(ents > tau_high, "uncertain", "mid"))
     part = GroupPartition(entropies=ents, labels=ys, flags=flags,

@@ -120,6 +120,7 @@ def nabla_clue_sequential(x0, bundle, config, spec, context=None, trace=False):
     once per descent.
     """
     def repulsion(found, z0, x0):
+        # one decode per found point: the tests pin it bitwise to that loop
         const = np.stack([models.decode(bundle, f) for f in found]
                          if spec.space == "input" else found)
 

@@ -35,9 +35,8 @@ class MapperHyperparams:
 
 def mean_translation(x_uncertain, x_certain, bundle):
     """Latent difference-between-means: the mapper's initialization."""
-    z_u = np.stack([models.encode(bundle, x) for x in x_uncertain])
-    z_c = np.stack([models.encode(bundle, x) for x in x_certain])
-    return z_c.mean(axis=0) - z_u.mean(axis=0)
+    return (models.encode(bundle, x_certain).mean(axis=0)
+            - models.encode(bundle, x_uncertain).mean(axis=0))
 
 
 def train_mapper(x_uncertain, x_certain, bundle, lambda_theta=0.1,
@@ -56,9 +55,8 @@ def train_mapper(x_uncertain, x_certain, bundle, lambda_theta=0.1,
         raise ValueError(f"train_mapper: empty {side} group")
     hp = hyperparams or MapperHyperparams()
     x_certain = np.asarray(x_certain, dtype=np.float64)
-    z_u = np.stack([models.encode(bundle, x) for x in x_uncertain])
-    z_c_mean = np.stack([models.encode(bundle, x) for x in x_certain]).mean(axis=0)
-    theta = z_c_mean - z_u.mean(axis=0)
+    z_u = models.encode(bundle, x_uncertain)
+    theta = mean_translation(x_uncertain, x_certain, bundle)
 
     curve = []
     for _ in range(hp.steps):
@@ -87,13 +85,13 @@ def _score(z, x_ce, z0, x, bundle, lambda_x):
     """The counterfactual x_ce (latent z) of the input x (latent z0) as a
     scored candidate; the caller supplies both latents, so this is one
     predict."""
-    post = models.predict(bundle, x_ce)
-    h = models.entropy(post)
+    p = models.predict(bundle, x_ce)
+    h = models.entropy(p)
     d_x = float(np.abs(x_ce - x).sum())
-    return CandidateCE(z=z, x=x_ce, posterior=post.probs, entropy=h, d_x=d_x,
+    return CandidateCE(z=z, x=x_ce, posterior=p, entropy=h, d_x=d_x,
                        d_y=0.0, rho=float(np.linalg.norm(z - z0)),
                        cost=h + lambda_x * d_x,
-                       label=models.argmax_label(post.probs), accepted=True,
+                       label=models.argmax_label(p), accepted=True,
                        start_index=0)
 
 
@@ -153,6 +151,7 @@ def nn_baseline(space, x_uncertain, x_certain, bundle, lambda_x=0.0,
     if space == "input":
         x_ce = x_c[int(np.argmin(np.linalg.norm(x_c - x, axis=1)))]
         return _score(models.encode(bundle, x_ce), x_ce, z0, x, bundle, lambda_x)
+    # row by row: batched, the timed loop outgrows the benchmark's memory bound (ROADMAP 1)
     z_c = (np.asarray(z_certain) if z_certain is not None
            else np.stack([models.encode(bundle, xc) for xc in x_c]))
     z = z_c[int(np.argmin(np.linalg.norm(z_c - z0, axis=1)))]

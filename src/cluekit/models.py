@@ -12,14 +12,15 @@ a saved bundle records shapes only in its manifest's ``tensors`` list.
 
 One numpy forward (``_forward``) and its hand-derived backward
 (``_backprop``) serve every use of the networks. Inference (``encode``,
-``decode``, ``predict``) runs the forward alone. The search objective
-(``search_objective``), the s5 start walk, the diversity gradients and the
-mapper fit take adjoints back to the latent through ``_decode_with_grad``
-and ``_posterior_with_grad``. Training takes them on to the weights: given
-the input as well, ``_backprop`` returns each layer's weight and bias
-adjoints. The tests build the same networks on the autodiff tape as the
-oracle, and training repeats the tape's arithmetic term by term, so it
-gives the tape's weights bit for bit.
+``decode``, ``predict``) runs the forward alone, on one row or on a batch
+of rows in one call; ``predict`` returns the ensemble-mean posterior. The
+search objective (``search_objective``), the s5 start walk, the diversity
+gradients and the mapper fit take adjoints back to the latent through
+``_decode_with_grad`` and ``_posterior_with_grad``. Training takes them on
+to the weights: given the input as well, ``_backprop`` returns each layer's
+weight and bias adjoints. The tests build the same networks on the autodiff
+tape as the oracle, and training repeats the tape's arithmetic term by
+term, so it gives the tape's weights bit for bit.
 """
 
 from __future__ import annotations
@@ -94,12 +95,6 @@ def _member(bundle, e):
     """Member ``e`` of the stacked ensemble as a plain MLP (views of slab e)."""
     ens = bundle.ensemble
     return MLP(weights=[w[e] for w in ens.weights], biases=[b[e, 0] for b in ens.biases])
-
-
-@dataclass
-class Posterior:
-    probs: np.ndarray  # length c' simplex, mean over members
-    member_probs: np.ndarray  # E x c'
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +219,7 @@ def search_objective(bundle, z, x0, lambda_x, lambda_y, label):
 
 
 # encode, decode and predict let the first matmul check the input width,
-# which costs nothing when it fits: they run row by row in several loops
+# which costs nothing when it fits: the timed paths call them row by row
 
 
 def encode(bundle, x):
@@ -250,27 +245,30 @@ def decode(bundle, z):
 
 
 def predict(bundle, x):
+    """The ensemble-mean posterior: length c' at one input, n x c' at n x d'."""
     x = np.asarray(x, dtype=np.float64)
     try:
         member = _softmax(_forward(bundle.ensemble, x.reshape(-1, x.shape[-1]), _relu))
     except ValueError:
         raise dc.ShapeError(f"predict: input length {x.shape[-1]} != d'={bundle.d_in}") from None
     EVAL_COUNTS["predict"] += 1
-    if x.ndim == 1:
-        member = member[:, 0]
-    return Posterior(probs=member.sum(axis=0) / len(member), member_probs=member)
+    p = member.sum(axis=0) / len(member)
+    return p[0] if x.ndim == 1 else p
 
 
-def entropy(posterior):
+def entropy(p):
     """H = -sum p log p in nats, with 0 log 0 := 0."""
-    p = posterior.probs if isinstance(posterior, Posterior) else np.asarray(posterior, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-6:
         raise ValueError(f"entropy: input is not a probability simplex (sum={p.sum():.6g})")
     return float(-xlogy(p, p).sum())
 
 
 def predict_entropy(bundle, x):
-    return entropy(predict(bundle, x))
+    """H of ``predict`` at one input (a float) or at each row of a batch, in one call."""
+    p = predict(bundle, x)
+    h = -xlogy(p, p).sum(axis=-1)
+    return float(h) if p.ndim == 1 else h
 
 
 def argmax_label(probs):

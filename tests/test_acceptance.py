@@ -140,7 +140,7 @@ def test_collapse_identities_bitwise(tiny_bundle):
         free = _base_config(delta=float("inf"), r=0.0, k=1)
         ceset = clue.delta_clue(x0, bundle, free)
         z = models.encode(bundle, x0)
-        label = models.argmax_label(models.predict(bundle, x0).probs)
+        label = models.argmax_label(models.predict(bundle, x0))
         for _ in range(free.iters):
             _, g = clue.objective(z, x0, bundle, free.lambda_x,
                                   free.lambda_y, label)
@@ -317,7 +317,7 @@ def test_descent_beats_sampling(digits_bundle, most_uncertain_digit):
                                        lambda_x=0.05, lr=0.3, iters=20, seed=5)
         z0 = models.encode(digits_bundle, most_uncertain_digit)
         label = models.argmax_label(
-            models.predict(digits_bundle, most_uncertain_digit).probs)
+            models.predict(digits_bundle, most_uncertain_digit))
         starts = clue.make_starts(z0, config)
         initial = [clue.objective(zs, most_uncertain_digit, digits_bundle,
                                   config.lambda_x, config.lambda_y, label)[0]
@@ -422,7 +422,7 @@ def test_mapper_validity_and_cost(blobs, blobs_bundle, blob_partition):
             cesets = [clue.delta_clue(x, blobs_bundle, config)
                       for _c, x in points]
             labels = [models.argmax_label(
-                models.predict(blobs_bundle, x).probs) for _c, x in points]
+                models.predict(blobs_bundle, x)) for _c, x in points]
             search_mappers[lam_pairs] = glam.mappers_from_cesets(
                 cesets, labels, blobs_bundle, lambda_theta=0.0)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cluekit import cli, clue, models
+from cluekit import cli, clue, data, models
 
 
 def run(argv):
@@ -154,6 +154,53 @@ def test_explain_top_zero_writes_empty_tables(workspace, tmp_path):
     scatter = (out / "scatter.csv").read_text().strip().splitlines()
     assert len(scatter) == 1  # header only
     assert not [p for p in os.listdir(out) if p.startswith("ceset_")]
+
+
+def test_explain_on_an_empty_test_split_writes_empty_tables(workspace, tmp_path):
+    """Selection is one batched entropy call, which also takes 0 rows."""
+    ds = data.gen_blobs(c=3, d=8, n=8, spread=0.22, seed=1, test_frac=0.01)
+    assert len(ds.test_inputs()) == 0
+    data.save_dataset(ds, tmp_path / "dataset")
+    out = tmp_path / "ex"
+    assert run(["explain", "--out", str(out), "--bundle", workspace["bundle"],
+                "--dataset", str(tmp_path / "dataset"), "--top", "1"] + EXPLAIN_SETS) == 0
+    assert (out / "scatter.csv").read_text().strip().splitlines() == [
+        "input,candidate,H,d_x,rho,cost,label,accepted"]
+    assert (out / "label_distribution.csv").read_text() == "input,class,weight\n"
+    assert not [p for p in os.listdir(out) if p.startswith("ceset_")]
+
+
+@pytest.mark.parametrize("sets", [["lr=1e300"], ["r=1e308", "iters=2"]])
+def test_diverged_search_exits_3(workspace, tmp_path, sets, capsys):
+    """A search whose end point overflows is a numerical failure, not an
+    inf in the outputs."""
+    argv = ["explain", "--out", str(tmp_path / "dv"), "--bundle", workspace["bundle"],
+            "--dataset", workspace["dataset"], "--top", "1"]
+    with np.errstate(all="ignore"):
+        assert run(argv + [a for v in sets for a in ("--set", v)]) == 3
+    assert "diverged" in capsys.readouterr().err
+
+
+def _ceset_file(path, width, n_candidates=1):
+    """A ceset JSON for an input of ``width`` with ``n_candidates`` candidates."""
+    cand = {"z": [0.0] * 3, "x": [0.5] * width, "posterior": [1.0, 0.0, 0.0],
+            "entropy": 0.0, "d_x": 0.0, "d_y": 0.0, "rho": 0.0, "cost": 0.0,
+            "label": 0, "accepted": True, "start_index": 0}
+    path.write_text(json.dumps({"config": {}, "x0": [0.5] * width, "z0": [0.0] * 3,
+                                "candidates": [cand] * n_candidates}))
+    return path
+
+
+def test_ceset_without_candidates_exit_2(workspace, tmp_path, capsys):
+    empty = _ceset_file(tmp_path / "empty.json", 8, n_candidates=0)
+    with pytest.raises(ValueError, match="no candidates"):
+        clue.load_ceset(str(empty))
+    out = tmp_path / "gl"
+    assert run(["glam", "--out", str(out), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"], "--variant", "glam2",
+                "--cesets", str(empty)]) == 2
+    assert str(empty) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_explain_negative_top_exit_2(workspace, tmp_path, capsys):
@@ -468,22 +515,41 @@ BAD_SETTINGS = {  # case -> (argv, the text the error must hold)
 }
 
 
-@pytest.mark.parametrize("case", list(BROKEN_BUNDLES) + list(BAD_SETTINGS))
+WIDE_INPUTS = {  # case -> argv run on a 64-wide dataset, or ceset, and the 8-wide bundle
+    "width_explain": ["explain"] + EXPLAIN_SETS,
+    "width_sweep_delta": ["sweep", "--axis", "delta", "--grid", "1"],
+    "width_glam_dbm_input": ["glam", "--variant", "dbm-input"],
+    "width_bench": ["bench", "--repetitions", "1"],
+    "width_glam2_ceset": ["glam", "--variant", "glam2"],
+}
+
+
+@pytest.mark.parametrize("case", list(BROKEN_BUNDLES) + list(BAD_SETTINGS) + list(WIDE_INPUTS))
 def test_malformed_input_exit_2(workspace, tmp_path, case, capsys):
-    """A broken bundle file or a bad numeric setting exits 2 with a message
-    that names the file or the key, and writes nothing."""
+    """A broken bundle file, a bad numeric setting, or a dataset or ceset
+    whose input width is not the bundle's exits 2 with a message that names
+    the file or the key (and both widths), and writes nothing."""
     bundle = tmp_path / "bundle"
     shutil.copytree(workspace["bundle"], bundle)
     out = tmp_path / "out"
     inputs = ["--bundle", str(bundle), "--dataset", workspace["dataset"]]
     if case in BROKEN_BUNDLES:
         broken = BROKEN_BUNDLES[case](bundle)
-        argv, named = ["explain"] + inputs + EXPLAIN_SETS, str(broken)
+        argv, named = ["explain"] + inputs + EXPLAIN_SETS, [str(broken)]
+    elif case in WIDE_INPUTS:
+        wide = tmp_path / "wide"
+        if case == "width_glam2_ceset":
+            extra = inputs + ["--cesets", str(_ceset_file(wide, 64))]
+        else:
+            data.save_dataset(data.gen_minidigits(n=40, seed=0), wide)
+            extra = ["--bundle", str(bundle), "--dataset", str(wide)]
+        argv, named = WIDE_INPUTS[case] + extra, [str(wide), str(bundle), "64", "8"]
     else:
         argv, named = BAD_SETTINGS[case]
-        argv = argv + {"gen-data": [], "train": inputs[2:]}.get(argv[0], inputs)
+        argv, named = argv + {"gen-data": [], "train": inputs[2:]}.get(argv[0], inputs), [named]
     assert run(argv + ["--out", str(out)]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert all(text in err for text in named), err
     assert not out.exists()
 
 

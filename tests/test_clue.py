@@ -90,7 +90,7 @@ def test_objective_matches_finite_differences(tiny_bundle):
     ds, bundle = tiny_bundle
     x0 = ds.train_inputs()[0]
     z0 = models.encode(bundle, x0)
-    label = models.argmax_label(models.predict(bundle, x0).probs)
+    label = models.argmax_label(models.predict(bundle, x0))
     step = 1e-5
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -269,6 +269,19 @@ def test_label_distribution_matches_recomputation(tiny_bundle):
     else:
         expected = raw / raw.sum()
     assert np.allclose(weights, expected)
+
+
+def test_diverged_search_raises(tiny_bundle):
+    """A candidate at a non-finite latent distance from z0 raises, once per
+    candidate, instead of being scored."""
+    ds, bundle = tiny_bundle
+    x0 = ds.train_inputs()[0]
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="diverged"):
+        clue.delta_clue(x0, bundle, clue.ExperimentConfig(lr=1e300))
+    x0, z0, label = clue._setup(x0, bundle)
+    with pytest.raises(FloatingPointError, match="candidate 2 diverged"):
+        clue.make_candidate(np.full_like(z0, np.nan), x0, z0, bundle,
+                            clue.ExperimentConfig(), 2, label)
 
 
 def test_ceset_json_roundtrip(tiny_bundle, tmp_path):

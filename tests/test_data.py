@@ -97,9 +97,11 @@ def test_failed_writes_leave_the_old_files_whole(tmp_path):
 def test_partition_matches_brute_force_recount(blobs, blobs_bundle):
     lo, hi = data.default_taus(blobs_bundle)
     part = data.partition_by_certainty(blobs, blobs_bundle, lo, hi)
-    ents = np.array([models.predict_entropy(blobs_bundle, x)
-                     for x in blobs.train_inputs()])
+    ents = models.predict_entropy(blobs_bundle, blobs.train_inputs())
     assert np.array_equal(part.entropies, ents)
+    # the batched entropies are each row's on its own, up to rounding
+    rows = [models.predict_entropy(blobs_bundle, x) for x in blobs.train_inputs()]
+    np.testing.assert_allclose(ents, rows, rtol=1e-12, atol=0.0)
     assert np.sum(part.flags == "certain") == np.sum(ents <= lo)
     assert np.sum(part.flags == "uncertain") == np.sum(ents > hi)
     for c in range(4):

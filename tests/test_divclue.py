@@ -253,7 +253,7 @@ def _ref_sequential(x0, bundle, config, spec=None):
     clamped inverse-distance sum when ``spec`` is None."""
     x0 = np.asarray(x0, dtype=np.float64)
     z0 = models.encode(bundle, x0)
-    x0_label = models.argmax_label(models.predict(bundle, x0).probs)
+    x0_label = models.argmax_label(models.predict(bundle, x0))
     found, trajs, curves = [], [], []
     for t in range(config.k):
         rng = clue.candidate_rng(config.seed, t)
@@ -322,7 +322,7 @@ def _ref_simultaneous(x0, bundle, config, spec):
     pre-search first when n_i > 0."""
     x0 = np.asarray(x0, dtype=np.float64)
     z0 = models.encode(bundle, x0)
-    x0_label = models.argmax_label(models.predict(bundle, x0).probs)
+    x0_label = models.argmax_label(models.predict(bundle, x0))
     zs = clue.make_starts(z0, config)
     if config.n_i > 0:
         zs = divclue.diversity_presearch(zs, spec, config.n_i, config.r, z0,

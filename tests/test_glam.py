@@ -32,9 +32,11 @@ def test_huge_regularization_drives_theta_to_zero(planted, blobs_bundle):
 def test_initialization_equals_latent_mean_difference(planted, blobs_bundle):
     x_u, x_c, _ = planted
     expected = glam.mean_translation(x_u, x_c, blobs_bundle)
-    z_u = np.stack([models.encode(blobs_bundle, x) for x in x_u])
-    z_c = np.stack([models.encode(blobs_bundle, x) for x in x_c])
+    z_u, z_c = models.encode(blobs_bundle, x_u), models.encode(blobs_bundle, x_c)
     assert np.array_equal(expected, z_c.mean(axis=0) - z_u.mean(axis=0))
+    start = glam.train_mapper(x_u, x_c, blobs_bundle,
+                              hyperparams=glam.MapperHyperparams(steps=0))
+    assert np.array_equal(start.theta, expected) and start.loss_curve == []
 
 
 def test_training_loss_is_monotone_decreasing(planted, blobs_bundle):
@@ -108,7 +110,7 @@ def test_mappers_from_cesets_grouping(blobs, blobs_bundle):
     cesets, labels = [], []
     for x in blobs.test_inputs()[:8]:
         cesets.append(clue.delta_clue(x, blobs_bundle, config))
-        labels.append(models.argmax_label(models.predict(blobs_bundle, x).probs))
+        labels.append(models.argmax_label(models.predict(blobs_bundle, x)))
     mappers = glam.mappers_from_cesets(cesets, labels, blobs_bundle, min_pairs=2)
     assert mappers, "expected at least one (class, label) group"
     for m in mappers:

@@ -86,7 +86,7 @@ def test_objective_computes_missing_label_from_x0(tiny_bundle):
     ds, bundle = tiny_bundle
     x0 = ds.train_inputs()[2]
     z = models.encode(bundle, x0) + 0.3
-    label = models.argmax_label(models.predict(bundle, x0).probs)
+    label = models.argmax_label(models.predict(bundle, x0))
     models.reset_eval_counts()
     lazy = clue.objective(z, x0, bundle, 0.1, 0.2)
     assert models.EVAL_COUNTS["predict"] == 1
@@ -107,10 +107,11 @@ def test_numpy_forward_matches_tape(which, tiny_bundle, request):
         np.testing.assert_allclose(models.decode(bundle, z),
                                    tape.decode_graph(bundle, dc.Tensor(z)).data,
                                    rtol=RTOL, atol=0.0)
-        post = models.predict(bundle, x)
         members = tape.member_probs_graph(bundle, dc.Tensor(x)).data
-        np.testing.assert_allclose(post.member_probs, members, rtol=RTOL, atol=0.0)
-        np.testing.assert_allclose(post.probs, members.mean(axis=0), rtol=RTOL, atol=0.0)
+        ours = models._softmax(models._forward(bundle.ensemble, np.atleast_2d(x), models._relu))
+        np.testing.assert_allclose(ours.reshape(members.shape), members, rtol=RTOL, atol=0.0)
+        np.testing.assert_allclose(models.predict(bundle, x), members.mean(axis=0),
+                                   rtol=RTOL, atol=0.0)
     # a batch row equals the same row on its own
     np.testing.assert_allclose(models.encode(bundle, xs)[3], models.encode(bundle, xs[3]),
                                rtol=RTOL, atol=0.0)
@@ -149,7 +150,7 @@ def test_zero_posterior_entry_raises(tiny_bundle):
     dead = _with_dead_class(bundle, 1)
     x0 = ds.train_inputs()[0]
     z = models.encode(dead, x0)
-    assert models.predict(dead, models.decode(dead, z)).probs[1] == 0.0
+    assert models.predict(dead, models.decode(dead, z))[1] == 0.0
     with np.errstate(all="ignore"):
         with pytest.raises(FloatingPointError, match="entropy term"):
             clue.objective(z, x0, dead, 0.1, 0.0, 0)

@@ -18,12 +18,14 @@ def test_forward_shapes(tiny_bundle):
     assert z.shape == (bundle.m_latent,)
     xr = models.decode(bundle, z)
     assert xr.shape == (bundle.d_in,)
-    post = models.predict(bundle, x)
-    assert post.probs.shape == (bundle.c_classes,)
-    assert post.member_probs.shape == (bundle.n_members, bundle.c_classes)
-    assert abs(post.probs.sum() - 1.0) < 1e-9
-    for row in post.member_probs:
-        assert abs(row.sum() - 1.0) < 1e-9
+    p = models.predict(bundle, x)
+    assert p.shape == (bundle.c_classes,)
+    assert abs(p.sum() - 1.0) < 1e-9
+    xs = ds.train_inputs()[:5]
+    ps = models.predict(bundle, xs)
+    assert ps.shape == (5, bundle.c_classes)
+    np.testing.assert_allclose(ps.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
+    assert models.predict(bundle, xs[:0]).shape == (0, bundle.c_classes)
 
 
 def test_shape_errors(tiny_bundle):
@@ -52,6 +54,22 @@ def test_entropy_range_and_simplex_check(tiny_bundle):
         models.entropy(np.array([-0.1, 1.1]))
 
 
+def test_predict_entropy_batch_matches_rows(tiny_bundle):
+    """One batched call gives each row's entropy of the single-row call, at
+    rounding level (a batch matmul may differ from a row's in the last bit)."""
+    ds, bundle = tiny_bundle
+    xs = ds.train_inputs()[:20]
+    models.reset_eval_counts()
+    hs = models.predict_entropy(bundle, xs)
+    assert models.EVAL_COUNTS["predict"] == 1
+    assert hs.shape == (20,)
+    rows = [models.predict_entropy(bundle, x) for x in xs]
+    assert all(isinstance(h, float) for h in rows)
+    np.testing.assert_allclose(hs, rows, rtol=1e-12, atol=0.0)
+    assert rows[3] == models.entropy(models.predict(bundle, xs[3]))
+    assert models.predict_entropy(bundle, xs[:0]).shape == (0,)
+
+
 def test_argmax_label_tie_goes_to_lowest_index():
     assert models.argmax_label(np.array([0.4, 0.4, 0.2])) == 0
     assert models.argmax_label(np.array([0.1, 0.45, 0.45])) == 1
@@ -64,7 +82,7 @@ def test_forward_purity(tiny_bundle):
     z = models.encode(bundle, x)
     assert np.array_equal(models.decode(bundle, z), models.decode(bundle, z))
     p1, p2 = models.predict(bundle, x), models.predict(bundle, x)
-    assert np.array_equal(p1.probs, p2.probs)
+    assert np.array_equal(p1, p2)
 
 
 def test_eval_count_instrumentation(tiny_bundle):
@@ -234,8 +252,8 @@ def test_serialization_roundtrip_bitwise(tiny_bundle, tmp_path):
     assert np.array_equal(models.encode(bundle, x), models.encode(loaded, x))
     z = models.encode(bundle, x)
     assert np.array_equal(models.decode(bundle, z), models.decode(loaded, z))
-    assert np.array_equal(models.predict(bundle, x).probs,
-                          models.predict(loaded, x).probs)
+    assert np.array_equal(models.predict(bundle, x),
+                          models.predict(loaded, x))
 
 
 def test_load_accepts_manifest_with_entropy_histogram(tiny_bundle, tmp_path):

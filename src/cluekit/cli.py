@@ -331,12 +331,13 @@ def cmd_explain(args):
                          f"start points sit at z0, so it writes k identical candidates")
     bundle, ds = _load_inputs(args)
     context = _init_context(cfg, [config], ds, bundle)
-    out = _ensure_out(args)
     selected = _top_uncertain(ds, bundle, args.top)
-    scatter_rows, dist_rows, outputs = [], [], []
     t0 = time.perf_counter()
-    for idx, x0 in selected:
-        ceset = run_method(x0, bundle, config, spec, context)
+    cesets = [(idx, run_method(x0, bundle, config, spec, context)) for idx, x0 in selected]
+    wall = time.perf_counter() - t0
+    out = _ensure_out(args)  # after the searches: one that fails leaves no directory
+    scatter_rows, dist_rows, outputs = [], [], []
+    for idx, ceset in cesets:
         path = os.path.join(out, f"ceset_{idx}.json")
         clue.dump_ceset(ceset, path)
         outputs.append(path)
@@ -347,7 +348,6 @@ def cmd_explain(args):
             weights = clue.label_distribution(ceset)
             for cls, w in enumerate(weights):
                 dist_rows.append([idx, cls, float(w)])
-    wall = time.perf_counter() - t0
     scatter_path = os.path.join(out, "scatter.csv")
     write_csv(scatter_path, ["input", "candidate", "H", "d_x", "rho", "cost",
                              "label", "accepted"], scatter_rows)
@@ -404,7 +404,11 @@ def cmd_sweep(args):
     if groups is not None:
         rows = _sweep_lambda_theta(grid, cfg, groups, bundle)
     else:
-        idx, x0 = _top_uncertain(ds, bundle, 1)[0]
+        selected = _top_uncertain(ds, bundle, 1)
+        if not selected:
+            raise UsageError(f"sweep --axis {args.axis} explains the most uncertain test "
+                             f"input, but the test split of {args.dataset} is empty")
+        _, x0 = selected[0]
         for value, config in zip(grid, configs):
             record = divclue.nabla_clue_simultaneous(x0, bundle, config, spec, context)
             for stat, v in _sweep_stats(record).items():

@@ -113,7 +113,7 @@ def objective(z, x0, bundle, lambda_x=0.0, lambda_y=0.0, x0_label=None):
     it participates only when lambda_y > 0. The loss is one fused tape node
     over ``models.search_objective``, whose backward is derived by hand.
     """
-    zt = dc.Tensor(np.asarray(z, dtype=np.float64), requires_grad=True)
+    zt = dc.Tensor(z, requires_grad=True)
     if lambda_y > 0.0 and x0_label is None:
         x0_label = models.argmax_label(models.predict(bundle, x0))
     h_term, dx_term, dy_term, grad = models.search_objective(
@@ -132,19 +132,19 @@ def objective(z, x0, bundle, lambda_x=0.0, lambda_y=0.0, x0_label=None):
     if not math.isfinite(value):
         raise FloatingPointError("objective: total loss is non-finite")
     loss = dc.Tensor(value, _parents=(zt,), op="search_objective")
-    loss._backward = lambda g: zt._accum(grad(g))
+    loss._backward = lambda g: zt._accum(g * grad)
     loss.backward()
-    return float(loss.data), np.array(zt.grad)
+    return float(loss.data), zt.grad
 
 
 def project_to_ball(z, z0, delta):
     """Project z onto the l2 ball of radius delta around z0 (idempotent)."""
-    if math.isinf(delta):
-        return np.asarray(z, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
+    if math.isinf(delta):
+        return z
     z0 = np.asarray(z0, dtype=np.float64)
     diff = z - z0
-    norm = float(np.linalg.norm(diff))
+    norm = math.sqrt(diff @ diff)  # np.linalg.norm(diff), bit for bit
     # the relative slack absorbs rounding in the rescale, which makes a
     # second projection return its input unchanged (bitwise idempotence)
     if norm <= delta * (1.0 + 1e-12):

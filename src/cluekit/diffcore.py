@@ -44,27 +44,19 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar output; got shape {self.shape}")
 
-        order = []
-        seen = set()
-
-        def visit(node):
-            stack = [(node, False)]
-            while stack:
-                n, done = stack.pop()
-                if done:
-                    order.append(n)
-                    continue
-                if id(n) in seen:
-                    continue
-                seen.add(id(n))
+        order, seen, stack = [], set(), [(self, False)]  # depth-first, post-order
+        while stack:
+            n, done = stack.pop()
+            if done:
+                order.append(n)
+            elif n not in seen:
+                seen.add(n)
                 stack.append((n, True))
                 for p in n._parents:
                     stack.append((p, False))
-
-        visit(self)
         for n in order:
             n.grad = None
-        self.grad = np.ones_like(self.data)
+        self.grad = np.array(1.0).reshape(self.data.shape)  # np.ones_like, cheaper
         for n in reversed(order):
             if n._backward is not None and n.grad is not None:
                 n._backward(n.grad)

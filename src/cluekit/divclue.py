@@ -14,6 +14,7 @@ arithmetic sequence is identical).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,7 +140,7 @@ def _penalty(z, found, lambda_d):
     grad = np.zeros_like(z)
     for zf in found:
         diff = z - zf
-        d = float(np.linalg.norm(diff))
+        d = math.sqrt(diff @ diff)
         if d > PENALTY_EPS:
             total += lambda_d / d
             grad += -lambda_d / (d * d) * (diff / d)

@@ -16,7 +16,8 @@ One numpy forward (``_forward``) and its hand-derived backward
 of rows in one call; ``predict`` returns the ensemble-mean posterior. The
 search objective (``search_objective``), the s5 start walk, the diversity
 gradients and the mapper fit take adjoints back to the latent through
-``_decode_with_grad`` and ``_posterior_with_grad``. Training takes them on
+``_decode_with_grad`` and ``_posterior_with_grad``; ``search_objective``
+returns its loss's z-gradient as an array. Training takes them on
 to the weights: given the input as well, ``_backprop`` returns each layer's
 weight and bias adjoints. The tests build the same networks on the autodiff
 tape as the oracle, and training repeats the tape's arithmetic term by
@@ -112,14 +113,15 @@ def _forward(mlp, x, hidden_act, acts=None):
     slab per member. ``acts``, if given, collects the hidden activations
     that ``_backprop`` needs.
     """
-    last = len(mlp.weights) - 1
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        x = x @ w
-        x += b
-        if i < last:
-            hidden_act(x, out=x)
-            if acts is not None:
-                acts.append(x)
+    ws, bs = mlp.weights, mlp.biases
+    for i in range(len(ws) - 1):
+        x = x @ ws[i]
+        x += bs[i]
+        hidden_act(x, out=x)
+        if acts is not None:
+            acts.append(x)
+    x = x @ ws[-1]
+    x += bs[-1]
     return x
 
 
@@ -129,15 +131,20 @@ def _backprop(mlp, acts, g, act_grad, x=None):
     Given the input ``x`` as well, returns (input adjoint, weight adjoints,
     bias adjoints), the last two in layer order.
     """
+    ws = mlp.weights
+    if x is None:
+        for i in range(len(ws) - 1, 0, -1):
+            g = g @ ws[i].swapaxes(-1, -2)
+            g *= act_grad(acts[i - 1])
+        return g @ ws[0].swapaxes(-1, -2)
     ins, gw, gb = [x, *acts], [], []  # ins[i]: the input of layer i
-    for i in range(len(mlp.weights) - 1, -1, -1):
-        if x is not None:
-            gw.insert(0, ins[i].swapaxes(-1, -2) @ g)
-            gb.insert(0, g.sum(axis=-2).reshape(mlp.biases[i].shape))
-        g = g @ mlp.weights[i].swapaxes(-1, -2)
+    for i in range(len(ws) - 1, -1, -1):
+        gw.insert(0, ins[i].swapaxes(-1, -2) @ g)
+        gb.insert(0, g.sum(axis=-2).reshape(mlp.biases[i].shape))
+        g = g @ ws[i].swapaxes(-1, -2)
         if i:
             g *= act_grad(ins[i])
-    return g if x is None else (g, gw, gb)
+    return g, gw, gb
 
 
 def _tanh_grad(a):
@@ -161,8 +168,9 @@ def _decode_with_grad(bundle, z):
 
 
 def _softmax(v):
-    e = np.exp(v - v.max(axis=-1, keepdims=True))
-    e /= e.sum(axis=-1, keepdims=True)
+    e = v - np.maximum.reduce(v, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -175,10 +183,10 @@ def _posterior_with_grad(bundle, x):
 
     def grad(gp):
         gp = gp * scale  # d/dp of the mean, to each member
-        gl = s * (gp - (s * gp).sum(axis=-1, keepdims=True))  # softmax
-        return _backprop(bundle.ensemble, acts, gl, _relu_grad).sum(axis=0)[0]
+        gl = s * (gp - np.add.reduce(s * gp, axis=-1, keepdims=True))  # softmax
+        return np.add.reduce(_backprop(bundle.ensemble, acts, gl, _relu_grad))[0]
 
-    return s.sum(axis=0)[0] * scale, grad
+    return np.add.reduce(s)[0] * scale, grad
 
 
 def search_objective(bundle, z, x0, lambda_x, lambda_y, label):
@@ -187,35 +195,28 @@ def search_objective(bundle, z, x0, lambda_x, lambda_y, label):
     With x = decode(z) and p the ensemble-mean posterior at x, the loss is
     h + lambda_x * d_x + lambda_y * d_y for h = H(p) = -sum p log p,
     d_x = sum |x - x0| and d_y = -log p[label]; a term whose weight is 0 is
-    not computed and reported as 0. Returns (h, d_x, d_y, grad), where
-    grad(g) is g times the loss's gradient in z. Non-finite terms are
-    returned as they are, for the caller to reject.
+    not computed and reported as 0. Returns (h, d_x, d_y, grad), where grad
+    is the loss's gradient in z, an array. Non-finite terms are returned as
+    they are, for the caller to reject.
     """
     x, decoder_grad = _decode_with_grad(bundle, z)
     p, posterior_grad = _posterior_with_grad(bundle, x)
     logp = np.log(p)
-    h = -(p * logp).sum()
+    h = -np.add.reduce(p * logp)
+    gp = -(logp + 1.0)  # dH/dp
     d_x = d_y = 0.0
+    if lambda_y > 0.0:
+        d_y = -logp[label]
+        gp[label] -= lambda_y / p[label]
+    gx = posterior_grad(gp)
     if lambda_x > 0.0:
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != x.shape:
             raise dc.ShapeError(f"search_objective: x0 shape {x0.shape} != {x.shape}")
         diff = x - x0
-        d_x = np.abs(diff).sum()
-    if lambda_y > 0.0:
-        d_y = -logp[label]
-
-    def grad(g):
-        gp = -(logp + 1.0)  # dH/dp
-        if lambda_y > 0.0:
-            gp[label] -= lambda_y / p[label]
-        gp *= g
-        gx = posterior_grad(gp)
-        if lambda_x > 0.0:
-            gx += g * lambda_x * np.sign(diff)
-        return decoder_grad(gx)
-
-    return h, d_x, d_y, grad
+        d_x = np.add.reduce(np.abs(diff))
+        gx += lambda_x * np.sign(diff)
+    return h, d_x, d_y, decoder_grad(gx)
 
 
 # encode, decode and predict let the first matmul check the input width,

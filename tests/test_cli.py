@@ -170,6 +170,18 @@ def test_explain_on_an_empty_test_split_writes_empty_tables(workspace, tmp_path)
     assert not [p for p in os.listdir(out) if p.startswith("ceset_")]
 
 
+def test_sweep_on_an_empty_test_split_exit_2(workspace, tmp_path, capsys):
+    """A sweep explains the most uncertain test input; with none it is a usage error."""
+    ds = data.gen_blobs(c=3, d=8, n=8, spread=0.22, seed=1, test_frac=0.01)
+    data.save_dataset(ds, tmp_path / "dataset")
+    out = tmp_path / "sw"
+    assert run(["sweep", "--out", str(out), "--bundle", workspace["bundle"],
+                "--dataset", str(tmp_path / "dataset"), "--axis", "delta",
+                "--grid", "1"] + EXPLAIN_SETS) == 2
+    assert "test split" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sets", [["lr=1e300"], ["r=1e308", "iters=2"]])
 def test_diverged_search_exits_3(workspace, tmp_path, sets, capsys):
     """A search whose end point overflows is a numerical failure, not an
@@ -179,6 +191,7 @@ def test_diverged_search_exits_3(workspace, tmp_path, sets, capsys):
     with np.errstate(all="ignore"):
         assert run(argv + [a for v in sets for a in ("--set", v)]) == 3
     assert "diverged" in capsys.readouterr().err
+    assert not (tmp_path / "dv").exists()
 
 
 def _ceset_file(path, width, n_candidates=1):

@@ -28,6 +28,34 @@ def test_project_to_ball_idempotent_bitwise():
         assert np.array_equal(once, twice)
 
 
+def test_project_to_ball_rescales_like_numpy_norm():
+    """The clipped point is z0 + delta * (diff / np.linalg.norm(diff)) bit for bit."""
+    rng = np.random.default_rng(4)
+    clipped = 0
+    for _ in range(200):
+        m = int(rng.integers(1, 12))
+        z0 = rng.standard_normal(m)
+        z = z0 + rng.standard_normal(m) * rng.uniform(0.1, 5.0)
+        delta = rng.uniform(0.05, 3.0)
+        diff = z - z0
+        norm = np.linalg.norm(diff)
+        proj = clue.project_to_ball(z, z0, delta)
+        if norm <= delta * (1.0 + 1e-12):
+            assert proj is z
+        else:
+            clipped += 1
+            assert np.array_equal(proj, z0 + delta * (diff / norm))
+    assert clipped > 50
+
+
+def test_softmax_leaves_its_input_unchanged():
+    v = np.random.default_rng(5).standard_normal((3, 2, 4))
+    before = v.copy()
+    s = models._softmax(v)
+    assert np.array_equal(v, before)
+    assert np.allclose(s.sum(axis=-1), 1.0)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         clue.ExperimentConfig(delta=-1.0)
@@ -223,6 +251,45 @@ def test_acceptance_threshold(tiny_bundle):
                                    lr=0.3, iters=5, seed=1, h_threshold=np.inf)
     ceset = clue.delta_clue(x0, bundle, config)
     assert len(ceset.accepted()) == 3
+
+
+def _reference_delta_clue(x0, bundle, config, context):
+    """delta_clue as k independent loops of objective, projection and
+    candidate scoring, one point after the other."""
+    z0 = models.encode(bundle, x0)
+    label = models.argmax_label(models.predict(bundle, x0))
+    candidates = []
+    for i in range(config.k):
+        z = clue.init_scheme(config.scheme, z0, config.r, i, config.k,
+                             rng=clue.candidate_rng(config.seed, i), delta=config.delta,
+                             context=context)
+        z = clue.project_to_ball(z, z0, config.delta)
+        trajectory = [z]
+        for _ in range(config.iters):
+            _, grad = clue.objective(z, x0, bundle, config.lambda_x, config.lambda_y, label)
+            z = clue.project_to_ball(z - config.lr * grad, z0, config.delta)
+            trajectory.append(z)
+        candidates.append(clue.make_candidate(z, x0, z0, bundle, config, i, label,
+                                              np.stack(trajectory)))
+    return candidates
+
+
+@pytest.mark.parametrize("scheme", ["s1", "s5"])
+@pytest.mark.parametrize("delta", [0.7, np.inf])
+@pytest.mark.parametrize("lambda_x, lambda_y", [(0.05, 0.0), (0.0, 0.2), (0.05, 0.2)])
+def test_delta_clue_matches_reference_loop(tiny_bundle, scheme, delta, lambda_x, lambda_y):
+    ds, bundle = tiny_bundle
+    x0 = ds.test_inputs()[1]
+    config = clue.ExperimentConfig(delta=delta, k=3, r=0.7, scheme=scheme, lambda_x=lambda_x,
+                                   lambda_y=lambda_y, lr=0.4, iters=12, seed=3)
+    context = clue.make_init_context(bundle)
+    ceset = clue.delta_clue(x0, bundle, config, context, trace=True)
+    reference = _reference_delta_clue(x0, bundle, config, context)
+    assert len(ceset.candidates) == len(reference) == config.k
+    for ours, ref in zip(ceset.candidates, reference):
+        for field in ("z", "x", "trajectory"):
+            assert np.array_equal(getattr(ours, field), getattr(ref, field)), field
+        assert ours.cost == ref.cost
 
 
 def test_label_distribution_inverse_square_rule(tiny_bundle):

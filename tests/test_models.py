@@ -199,6 +199,23 @@ def test_training_equals_the_tape(n_members):
     assert ens_report.heldout_accuracy == ref_ens_report.heldout_accuracy
 
 
+def test_input_adjoint_alone_equals_the_training_backward(tiny_bundle):
+    """``_backprop`` without the input skips the weight adjoints; its input
+    adjoint is the training path's bit for bit, on all three networks."""
+    ds, bundle = tiny_bundle
+    rng = np.random.default_rng(8)
+    xs = ds.train_inputs()[:5]
+    zs = models.encode(bundle, xs)
+    for mlp, x, act, act_grad in ((bundle.encoder, xs, np.tanh, models._tanh_grad),
+                                  (bundle.decoder, zs, np.tanh, models._tanh_grad),
+                                  (bundle.ensemble, xs, models._relu, models._relu_grad)):
+        acts = []
+        out = models._forward(mlp, x, act, acts)
+        g = rng.standard_normal(out.shape)
+        alone = models._backprop(mlp, acts, g, act_grad)
+        assert np.array_equal(alone, models._backprop(mlp, acts, g, act_grad, x)[0])
+
+
 def test_training_and_the_s5_walk_build_no_tensor(monkeypatch):
     made = []
     init = dc.Tensor.__init__

@@ -49,14 +49,8 @@ def write_json(path, payload):
 def write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+        lines.append(",".join(str(v) for v in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _hash_tree(path):
@@ -131,7 +125,7 @@ def _setting(cfg, key, default, kind=float, low=None):
     """cfg[key], else the default, as a ``kind`` (int or float); a value of
     another kind, or one below ``low``, is a usage error naming the key. An
     int setting takes only an integer, not 2.5, true or "2"; a float setting
-    takes a number or a string that converts, such as "nan", but not true."""
+    takes a finite number or a numeric string, not true, "nan" or "inf"."""
     value = cfg.get(key, default)
     what = "an int" if kind is int else "a number"
     if isinstance(value, bool) or (kind is int and not isinstance(value, int)):
@@ -140,6 +134,8 @@ def _setting(cfg, key, default, kind=float, low=None):
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise UsageError(f"{key} must be {what}, got {value!r}")
+    if kind is float and not np.isfinite(number):
+        raise UsageError(f"{key} must be finite, got {value!r}")
     if low is not None and number < low:
         raise UsageError(f"{key} must be >= {low}, got {value!r}")
     return number
@@ -461,11 +457,11 @@ GLAM_VARIANTS = ("glam1", "glam2", "dbm-input", "dbm-latent", "nn-input", "nn-la
 
 def _glam_scheme(variant, cfg, groups, bundle, cesets, cap):
     """Build callable(x, class) -> CandidateCE for one comparison scheme."""
-    lam_x = _setting(cfg, "lambda_x", 0.03)
+    lam_x = _setting(cfg, "lambda_x", 0.03, low=0)
     if variant == "glam1":
         mappers = {c: glam.train_mapper(
             uncertain[:cap], certain[:cap], bundle,
-            lambda_theta=_setting(cfg, "lambda_theta", 0.01),
+            lambda_theta=_setting(cfg, "lambda_theta", 0.01, low=0),
             source_group=c, target_group=c)
             for c, (uncertain, certain) in groups.items()}
         return (lambda x, c: glam.apply_mapper(mappers[c], x, bundle, lam_x),
@@ -477,7 +473,7 @@ def _glam_scheme(variant, cfg, groups, bundle, cesets, cap):
         labels = models.predict(bundle, np.stack([cs.x0 for cs in cesets])).argmax(axis=1)
         mappers = glam.mappers_from_cesets(
             cesets, labels, bundle,
-            lambda_theta=_setting(cfg, "lambda_theta_clue", 0.0))
+            lambda_theta=_setting(cfg, "lambda_theta_clue", 0.0, low=0))
         if not mappers:
             raise UsageError("glam2: no (class, label) group has enough pairs")
         return (lambda x, c: glam.pick_best_mapper(mappers, x, bundle, lam_x),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -393,29 +393,16 @@ def label_distribution(ceset):
     return weights / weights.sum()
 
 
+# a candidate's entry in a ceset file: each field but the trajectory, arrays as lists
+_ENTRY_FIELDS = [f.name for f in fields(CandidateCE) if f.name != "trajectory"]
+_ARRAY_FIELDS = ("z", "x", "posterior")
+
+
 def ceset_to_json(ceset):
     """JSON-serializable export with config echo and per-candidate fields."""
-    payload = {
-        "config": asdict(ceset.config),
-        "x0": [float(v) for v in ceset.x0],
-        "z0": [float(v) for v in ceset.z0],
-        "candidates": [],
-    }
-    for c in ceset.candidates:
-        payload["candidates"].append({
-            "z": [float(v) for v in c.z],
-            "x": [float(v) for v in c.x],
-            "posterior": [float(v) for v in c.posterior],
-            "entropy": c.entropy,
-            "d_x": c.d_x,
-            "d_y": c.d_y,
-            "rho": c.rho,
-            "cost": c.cost,
-            "label": c.label,
-            "accepted": c.accepted,
-            "start_index": c.start_index,
-        })
-    return payload
+    return {"config": asdict(ceset.config), "x0": ceset.x0.tolist(), "z0": ceset.z0.tolist(),
+            "candidates": [{k: getattr(c, k).tolist() if k in _ARRAY_FIELDS else getattr(c, k)
+                            for k in _ENTRY_FIELDS} for c in ceset.candidates]}
 
 
 def dump_ceset(ceset, path):
@@ -423,27 +410,25 @@ def dump_ceset(ceset, path):
         json.dump(ceset_to_json(ceset), f, indent=1, sort_keys=True)
 
 
+def _candidate(entry):
+    if set(entry) - set(_ENTRY_FIELDS):
+        raise TypeError(f"a candidate has fields {sorted(entry)}, not {_ENTRY_FIELDS}")
+    return CandidateCE(**{k: np.array(entry[k]) if k in _ARRAY_FIELDS else entry[k]
+                          for k in _ENTRY_FIELDS})
+
+
 def ceset_from_json(payload):
-    config = ExperimentConfig(**payload["config"])
-    candidates = [CandidateCE(
-        z=np.array(e["z"]), x=np.array(e["x"]),
-        posterior=np.array(e["posterior"]), entropy=e["entropy"],
-        d_x=e["d_x"], d_y=e["d_y"], rho=e["rho"], cost=e["cost"],
-        label=e["label"], accepted=e["accepted"], start_index=e["start_index"])
-        for e in payload["candidates"]]
-    return CESet(candidates=candidates, config=config,
+    """The CESet of a ``ceset_to_json`` payload; a candidate entry with a
+    missing or an unknown field raises ``KeyError`` or ``TypeError``."""
+    return CESet(config=ExperimentConfig(**payload["config"]),
+                 candidates=[_candidate(e) for e in payload["candidates"]],
                  x0=np.array(payload["x0"]), z0=np.array(payload["z0"]))
 
 
 def load_ceset(path):
     """Read a file written by ``dump_ceset``; a malformed one, or one with no
     candidates, raises ``ValueError``."""
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
-    try:
-        ceset = ceset_from_json(payload)
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"{path} is malformed: {type(e).__name__} {e}") from e
+    ceset = models._read_json(path, ceset_from_json)
     if not ceset.candidates:
         raise ValueError(f"{path} holds no candidates")
     return ceset

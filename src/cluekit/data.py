@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -180,43 +178,24 @@ def default_taus(bundle):
 
 
 def save_dataset(dataset, directory):
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "n": int(dataset.inputs.shape[0]),
-        "d": int(dataset.inputs.shape[1]),
-        "generator": dataset.generator,
-        "labels": [int(v) for v in dataset.labels],
-        "split": list(dataset.split),
-    }
-    with models._atomic_open(directory / "manifest.json") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-    with models._atomic_open(directory / "inputs.bin", "wb") as f:
-        f.write(np.ascontiguousarray(dataset.inputs, dtype="<f8").tobytes())
+    n, d = dataset.inputs.shape
+    manifest = {"n": n, "d": d, "generator": dataset.generator,
+                "labels": dataset.labels.tolist(), "split": dataset.split.tolist()}
+    models._save_store(directory, manifest, "inputs.bin", [dataset.inputs])
 
 
 def load_dataset(directory):
     """Read a dataset written by ``save_dataset``; a malformed manifest or an
     inputs blob whose length does not match it raises ``ValueError``."""
-    directory = Path(directory)
-    manifest_path, inputs_path = directory / "manifest.json", directory / "inputs.bin"
-    with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
-    raw = inputs_path.read_bytes()
-    try:
-        n, d = int(manifest["n"]), int(manifest["d"])
-        if len(raw) != 8 * n * d:
-            raise ValueError(f"{inputs_path} holds {len(raw)} bytes, its manifest "
-                             f"needs {8 * n * d}")
+    def build(manifest, arrays, manifest_path):
+        n = len(arrays[0])
         if len(manifest["labels"]) != n or len(manifest["split"]) != n:
             raise ValueError(f"{manifest_path}: labels and split must have n={n} entries")
-        inputs = np.frombuffer(raw, dtype="<f8").reshape(n, d).astype(np.float64)
-        return Dataset(inputs=inputs,
-                       labels=np.array(manifest["labels"], dtype=np.int64),
-                       split=np.array(manifest["split"]),
-                       generator=manifest["generator"])
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"{manifest_path} is malformed: {type(e).__name__} {e}") from e
+        return Dataset(inputs=arrays[0], labels=np.array(manifest["labels"], dtype=np.int64),
+                       split=np.array(manifest["split"]), generator=manifest["generator"])
+
+    return models._load_store(directory, "inputs.bin",
+                              lambda manifest: [(int(manifest["n"]), int(manifest["d"]))], build)
 
 
 def export_csv(dataset, path):

@@ -10,7 +10,7 @@ with ``models._decode_with_grad``, as the searches do.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -191,20 +191,12 @@ def pick_best_mapper(mappers, x, bundle, lambda_x=0.0):
 
 
 def save_mapper(mapper, path):
-    payload = {
-        "source_group": mapper.source_group,
-        "target_group": mapper.target_group,
-        "lambda_theta": mapper.lambda_theta,
-        "theta": [float(v) for v in mapper.theta],
-        "loss_curve": [float(v) for v in mapper.loss_curve],
-    }
     with models._atomic_open(path) as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
+        json.dump(dict(asdict(mapper), theta=mapper.theta.tolist()), f, indent=1, sort_keys=True)
 
 
 def load_mapper(path):
-    with open(path, encoding="utf-8") as f:
-        p = json.load(f)
-    return MapperParams(source_group=p["source_group"], target_group=p["target_group"],
-                        theta=np.array(p["theta"], dtype=np.float64),
-                        lambda_theta=p["lambda_theta"], loss_curve=p["loss_curve"])
+    """Read a file written by ``save_mapper``; one lacking a field without a
+    default, or holding an unknown one, raises ``ValueError``."""
+    return models._read_json(path, lambda p: MapperParams(
+        **dict(p, theta=np.array(p["theta"], dtype=np.float64))))

@@ -444,8 +444,8 @@ def train_bundle(dataset, vae_hp=None, ens_hp=None, n_members=5, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# persistence: one JSON manifest + one raw little-endian float64 blob holding
-# every parameter tensor in manifest order
+# persistence: a store is one JSON manifest + one raw little-endian float64
+# blob; a bundle's blob holds every parameter tensor in manifest order
 
 
 @contextmanager
@@ -465,6 +465,47 @@ def _atomic_open(path, mode="w"):
         raise
 
 
+def _read_json(path, build):
+    """``build`` of the JSON document at ``path``; a KeyError, TypeError or
+    IndexError from a malformed one is raised as ``ValueError`` naming it."""
+    with open(path, encoding="utf-8") as f:
+        payload = json.load(f)
+    try:
+        return build(payload)
+    except (KeyError, TypeError, IndexError) as e:
+        raise ValueError(f"{path} is malformed: {type(e).__name__} {e}") from e
+
+
+def _save_store(directory, manifest, blob_name, arrays):
+    """Write ``manifest`` to ``directory/manifest.json`` and ``arrays``, in
+    order, to one little-endian float64 blob ``directory/blob_name``."""
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    with _atomic_open(Path(directory, "manifest.json")) as f:
+        json.dump(manifest, f, indent=1, sort_keys=True)
+    with _atomic_open(Path(directory, blob_name), "wb") as f:
+        for a in arrays:
+            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+
+
+def _load_store(directory, blob_name, shapes, build):
+    """``build(manifest, arrays, manifest_path)`` for a store written by
+    ``_save_store``, its arrays shaped as ``shapes(manifest)`` lists; a blob of
+    another length, or a malformed manifest, raises ``ValueError``."""
+    manifest_path, blob_path = Path(directory, "manifest.json"), Path(directory, blob_name)
+
+    def _build(manifest):
+        raw, dims = blob_path.read_bytes(), shapes(manifest)
+        ends = np.cumsum([0] + [int(np.prod(shape)) for shape in dims])
+        if len(raw) != 8 * ends[-1]:
+            raise ValueError(f"{blob_path} holds {len(raw)} bytes, its manifest "
+                             f"needs {8 * ends[-1]}")
+        blob = np.frombuffer(raw, dtype="<f8")
+        return build(manifest, [blob[lo:hi].reshape(shape).astype(np.float64)
+                                for shape, lo, hi in zip(dims, ends, ends[1:])], manifest_path)
+
+    return _read_json(manifest_path, _build)
+
+
 def _bundle_tensors(bundle):
     named = [("encoder", bundle.encoder), ("decoder", bundle.decoder)]
     named += [(f"ensemble{e}", _member(bundle, e)) for e in range(bundle.n_members)]
@@ -473,24 +514,18 @@ def _bundle_tensors(bundle):
             for kind, arrays in (("w", mlp.weights), ("b", mlp.biases))]
 
 
+# the TrainingReport fields a bundle's manifest keeps, per report
+_REPORT_FIELDS = {"vae_report": ("loss_curve", "final_loss", "mean_recon_l1"),
+                  "ensemble_report": ("heldout_accuracy", "entropy_percentiles")}
+
+
 def save_bundle(bundle, directory):
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     tensors = _bundle_tensors(bundle)
-    manifest = {
-        "seed": bundle.seed,
-        "tensors": [{"name": n, "shape": list(t.shape)} for n, t in tensors],
-        "vae_report": {"loss_curve": bundle.vae_report.loss_curve,
-                       "final_loss": bundle.vae_report.final_loss,
-                       "mean_recon_l1": bundle.vae_report.mean_recon_l1},
-        "ensemble_report": {"heldout_accuracy": bundle.ensemble_report.heldout_accuracy,
-                            "entropy_percentiles": bundle.ensemble_report.entropy_percentiles},
-    }
-    with _atomic_open(directory / "manifest.json") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-    with _atomic_open(directory / "weights.bin", "wb") as f:
-        for _, t in tensors:
-            f.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+    manifest = {"seed": bundle.seed,
+                "tensors": [{"name": n, "shape": list(t.shape)} for n, t in tensors]}
+    for report, keys in _REPORT_FIELDS.items():
+        manifest[report] = {k: getattr(getattr(bundle, report), k) for k in keys}
+    _save_store(directory, manifest, "weights.bin", [t for _, t in tensors])
 
 
 def _shape_error(encoder, decoder, members):
@@ -524,20 +559,8 @@ def load_bundle(directory):
     weights blob whose length does not match it, or tensors that do not form
     the three networks raise ``ValueError``. Layer and member counts come
     from the tensor names."""
-    directory = Path(directory)
-    manifest_path, weights_path = directory / "manifest.json", directory / "weights.bin"
-    with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
-    raw = weights_path.read_bytes()
-    try:
-        shapes = [tuple(entry["shape"]) for entry in manifest["tensors"]]
-        ends = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
-        if len(raw) != 8 * ends[-1]:
-            raise ValueError(f"{weights_path} holds {len(raw)} bytes, its manifest "
-                             f"needs {8 * ends[-1]}")
-        blob = np.frombuffer(raw, dtype="<f8")
-        arrays = {entry["name"]: blob[lo:hi].reshape(shape).astype(np.float64)
-                  for entry, shape, lo, hi in zip(manifest["tensors"], shapes, ends, ends[1:])}
+    def build(manifest, tensors, manifest_path):
+        arrays = {entry["name"]: t for entry, t in zip(manifest["tensors"], tensors)}
 
         def _count(name):  # how many i give a tensor ``name.format(i)``
             return next(i for i in itertools.count() if name.format(i) not in arrays)
@@ -553,13 +576,10 @@ def load_bundle(directory):
         if problem:
             raise ValueError(f"{manifest_path}: its tensors do not form the bundle's "
                              f"networks: {problem}")
-        vrep = TrainingReport(loss_curve=manifest["vae_report"]["loss_curve"],
-                              final_loss=manifest["vae_report"]["final_loss"],
-                              mean_recon_l1=manifest["vae_report"]["mean_recon_l1"])
-        erep = TrainingReport(
-            heldout_accuracy=manifest["ensemble_report"]["heldout_accuracy"],
-            entropy_percentiles=manifest["ensemble_report"]["entropy_percentiles"])
+        reports = {report: TrainingReport(**{k: manifest[report][k] for k in keys})
+                   for report, keys in _REPORT_FIELDS.items()}
         return ModelBundle(encoder=encoder, decoder=decoder, ensemble=_stack(members),
-                           seed=manifest["seed"], vae_report=vrep, ensemble_report=erep)
-    except (KeyError, TypeError, IndexError) as e:
-        raise ValueError(f"{manifest_path} is malformed: {type(e).__name__} {e}") from e
+                           seed=manifest["seed"], **reports)
+
+    return _load_store(directory, "weights.bin",
+                       lambda manifest: [tuple(e["shape"]) for e in manifest["tensors"]], build)

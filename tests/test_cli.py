@@ -525,6 +525,20 @@ BAD_SETTINGS = {  # case -> (argv, the text the error must hold)
     "seed_train": (["train", "--seed", "-1"], "seed must be >= 0"),
     "seed_explain": (["explain", "--set", "seed=-1"], "seed must be >= 0"),
     "seed_bench": (["bench", "--set", "seed=-1"], "seed must be >= 0"),
+    "lambda_x_nan": (["glam", "--variant", "nn-latent", "--set", "cap=2", "--set", "lambda_x=nan"],
+                     "lambda_x must be finite"),
+    "lambda_x_negative": (["glam", "--variant", "dbm-latent", "--set", "lambda_x=-5"],
+                          "lambda_x must be >= 0"),
+    "lambda_theta_nan": (["glam", "--variant", "glam1", "--set", "lambda_theta=nan"],
+                         "lambda_theta must be finite"),
+    "lambda_theta_grid_nan": (["sweep", "--axis", "lambda_theta", "--grid", "nan"],
+                              "lambda_theta must be finite"),
+    "lambda_theta_grid_negative": (["sweep", "--axis", "lambda_theta", "--grid", "-1"],
+                                   "lambda_theta must be >= 0"),
+    "lambda_theta_clue_negative": (["glam", "--variant", "glam2", "--set", "lambda_theta_clue=-1"],
+                                   "lambda_theta_clue must be >= 0"),
+    "tau_high_inf": (["glam", "--variant", "dbm-input", "--set", "tau_high=inf"],
+                     "tau_high must be finite"),
 }
 
 
@@ -560,6 +574,8 @@ def test_malformed_input_exit_2(workspace, tmp_path, case, capsys):
     else:
         argv, named = BAD_SETTINGS[case]
         argv, named = argv + {"gen-data": [], "train": inputs[2:]}.get(argv[0], inputs), [named]
+        if "glam2" in argv:  # glam2 reads its settings once it has a ceset
+            argv += ["--cesets", str(_ceset_file(tmp_path / "ceset.json", 8))]
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert all(text in err for text in named), err

@@ -1,6 +1,9 @@
 """Constrained counterfactual search: projection, initialization schemes,
 objective gradients, acceptance, and the class weighting rule."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -352,17 +355,44 @@ def test_diverged_search_raises(tiny_bundle):
 
 
 def test_ceset_json_roundtrip(tiny_bundle, tmp_path):
+    """Every field comes back, arrays bit for bit, except the trajectory,
+    which the file does not hold."""
     ds, bundle = tiny_bundle
     x0 = ds.train_inputs()[7]
     config = clue.ExperimentConfig(delta=1.0, k=2, r=1.0, scheme="s1",
                                    lr=0.3, iters=5, seed=6)
-    ceset = clue.delta_clue(x0, bundle, config)
+    ceset = clue.delta_clue(x0, bundle, config, trace=True)
     path = tmp_path / "ceset.json"
     clue.dump_ceset(ceset, str(path))
     loaded = clue.load_ceset(str(path))
+    assert loaded.config == config
+    for a, b in [(ceset.x0, loaded.x0), (ceset.z0, loaded.z0)]:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert len(loaded.candidates) == len(ceset.candidates)
     for a, b in zip(ceset.candidates, loaded.candidates):
-        assert np.array_equal(a.z, b.z)
-        assert a.cost == b.cost
-        assert a.label == b.label
-    assert loaded.config == config
+        assert a.trajectory is not None and b.trajectory is None
+        for name in (f.name for f in dataclasses.fields(a) if f.name != "trajectory"):
+            va, vb = getattr(a, name), getattr(b, name)
+            if isinstance(va, np.ndarray):
+                assert va.dtype == vb.dtype and va.tobytes() == vb.tobytes(), name
+            else:
+                assert type(va) is type(vb) and va == vb, name
+
+
+@pytest.mark.parametrize("edit", ["missing_z", "missing_rho", "unknown_key", "trajectory"])
+def test_ceset_entry_with_a_missing_or_unknown_field_is_malformed(tmp_path, edit):
+    entry = {"z": [0.0] * 3, "x": [0.5] * 4, "posterior": [1.0, 0.0], "entropy": 0.0,
+             "d_x": 0.0, "d_y": 0.0, "rho": 0.0, "cost": 0.0, "label": 0,
+             "accepted": True, "start_index": 0}
+    if edit.startswith("missing_"):
+        del entry[edit[len("missing_"):]]
+    else:
+        entry[edit] = [[0.0] * 3]
+    path = tmp_path / "ceset.json"
+    path.write_text(json.dumps({"config": {}, "x0": [0.5] * 4, "z0": [0.0] * 3,
+                                "candidates": [entry]}))
+    with pytest.raises(ValueError, match="malformed") as info:
+        clue.load_ceset(str(path))
+    assert str(path) in str(info.value)
+
+

@@ -44,8 +44,8 @@ def test_dataset_persistence_roundtrip(tmp_path):
     where = tmp_path / "ds"
     data.save_dataset(ds, str(where))
     loaded = data.load_dataset(str(where))
-    assert np.array_equal(ds.inputs, loaded.inputs)
-    assert np.array_equal(ds.labels, loaded.labels)
+    for a, b in [(ds.inputs, loaded.inputs), (ds.labels, loaded.labels)]:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     assert np.array_equal(ds.split, loaded.split)
     assert ds.generator == loaded.generator
 

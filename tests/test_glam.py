@@ -1,6 +1,8 @@
 """Amortized translation mappers: planted-translation recovery, the
 regularization limit, baselines, and the comparison harness."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -127,10 +129,28 @@ def test_mapper_serialization_roundtrip(planted, blobs_bundle, tmp_path):
     path = tmp_path / "mapper.json"
     glam.save_mapper(mapper, str(path))
     loaded = glam.load_mapper(str(path))
-    assert np.array_equal(loaded.theta, mapper.theta)
-    assert loaded.source_group == 1 and loaded.target_group == 2
+    assert loaded.theta.dtype == np.float64 and loaded.theta.tobytes() == mapper.theta.tobytes()
+    assert (loaded.source_group, loaded.target_group) == (1, 2)
     assert loaded.lambda_theta == 0.05
-    assert loaded.loss_curve == [float(v) for v in mapper.loss_curve]
+    assert loaded.loss_curve == mapper.loss_curve and len(mapper.loss_curve) == 20
+
+
+@pytest.mark.parametrize("edit", ["source_group", "target_group", "theta", "lambda_theta",
+                                  "unknown_key"])
+def test_mapper_file_without_a_field_or_with_an_unknown_one_is_malformed(tmp_path, edit):
+    mapper = glam.MapperParams(source_group=0, target_group=1, theta=np.zeros(3),
+                               lambda_theta=0.1, loss_curve=[1.0])
+    path = tmp_path / "mapper.json"
+    glam.save_mapper(mapper, str(path))
+    payload = json.loads(path.read_text())
+    if edit in payload:
+        del payload[edit]
+    else:
+        payload[edit] = 0
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="malformed") as info:
+        glam.load_mapper(str(path))
+    assert str(path) in str(info.value)
 
 
 def test_lambda_theta_tradeoff_direction(blobs, blobs_bundle):

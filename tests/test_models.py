@@ -1,6 +1,7 @@
 """Model bundle behavior: forward shapes, entropy contract, training,
 serialization round-trips."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -271,6 +272,16 @@ def test_serialization_roundtrip_bitwise(tiny_bundle, tmp_path):
     assert np.array_equal(models.decode(bundle, z), models.decode(loaded, z))
     assert np.array_equal(models.predict(bundle, x),
                           models.predict(loaded, x))
+    for net in ("encoder", "decoder", "ensemble"):
+        for kind in ("weights", "biases"):
+            ours, theirs = getattr(getattr(bundle, net), kind), getattr(getattr(loaded, net), kind)
+            assert len(ours) == len(theirs)
+            for a, b in zip(ours, theirs):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert loaded.seed == bundle.seed
+    assert loaded.vae_report == bundle.vae_report
+    # the ensemble's loss curve goes to training_report.json, not to the bundle
+    assert loaded.ensemble_report == dataclasses.replace(bundle.ensemble_report, loss_curve=[])
 
 
 def test_load_accepts_manifest_with_entropy_histogram(tiny_bundle, tmp_path):

@@ -1,10 +1,12 @@
 """Command-line orchestration: train models, run explanation experiments,
 sweep ablation grids, train amortized mappers, and benchmark timings.
 
-Every command writes a run manifest (resolved config, input/output hashes,
-wall times, seed) next to its outputs, and all files are written atomically
-(write to a temp name, then rename). Exit codes: 0 success, 2 usage or
-config error, 3 numerical failure.
+Every command does all of its work first and then hands its files to
+``write_outputs``, which creates ``--out``, writes each file atomically
+(to a temp name, then a rename) and adds a run manifest (resolved config,
+input/output hashes, wall times, seed); a command that fails writes
+nothing. Exit codes: 0 success, 2 usage or config error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -65,20 +67,22 @@ def _hash_tree(path):
     return out
 
 
-def write_manifest(out_dir, command, config, inputs, outputs, wall_times, seed):
-    manifest = {
-        "command": command,
-        "config": config,
-        "inputs": {},
-        "outputs": {},
-        "wall_times_s": {k: float(v) for k, v in wall_times.items()},
-        "seed": seed,
-    }
-    for p in inputs:
-        manifest["inputs"].update(_hash_tree(p))
-    for p in outputs:
-        manifest["outputs"].update(_hash_tree(p))
-    write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
+def write_outputs(args, command, config, inputs, files, wall_times, seed):
+    """Create ``--out``, call ``writer(path)`` for each ``name: writer`` of
+    ``files`` with ``path`` the name under it, and write ``run_manifest.json``
+    hashing the inputs and every file written. Each command calls this as its
+    last step, so one that fails before it leaves no output directory."""
+    os.makedirs(args.out, exist_ok=True)
+    outputs = {}
+    for name, writer in files.items():
+        path = os.path.join(args.out, name)
+        writer(path)
+        outputs.update(_hash_tree(path))
+    write_json(os.path.join(args.out, "run_manifest.json"), {
+        "command": command, "config": config,
+        "inputs": {k: v for p in inputs for k, v in _hash_tree(p).items()},
+        "outputs": outputs,
+        "wall_times_s": {k: float(v) for k, v in wall_times.items()}, "seed": seed})
 
 
 def load_config(path):
@@ -152,11 +156,6 @@ def experiment_config(cfg):
         raise UsageError(f"bad experiment config: {e}")
 
 
-def _ensure_out(args):
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
 def _load(what, loader, path):
     """``loader(path)``, with a missing or malformed input as a usage error."""
     if not path:
@@ -207,14 +206,11 @@ def cmd_gen_data(args):
             raise UsageError(f"unknown generator {kind!r}")
     except ValueError as e:
         raise UsageError(f"bad generator settings: {e}")
-    out = _ensure_out(args)
-    ds_dir = os.path.join(out, "dataset")
-    data.save_dataset(ds, ds_dir)
-    csv_path = os.path.join(out, "dataset.csv")
-    data.export_csv(ds, csv_path)
     wall = time.perf_counter() - t0
-    write_manifest(out, "gen-data", cfg, [], [ds_dir, csv_path],
-                   {"total": wall}, seed)
+    write_outputs(args, "gen-data", cfg, [],
+                  {"dataset": lambda p: data.save_dataset(ds, p),
+                   "dataset.csv": lambda p: data.export_csv(ds, p)},
+                  {"gen-data": wall}, seed)
     return 0
 
 
@@ -234,23 +230,24 @@ def cmd_train(args):
         epochs=size("ens_epochs", 80), batch=size("batch", 128))
     members = size("members", 5)
     ds = _load("dataset", data.load_dataset, args.dataset)
-    out = _ensure_out(args)
     t0 = time.perf_counter()
-    bundle = models.train_bundle(ds, vae_hp, ens_hp, n_members=members, seed=seed)
+    try:
+        bundle = models.train_bundle(ds, vae_hp, ens_hp, n_members=members, seed=seed)
+    except ValueError as e:
+        raise UsageError(f"cannot train on dataset {args.dataset}: {e}")
     wall = time.perf_counter() - t0
-    bundle_dir = os.path.join(out, "bundle")
-    models.save_bundle(bundle, bundle_dir)
-    report_path = os.path.join(out, "training_report.json")
-    write_json(report_path, {
+    report = {
         "vae": {"final_loss": bundle.vae_report.final_loss,
                 "mean_recon_l1": bundle.vae_report.mean_recon_l1,
                 "loss_curve": bundle.vae_report.loss_curve},
         "ensemble": {"heldout_accuracy": bundle.ensemble_report.heldout_accuracy,
                      "entropy_percentiles": bundle.ensemble_report.entropy_percentiles,
                      "loss_curve": bundle.ensemble_report.loss_curve},
-    })
-    write_manifest(out, "train", cfg, [args.dataset], [bundle_dir, report_path],
-                   {"train": wall}, seed)
+    }
+    write_outputs(args, "train", cfg, [args.dataset],
+                  {"bundle": lambda p: models.save_bundle(bundle, p),
+                   "training_report.json": lambda p: write_json(p, report)},
+                  {"train": wall}, seed)
     print(f"held-out accuracy: {bundle.ensemble_report.heldout_accuracy}")
     return 0
 
@@ -331,27 +328,18 @@ def cmd_explain(args):
     t0 = time.perf_counter()
     cesets = [(idx, run_method(x0, bundle, config, spec, context)) for idx, x0 in selected]
     wall = time.perf_counter() - t0
-    out = _ensure_out(args)  # after the searches: one that fails leaves no directory
-    scatter_rows, dist_rows, outputs = [], [], []
-    for idx, ceset in cesets:
-        path = os.path.join(out, f"ceset_{idx}.json")
-        clue.dump_ceset(ceset, path)
-        outputs.append(path)
-        for ci, c in enumerate(ceset.candidates):
-            scatter_rows.append([idx, ci, c.entropy, c.d_x, c.rho, c.cost,
-                                 c.label, int(c.accepted)])
-        if ceset.accepted():
-            weights = clue.label_distribution(ceset)
-            for cls, w in enumerate(weights):
-                dist_rows.append([idx, cls, float(w)])
-    scatter_path = os.path.join(out, "scatter.csv")
-    write_csv(scatter_path, ["input", "candidate", "H", "d_x", "rho", "cost",
-                             "label", "accepted"], scatter_rows)
-    dist_path = os.path.join(out, "label_distribution.csv")
-    write_csv(dist_path, ["input", "class", "weight"], dist_rows)
-    outputs += [scatter_path, dist_path]
-    write_manifest(out, "explain", cfg, [args.bundle, args.dataset], outputs,
-                   {"explain": wall}, config.seed)
+    files = {f"ceset_{idx}.json": lambda p, ceset=ceset: clue.dump_ceset(ceset, p)
+             for idx, ceset in cesets}
+    scatter_rows = [[idx, ci, c.entropy, c.d_x, c.rho, c.cost, c.label, int(c.accepted)]
+                    for idx, ceset in cesets for ci, c in enumerate(ceset.candidates)]
+    dist_rows = [[idx, cls, float(w)] for idx, ceset in cesets if ceset.accepted()
+                 for cls, w in enumerate(clue.label_distribution(ceset))]
+    files["scatter.csv"] = lambda p: write_csv(
+        p, ["input", "candidate", "H", "d_x", "rho", "cost", "label", "accepted"], scatter_rows)
+    files["label_distribution.csv"] = lambda p: write_csv(
+        p, ["input", "class", "weight"], dist_rows)
+    write_outputs(args, "explain", cfg, [args.bundle, args.dataset], files,
+                  {"explain": wall}, config.seed)
     return 0
 
 
@@ -410,11 +398,11 @@ def cmd_sweep(args):
             for stat, v in _sweep_stats(record).items():
                 rows.append([args.axis, value, stat, v])
     wall = time.perf_counter() - t0
-    out = _ensure_out(args)  # after the sweep: a setting it rejects leaves no directory
-    sweep_path = os.path.join(out, "sweep.csv")
-    write_csv(sweep_path, ["axis", "value", "statistic", "result"], rows)
-    write_manifest(out, "sweep", dict(cfg, axis=args.axis, grid=grid),
-                   [args.bundle, args.dataset], [sweep_path], {"sweep": wall}, seed)
+    write_outputs(args, "sweep", dict(cfg, axis=args.axis, grid=grid),
+                  [args.bundle, args.dataset],
+                  {"sweep.csv": lambda p: write_csv(
+                      p, ["axis", "value", "statistic", "result"], rows)},
+                  {"sweep": wall}, seed)
     return 0
 
 
@@ -508,29 +496,22 @@ def cmd_glam(args):
                              f"bundle {args.bundle} takes width {bundle.d_in}")
     groups = _groups(cfg, ds, bundle)
     t0 = time.perf_counter()
-    # every scheme is built before any file is written, so a variant that
-    # cannot be built leaves no partial outputs
-    built = [(v, *_glam_scheme(v, cfg, groups, bundle, cesets, cap)) for v in variants]
-    out = _ensure_out(args)
-    rows, summaries, outputs = [], [], []
-    for variant, scheme, mappers in built:
+    rows, summaries, files = [], [], {}
+    for variant in variants:
+        scheme, mappers = _glam_scheme(variant, cfg, groups, bundle, cesets, cap)
         ces = _apply_scheme(scheme, groups, cap)
         rows += [[variant, pid, ce.entropy, ce.d_x, ce.cost, ce.label]
                  for pid, ce in enumerate(ces)]
         summaries.append([variant, "summary", float(np.mean([ce.cost for ce in ces])),
                           "", "", ""])
-        for i, m in enumerate(mappers):
-            mp = os.path.join(out, f"mapper_{variant}_{i}.json")
-            glam.save_mapper(m, mp)
-            outputs.append(mp)
+        files.update({f"mapper_{variant}_{i}.json": lambda p, m=m: glam.save_mapper(m, p)
+                      for i, m in enumerate(mappers)})
     wall = time.perf_counter() - t0
-    cmp_path = os.path.join(out, "comparison.csv")
-    write_csv(cmp_path, ["scheme", "point", "H", "d_x", "cost", "label"],
-              rows + summaries)
-    outputs.append(cmp_path)
-    write_manifest(out, "glam", dict(cfg, variant=args.variant),
-                   [args.bundle, args.dataset] + (args.cesets or []), outputs,
-                   {"glam": wall}, seed)
+    files["comparison.csv"] = lambda p: write_csv(
+        p, ["scheme", "point", "H", "d_x", "cost", "label"], rows + summaries)
+    write_outputs(args, "glam", dict(cfg, variant=args.variant),
+                  [args.bundle, args.dataset] + (args.cesets or []), files,
+                  {"glam": wall}, seed)
     return 0
 
 
@@ -555,7 +536,6 @@ def cmd_bench(args):
     c, (xu, xc) = next(iter(_groups(cfg, ds, bundle).items()))
     x = xu[0]
     context = _init_context(cfg, [config], ds, bundle)
-    out = _ensure_out(args)
     start = time.perf_counter()
     mapper = glam.train_mapper(xu, xc, bundle, source_group=c, target_group=c)
     train_ms = 1000.0 * (time.perf_counter() - start)
@@ -583,11 +563,10 @@ def cmd_bench(args):
         rows.append([name, float(np.median(times)), len(times)])
     rows.append(["mapper-training", train_ms, 1])
     wall = time.perf_counter() - start
-    bench_path = os.path.join(out, "bench.csv")
-    write_csv(bench_path, ["scheme", "median_ms", "repetitions"], rows)
-    write_manifest(out, "bench", dict(cfg, schemes=schemes),
-                   [args.bundle, args.dataset], [bench_path],
-                   {"bench": wall}, config.seed)
+    write_outputs(args, "bench", dict(cfg, schemes=schemes), [args.bundle, args.dataset],
+                  {"bench.csv": lambda p: write_csv(
+                      p, ["scheme", "median_ms", "repetitions"], rows)},
+                  {"bench": wall}, config.seed)
     return 0
 
 

@@ -393,9 +393,12 @@ def label_distribution(ceset):
     return weights / weights.sum()
 
 
-# a candidate's entry in a ceset file: each field but the trajectory, arrays as lists
-_ENTRY_FIELDS = [f.name for f in fields(CandidateCE) if f.name != "trajectory"]
+# a candidate's entry in a ceset file: each field but the trajectory, arrays as
+# lists, and each scalar a JSON value of the field's type (a boolean is no number)
+_ENTRY_TYPES = {f.name: f.type for f in fields(CandidateCE) if f.name != "trajectory"}
+_ENTRY_FIELDS = list(_ENTRY_TYPES)
 _ARRAY_FIELDS = ("z", "x", "posterior")
+_SCALAR_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
 
 
 def ceset_to_json(ceset):
@@ -413,13 +416,18 @@ def dump_ceset(ceset, path):
 def _candidate(entry):
     if set(entry) - set(_ENTRY_FIELDS):
         raise TypeError(f"a candidate has fields {sorted(entry)}, not {_ENTRY_FIELDS}")
+    for k, t in _ENTRY_TYPES.items():
+        kind, value = _SCALAR_KINDS.get(t), entry[k]
+        if kind and (not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)):
+            raise TypeError(f"a candidate's {k} must be of type {t}, got {value!r}")
     return CandidateCE(**{k: np.array(entry[k]) if k in _ARRAY_FIELDS else entry[k]
                           for k in _ENTRY_FIELDS})
 
 
 def ceset_from_json(payload):
     """The CESet of a ``ceset_to_json`` payload; a candidate entry with a
-    missing or an unknown field raises ``KeyError`` or ``TypeError``."""
+    missing field raises ``KeyError``, and one with an unknown field or a
+    scalar of another type ``TypeError``."""
     return CESet(config=ExperimentConfig(**payload["config"]),
                  candidates=[_candidate(e) for e in payload["candidates"]],
                  x0=np.array(payload["x0"]), z0=np.array(payload["z0"]))

@@ -478,13 +478,16 @@ def _read_json(path, build):
 
 def _save_store(directory, manifest, blob_name, arrays):
     """Write ``manifest`` to ``directory/manifest.json`` and ``arrays``, in
-    order, to one little-endian float64 blob ``directory/blob_name``."""
+    order, to one little-endian float64 blob ``directory/blob_name``. Both are
+    serialized before either file is replaced, so a manifest or an array that
+    cannot be written leaves an old store as it was."""
+    text = json.dumps(manifest, indent=1, sort_keys=True)
+    blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
     Path(directory).mkdir(parents=True, exist_ok=True)
     with _atomic_open(Path(directory, "manifest.json")) as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
+        f.write(text)
     with _atomic_open(Path(directory, blob_name), "wb") as f:
-        for a in arrays:
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        f.write(blob)
 
 
 def _load_store(directory, blob_name, shapes, build):

@@ -182,14 +182,20 @@ def test_sweep_on_an_empty_test_split_exit_2(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sets", [["lr=1e300"], ["r=1e308", "iters=2"]])
+@pytest.mark.parametrize("sets", [
+    ["explain", "--top", "1", "--set", "lr=1e300"],
+    ["explain", "--top", "1", "--set", "r=1e308", "--set", "iters=2"],
+    pytest.param(["train", "--set", "vae_lr=1e300"], id="train_vae_lr"),
+    pytest.param(["bench", "--schemes", "dclue", "--set", "lr=1e300", "--set", "k=2",
+                  "--set", "r=1"], id="bench_dclue_lr"),
+])
 def test_diverged_search_exits_3(workspace, tmp_path, sets, capsys):
-    """A search whose end point overflows is a numerical failure, not an
-    inf in the outputs."""
-    argv = ["explain", "--out", str(tmp_path / "dv"), "--bundle", workspace["bundle"],
-            "--dataset", workspace["dataset"], "--top", "1"]
+    """A search or a training run that overflows is a numerical failure, not
+    an inf in the outputs, and the command leaves no output directory."""
+    inputs = ["--bundle", workspace["bundle"], "--dataset", workspace["dataset"]]
+    argv = sets + (inputs[2:] if sets[0] == "train" else inputs)
     with np.errstate(all="ignore"):
-        assert run(argv + [a for v in sets for a in ("--set", v)]) == 3
+        assert run(argv + ["--out", str(tmp_path / "dv")]) == 3
     assert "diverged" in capsys.readouterr().err
     assert not (tmp_path / "dv").exists()
 
@@ -551,11 +557,27 @@ WIDE_INPUTS = {  # case -> argv run on a 64-wide dataset, or ceset, and the 8-wi
 }
 
 
-@pytest.mark.parametrize("case", list(BROKEN_BUNDLES) + list(BAD_SETTINGS) + list(WIDE_INPUTS))
+def _all_rows_in_test(ds):
+    ds.split[:] = "test"
+
+
+def _negative_train_label(ds):
+    ds.labels[np.flatnonzero(ds.split == "train")[0]] = -1
+
+
+BAD_DATASETS = {  # case -> (edit of the workspace dataset, text the error holds)
+    "train_no_train_rows": (_all_rows_in_test, "empty dataset"),
+    "train_negative_label": (_negative_train_label, "non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", list(BROKEN_BUNDLES) + list(BAD_SETTINGS) + list(WIDE_INPUTS)
+                         + list(BAD_DATASETS))
 def test_malformed_input_exit_2(workspace, tmp_path, case, capsys):
-    """A broken bundle file, a bad numeric setting, or a dataset or ceset
-    whose input width is not the bundle's exits 2 with a message that names
-    the file or the key (and both widths), and writes nothing."""
+    """A broken bundle file, a bad numeric setting, a dataset or ceset whose
+    input width is not the bundle's, or a dataset that cannot be trained on
+    exits 2 with a message that names the file or the key (and both widths),
+    and writes nothing."""
     bundle = tmp_path / "bundle"
     shutil.copytree(workspace["bundle"], bundle)
     out = tmp_path / "out"
@@ -571,6 +593,13 @@ def test_malformed_input_exit_2(workspace, tmp_path, case, capsys):
             data.save_dataset(data.gen_minidigits(n=40, seed=0), wide)
             extra = ["--bundle", str(bundle), "--dataset", str(wide)]
         argv, named = WIDE_INPUTS[case] + extra, [str(wide), str(bundle), "64", "8"]
+    elif case in BAD_DATASETS:
+        edit, text = BAD_DATASETS[case]
+        ds = data.load_dataset(workspace["dataset"])
+        edit(ds)
+        bad = tmp_path / "dataset"
+        data.save_dataset(ds, bad)
+        argv, named = ["train", "--dataset", str(bad), "--set", "vae_epochs=1"], [str(bad), text]
     else:
         argv, named = BAD_SETTINGS[case]
         argv, named = argv + {"gen-data": [], "train": inputs[2:]}.get(argv[0], inputs), [named]

@@ -379,13 +379,21 @@ def test_ceset_json_roundtrip(tiny_bundle, tmp_path):
                 assert type(va) is type(vb) and va == vb, name
 
 
-@pytest.mark.parametrize("edit", ["missing_z", "missing_rho", "unknown_key", "trajectory"])
+ENTRY_VALUES = {"label_string": ("label", "x"), "cost_string": ("cost", "high"),
+                "accepted_number": ("accepted", 1)}  # edit -> (field, value)
+
+
+@pytest.mark.parametrize("edit", ["missing_z", "missing_rho", "unknown_key", "trajectory"]
+                         + list(ENTRY_VALUES))
 def test_ceset_entry_with_a_missing_or_unknown_field_is_malformed(tmp_path, edit):
     entry = {"z": [0.0] * 3, "x": [0.5] * 4, "posterior": [1.0, 0.0], "entropy": 0.0,
              "d_x": 0.0, "d_y": 0.0, "rho": 0.0, "cost": 0.0, "label": 0,
              "accepted": True, "start_index": 0}
     if edit.startswith("missing_"):
         del entry[edit[len("missing_"):]]
+    elif edit in ENTRY_VALUES:
+        field, value = ENTRY_VALUES[edit]
+        entry[field] = value
     else:
         entry[edit] = [[0.0] * 3]
     path = tmp_path / "ceset.json"

@@ -50,6 +50,25 @@ def test_dataset_persistence_roundtrip(tmp_path):
     assert ds.generator == loaded.generator
 
 
+def test_a_failed_save_leaves_the_saved_dataset_as_it_was(tmp_path):
+    """Both files of a store are serialized before either is replaced, so a
+    save whose inputs hold a string keeps the old store loadable."""
+    ds = data.gen_blobs(c=3, d=6, n=50, spread=0.15, seed=4)
+    where = tmp_path / "ds"
+    data.save_dataset(ds, str(where))
+    bad = data.gen_blobs(c=3, d=6, n=60, spread=0.15, seed=5)
+    bad.inputs = bad.inputs.astype(object)
+    bad.inputs[0, 0] = "x"
+    with pytest.raises(ValueError):
+        data.save_dataset(bad, str(where))
+    loaded = data.load_dataset(str(where))
+    for a, b in [(ds.inputs, loaded.inputs), (ds.labels, loaded.labels)]:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert np.array_equal(ds.split, loaded.split)
+    assert ds.generator == loaded.generator
+    assert sorted(p.name for p in where.iterdir()) == ["inputs.bin", "manifest.json"]
+
+
 @pytest.mark.parametrize("test_frac", [float("nan"), 0.0, 1.0, -0.5, 1.5, float("inf")])
 def test_generators_reject_test_frac_outside_the_open_unit_interval(test_frac):
     with pytest.raises(ValueError, match="test_frac"):

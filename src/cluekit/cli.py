@@ -1,22 +1,30 @@
 """Command-line orchestration: train models, run explanation experiments,
 sweep ablation grids, train amortized mappers, and benchmark timings.
 
-Every command does all of its work first and then hands its files to
-``write_outputs``, which creates ``--out``, writes each file atomically
-(to a temp name, then a rename) and adds a run manifest (resolved config,
-input/output hashes, wall times, seed); a command that fails writes
-nothing. Exit codes: 0 success, 2 usage or config error, 3 numerical
-failure.
+Each command reads the settings of one table, ``SETTINGS[command]``, which
+declares every key it reads with its kind, default and lower bound.
+``resolve_config`` merges ``--config``, ``--set`` and ``--seed`` and checks
+them against the table before any input is loaded: an unknown key, or a value
+of the wrong kind or out of bounds, is a usage error naming the key (and, for
+a misspelling, the key probably meant). Every command does all of its work
+first and then hands its files to ``write_outputs``, which creates ``--out``,
+writes each file atomically (to a temp name, then a rename) and adds a run
+manifest (the resolved settings, input/output hashes, wall times, seed); a
+command that fails writes nothing. Exit codes: 0 success, 2 usage or config
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import json
+import math
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -67,11 +75,12 @@ def _hash_tree(path):
     return out
 
 
-def write_outputs(args, command, config, inputs, files, wall_times, seed):
+def write_outputs(args, config, inputs, files, wall_times):
     """Create ``--out``, call ``writer(path)`` for each ``name: writer`` of
     ``files`` with ``path`` the name under it, and write ``run_manifest.json``
-    hashing the inputs and every file written. Each command calls this as its
-    last step, so one that fails before it leaves no output directory."""
+    with the resolved settings ``config``, hashing the inputs and every file
+    written. Each command calls this as its last step, so one that fails
+    before it leaves no output directory."""
     os.makedirs(args.out, exist_ok=True)
     outputs = {}
     for name, writer in files.items():
@@ -79,10 +88,11 @@ def write_outputs(args, command, config, inputs, files, wall_times, seed):
         writer(path)
         outputs.update(_hash_tree(path))
     write_json(os.path.join(args.out, "run_manifest.json"), {
-        "command": command, "config": config,
+        "command": args.command, "config": config,
         "inputs": {k: v for p in inputs for k, v in _hash_tree(p).items()},
         "outputs": outputs,
-        "wall_times_s": {k: float(v) for k, v in wall_times.items()}, "seed": seed})
+        "wall_times_s": {k: float(v) for k, v in wall_times.items()},
+        "seed": config["seed"]})
 
 
 def load_config(path):
@@ -100,60 +110,97 @@ def load_config(path):
     return cfg
 
 
-def _parse_value(text):
+# ---------------------------------------------------------------------------
+# settings: each command's table of every key it reads
+
+# key -> (kind, default, lower bound). An int takes an integer, not 2.5, true
+# or "2"; a float a finite number, not true, "0.5" or nan; a tuple lists the
+# values allowed. The search keys are ExperimentConfig's fields: building one
+# checks them, and they keep their JSON type, as a ceset echoes its config.
+SEARCH = {f.name: (clue.ExperimentConfig, f.default, None)
+          for f in fields(clue.ExperimentConfig)}
+DIVERSITY = {"metric": (div.ALL_METRICS, "dpp", None), "space": (div.SPACES, "latent", None)}
+# the certainty partition's entropy thresholds; None is the bundle's 20th or
+# 80th training-entropy percentile, filled in once the bundle is loaded
+TAUS = {"tau_low": (float, None, None), "tau_high": (float, None, None)}
+SEED = {"seed": (int, 0, 0)}
+CAP = {"cap": (int, 20, 1)}  # inputs of each group glam1 trains on and every scheme explains
+SETTINGS = {
+    "gen-data": {**SEED, "generator": (("blobs", "minidigits"), "blobs", None),
+                 "n": (int, 2000, 1), "test_frac": (float, 0.2, None),
+                 "c": (int, 4, None), "d": (int, 16, None), "spread": (float, 0.18, None)},
+    "train": {**SEED, "vae_hidden": (int, 64, 1), "latent": (int, 8, 1),
+              "vae_lr": (float, 0.05, None), "vae_epochs": (int, 60, 1),
+              "batch": (int, 128, 1), "kl_weight": (float, 0.1, None),
+              "ens_hidden": (int, 32, 1), "ens_lr": (float, 0.1, None),
+              "ens_epochs": (int, 80, 1), "members": (int, 5, 1)},
+    "explain": {**SEARCH, **DIVERSITY, **TAUS},
+    "sweep": {**SEARCH, **DIVERSITY, **TAUS, **CAP},  # lambda_x weights glam1's cost too
+    "glam": {**SEED, **TAUS, **CAP, "lambda_x": (float, 0.03, 0),
+             "lambda_theta": (float, 0.01, 0), "lambda_theta_clue": (float, 0.0, 0)},
+    "bench": {**SEARCH, **TAUS},
+}
+
+
+def _checked(key, value, kind, low=None):
+    """``value`` of setting ``key`` as its table entry reads it; a value the
+    entry refuses is a usage error naming the key."""
+    if kind is clue.ExperimentConfig:  # checked by _search_config
+        return math.inf if key == "delta" and value in ("inf", None) else value
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise UsageError(f"unknown {key} {value!r}; choose from {kind}")
+        return value
+    try:  # a bare nan or inf on --set is a string, refused as not finite
+        finite = kind is int or math.isfinite(float(value))
+    except OverflowError:
+        finite = False
+    except (TypeError, ValueError):
+        finite = True  # not a number at all, refused below
+    if not finite:
+        raise UsageError(f"{key} must be finite, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise UsageError(f"{key} must be {'an int' if kind is int else 'a number'}, got {value!r}")
+    if low is not None and value < low:
+        raise UsageError(f"{key} must be >= {low}, got {value!r}")
+    return kind(value)
+
+
+def _search_config(settings):
+    """The ExperimentConfig of the settings' search keys."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text  # bare string
-
-
-def apply_overrides(cfg, pairs):
-    """--set key=value overrides, values parsed as JSON when possible."""
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise UsageError(f"--set expects key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
-        cfg[key] = _parse_value(value)
-    return cfg
+        return clue.ExperimentConfig(**{key: settings[key] for key in SEARCH})
+    except ValueError as e:
+        raise UsageError(f"bad experiment config: {e}")
 
 
 def resolve_config(args):
+    """Every key of the command's table with its value from ``--seed``, else
+    ``--set``, else ``--config``, else the table's default, checked once; an
+    unknown key is a usage error naming it and the key it is closest to."""
     cfg = load_config(args.config)
-    cfg = apply_overrides(cfg, getattr(args, "set", None))
-    if getattr(args, "seed", None) is not None:
+    for pair in args.set or []:  # a value is parsed as JSON, else kept as a bare string
+        key, eq, text = pair.partition("=")
+        if not eq:
+            raise UsageError(f"--set expects key=value, got {pair!r}")
+        try:
+            cfg[key] = json.loads(text)
+        except json.JSONDecodeError:
+            cfg[key] = text
+    if args.seed is not None:
         cfg["seed"] = args.seed
-    return cfg
-
-
-def _setting(cfg, key, default, kind=float, low=None):
-    """cfg[key], else the default, as a ``kind`` (int or float); a value of
-    another kind, or one below ``low``, is a usage error naming the key. An
-    int setting takes only an integer, not 2.5, true or "2"; a float setting
-    takes a finite number or a numeric string, not true, "nan" or "inf"."""
-    value = cfg.get(key, default)
-    what = "an int" if kind is int else "a number"
-    if isinstance(value, bool) or (kind is int and not isinstance(value, int)):
-        raise UsageError(f"{key} must be {what}, got {value!r}")
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{key} must be {what}, got {value!r}")
-    if kind is float and not np.isfinite(number):
-        raise UsageError(f"{key} must be finite, got {value!r}")
-    if low is not None and number < low:
-        raise UsageError(f"{key} must be >= {low}, got {value!r}")
-    return number
-
-
-def experiment_config(cfg):
-    fields = {f for f in clue.ExperimentConfig.__dataclass_fields__}
-    kwargs = {k: v for k, v in cfg.items() if k in fields}
-    if "delta" in kwargs and kwargs["delta"] in ("inf", None):
-        kwargs["delta"] = float("inf")
-    try:
-        return clue.ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise UsageError(f"bad experiment config: {e}")
+    table = SETTINGS[args.command]
+    for key in cfg:
+        if key not in table:
+            near = difflib.get_close_matches(key, table, n=1)
+            raise UsageError(f"unknown setting {key!r} for {args.command}"
+                             + (f"; did you mean {near[0]!r}?" if near else "")
+                             + f" ({args.command} reads {', '.join(sorted(table))})")
+    settings = {key: _checked(key, cfg[key], kind, low) if key in cfg else default
+                for key, (kind, default, low) in table.items()}
+    if SEARCH.keys() <= table.keys():
+        _search_config(settings)
+    return settings
 
 
 def _load(what, loader, path):
@@ -168,14 +215,18 @@ def _load(what, loader, path):
         raise UsageError(f"cannot load {what} {path}: {e}")
 
 
-def _load_inputs(args):
+def _load_inputs(args, settings):
     """The bundle and the dataset; a dataset of another input width than the
-    bundle's is a usage error."""
+    bundle's is a usage error. Unset thresholds of ``settings`` become the
+    bundle's percentiles, so the manifest records the ones the partition used."""
     bundle = _load("bundle", models.load_bundle, args.bundle)
     ds = _load("dataset", data.load_dataset, args.dataset)
     if ds.inputs.shape[1] != bundle.d_in:
         raise UsageError(f"dataset {args.dataset} has inputs of width {ds.inputs.shape[1]}, "
                          f"bundle {args.bundle} takes width {bundle.d_in}")
+    for key, tau in zip(TAUS, data.default_taus(bundle)):
+        if settings[key] is None:
+            settings[key] = tau
     return bundle, ds
 
 
@@ -191,48 +242,34 @@ def _top_uncertain(dataset, bundle, n):
 
 def cmd_gen_data(args):
     cfg = resolve_config(args)
-    kind = cfg.get("generator", "blobs")
-    seed = _setting(cfg, "seed", 0, int, low=0)
-    n, test_frac = _setting(cfg, "n", 2000, int), _setting(cfg, "test_frac", 0.2)
     t0 = time.perf_counter()
     try:
-        if kind == "blobs":
-            ds = data.gen_blobs(c=_setting(cfg, "c", 4, int), d=_setting(cfg, "d", 16, int),
-                                n=n, spread=_setting(cfg, "spread", 0.18), seed=seed,
-                                test_frac=test_frac)
-        elif kind == "minidigits":
-            ds = data.gen_minidigits(n=n, seed=seed, test_frac=test_frac)
+        if cfg["generator"] == "blobs":
+            ds = data.gen_blobs(c=cfg["c"], d=cfg["d"], n=cfg["n"], spread=cfg["spread"],
+                                seed=cfg["seed"], test_frac=cfg["test_frac"])
         else:
-            raise UsageError(f"unknown generator {kind!r}")
+            ds = data.gen_minidigits(n=cfg["n"], seed=cfg["seed"], test_frac=cfg["test_frac"])
     except ValueError as e:
         raise UsageError(f"bad generator settings: {e}")
     wall = time.perf_counter() - t0
-    write_outputs(args, "gen-data", cfg, [],
+    write_outputs(args, cfg, [],
                   {"dataset": lambda p: data.save_dataset(ds, p),
                    "dataset.csv": lambda p: data.export_csv(ds, p)},
-                  {"gen-data": wall}, seed)
+                  {"gen-data": wall})
     return 0
 
 
 def cmd_train(args):
     cfg = resolve_config(args)
-    seed = _setting(cfg, "seed", 0, int, low=0)
-
-    def size(key, default):  # every size and count of training is >= 1
-        return _setting(cfg, key, default, int, low=1)
-
     vae_hp = models.VaeHyperparams(
-        hidden=size("vae_hidden", 64), latent=size("latent", 8),
-        lr=_setting(cfg, "vae_lr", 0.05), epochs=size("vae_epochs", 60),
-        batch=size("batch", 128), kl_weight=_setting(cfg, "kl_weight", 0.1))
+        hidden=cfg["vae_hidden"], latent=cfg["latent"], lr=cfg["vae_lr"], epochs=cfg["vae_epochs"],
+        batch=cfg["batch"], kl_weight=cfg["kl_weight"])
     ens_hp = models.EnsembleHyperparams(
-        hidden=size("ens_hidden", 32), lr=_setting(cfg, "ens_lr", 0.1),
-        epochs=size("ens_epochs", 80), batch=size("batch", 128))
-    members = size("members", 5)
+        hidden=cfg["ens_hidden"], lr=cfg["ens_lr"], epochs=cfg["ens_epochs"], batch=cfg["batch"])
     ds = _load("dataset", data.load_dataset, args.dataset)
     t0 = time.perf_counter()
     try:
-        bundle = models.train_bundle(ds, vae_hp, ens_hp, n_members=members, seed=seed)
+        bundle = models.train_bundle(ds, vae_hp, ens_hp, n_members=cfg["members"], seed=cfg["seed"])
     except ValueError as e:
         raise UsageError(f"cannot train on dataset {args.dataset}: {e}")
     wall = time.perf_counter() - t0
@@ -244,10 +281,10 @@ def cmd_train(args):
                      "entropy_percentiles": bundle.ensemble_report.entropy_percentiles,
                      "loss_curve": bundle.ensemble_report.loss_curve},
     }
-    write_outputs(args, "train", cfg, [args.dataset],
+    write_outputs(args, cfg, [args.dataset],
                   {"bundle": lambda p: models.save_bundle(bundle, p),
                    "training_report.json": lambda p: write_json(p, report)},
-                  {"train": wall}, seed)
+                  {"train": wall})
     print(f"held-out accuracy: {bundle.ensemble_report.heldout_accuracy}")
     return 0
 
@@ -274,8 +311,7 @@ def _diversity_spec(cfg, optimized):
     """The config's DiversitySpec; one that a search optimizes must be a
     differentiable metric in latent or input space."""
     try:
-        spec = div.DiversitySpec(metric=cfg.get("metric", "dpp"),
-                                 space=cfg.get("space", "latent"))
+        spec = div.DiversitySpec(metric=cfg["metric"], space=cfg["space"])
     except ValueError as e:
         raise UsageError(f"bad diversity spec: {e}")
     if optimized and spec.space == "prediction":
@@ -285,21 +321,13 @@ def _diversity_spec(cfg, optimized):
     return spec
 
 
-def _partition(cfg, ds, bundle):
-    """The certainty partition of the training inputs under the config's
-    tau_low/tau_high, else the bundle's defaults."""
-    lo, hi = data.default_taus(bundle)
-    return data.partition_by_certainty(ds, bundle, _setting(cfg, "tau_low", lo),
-                                       _setting(cfg, "tau_high", hi))
-
-
 def _init_context(cfg, configs, ds, bundle):
     """The start data of schemes s2 and s5, drawn from the certainty
     partition, or None when no config starts with either away from z0."""
     schemes = {c.scheme for c in configs if c.r > 0.0}
     if not schemes & {"s2", "s5"}:
         return None
-    part = _partition(cfg, ds, bundle)
+    part = data.partition_by_certainty(ds, bundle, cfg["tau_low"], cfg["tau_high"])
     if "s2" in schemes:
         for j in range(bundle.c_classes):
             if len(part.certain_of_class(j)) == 0:
@@ -309,20 +337,17 @@ def _init_context(cfg, configs, ds, bundle):
 
 
 def cmd_explain(args):
-    if args.top < 0:
-        raise UsageError(f"--top must be >= 0, got {args.top}")
-    run_method = METHODS.get(args.method)
-    if run_method is None:
-        raise UsageError(f"unknown method {args.method!r}; choose from {tuple(METHODS)}")
+    _checked("--top", args.top, int, 0)
+    run_method = METHODS[_checked("method", args.method, tuple(METHODS))]
     cfg = resolve_config(args)
     if args.method == "clue":
-        cfg = dict(cfg, delta=float("inf"), r=0.0, k=1)
-    config = experiment_config(cfg)
+        cfg.update(delta=math.inf, r=0.0, k=1)
+    config = _search_config(cfg)
     spec = _diversity_spec(cfg, args.method in DIVERSITY_METHODS)
     if clue.coincident_starts(config, args.method in ("divclue-seq", "divclue-pen")):
         raise UsageError(f"--method {args.method} with k={config.k} needs r > 0: at r=0 all k "
                          f"start points sit at z0, so it writes k identical candidates")
-    bundle, ds = _load_inputs(args)
+    bundle, ds = _load_inputs(args, cfg)
     context = _init_context(cfg, [config], ds, bundle)
     selected = _top_uncertain(ds, bundle, args.top)
     t0 = time.perf_counter()
@@ -338,8 +363,7 @@ def cmd_explain(args):
         p, ["input", "candidate", "H", "d_x", "rho", "cost", "label", "accepted"], scatter_rows)
     files["label_distribution.csv"] = lambda p: write_csv(
         p, ["input", "class", "weight"], dist_rows)
-    write_outputs(args, "explain", cfg, [args.bundle, args.dataset], files,
-                  {"explain": wall}, config.seed)
+    write_outputs(args, cfg, [args.bundle, args.dataset], files, {"explain": wall})
     return 0
 
 
@@ -361,9 +385,7 @@ def _sweep_stats(record):
 
 def cmd_sweep(args):
     cfg = resolve_config(args)
-    seed = _setting(cfg, "seed", 0, int, low=0)
-    if args.axis not in SWEEP_AXES:
-        raise UsageError(f"unknown sweep axis {args.axis!r}; choose from {SWEEP_AXES}")
+    _checked("sweep axis", args.axis, SWEEP_AXES)
     try:
         grid = [float(v) for v in args.grid.split(",") if v != ""]
     except ValueError as e:
@@ -371,16 +393,19 @@ def cmd_sweep(args):
     if not grid:
         raise UsageError("sweep grid is empty")
     spec = _diversity_spec(cfg, optimized=True)
-    settings = {"delta": lambda v: {"delta": v, "r": v},
-                "lambda_d": lambda v: {"lambda_d": v},
-                "n_i": lambda v: {"n_i": int(v) if v.is_integer() else v}}.get(args.axis)
-    configs = [experiment_config(dict(cfg, **settings(v))) for v in grid] if settings else []
+    point = {"delta": lambda v: {"delta": v, "r": v},
+             "lambda_d": lambda v: {"lambda_d": v},
+             "n_i": lambda v: {"n_i": int(v) if v.is_integer() else v}}.get(args.axis)
+    configs = [_search_config(dict(cfg, **point(v))) for v in grid] if point else []
+    if not point:  # each lambda_theta is checked as glam's setting is
+        kind, _, low = SETTINGS["glam"]["lambda_theta"]
+        grid = [_checked("lambda_theta", v, kind, low) for v in grid]
     if args.axis in ("lambda_d", "n_i") and (configs[0].k == 1
                                              or clue.coincident_starts(configs[0])):
         raise UsageError(f"sweep --axis {args.axis} needs k >= 2 and r > 0, got k={configs[0].k} "
                          f"and r={configs[0].r}: one point, or k copies of z0, has no "
                          f"diversity, so every grid point gives the same result")
-    bundle, ds = _load_inputs(args)
+    bundle, ds = _load_inputs(args, cfg)
     groups = _groups(cfg, ds, bundle) if args.axis == "lambda_theta" else None
     context = _init_context(cfg, configs, ds, bundle)
     t0 = time.perf_counter()
@@ -398,19 +423,17 @@ def cmd_sweep(args):
             for stat, v in _sweep_stats(record).items():
                 rows.append([args.axis, value, stat, v])
     wall = time.perf_counter() - t0
-    write_outputs(args, "sweep", dict(cfg, axis=args.axis, grid=grid),
-                  [args.bundle, args.dataset],
+    write_outputs(args, dict(cfg, axis=args.axis, grid=grid), [args.bundle, args.dataset],
                   {"sweep.csv": lambda p: write_csv(
                       p, ["axis", "value", "statistic", "result"], rows)},
-                  {"sweep": wall}, seed)
+                  {"sweep": wall})
     return 0
 
 
 def _groups(cfg, ds, bundle):
     """{class: (uncertain, certain)} training inputs of every class with at
-    least three of each under the config's (or the bundle's) entropy
-    thresholds."""
-    part = _partition(cfg, ds, bundle)
+    least three of each under the config's entropy thresholds."""
+    part = data.partition_by_certainty(ds, bundle, cfg["tau_low"], cfg["tau_high"])
     xt = ds.train_inputs()
     groups = {}
     for c in range(bundle.c_classes):
@@ -418,22 +441,18 @@ def _groups(cfg, ds, bundle):
         if len(uncertain) >= 3 and len(certain) >= 3:
             groups[c] = (xt[uncertain], xt[certain])
     if not groups:
-        raise UsageError("no class has both certain and uncertain points")
+        raise UsageError(f"no class has both certain and uncertain points at "
+                         f"tau_low={part.tau_low!r} and tau_high={part.tau_high!r}")
     return groups
-
-
-def _cap(cfg):
-    """How many of each group's inputs glam1 trains on and every scheme explains."""
-    return _setting(cfg, "cap", 20, int, low=1)
 
 
 def _sweep_lambda_theta(grid, cfg, groups, bundle):
     """Mean H and d_x of glam1's counterfactuals at each lambda_theta (neither
     depends on lambda_x, which only weights the cost)."""
-    rows, cap = [], _cap(cfg)
+    rows = []
     for value in grid:
-        scheme, _ = _glam_scheme("glam1", dict(cfg, lambda_theta=value), groups, bundle, [], cap)
-        ces = _apply_scheme(scheme, groups, cap)
+        scheme, _ = _glam_scheme("glam1", dict(cfg, lambda_theta=value), groups, bundle, [])
+        ces = _apply_scheme(scheme, groups, cfg["cap"])
         hs, dxs = [ce.entropy for ce in ces], [ce.d_x for ce in ces]
         rows.append(["lambda_theta", value, "mean_H", float(np.mean(hs))])
         rows.append(["lambda_theta", value, "mean_d_x", float(np.mean(dxs))])
@@ -443,13 +462,12 @@ def _sweep_lambda_theta(grid, cfg, groups, bundle):
 GLAM_VARIANTS = ("glam1", "glam2", "dbm-input", "dbm-latent", "nn-input", "nn-latent")
 
 
-def _glam_scheme(variant, cfg, groups, bundle, cesets, cap):
+def _glam_scheme(variant, cfg, groups, bundle, cesets):
     """Build callable(x, class) -> CandidateCE for one comparison scheme."""
-    lam_x = _setting(cfg, "lambda_x", 0.03, low=0)
+    lam_x, cap = cfg["lambda_x"], cfg["cap"]
     if variant == "glam1":
         mappers = {c: glam.train_mapper(
-            uncertain[:cap], certain[:cap], bundle,
-            lambda_theta=_setting(cfg, "lambda_theta", 0.01, low=0),
+            uncertain[:cap], certain[:cap], bundle, lambda_theta=cfg["lambda_theta"],
             source_group=c, target_group=c)
             for c, (uncertain, certain) in groups.items()}
         return (lambda x, c: glam.apply_mapper(mappers[c], x, bundle, lam_x),
@@ -459,9 +477,8 @@ def _glam_scheme(variant, cfg, groups, bundle, cesets, cap):
             raise UsageError("glam2 requires prior CESet files "
                              "(pass --cesets with explain outputs)")
         labels = models.predict(bundle, np.stack([cs.x0 for cs in cesets])).argmax(axis=1)
-        mappers = glam.mappers_from_cesets(
-            cesets, labels, bundle,
-            lambda_theta=_setting(cfg, "lambda_theta_clue", 0.0, low=0))
+        mappers = glam.mappers_from_cesets(cesets, labels, bundle,
+                                           lambda_theta=cfg["lambda_theta_clue"])
         if not mappers:
             raise UsageError("glam2: no (class, label) group has enough pairs")
         return (lambda x, c: glam.pick_best_mapper(mappers, x, bundle, lam_x),
@@ -482,13 +499,9 @@ def _apply_scheme(scheme, groups, cap):
 
 def cmd_glam(args):
     cfg = resolve_config(args)
-    seed, cap = _setting(cfg, "seed", 0, int, low=0), _cap(cfg)
-    variants = list(GLAM_VARIANTS) if args.variant == "all" else [args.variant]
-    for v in variants:
-        if v not in GLAM_VARIANTS:
-            raise UsageError(f"unknown variant {v!r}; choose from "
-                             f"{GLAM_VARIANTS + ('all',)}")
-    bundle, ds = _load_inputs(args)
+    variant = _checked("variant", args.variant, GLAM_VARIANTS + ("all",))
+    variants = list(GLAM_VARIANTS) if variant == "all" else [variant]
+    bundle, ds = _load_inputs(args, cfg)
     cesets = [_load("cesets", clue.load_ceset, p) for p in (args.cesets or [])]
     for path, cs in zip(args.cesets or [], cesets):
         if len(cs.x0) != bundle.d_in:
@@ -498,8 +511,8 @@ def cmd_glam(args):
     t0 = time.perf_counter()
     rows, summaries, files = [], [], {}
     for variant in variants:
-        scheme, mappers = _glam_scheme(variant, cfg, groups, bundle, cesets, cap)
-        ces = _apply_scheme(scheme, groups, cap)
+        scheme, mappers = _glam_scheme(variant, cfg, groups, bundle, cesets)
+        ces = _apply_scheme(scheme, groups, cfg["cap"])
         rows += [[variant, pid, ce.entropy, ce.d_x, ce.cost, ce.label]
                  for pid, ce in enumerate(ces)]
         summaries.append([variant, "summary", float(np.mean([ce.cost for ce in ces])),
@@ -509,9 +522,8 @@ def cmd_glam(args):
     wall = time.perf_counter() - t0
     files["comparison.csv"] = lambda p: write_csv(
         p, ["scheme", "point", "H", "d_x", "cost", "label"], rows + summaries)
-    write_outputs(args, "glam", dict(cfg, variant=args.variant),
-                  [args.bundle, args.dataset] + (args.cesets or []), files,
-                  {"glam": wall}, seed)
+    write_outputs(args, dict(cfg, variant=args.variant),
+                  [args.bundle, args.dataset] + (args.cesets or []), files, {"glam": wall})
     return 0
 
 
@@ -519,20 +531,15 @@ BENCH_SCHEMES = ("glam", "dclue", "dbm-input", "dbm-latent", "nn-input", "nn-lat
 
 
 def cmd_bench(args):
-    if args.repetitions < 1:
-        raise UsageError(f"--repetitions must be >= 1, got {args.repetitions}")
+    _checked("--repetitions", args.repetitions, int, 1)
     cfg = resolve_config(args)
     schemes = (list(BENCH_SCHEMES) if args.schemes == "all"
-               else args.schemes.split(","))
-    for s in schemes:
-        if s not in BENCH_SCHEMES:
-            raise UsageError(f"unknown scheme {s!r}; choose from "
-                             f"{BENCH_SCHEMES + ('all',)}")
-    config = experiment_config(cfg)
+               else [_checked("scheme", s, BENCH_SCHEMES) for s in args.schemes.split(",")])
+    config = _search_config(cfg)
     if "dclue" in schemes and clue.coincident_starts(config):
         raise UsageError(f"--schemes dclue with k={config.k} needs r > 0: at r=0 all k start "
                          f"points sit at z0, so it times k identical descents")
-    bundle, ds = _load_inputs(args)
+    bundle, ds = _load_inputs(args, cfg)
     c, (xu, xc) = next(iter(_groups(cfg, ds, bundle).items()))
     x = xu[0]
     context = _init_context(cfg, [config], ds, bundle)
@@ -563,10 +570,10 @@ def cmd_bench(args):
         rows.append([name, float(np.median(times)), len(times)])
     rows.append(["mapper-training", train_ms, 1])
     wall = time.perf_counter() - start
-    write_outputs(args, "bench", dict(cfg, schemes=schemes), [args.bundle, args.dataset],
+    write_outputs(args, dict(cfg, schemes=schemes), [args.bundle, args.dataset],
                   {"bench.csv": lambda p: write_csv(
                       p, ["scheme", "median_ms", "repetitions"], rows)},
-                  {"bench": wall}, config.seed)
+                  {"bench": wall})
     return 0
 
 
@@ -580,52 +587,39 @@ def build_parser():
         description="counterfactual latent uncertainty explanations, desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, bundle=False, dataset=False):
+    def command(name, fn, help_text, *inputs):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config value")
-        if bundle:
+                       help=f"override a config value; keys: {', '.join(SETTINGS[name])}")
+        if "bundle" in inputs:
             p.add_argument("--bundle", default=None, help="trained bundle directory")
-        if dataset:
+        if "dataset" in inputs:
             p.add_argument("--dataset", default=None, help="dataset directory")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    common(p)
-    p.set_defaults(fn=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train VAE + ensemble bundle")
-    common(p, dataset=True)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("explain", help="run counterfactual search")
-    common(p, bundle=True, dataset=True)
+    command("gen-data", cmd_gen_data, "generate a synthetic dataset")
+    command("train", cmd_train, "train VAE + ensemble bundle", "dataset")
+    p = command("explain", cmd_explain, "run counterfactual search", "bundle", "dataset")
     p.add_argument("--method", default="dclue", help=f"one of {tuple(METHODS)}")
     p.add_argument("--top", type=int, default=1,
                    help="explain the n most uncertain test inputs")
-    p.set_defaults(fn=cmd_explain)
-
-    p = sub.add_parser("sweep", help="ablation sweep over one axis")
-    common(p, bundle=True, dataset=True)
+    p = command("sweep", cmd_sweep, "ablation sweep over one axis", "bundle", "dataset")
     p.add_argument("--axis", required=True, help=f"one of {SWEEP_AXES}")
     p.add_argument("--grid", required=True, help="comma-separated values")
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("glam", help="train/apply amortized mappers and baselines")
-    common(p, bundle=True, dataset=True)
+    p = command("glam", cmd_glam, "train/apply amortized mappers and baselines",
+                "bundle", "dataset")
     p.add_argument("--variant", default="all",
                    help=f"one of {GLAM_VARIANTS + ('all',)}")
     p.add_argument("--cesets", nargs="*", default=None,
                    help="CESet JSON files (required for glam2)")
-    p.set_defaults(fn=cmd_glam)
-
-    p = sub.add_parser("bench", help="per-CE inference timing")
-    common(p, bundle=True, dataset=True)
+    p = command("bench", cmd_bench, "per-CE inference timing", "bundle", "dataset")
     p.add_argument("--schemes", default="all",
                    help=f"comma list from {BENCH_SCHEMES}")
     p.add_argument("--repetitions", type=int, default=5)
-    p.set_defaults(fn=cmd_bench)
     return parser
 
 

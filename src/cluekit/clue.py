@@ -7,6 +7,7 @@ that produces sets of candidate counterfactuals.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -55,7 +56,8 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if min(self.lambda_x, self.lambda_y, self.lambda_d) < 0.0:
-            raise ValueError("lambda weights must be >= 0")
+            raise ValueError(f"lambda_x, lambda_y and lambda_d must be >= 0, got "
+                             f"{self.lambda_x!r}, {self.lambda_y!r} and {self.lambda_d!r}")
         if self.lr <= 0.0:
             raise ValueError(f"lr must be > 0, got {self.lr!r}")
         if math.isnan(self.h_threshold):
@@ -413,6 +415,18 @@ def dump_ceset(ceset, path):
         json.dump(ceset_to_json(ceset), f, indent=1, sort_keys=True)
 
 
+def _finite_array(name, value):
+    """A JSON list of finite numbers as a float array; any other value, such as
+    a string, a boolean, a nested list, NaN or an int past float range, raises
+    ``TypeError``."""
+    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+        with contextlib.suppress(OverflowError):
+            array = np.array(value, dtype=np.float64)
+            if np.all(np.isfinite(array)):
+                return array
+    raise TypeError(f"a ceset's {name} must be a list of finite numbers")
+
+
 def _candidate(entry):
     if set(entry) - set(_ENTRY_FIELDS):
         raise TypeError(f"a candidate has fields {sorted(entry)}, not {_ENTRY_FIELDS}")
@@ -420,17 +434,17 @@ def _candidate(entry):
         kind, value = _SCALAR_KINDS.get(t), entry[k]
         if kind and (not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)):
             raise TypeError(f"a candidate's {k} must be of type {t}, got {value!r}")
-    return CandidateCE(**{k: np.array(entry[k]) if k in _ARRAY_FIELDS else entry[k]
+    return CandidateCE(**{k: _finite_array(k, entry[k]) if k in _ARRAY_FIELDS else entry[k]
                           for k in _ENTRY_FIELDS})
 
 
 def ceset_from_json(payload):
     """The CESet of a ``ceset_to_json`` payload; a candidate entry with a
-    missing field raises ``KeyError``, and one with an unknown field or a
-    scalar of another type ``TypeError``."""
+    missing field raises ``KeyError``, and one with an unknown field, a scalar
+    of another type or an array that is not finite numbers ``TypeError``."""
     return CESet(config=ExperimentConfig(**payload["config"]),
                  candidates=[_candidate(e) for e in payload["candidates"]],
-                 x0=np.array(payload["x0"]), z0=np.array(payload["z0"]))
+                 x0=_finite_array("x0", payload["x0"]), z0=_finite_array("z0", payload["z0"]))
 
 
 def load_ceset(path):

@@ -54,7 +54,7 @@ def _split_tags(rng, n, test_frac, labels):
         tags = np.where(rng.random(n) < test_frac, "test", "train")
         if all(np.any((tags == "train") & (labels == c)) for c in classes):
             return tags
-    raise ValueError("could not produce a split covering all classes in train")
+    raise ValueError(f"no split at test_frac={test_frac!r} leaves every class in train")
 
 
 def gen_blobs(c, d, n, spread, seed, test_frac=0.2):
@@ -66,7 +66,7 @@ def gen_blobs(c, d, n, spread, seed, test_frac=0.2):
     if c < 2 or d < 2:
         raise ValueError(f"gen_blobs: need c>=2 and d>=2, got c={c}, d={d}")
     if n < c:
-        raise ValueError("gen_blobs: need at least one point per class")
+        raise ValueError(f"gen_blobs: need n >= c, one point per class, got n={n}, c={c}")
     if not 0.0 <= spread < np.inf:
         raise ValueError(f"gen_blobs: spread must be finite and >= 0, got {spread!r}")
     rng = np.random.default_rng([seed, 0])

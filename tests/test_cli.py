@@ -1,14 +1,19 @@
 """End-to-end command-line checks: each subcommand on a tiny workspace,
 exit codes for usage and numerical failures, and byte-level determinism."""
 
+import contextlib
+import importlib.util
+import io
 import json
 import os
+import re
 import shutil
+import sys
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from cluekit import cli, clue, data, models
@@ -219,6 +224,23 @@ def test_ceset_without_candidates_exit_2(workspace, tmp_path, capsys):
                 "--dataset", workspace["dataset"], "--variant", "glam2",
                 "--cesets", str(empty)]) == 2
     assert str(empty) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["x0", "z"])
+def test_ceset_with_a_non_numeric_array_exit_2(workspace, tmp_path, field, capsys):
+    """Three copies of one ceset give glam2 a group of three pairs; one whose
+    x0, or a candidate's z, holds strings is malformed, and names its file."""
+    path = _ceset_file(tmp_path / "edited.json", 8)
+    payload = json.loads(path.read_text())
+    target = payload if field == "x0" else payload["candidates"][0]
+    target[field] = ["a"] * len(target[field])
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "gl"
+    assert run(["glam", "--out", str(out), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"], "--variant", "glam2",
+                "--cesets"] + [str(path)] * 3) == 2
+    assert str(path) in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -545,6 +567,19 @@ BAD_SETTINGS = {  # case -> (argv, the text the error must hold)
                                    "lambda_theta_clue must be >= 0"),
     "tau_high_inf": (["glam", "--variant", "dbm-input", "--set", "tau_high=inf"],
                      "tau_high must be finite"),
+    # a misspelled key names the key probably meant; every key is checked, also
+    # one that the chosen scheme or variant does not use
+    "lambda_x_misspelled": (["explain", "--set", "lamdba_x=5"],
+                            "'lamdba_x' for explain; did you mean 'lambda_x'"),
+    "vae_epochs_misspelled": (["train", "--set", "vea_epochs=3"],
+                              "'vea_epochs' for train; did you mean 'vae_epochs'"),
+    "generator_misspelled": (["gen-data", "--set", "genrator=minidigits"],
+                             "did you mean 'generator'"),
+    "tau_high_nan_s1": (["explain", "--set", "tau_high=nan"], "tau_high must be finite"),
+    "lambda_theta_clue_dbm": (["glam", "--variant", "dbm-input", "--set", "lambda_theta_clue=-1"],
+                              "lambda_theta_clue must be >= 0"),
+    "lambda_x_string": (["glam", "--variant", "glam1", "--set", 'lambda_x="0.5"'],
+                        "lambda_x must be a number"),
 }
 
 
@@ -603,8 +638,6 @@ def test_malformed_input_exit_2(workspace, tmp_path, case, capsys):
     else:
         argv, named = BAD_SETTINGS[case]
         argv, named = argv + {"gen-data": [], "train": inputs[2:]}.get(argv[0], inputs), [named]
-        if "glam2" in argv:  # glam2 reads its settings once it has a ceset
-            argv += ["--cesets", str(_ceset_file(tmp_path / "ceset.json", 8))]
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert all(text in err for text in named), err
@@ -640,22 +673,91 @@ def test_older_manifest_loads_with_the_dimensions_of_its_weights(workspace, tmp_
     assert shares and all(v > 0 and abs(3 * v - round(3 * v)) < 1e-12 for v in shares)
 
 
-SET_KEYS = sorted(clue.ExperimentConfig.__dataclass_fields__) + [
-    "metric", "space", "tau_low", "tau_high"]
+FUZZ_ARGS = {  # command -> cheap arguments the drawn --set is added to
+    "gen-data": [],
+    "train": ["--set", "vae_epochs=1", "--set", "ens_epochs=1"],
+    "explain": ["--top", "0"],
+    "sweep": ["--axis", "delta", "--grid", "1", "--set", "iters=2"],
+    "glam": ["--variant", "glam1", "--set", "cap=2"],
+    "bench": ["--schemes", "glam,dclue", "--repetitions", "1", "--set", "iters=2"],
+}
 JSON_SCALARS = st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
+# numbers as often as every other JSON type, and a bare string as --set reads one
+JSON_VALUES = (st.integers(-3, 40).map(json.dumps) | st.floats().map(json.dumps)
+               | (JSON_SCALARS | st.text(max_size=6) | st.lists(JSON_SCALARS, max_size=3)
+                  | st.dictionaries(st.text(max_size=3), JSON_SCALARS, max_size=2)).map(json.dumps)
+               | st.text(max_size=6))
 
 
-@settings(max_examples=40, deadline=None)
-@given(key=st.sampled_from(SET_KEYS),
-       value=(JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3)).map(json.dumps)
-       | st.text(max_size=6))
-def test_any_single_setting_exits_0_or_2(workspace, key, value):
-    """Whatever one --set holds, explain exits 0, or exits 2 and leaves no
-    output directory."""
+def _near_misses(key):
+    """The spellings one dropped, doubled or swapped letter away from ``key``."""
+    return sorted({key[:i] + key[i + 1:] for i in range(len(key))}
+                  | {key[:i] + key[i] + key[i:] for i in range(len(key))}
+                  | {key[:i] + key[i + 1] + key[i] + key[i + 2:] for i in range(len(key) - 1)}
+                  - {"", key})
+
+
+@st.composite
+def _single_setting(draw):
+    command = draw(st.sampled_from(sorted(cli.SETTINGS)))
+    key = draw(st.sampled_from(sorted(cli.SETTINGS[command])))
+    key = draw(st.just(key) | st.sampled_from(_near_misses(key)))
+    return command, key, draw(JSON_VALUES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_single_setting())
+def test_any_single_setting_exits_0_or_2(workspace, case):
+    """Whatever one --set of any command holds, a key of the command's table
+    or a near miss of one, the command exits 0; or exits 2 naming the key; or,
+    where the value makes a search or training diverge, exits 3. Neither
+    failure leaves an output directory."""
+    command, key, value = case
+    inputs = {"gen-data": [], "train": ["--dataset", workspace["dataset"]]}.get(
+        command, ["--bundle", workspace["bundle"], "--dataset", workspace["dataset"]])
     with tempfile.TemporaryDirectory() as root:
         out = os.path.join(root, "out")
-        code = run(["explain", "--out", out, "--bundle", workspace["bundle"],
-                    "--dataset", workspace["dataset"], "--top", "0",
-                    "--set", f"{key}={value}"])
-        assert code in (0, 2)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                np.errstate(all="ignore"):
+            code = run([command, "--out", out] + inputs + FUZZ_ARGS[command]
+                       + ["--set", f"{key}={value}"])
+        event(f"{command} exits {code}")
+        assert code in (0, 2, 3), err.getvalue()
         assert code == 0 or not os.path.exists(out)
+        assert code != 2 or re.search(rf"\b{re.escape(key)}\b", err.getvalue()), err.getvalue()
+
+def test_manifest_records_every_setting_with_the_value_used(workspace, tmp_path):
+    """The run manifest's config holds every key of the command's table: the
+    value given, else the default, and the entropy thresholds the partition
+    used, the bundle's percentiles unless set."""
+    inputs = ["--bundle", workspace["bundle"], "--dataset", workspace["dataset"]]
+    lo, hi = data.default_taus(models.load_bundle(workspace["bundle"]))
+    ex, gl = tmp_path / "ex", tmp_path / "gl"
+    assert run(["explain", "--out", str(ex), "--top", "1", "--set", "scheme=s2",
+                "--set", "tau_high=0.5"] + inputs + EXPLAIN_SETS) == 0
+    assert run(["glam", "--out", str(gl), "--variant", "dbm-latent", "--set", "cap=3",
+                "--seed", "4"] + inputs) == 0
+    explain = json.loads((ex / "run_manifest.json").read_text())["config"]
+    glam_ = json.loads((gl / "run_manifest.json").read_text())
+    assert set(explain) == set(cli.SETTINGS["explain"])
+    assert set(glam_["config"]) == set(cli.SETTINGS["glam"]) | {"variant"}
+    assert explain == {**{k: v[1] for k, v in cli.SETTINGS["explain"].items()},
+                       "delta": 1.2, "r": 1.2, "k": 3, "lambda_x": 0.05, "iters": 10,
+                       "lr": 0.3, "seed": 5, "scheme": "s2", "tau_low": lo, "tau_high": 0.5}
+    assert glam_["config"] == {"seed": 4, "cap": 3, "lambda_x": 0.03, "lambda_theta": 0.01,
+                               "lambda_theta_clue": 0.0, "tau_low": lo, "tau_high": hi,
+                               "variant": "dbm-latent"}
+    assert glam_["seed"] == 4
+
+
+def test_benchmark_workloads_pass_only_known_keys(monkeypatch):
+    """The benchmark's set-up passes gen-data and train only keys they read."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for command, keys in (("gen-data", workloads.BLOBS_DATA), ("gen-data", workloads.DIGITS_DATA),
+                          ("train", workloads.BLOBS_TRAIN), ("train", workloads.DIGITS_TRAIN)):
+        assert set(keys) <= set(cli.SETTINGS[command]), (command, keys)

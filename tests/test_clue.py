@@ -3,6 +3,7 @@ objective gradients, acceptance, and the class weighting rule."""
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -380,7 +381,12 @@ def test_ceset_json_roundtrip(tiny_bundle, tmp_path):
 
 
 ENTRY_VALUES = {"label_string": ("label", "x"), "cost_string": ("cost", "high"),
-                "accepted_number": ("accepted", 1)}  # edit -> (field, value)
+                "accepted_number": ("accepted", 1),  # edit -> (field, value)
+                # arrays: x0 and z0 are the ceset's, the others its candidate's
+                "x0_strings": ("x0", ["a"] * 4), "z0_infinite": ("z0", [math.inf, 0.0, 0.0]),
+                "z_strings": ("z", ["a"] * 3), "x_booleans": ("x", [True] * 4),
+                "x_nested": ("x", [[0.5] * 4]), "posterior_nan": ("posterior", [math.nan, 1.0]),
+                "z_huge_int": ("z", [10 ** 400, 0, 0])}
 
 
 @pytest.mark.parametrize("edit", ["missing_z", "missing_rho", "unknown_key", "trajectory"]
@@ -389,16 +395,16 @@ def test_ceset_entry_with_a_missing_or_unknown_field_is_malformed(tmp_path, edit
     entry = {"z": [0.0] * 3, "x": [0.5] * 4, "posterior": [1.0, 0.0], "entropy": 0.0,
              "d_x": 0.0, "d_y": 0.0, "rho": 0.0, "cost": 0.0, "label": 0,
              "accepted": True, "start_index": 0}
+    payload = {"config": {}, "x0": [0.5] * 4, "z0": [0.0] * 3, "candidates": [entry]}
     if edit.startswith("missing_"):
         del entry[edit[len("missing_"):]]
     elif edit in ENTRY_VALUES:
         field, value = ENTRY_VALUES[edit]
-        entry[field] = value
+        (payload if field in payload else entry)[field] = value
     else:
         entry[edit] = [[0.0] * 3]
     path = tmp_path / "ceset.json"
-    path.write_text(json.dumps({"config": {}, "x0": [0.5] * 4, "z0": [0.0] * 3,
-                                "candidates": [entry]}))
+    path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="malformed") as info:
         clue.load_ceset(str(path))
     assert str(path) in str(info.value)

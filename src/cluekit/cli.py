@@ -2,16 +2,17 @@
 sweep ablation grids, train amortized mappers, and benchmark timings.
 
 Each command reads the settings of one table, ``SETTINGS[command]``, which
-declares every key it reads with its kind, default and lower bound.
-``resolve_config`` merges ``--config``, ``--set`` and ``--seed`` and checks
-them against the table before any input is loaded: an unknown key, or a value
-of the wrong kind or out of bounds, is a usage error naming the key (and, for
-a misspelling, the key probably meant). Every command does all of its work
-first and then hands its files to ``write_outputs``, which creates ``--out``,
-writes each file atomically (to a temp name, then a rename) and adds a run
-manifest (the resolved settings, input/output hashes, wall times, seed); a
-command that fails writes nothing. Exit codes: 0 success, 2 usage or config
-error, 3 numerical failure.
+declares every key it reads with its rule (a ``clue.Rule``, for the search keys
+``ExperimentConfig``'s own) and default. ``resolve_config`` merges ``--config``,
+``--set`` and ``--seed`` and checks each value with its rule, as ``sweep`` does
+each grid value, before any input is loaded: an unknown key, or a value its rule
+refuses, is a usage error naming the key (and, for a misspelling, the key
+probably meant). Every command does all of its work first and then hands its
+files to ``write_outputs``, which creates ``--out``, writes each file
+atomically (to a temp name, then a rename) and adds a run manifest (the
+resolved settings, input/output hashes, wall times, seed); a command that
+fails writes nothing. Exit codes: 0 success, 2 usage or config error, 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -113,65 +114,48 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 # settings: each command's table of every key it reads
 
-# key -> (kind, default, lower bound). An int takes an integer, not 2.5, true
-# or "2"; a float a finite number, not true, "0.5" or nan; a tuple lists the
-# values allowed. The search keys are ExperimentConfig's fields: building one
-# checks them, and they keep their JSON type, as a ceset echoes its config.
-SEARCH = {f.name: (clue.ExperimentConfig, f.default, None)
-          for f in fields(clue.ExperimentConfig)}
-DIVERSITY = {"metric": (div.ALL_METRICS, "dpp", None), "space": (div.SPACES, "latent", None)}
+# key -> (rule, default); a clue.Rule gives the kind and bound of the values a
+# key takes. The search keys' rules are declared beside ExperimentConfig's
+# fields. The generators' own bounds (c, d, n against c, test_frac, spread)
+# stay in data, as gen_* and regenerate are library calls too.
+Rule = clue.Rule
+SEARCH = {f.name: (f.metadata["rule"], f.default) for f in fields(clue.ExperimentConfig)}
+DIVERSITY = {"metric": (Rule(div.ALL_METRICS), "dpp"), "space": (Rule(div.SPACES), "latent")}
 # the certainty partition's entropy thresholds; None is the bundle's 20th or
 # 80th training-entropy percentile, filled in once the bundle is loaded
-TAUS = {"tau_low": (float, None, None), "tau_high": (float, None, None)}
-SEED = {"seed": (int, 0, 0)}
-CAP = {"cap": (int, 20, 1)}  # inputs of each group glam1 trains on and every scheme explains
+TAUS = {"tau_low": (Rule(float), None), "tau_high": (Rule(float), None)}
+SEED = {"seed": SEARCH["seed"]}
+CAP = {"cap": (Rule(int, ge=1), 20)}  # each group's inputs glam1 fits and every scheme explains
 SETTINGS = {
-    "gen-data": {**SEED, "generator": (("blobs", "minidigits"), "blobs", None),
-                 "n": (int, 2000, 1), "test_frac": (float, 0.2, None),
-                 "c": (int, 4, None), "d": (int, 16, None), "spread": (float, 0.18, None)},
-    "train": {**SEED, "vae_hidden": (int, 64, 1), "latent": (int, 8, 1),
-              "vae_lr": (float, 0.05, None), "vae_epochs": (int, 60, 1),
-              "batch": (int, 128, 1), "kl_weight": (float, 0.1, None),
-              "ens_hidden": (int, 32, 1), "ens_lr": (float, 0.1, None),
-              "ens_epochs": (int, 80, 1), "members": (int, 5, 1)},
+    "gen-data": {**SEED, "generator": (Rule(("blobs", "minidigits")), "blobs"),
+                 "n": (Rule(int, ge=1), 2000), "test_frac": (Rule(float), 0.2),
+                 "c": (Rule(int), 4), "d": (Rule(int), 16), "spread": (Rule(float), 0.18)},
+    "train": {**SEED, "vae_hidden": (Rule(int, ge=1), 64), "latent": (Rule(int, ge=1), 8),
+              "vae_lr": (Rule(float, gt=0), 0.05), "vae_epochs": (Rule(int, ge=1), 60),
+              "batch": (Rule(int, ge=1), 128), "kl_weight": (Rule(float, ge=0), 0.1),
+              "ens_hidden": (Rule(int, ge=1), 32), "ens_lr": (Rule(float, gt=0), 0.1),
+              "ens_epochs": (Rule(int, ge=1), 80), "members": (Rule(int, ge=1), 5)},
     "explain": {**SEARCH, **DIVERSITY, **TAUS},
     "sweep": {**SEARCH, **DIVERSITY, **TAUS, **CAP},  # lambda_x weights glam1's cost too
-    "glam": {**SEED, **TAUS, **CAP, "lambda_x": (float, 0.03, 0),
-             "lambda_theta": (float, 0.01, 0), "lambda_theta_clue": (float, 0.0, 0)},
+    "glam": {**SEED, **TAUS, **CAP, "lambda_x": (SEARCH["lambda_x"][0], 0.03),
+             "lambda_theta": (Rule(float, ge=0), 0.01),
+             "lambda_theta_clue": (Rule(float, ge=0), 0.0)},
     "bench": {**SEARCH, **TAUS},
 }
 
 
-def _checked(key, value, kind, low=None):
-    """``value`` of setting ``key`` as its table entry reads it; a value the
-    entry refuses is a usage error naming the key."""
-    if kind is clue.ExperimentConfig:  # checked by _search_config
-        return math.inf if key == "delta" and value in ("inf", None) else value
-    if isinstance(kind, tuple):
-        if value not in kind:
-            raise UsageError(f"unknown {key} {value!r}; choose from {kind}")
-        return value
-    try:  # a bare nan or inf on --set is a string, refused as not finite
-        finite = kind is int or math.isfinite(float(value))
-    except OverflowError:
-        finite = False
-    except (TypeError, ValueError):
-        finite = True  # not a number at all, refused below
-    if not finite:
-        raise UsageError(f"{key} must be finite, got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        raise UsageError(f"{key} must be {'an int' if kind is int else 'a number'}, got {value!r}")
-    if low is not None and value < low:
-        raise UsageError(f"{key} must be >= {low}, got {value!r}")
-    return kind(value)
+def _checked(key, value, rule):
+    """``value`` of setting ``key`` if ``rule`` takes it, else a usage error."""
+    try:
+        rule.check(key, value)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    return value
 
 
 def _search_config(settings):
     """The ExperimentConfig of the settings' search keys."""
-    try:
-        return clue.ExperimentConfig(**{key: settings[key] for key in SEARCH})
-    except ValueError as e:
-        raise UsageError(f"bad experiment config: {e}")
+    return clue.ExperimentConfig(**{key: settings[key] for key in SEARCH})
 
 
 def resolve_config(args):
@@ -179,14 +163,14 @@ def resolve_config(args):
     ``--set``, else ``--config``, else the table's default, checked once; an
     unknown key is a usage error naming it and the key it is closest to."""
     cfg = load_config(args.config)
-    for pair in args.set or []:  # a value is parsed as JSON, else kept as a bare string
+    for pair in args.set or []:  # JSON, else a bare nan, inf or -inf, else a bare string
         key, eq, text = pair.partition("=")
         if not eq:
             raise UsageError(f"--set expects key=value, got {pair!r}")
         try:
             cfg[key] = json.loads(text)
         except json.JSONDecodeError:
-            cfg[key] = text
+            cfg[key] = float(text) if text in ("nan", "inf", "-inf") else text
     if args.seed is not None:
         cfg["seed"] = args.seed
     table = SETTINGS[args.command]
@@ -196,10 +180,11 @@ def resolve_config(args):
             raise UsageError(f"unknown setting {key!r} for {args.command}"
                              + (f"; did you mean {near[0]!r}?" if near else "")
                              + f" ({args.command} reads {', '.join(sorted(table))})")
-    settings = {key: _checked(key, cfg[key], kind, low) if key in cfg else default
-                for key, (kind, default, low) in table.items()}
-    if SEARCH.keys() <= table.keys():
-        _search_config(settings)
+    settings = {key: _checked(key, cfg[key], rule) if key in cfg else default
+                for key, (rule, default) in table.items()}
+    # a float setting is read as a float, but a search key keeps its JSON type for the ceset echo
+    settings.update((key, float(settings[key])) for key in cfg
+                    if table[key][0].kind is float and table[key] != SEARCH.get(key))
     return settings
 
 
@@ -337,8 +322,8 @@ def _init_context(cfg, configs, ds, bundle):
 
 
 def cmd_explain(args):
-    _checked("--top", args.top, int, 0)
-    run_method = METHODS[_checked("method", args.method, tuple(METHODS))]
+    _checked("--top", args.top, Rule(int, ge=0))
+    run_method = METHODS[_checked("method", args.method, Rule(tuple(METHODS)))]
     cfg = resolve_config(args)
     if args.method == "clue":
         cfg.update(delta=math.inf, r=0.0, k=1)
@@ -367,7 +352,9 @@ def cmd_explain(args):
     return 0
 
 
-SWEEP_AXES = ("delta", "lambda_d", "lambda_theta", "n_i")
+# axis -> the keys each grid value sets; lambda_theta is glam1's setting
+SWEEP_AXES = {"delta": ("delta", "r"), "lambda_d": ("lambda_d",),
+              "lambda_theta": ("lambda_theta",), "n_i": ("n_i",)}
 
 
 def _sweep_stats(record):
@@ -385,7 +372,7 @@ def _sweep_stats(record):
 
 def cmd_sweep(args):
     cfg = resolve_config(args)
-    _checked("sweep axis", args.axis, SWEEP_AXES)
+    keys = SWEEP_AXES[_checked("sweep axis", args.axis, Rule(tuple(SWEEP_AXES)))]
     try:
         grid = [float(v) for v in args.grid.split(",") if v != ""]
     except ValueError as e:
@@ -393,13 +380,11 @@ def cmd_sweep(args):
     if not grid:
         raise UsageError("sweep grid is empty")
     spec = _diversity_spec(cfg, optimized=True)
-    point = {"delta": lambda v: {"delta": v, "r": v},
-             "lambda_d": lambda v: {"lambda_d": v},
-             "n_i": lambda v: {"n_i": int(v) if v.is_integer() else v}}.get(args.axis)
-    configs = [_search_config(dict(cfg, **point(v))) for v in grid] if point else []
-    if not point:  # each lambda_theta is checked as glam's setting is
-        kind, _, low = SETTINGS["glam"]["lambda_theta"]
-        grid = [_checked("lambda_theta", v, kind, low) for v in grid]
+    # each grid value, an int on n_i if whole, is checked by the rule of each key it sets
+    rules = {**SEARCH, "lambda_theta": SETTINGS["glam"]["lambda_theta"]}
+    points = [{key: _checked(key, int(v) if key == "n_i" and v.is_integer() else v,
+                             rules[key][0]) for key in keys} for v in grid]
+    configs = [] if args.axis == "lambda_theta" else [_search_config({**cfg, **p}) for p in points]
     if args.axis in ("lambda_d", "n_i") and (configs[0].k == 1
                                              or clue.coincident_starts(configs[0])):
         raise UsageError(f"sweep --axis {args.axis} needs k >= 2 and r > 0, got k={configs[0].k} "
@@ -499,14 +484,18 @@ def _apply_scheme(scheme, groups, cap):
 
 def cmd_glam(args):
     cfg = resolve_config(args)
-    variant = _checked("variant", args.variant, GLAM_VARIANTS + ("all",))
+    variant = _checked("variant", args.variant, Rule(GLAM_VARIANTS + ("all",)))
     variants = list(GLAM_VARIANTS) if variant == "all" else [variant]
     bundle, ds = _load_inputs(args, cfg)
     cesets = [_load("cesets", clue.load_ceset, p) for p in (args.cesets or [])]
+    widths = {"x": bundle.d_in, "z": bundle.m_latent, "posterior": bundle.c_classes}
     for path, cs in zip(args.cesets or [], cesets):
-        if len(cs.x0) != bundle.d_in:
-            raise UsageError(f"ceset {path} has an input of width {len(cs.x0)}, "
-                             f"bundle {args.bundle} takes width {bundle.d_in}")
+        for what, array, width in [("x0", cs.x0, bundle.d_in)] + [
+                (f"candidate {i}'s {name}", getattr(c, name), width)
+                for i, c in enumerate(cs.candidates) for name, width in widths.items()]:
+            if len(array) != width:
+                raise UsageError(f"ceset {path} has {what} of width {len(array)}, "
+                                 f"bundle {args.bundle} takes width {width}")
     groups = _groups(cfg, ds, bundle)
     t0 = time.perf_counter()
     rows, summaries, files = [], [], {}
@@ -515,8 +504,10 @@ def cmd_glam(args):
         ces = _apply_scheme(scheme, groups, cfg["cap"])
         rows += [[variant, pid, ce.entropy, ce.d_x, ce.cost, ce.label]
                  for pid, ce in enumerate(ces)]
-        summaries.append([variant, "summary", float(np.mean([ce.cost for ce in ces])),
-                          "", "", ""])
+        mean_cost = float(np.mean([ce.cost for ce in ces]))
+        if not math.isfinite(mean_cost):
+            raise FloatingPointError(f"{variant}: the mean cost diverged to {mean_cost}")
+        summaries.append([variant, "summary", mean_cost, "", "", ""])
         files.update({f"mapper_{variant}_{i}.json": lambda p, m=m: glam.save_mapper(m, p)
                       for i, m in enumerate(mappers)})
     wall = time.perf_counter() - t0
@@ -531,10 +522,10 @@ BENCH_SCHEMES = ("glam", "dclue", "dbm-input", "dbm-latent", "nn-input", "nn-lat
 
 
 def cmd_bench(args):
-    _checked("--repetitions", args.repetitions, int, 1)
+    _checked("--repetitions", args.repetitions, Rule(int, ge=1))
     cfg = resolve_config(args)
     schemes = (list(BENCH_SCHEMES) if args.schemes == "all"
-               else [_checked("scheme", s, BENCH_SCHEMES) for s in args.schemes.split(",")])
+               else [_checked("scheme", s, Rule(BENCH_SCHEMES)) for s in args.schemes.split(",")])
     config = _search_config(cfg)
     if "dclue" in schemes and clue.coincident_starts(config):
         raise UsageError(f"--schemes dclue with k={config.k} needs r > 0: at r=0 all k start "
@@ -608,7 +599,7 @@ def build_parser():
     p.add_argument("--top", type=int, default=1,
                    help="explain the n most uncertain test inputs")
     p = command("sweep", cmd_sweep, "ablation sweep over one axis", "bundle", "dataset")
-    p.add_argument("--axis", required=True, help=f"one of {SWEEP_AXES}")
+    p.add_argument("--axis", required=True, help=f"one of {tuple(SWEEP_AXES)}")
     p.add_argument("--grid", required=True, help="comma-separated values")
     p = command("glam", cmd_glam, "train/apply amortized mappers and baselines",
                 "bundle", "dataset")

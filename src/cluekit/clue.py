@@ -11,7 +11,8 @@ import contextlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, asdict, fields
+from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,50 +21,62 @@ from . import models
 
 
 SCHEMES = ("s1", "s2", "s3", "s4", "s5")
+EXTENDED = "extended"  # the kind of a number that may be inf or -inf, but not nan
+
+
+class Rule(NamedTuple):
+    """A setting's kind, which is int, float (a finite number), ``EXTENDED``
+    or a tuple of the values allowed, and its bound ``>= ge`` or ``> gt``."""
+
+    kind: object
+    ge: float | None = None
+    gt: float | None = None
+
+    def check(self, key, value):
+        """Raise ``ValueError`` naming ``key`` if the rule refuses ``value``."""
+        kind = self.kind
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise ValueError(f"unknown {key} {value!r}; choose from {kind}")
+            return
+        number = kind is not int
+        if isinstance(value, bool) or not isinstance(value, numbers.Real if number else int):
+            raise ValueError(f"{key} must be {'a number' if number else 'an int'}, got {value!r}")
+        try:
+            finite = not number or math.isfinite(value)
+        except OverflowError:  # an int past float range
+            finite = False
+        if not finite and not (kind is EXTENDED and abs(value) == math.inf):
+            raise ValueError(f"{key} must be finite{', inf or -inf' if kind is EXTENDED else ''}, "
+                             f"got {value!r}")
+        if self.ge is not None and not value >= self.ge:
+            raise ValueError(f"{key} must be >= {self.ge}, got {value!r}")
+        if self.gt is not None and not value > self.gt:
+            raise ValueError(f"{key} must be > {self.gt}, got {value!r}")
+
+
+def _setting(default, *rule, **bound):  # a config field, its default and its rule
+    return field(default=default, metadata={"rule": Rule(*rule, **bound)})
 
 
 @dataclass
 class ExperimentConfig:
-    delta: float = math.inf  # latent l2 radius (inf = unconstrained)
-    k: int = 1  # number of counterfactuals
-    r: float = 0.0  # initialization radius
-    scheme: str = "s1"  # s1..s5
-    lambda_x: float = 0.0  # input-distance weight
-    lambda_y: float = 0.0  # prediction-distance weight
-    lambda_d: float = 0.0  # diversity weight
-    n_i: int = 0  # diversity pre-search steps
-    lr: float = 0.1
-    iters: int = 30
-    h_threshold: float = math.inf  # acceptance entropy
-    seed: int = 0
+    delta: float = _setting(math.inf, EXTENDED, gt=0)  # latent l2 radius (inf = unconstrained)
+    k: int = _setting(1, int, ge=1)  # number of counterfactuals
+    r: float = _setting(0.0, float, ge=0)  # initialization radius
+    scheme: str = _setting("s1", SCHEMES)
+    lambda_x: float = _setting(0.0, float, ge=0)  # input-distance weight
+    lambda_y: float = _setting(0.0, float, ge=0)  # prediction-distance weight
+    lambda_d: float = _setting(0.0, float, ge=0)  # diversity weight
+    n_i: int = _setting(0, int, ge=0)  # diversity pre-search steps
+    lr: float = _setting(0.1, float, gt=0)
+    iters: int = _setting(30, int, ge=1)
+    h_threshold: float = _setting(math.inf, EXTENDED)  # acceptance entropy (inf accepts all)
+    seed: int = _setting(0, int, ge=0)
 
     def __post_init__(self):
-        for names, kind, what in (
-                (("k", "iters", "n_i", "seed"), int, "an int"),
-                (("delta", "r", "lambda_x", "lambda_y", "lambda_d", "lr", "h_threshold"),
-                 numbers.Real, "a real number")):
-            for name in names:
-                value = getattr(self, name)
-                if not isinstance(value, kind) or isinstance(value, bool):
-                    raise ValueError(f"{name} must be {what}, got {value!r}")
-        if not (self.delta > 0.0):
-            raise ValueError("delta must be > 0 (inf allowed)")
-        for name in ("r", "lambda_x", "lambda_y", "lambda_d", "lr"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.r < 0.0 or self.k < 1 or self.iters < 1 or self.n_i < 0:
-            raise ValueError("invalid config: need r >= 0, k >= 1, iters >= 1, n_i >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if min(self.lambda_x, self.lambda_y, self.lambda_d) < 0.0:
-            raise ValueError(f"lambda_x, lambda_y and lambda_d must be >= 0, got "
-                             f"{self.lambda_x!r}, {self.lambda_y!r} and {self.lambda_d!r}")
-        if self.lr <= 0.0:
-            raise ValueError(f"lr must be > 0, got {self.lr!r}")
-        if math.isnan(self.h_threshold):
-            raise ValueError("h_threshold must not be NaN (inf allowed)")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown initialization scheme {self.scheme!r}; choose from {SCHEMES}")
+        for f in fields(self):
+            f.metadata["rule"].check(f.name, getattr(self, f.name))
 
 
 @dataclass

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetri
 
 from . import diffcore as dc
+from .clue import Rule
 
 DIFFERENTIABLE_METRICS = ("dpp", "apd", "coverage")
 LABEL_METRICS = ("prediction_coverage", "distinct_labels", "label_entropy")
@@ -34,12 +35,8 @@ class DiversitySpec:
     base: str = "l2"  # base distance for dpp/apd
 
     def __post_init__(self):
-        if self.metric not in ALL_METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}; choose from {ALL_METRICS}")
-        if self.space not in SPACES:
-            raise ValueError(f"unknown space {self.space!r}; choose from {SPACES}")
-        if self.base not in BASES:
-            raise ValueError(f"unknown base distance {self.base!r}; choose from {BASES}")
+        for name, choices in (("metric", ALL_METRICS), ("space", SPACES), ("base", BASES)):
+            Rule(choices).check(name, getattr(self, name))
         if self.metric in LABEL_METRICS:
             self.space = "prediction"
         if self.metric == "coverage" and self.space == "prediction":

@@ -10,6 +10,7 @@ with ``models._decode_with_grad``, as the searches do.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -48,7 +49,8 @@ def train_mapper(x_uncertain, x_certain, bundle, lambda_theta=0.1,
     minimizing point is held fixed within the step (subgradient of the min).
     The l1 term is handled by a proximal soft-threshold step, so very large
     lambda_theta drives theta exactly to zero instead of oscillating.
-    theta starts at the latent difference between means.
+    theta starts at the latent difference between means. A non-finite loss
+    raises ``FloatingPointError``.
     """
     if len(x_uncertain) == 0 or len(x_certain) == 0:
         side = "uncertain" if len(x_uncertain) == 0 else "certain"
@@ -59,9 +61,11 @@ def train_mapper(x_uncertain, x_certain, bundle, lambda_theta=0.1,
     theta = mean_translation(x_uncertain, x_certain, bundle)
 
     curve = []
-    for _ in range(hp.steps):
+    for step in range(hp.steps):
         recon, grad = _recon_and_grad(bundle, z_u, x_certain, theta)
         curve.append(float(recon) + lambda_theta * float(np.abs(theta).sum()))
+        if not math.isfinite(curve[-1]):
+            raise FloatingPointError(f"mapper loss diverged to {curve[-1]} at step {step}")
         stepped = theta - hp.lr * grad
         theta = np.sign(stepped) * np.maximum(np.abs(stepped) - hp.lr * lambda_theta, 0.0)
     return MapperParams(source_group=source_group, target_group=target_group,
@@ -84,13 +88,15 @@ def _recon_and_grad(bundle, z_u, x_certain, theta):
 def _score(z, x_ce, z0, x, bundle, lambda_x):
     """The counterfactual x_ce (latent z) of the input x (latent z0) as a
     scored candidate; the caller supplies both latents, so this is one
-    predict."""
+    predict. A non-finite cost raises ``FloatingPointError``."""
     p = models.predict(bundle, x_ce)
     h = models.entropy(p)
     d_x = float(np.abs(x_ce - x).sum())
+    cost = h + lambda_x * d_x
+    if not math.isfinite(cost):
+        raise FloatingPointError(f"the counterfactual's cost diverged to {cost} (lower lambda_x)")
     return CandidateCE(z=z, x=x_ce, posterior=p, entropy=h, d_x=d_x,
-                       d_y=0.0, rho=float(np.linalg.norm(z - z0)),
-                       cost=h + lambda_x * d_x,
+                       d_y=0.0, rho=float(np.linalg.norm(z - z0)), cost=cost,
                        label=models.argmax_label(p), accepted=True,
                        start_index=0)
 

@@ -10,13 +10,14 @@ import re
 import shutil
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from cluekit import cli, clue, data, models
+from cluekit import cli, clue, data, glam, models
 
 
 def run(argv):
@@ -193,6 +194,11 @@ def test_sweep_on_an_empty_test_split_exit_2(workspace, tmp_path, capsys):
     pytest.param(["train", "--set", "vae_lr=1e300"], id="train_vae_lr"),
     pytest.param(["bench", "--schemes", "dclue", "--set", "lr=1e300", "--set", "k=2",
                   "--set", "r=1"], id="bench_dclue_lr"),
+    # glam's cost of a point, and the mean cost of a scheme, overflow
+    pytest.param(["glam", "--variant", "glam1", "--set", "cap=3", "--set", "lambda_x=1.7e308"],
+                 id="glam_cost"),
+    pytest.param(["glam", "--variant", "glam1", "--set", "cap=3", "--set", "lambda_x=1e308"],
+                 id="glam_mean_cost"),
 ])
 def test_diverged_search_exits_3(workspace, tmp_path, sets, capsys):
     """A search or a training run that overflows is a numerical failure, not
@@ -205,9 +211,24 @@ def test_diverged_search_exits_3(workspace, tmp_path, sets, capsys):
     assert not (tmp_path / "dv").exists()
 
 
-def _ceset_file(path, width, n_candidates=1):
-    """A ceset JSON for an input of ``width`` with ``n_candidates`` candidates."""
-    cand = {"z": [0.0] * 3, "x": [0.5] * width, "posterior": [1.0, 0.0, 0.0],
+def test_diverged_mapper_fit_exits_3(workspace, tmp_path, monkeypatch, capsys):
+    """A mapper fit whose loss overflows exits 3 and writes nothing. The
+    workspace's translations are shorter than 1 in l1, so that no finite
+    lambda_theta overflows the loss; the fit starts from a longer one."""
+    monkeypatch.setattr(glam, "mean_translation",
+                        lambda x_uncertain, x_certain, bundle: np.full(bundle.m_latent, 10.0))
+    out = tmp_path / "dv"
+    assert run(["glam", "--variant", "glam1", "--set", "cap=3", "--set", "lambda_theta=1e308",
+                "--out", str(out), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"]]) == 3
+    assert "mapper loss diverged" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _ceset_file(path, width, n_candidates=1, x_width=None):
+    """A ceset JSON for an input of ``width`` with ``n_candidates`` candidates,
+    whose ``x`` is ``x_width`` wide (``width`` unless given)."""
+    cand = {"z": [0.0] * 3, "x": [0.5] * (x_width or width), "posterior": [1.0, 0.0, 0.0],
             "entropy": 0.0, "d_x": 0.0, "d_y": 0.0, "rho": 0.0, "cost": 0.0,
             "label": 0, "accepted": True, "start_index": 0}
     path.write_text(json.dumps({"config": {}, "x0": [0.5] * width, "z0": [0.0] * 3,
@@ -244,6 +265,24 @@ def test_ceset_with_a_non_numeric_array_exit_2(workspace, tmp_path, field, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field,width", [("z", 3), ("posterior", 3)])
+def test_ceset_candidate_of_another_width_exit_2(workspace, tmp_path, field, width, capsys):
+    """A candidate's z must be as wide as the bundle's latent, and its posterior
+    as the bundle's classes; otherwise glam exits 2 naming the file and both widths."""
+    path = _ceset_file(tmp_path / "edited.json", 8)
+    payload = json.loads(path.read_text())
+    payload["candidates"][0][field] = [0.25] * (width + 2)
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "gl"
+    assert run(["glam", "--out", str(out), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"], "--variant", "glam2",
+                "--cesets"] + [str(path)] * 3) == 2
+    err = capsys.readouterr().err
+    assert all(text in err for text in (str(path), f"candidate 0's {field}",
+                                        f"width {width + 2}", f"width {width}")), err
+    assert not out.exists()
+
+
 def test_explain_negative_top_exit_2(workspace, tmp_path, capsys):
     out = tmp_path / "neg"
     assert run(["explain", "--out", str(out), "--bundle", workspace["bundle"],
@@ -253,11 +292,39 @@ def test_explain_negative_top_exit_2(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("setting", ["lambda_x=NaN", "lr=-1", "scheme=\"s9\""])
-def test_bad_experiment_setting_exit_2(workspace, tmp_path, setting, capsys):
+@pytest.mark.parametrize("setting,message", [("lambda_x=NaN", "lambda_x must be finite"),
+                                             ("lr=-1", "lr must be > 0"),
+                                             ("scheme=\"s9\"", "unknown scheme 's9'")],
+                         ids=["lambda_x=NaN", "lr=-1", "scheme=\"s9\""])
+def test_bad_experiment_setting_exit_2(workspace, tmp_path, setting, message, capsys):
     assert run(["explain", "--out", str(tmp_path / "bad"), "--bundle", workspace["bundle"],
                 "--dataset", workspace["dataset"], "--set", "r=0", "--set", setting]) == 2
-    assert "bad experiment config" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+# --set text -> the value it reads: JSON, else a bare nan, inf or -inf, else the text
+SCAN_VALUES = {"1": 1, "0": 0, "2": 2, "0.5": 0.5, '"0.5"': "0.5", "nan": float("nan"),
+               "inf": float("inf"), "-inf": float("-inf"), "true": True, "null": None,
+               "[1]": [1], "abc": "abc", "-1": -1}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(clue.ExperimentConfig)])
+def test_search_setting_is_checked_by_one_rule(workspace, tmp_path, key, capsys):
+    """The config and the CLI check a search key with the same rule: building
+    the config raises exactly when ``explain --set`` exits 2, with the same
+    message (r=1 keeps k >= 2 from starting every point at z0)."""
+    inputs = ["--bundle", workspace["bundle"], "--dataset", workspace["dataset"]]
+    for text, value in SCAN_VALUES.items():
+        try:
+            clue.ExperimentConfig(**{"r": 1, key: value})
+            message = None
+        except ValueError as e:
+            message = str(e)
+        out = tmp_path / f"out{len(os.listdir(tmp_path))}"
+        code = run(["explain", "--out", str(out), "--top", "0", "--set", "r=1",
+                    "--set", f"{key}={text}"] + inputs)
+        assert (code, capsys.readouterr().err) == ((2, f"error: {message}\n") if message
+                                                   else (0, "")), (key, text)
 
 
 SWEEP = ["sweep", "--axis", "lambda_d", "--grid", "0,0.5"]
@@ -280,7 +347,7 @@ SWEEP = ["sweep", "--axis", "lambda_d", "--grid", "0,0.5"]
      "diversity search needs"),
     (["explain", "--method", "divclue-seq", "--set", "space=prediction"],
      "diversity search needs"),
-    (["explain", "--set", "lambda_x=true"], "lambda_x must be a real number"),
+    (["explain", "--set", "lambda_x=true"], "lambda_x must be a number"),
     (SWEEP, "needs k >= 2"),
     (["sweep", "--axis", "n_i", "--grid", "0,5"], "needs k >= 2"),
     (["explain", "--set", "k=4", "--set", "delta=2"], "needs r > 0"),
@@ -580,6 +647,12 @@ BAD_SETTINGS = {  # case -> (argv, the text the error must hold)
                               "lambda_theta_clue must be >= 0"),
     "lambda_x_string": (["glam", "--variant", "glam1", "--set", 'lambda_x="0.5"'],
                         "lambda_x must be a number"),
+    # a step size must be > 0, and the KL weight >= 0, before the dataset loads
+    "vae_lr_zero": (["train", "--set", "vae_lr=0"], "vae_lr must be > 0"),
+    "vae_lr_negative": (["train", "--set", "vae_lr=-0.05"], "vae_lr must be > 0"),
+    "ens_lr_zero": (["train", "--set", "ens_lr=0"], "ens_lr must be > 0"),
+    "ens_lr_negative": (["train", "--set", "ens_lr=-0.1"], "ens_lr must be > 0"),
+    "kl_weight_negative": (["train", "--set", "kl_weight=-1"], "kl_weight must be >= 0"),
 }
 
 
@@ -589,6 +662,7 @@ WIDE_INPUTS = {  # case -> argv run on a 64-wide dataset, or ceset, and the 8-wi
     "width_glam_dbm_input": ["glam", "--variant", "dbm-input"],
     "width_bench": ["bench", "--repetitions", "1"],
     "width_glam2_ceset": ["glam", "--variant", "glam2"],
+    "width_glam2_candidate_x": ["glam", "--variant", "glam2"],  # x0 8 wide, x 64
 }
 
 
@@ -622,8 +696,9 @@ def test_malformed_input_exit_2(workspace, tmp_path, case, capsys):
         argv, named = ["explain"] + inputs + EXPLAIN_SETS, [str(broken)]
     elif case in WIDE_INPUTS:
         wide = tmp_path / "wide"
-        if case == "width_glam2_ceset":
-            extra = inputs + ["--cesets", str(_ceset_file(wide, 64))]
+        if case.startswith("width_glam2"):
+            x0_width = 8 if case == "width_glam2_candidate_x" else 64
+            extra = inputs + ["--cesets", str(_ceset_file(wide, x0_width, x_width=64))]
         else:
             data.save_dataset(data.gen_minidigits(n=40, seed=0), wide)
             extra = ["--bundle", str(bundle), "--dataset", str(wide)]
@@ -749,6 +824,23 @@ def test_manifest_records_every_setting_with_the_value_used(workspace, tmp_path)
                                "lambda_theta_clue": 0.0, "tau_low": lo, "tau_high": hi,
                                "variant": "dbm-latent"}
     assert glam_["seed"] == 4
+
+
+def test_search_keys_keep_their_json_type_and_other_floats_are_floats(workspace, tmp_path):
+    """A ceset echoes its search config as given, so ``--set r=1`` stays the
+    int 1; every other float setting, glam's lambda_x among them, is read
+    as a float."""
+    inputs = ["--bundle", workspace["bundle"], "--dataset", workspace["dataset"]]
+    ex, gl = tmp_path / "ex", tmp_path / "gl"
+    assert run(["explain", "--out", str(ex), "--top", "1", "--set", "r=1", "--set", "k=2",
+                "--set", "delta=2", "--set", "iters=2"] + inputs) == 0
+    assert run(["glam", "--out", str(gl), "--variant", "dbm-latent", "--set", "cap=3",
+                "--set", "lambda_x=1", "--set", "tau_high=1"] + inputs) == 0
+    name = next(p for p in os.listdir(ex) if p.startswith("ceset_"))
+    echo = json.loads((ex / name).read_text())["config"]
+    assert (echo["r"], echo["delta"]) == (1, 2) and type(echo["r"]) is type(echo["delta"]) is int
+    config = json.loads((gl / "run_manifest.json").read_text())["config"]
+    assert type(config["lambda_x"]) is type(config["tau_high"]) is float
 
 
 def test_benchmark_workloads_pass_only_known_keys(monkeypatch):

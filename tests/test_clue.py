@@ -101,7 +101,7 @@ def test_config_rejects_non_int_counts(field, value):
                                    "h_threshold"])
 @pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]])
 def test_config_rejects_non_real_values(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be a real number"):
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
         clue.ExperimentConfig(**{field: value})
 
 
@@ -114,7 +114,7 @@ def test_config_accepts_int_and_numpy_reals():
 @pytest.mark.parametrize("scheme", ["s9", "s0", "S1", ""])
 def test_config_rejects_unknown_scheme(scheme):
     # r=0 skips init_scheme's own check, so the config must catch it
-    with pytest.raises(ValueError, match="unknown initialization scheme"):
+    with pytest.raises(ValueError, match="unknown scheme"):
         clue.ExperimentConfig(scheme=scheme, r=0.0)
 
 

@@ -382,7 +382,9 @@ def cmd_sweep(args):
     spec = _diversity_spec(cfg, optimized=True)
     # each grid value, an int on n_i if whole, is checked by the rule of each key it sets
     rules = {**SEARCH, "lambda_theta": SETTINGS["glam"]["lambda_theta"]}
-    points = [{key: _checked(key, int(v) if key == "n_i" and v.is_integer() else v,
+    names = {key: key if key == args.axis else f"{key} (sweep --axis {args.axis} sets {key} "
+             f"to each {args.axis} value too)" for key in keys}
+    points = [{key: _checked(names[key], int(v) if key == "n_i" and v.is_integer() else v,
                              rules[key][0]) for key in keys} for v in grid]
     configs = [] if args.axis == "lambda_theta" else [_search_config({**cfg, **p}) for p in points]
     if args.axis in ("lambda_d", "n_i") and (configs[0].k == 1

@@ -199,9 +199,9 @@ def load_dataset(directory):
 
 
 def export_csv(dataset, path):
-    d = dataset.inputs.shape[1]
-    header = "label,split," + ",".join(f"x{i}" for i in range(d))
+    header = "label,split," + ",".join(f"x{i}" for i in range(dataset.inputs.shape[1]))
     with models._atomic_open(path) as f:
         f.write(header + "\n")
-        for y, tag, row in zip(dataset.labels, dataset.split, dataset.inputs):
-            f.write(f"{int(y)},{tag}," + ",".join(repr(float(v)) for v in row) + "\n")
+        for y, tag, row in zip(dataset.labels, dataset.split,
+                               np.asarray(dataset.inputs, dtype=np.float64)):
+            f.write(f"{int(y)},{tag}," + ",".join(map(repr, row.tolist())) + "\n")

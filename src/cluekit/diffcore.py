@@ -209,8 +209,9 @@ def softplus(x):
 
 
 def _stable_sigmoid(v):
-    return np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                    np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    e = np.exp(-np.abs(v))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
 
 
 def recip(x):

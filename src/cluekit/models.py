@@ -21,14 +21,18 @@ returns its loss's z-gradient as an array. Training takes them on
 to the weights: given the input as well, ``_backprop`` returns each layer's
 weight and bias adjoints. The tests build the same networks on the autodiff
 tape as the oracle, and training repeats the tape's arithmetic term by
-term, so it gives the tape's weights bit for bit.
+term, so it gives the tape's weights bit for bit, also where ``train_bundle``
+trains the ensemble in a forked worker while the VAE trains (on Linux).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import multiprocessing
 import os
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -125,11 +129,12 @@ def _forward(mlp, x, hidden_act, acts=None):
     return x
 
 
-def _backprop(mlp, acts, g, act_grad, x=None):
+def _backprop(mlp, acts, g, act_grad, x=None, input_grad=True):
     """Adjoint of ``_forward``'s input from the adjoint ``g`` of its logits.
 
     Given the input ``x`` as well, returns (input adjoint, weight adjoints,
-    bias adjoints), the last two in layer order.
+    bias adjoints), the last two in layer order; the input adjoint is None
+    unless ``input_grad``.
     """
     ws = mlp.weights
     if x is None:
@@ -141,10 +146,10 @@ def _backprop(mlp, acts, g, act_grad, x=None):
     for i in range(len(ws) - 1, -1, -1):
         gw.insert(0, ins[i].swapaxes(-1, -2) @ g)
         gb.insert(0, g.sum(axis=-2).reshape(mlp.biases[i].shape))
-        g = g @ ws[i].swapaxes(-1, -2)
         if i:
+            g = g @ ws[i].swapaxes(-1, -2)
             g *= act_grad(ins[i])
-    return g, gw, gb
+    return (g @ ws[0].swapaxes(-1, -2) if input_grad else None), gw, gb
 
 
 def _tanh_grad(a):
@@ -352,7 +357,7 @@ def train_vae(dataset_inputs, hyperparams, seed):
             g_mu = (g_z + g_kl * mu) + g_kl * mu
             g_logvar = ((g_z * eps) * sd) * 0.5 + g_kl * var - g_kl
             _, enc_w, enc_b = _backprop(enc, enc_acts, np.concatenate([g_mu, g_logvar], axis=1),
-                                        _tanh_grad, xb)
+                                        _tanh_grad, xb, input_grad=False)
             _sgd_step(params, enc_w + enc_b + dec_w + dec_b, hp.lr)
             epoch_loss += float(loss) * len(idx)
         curve.append(epoch_loss / n)
@@ -416,7 +421,7 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
                 raise TrainingDivergence(f"ensemble member {bad[0]} diverged at epoch {epoch}")
             g = (yb * (-1.0 / idx.shape[1])) / p  # in the tape's order, as in train_vae
             g = p * (g - (g * p).sum(axis=-1, keepdims=True))
-            _, gw, gb = _backprop(ensemble, acts, g, _relu_grad, xb)
+            _, gw, gb = _backprop(ensemble, acts, g, _relu_grad, xb, input_grad=False)
             _sgd_step(params, gw + gb, hp.lr)
             batch_loss_sums[:, epoch] += losses
     # held-out accuracy + training entropy percentiles of the full ensemble
@@ -432,13 +437,26 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
     return ensemble, report
 
 
+# fork, named: spawn and forkserver re-import numpy and re-run a script's module
+# code; Windows has no fork and macOS's Accelerate breaks under it, so run in turn
+_FORK_WORKER = sys.platform.startswith("linux")
+
+
 def train_bundle(dataset, vae_hp=None, ens_hp=None, n_members=5, seed=0):
-    """Train VAE + ensemble on a Dataset and assemble a ModelBundle."""
+    """Train VAE + ensemble on a Dataset and assemble a ModelBundle. With
+    ``_FORK_WORKER`` the ensemble trains in a forked worker while the VAE trains
+    here; the bytes, and the error raised (the VAE's first), are the same."""
     vae_hp = vae_hp or VaeHyperparams()
     ens_hp = ens_hp or EnsembleHyperparams()
     xt, yt = dataset.train_inputs(), dataset.train_labels()
-    enc, dec, vrep = train_vae(xt, vae_hp, seed)
-    ensemble, erep = train_ensemble(xt, yt, n_members, ens_hp, seed)
+    if _FORK_WORKER:  # leaving the block joins the worker, also on an error
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            ens_job = pool.submit(train_ensemble, xt, yt, n_members, ens_hp, seed)
+            enc, dec, vrep = train_vae(xt, vae_hp, seed)
+            ensemble, erep = ens_job.result()
+    else:
+        enc, dec, vrep = train_vae(xt, vae_hp, seed)
+        ensemble, erep = train_ensemble(xt, yt, n_members, ens_hp, seed)
     return ModelBundle(encoder=enc, decoder=dec, ensemble=ensemble, seed=seed,
                        vae_report=vrep, ensemble_report=erep)
 

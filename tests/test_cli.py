@@ -5,6 +5,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -104,6 +105,19 @@ def test_divergent_training_exits_3(workspace, tmp_path, capsys):
                     "--set", "vae_lr=1e6", "--set", "vae_epochs=5"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_ensemble_divergence_in_the_training_worker_exits_3(workspace, tmp_path, capsys):
+    """The ensemble trains in a forked worker; its divergence still exits 3,
+    leaves no output directory and no process behind."""
+    out = tmp_path / "model"
+    with np.errstate(all="ignore"):
+        code = run(["train", "--out", str(out), "--dataset", workspace["dataset"],
+                    "--set", "ens_lr=1e300", "--set", "vae_epochs=2", "--set", "ens_epochs=2"])
+    assert code == 3
+    assert "numerical failure: ensemble member 0 diverged" in capsys.readouterr().err
+    assert not out.exists()
+    assert not multiprocessing.active_children()
 
 
 EXPLAIN_SETS = ["--set", "delta=1.2", "--set", "r=1.2", "--set", "k=3",
@@ -359,6 +373,9 @@ SWEEP = ["sweep", "--axis", "lambda_d", "--grid", "0,0.5"]
     (["sweep", "--axis", "n_i", "--grid", "0,5", "--set", "k=4", "--set", "delta=2"],
      "needs k >= 2 and r > 0"),
     (["bench", "--schemes", "dclue", "--set", "k=4", "--set", "delta=2"], "needs r > 0"),
+    # delta takes inf, but its axis sets r to each grid value too
+    (["sweep", "--axis", "delta", "--grid", "1,inf"],
+     "r (sweep --axis delta sets r to each delta value too) must be finite, got inf"),
 ])
 def test_malformed_search_config_exit_2(workspace, tmp_path, argv, message, capsys):
     out = tmp_path / "bad"

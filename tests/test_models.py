@@ -3,6 +3,7 @@ serialization round-trips."""
 
 import dataclasses
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -226,6 +227,8 @@ def test_training_and_the_s5_walk_build_no_tensor(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(dc.Tensor, "__init__", counted_init)
+    # in process, so that the ensemble's constructions are counted here too
+    monkeypatch.setattr(models, "_FORK_WORKER", False)
     ds = data.gen_blobs(c=3, d=8, n=120, spread=0.2, seed=3)
     bundle = models.train_bundle(ds, models.VaeHyperparams(hidden=12, latent=3, epochs=2),
                                  models.EnsembleHyperparams(hidden=8, epochs=2),
@@ -234,6 +237,57 @@ def test_training_and_the_s5_walk_build_no_tensor(monkeypatch):
     z0 = models.encode(bundle, ds.train_inputs()[0])
     clue.init_scheme("s5", z0, 1.0, 1, 3, delta=1.0, context=clue.make_init_context(bundle))
     assert not made
+
+
+TRAINING_CASES = {  # which -> (dataset, VAE and ensemble hyperparameters, E, seed)
+    "tiny": (lambda: data.gen_blobs(c=3, d=8, n=120, spread=0.2, seed=3),
+             models.VaeHyperparams(hidden=12, latent=3, epochs=10),
+             models.EnsembleHyperparams(hidden=8, epochs=10), 3, 3),
+    "digits64": (lambda: data.gen_minidigits(n=200, seed=5),
+                 models.VaeHyperparams(hidden=16, latent=8, epochs=3),
+                 models.EnsembleHyperparams(hidden=16, epochs=3), 5, 5),
+}
+
+
+@pytest.mark.parametrize("which", list(TRAINING_CASES))
+def test_worker_and_in_process_training_write_the_same_bundle(which, tmp_path, monkeypatch):
+    """The ensemble trained in the forked worker, while the VAE trains in the
+    caller, saves to the same bytes as both trained in turn in the caller."""
+    make, vae_hp, ens_hp, n_members, seed = TRAINING_CASES[which]
+    ds, train_vae, workers = make(), models.train_vae, []
+
+    def counting_train_vae(*args):
+        workers.append(len(multiprocessing.active_children()))
+        return train_vae(*args)
+
+    monkeypatch.setattr(models, "train_vae", counting_train_vae)
+    saved = {}
+    for fork in (True, False):
+        monkeypatch.setattr(models, "_FORK_WORKER", fork)
+        bundle = models.train_bundle(ds, vae_hp, ens_hp, n_members=n_members, seed=seed)
+        assert not multiprocessing.active_children()
+        models.save_bundle(bundle, tmp_path / str(fork))
+        saved[fork] = {p.name: p.read_bytes() for p in sorted((tmp_path / str(fork)).iterdir())}
+    assert workers == [1, 0]  # the worker ran while the VAE trained
+    assert saved[True] == saved[False]
+
+
+def test_ensemble_divergence_in_the_worker_raises_in_the_caller():
+    make, vae_hp, _, n_members, seed = TRAINING_CASES["tiny"]
+    with pytest.raises(models.TrainingDivergence, match="ensemble member 0 diverged"):
+        with np.errstate(all="ignore"):
+            models.train_bundle(make(), vae_hp, models.EnsembleHyperparams(hidden=8, lr=1e300),
+                                n_members=n_members, seed=seed)
+    assert not multiprocessing.active_children()
+
+
+def test_ensemble_value_error_in_the_worker_raises_in_the_caller():
+    make, vae_hp, ens_hp, n_members, seed = TRAINING_CASES["tiny"]
+    ds = make()
+    negative = dataclasses.replace(ds, labels=ds.labels - 1)
+    with pytest.raises(ValueError, match="labels must be non-negative"):
+        models.train_bundle(negative, vae_hp, ens_hp, n_members=n_members, seed=seed)
+    assert not multiprocessing.active_children()
 
 
 def test_single_member_ensemble(tiny_bundle):

@@ -22,7 +22,8 @@ to the weights: given the input as well, ``_backprop`` returns each layer's
 weight and bias adjoints. The tests build the same networks on the autodiff
 tape as the oracle, and training repeats the tape's arithmetic term by
 term, so it gives the tape's weights bit for bit, also where ``train_bundle``
-trains the ensemble in a forked worker while the VAE trains (on Linux).
+trains the ensemble, while the VAE trains, in a process forked for the call
+that inherits the inputs and answers on a pipe (on Linux).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import json
 import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -362,10 +362,11 @@ def train_vae(dataset_inputs, hyperparams, seed):
             epoch_loss += float(loss) * len(idx)
         curve.append(epoch_loss / n)
 
-    # reconstruction statistic on the training set
-    mu = _forward(enc, x_all, np.tanh)[:, :m]
-    xhat = expit(_forward(dec, mu, np.tanh))
-    mean_l1 = float(np.mean(np.sum(np.abs(xhat - x_all), axis=1)))
+    # reconstruction statistic on the training set, in the decoder's output array
+    err = _forward(dec, _forward(enc, x_all, np.tanh)[:, :m], np.tanh)
+    expit(err, out=err)
+    err -= x_all
+    mean_l1 = float(np.mean(np.sum(np.abs(err, out=err), axis=1)))
 
     report = TrainingReport(loss_curve=curve, final_loss=curve[-1], mean_recon_l1=mean_l1)
     return enc, dec, report
@@ -442,18 +443,48 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
 _FORK_WORKER = sys.platform.startswith("linux")
 
 
+def _ensemble_worker(send, *args):
+    """The forked worker's body: ``train_ensemble(*args)`` on the arrays the
+    fork copied, answered on ``send`` as (True, result) or (False, exception)."""
+    try:
+        reply = True, train_ensemble(*args)
+    except Exception as e:  # any failure is the caller's to raise
+        reply = False, e
+    send.send(reply)
+
+
 def train_bundle(dataset, vae_hp=None, ens_hp=None, n_members=5, seed=0):
     """Train VAE + ensemble on a Dataset and assemble a ModelBundle. With
-    ``_FORK_WORKER`` the ensemble trains in a forked worker while the VAE trains
-    here; the bytes, and the error raised (the VAE's first), are the same."""
+    ``_FORK_WORKER`` the ensemble trains in a process forked for the call, on
+    the inputs it inherits, while the VAE trains here; it answers on a pipe and
+    is stopped when the call ends, so a VAE failure raises at once. The bytes,
+    and the error raised (the VAE's first), are those of training in turn; a
+    worker that ends without answering raises ``RuntimeError``."""
     vae_hp = vae_hp or VaeHyperparams()
     ens_hp = ens_hp or EnsembleHyperparams()
     xt, yt = dataset.train_inputs(), dataset.train_labels()
-    if _FORK_WORKER:  # leaving the block joins the worker, also on an error
-        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-            ens_job = pool.submit(train_ensemble, xt, yt, n_members, ens_hp, seed)
-            enc, dec, vrep = train_vae(xt, vae_hp, seed)
-            ensemble, erep = ens_job.result()
+    if _FORK_WORKER:
+        ctx = multiprocessing.get_context("fork")
+        answer, send = ctx.Pipe(duplex=False)
+        worker = ctx.Process(target=_ensemble_worker,
+                             args=(send, xt, yt, n_members, ens_hp, seed))
+        with answer:
+            with send:  # the worker holds the only send end: its exit ends the pipe
+                worker.start()
+            try:
+                enc, dec, vrep = train_vae(xt, vae_hp, seed)
+                try:
+                    ok, result = answer.recv()
+                except EOFError:
+                    worker.join()
+                    raise RuntimeError(f"the ensemble's training worker exited with code "
+                                       f"{worker.exitcode} and sent no result") from None
+                if not ok:
+                    raise result
+                ensemble, erep = result
+            finally:
+                worker.terminate()
+                worker.join()
     else:
         enc, dec, vrep = train_vae(xt, vae_hp, seed)
         ensemble, erep = train_ensemble(xt, yt, n_members, ens_hp, seed)

@@ -4,6 +4,10 @@ serialization round-trips."""
 import dataclasses
 import json
 import multiprocessing
+import multiprocessing.reduction
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -288,6 +292,65 @@ def test_ensemble_value_error_in_the_worker_raises_in_the_caller():
     with pytest.raises(ValueError, match="labels must be non-negative"):
         models.train_bundle(negative, vae_hp, ens_hp, n_members=n_members, seed=seed)
     assert not multiprocessing.active_children()
+
+
+# module-level, so that a worker that pickles its job by name could run them too
+def _sleep_30s(*args):
+    time.sleep(30)
+
+
+def _exit_7(*args):
+    os._exit(7)
+
+
+def test_a_vae_failure_stops_the_worker(monkeypatch):
+    """A diverging VAE raises at once: the worker still training the
+    ensemble is stopped, not waited for."""
+    make, vae_hp, ens_hp, n_members, seed = TRAINING_CASES["tiny"]
+
+    def diverging_vae(*args):
+        raise models.TrainingDivergence("VAE loss diverged at epoch 0")
+
+    monkeypatch.setattr(models, "train_ensemble", _sleep_30s)
+    monkeypatch.setattr(models, "train_vae", diverging_vae)
+    t0 = time.monotonic()
+    with pytest.raises(models.TrainingDivergence, match="VAE loss diverged"):
+        models.train_bundle(make(), vae_hp, ens_hp, n_members=n_members, seed=seed)
+    assert time.monotonic() - t0 < 5.0
+    assert not multiprocessing.active_children()
+
+
+def test_a_worker_that_sends_nothing_raises_naming_its_exit_code(monkeypatch):
+    make, vae_hp, ens_hp, n_members, seed = TRAINING_CASES["tiny"]
+    monkeypatch.setattr(models, "train_ensemble", _exit_7)
+    with pytest.raises(RuntimeError, match="exited with code 7 and sent no result"):
+        models.train_bundle(make(), vae_hp, ens_hp, n_members=n_members, seed=seed)
+    assert not multiprocessing.active_children()
+
+
+def test_training_in_the_caller_starts_no_thread_and_pickles_no_input(monkeypatch):
+    """The worker inherits its inputs at the fork: the caller pickles none
+    of them and starts no thread to send them."""
+    make, vae_hp, ens_hp, n_members, seed = TRAINING_CASES["tiny"]
+    ds, train_vae, threads, pickled = make(), models.train_vae, [], []
+    dumps = multiprocessing.reduction.ForkingPickler.dumps
+
+    def recording_dumps(cls, obj, protocol=None):
+        buf = dumps(obj, protocol)
+        pickled.append(len(buf))
+        return buf
+
+    def counting_train_vae(*args):
+        threads.append(threading.active_count())
+        return train_vae(*args)
+
+    monkeypatch.setattr(multiprocessing.reduction.ForkingPickler, "dumps",
+                        classmethod(recording_dumps))
+    monkeypatch.setattr(models, "train_vae", counting_train_vae)
+    before = threading.active_count()
+    models.train_bundle(ds, vae_hp, ens_hp, n_members=n_members, seed=seed)
+    assert threads == [before]
+    assert all(n < ds.train_inputs().nbytes for n in pickled)
 
 
 def test_single_member_ensemble(tiny_bundle):

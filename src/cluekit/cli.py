@@ -12,7 +12,7 @@ files to ``write_outputs``, which creates ``--out``, writes each file
 atomically (to a temp name, then a rename) and adds a run manifest (the
 resolved settings, input/output hashes, wall times, seed); a command that
 fails writes nothing. Exit codes: 0 success, 2 usage or config error, 3
-numerical failure.
+numerical failure, 4 a lost training worker.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def atomic_write_text(path, text):
 
 
 def write_json(path, payload):
-    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    atomic_write_text(path, models._json_text(payload) + "\n")
 
 
 def write_csv(path, header, rows):
@@ -89,7 +89,7 @@ def write_outputs(args, config, inputs, files, wall_times):
         writer(path)
         outputs.update(_hash_tree(path))
     write_json(os.path.join(args.out, "run_manifest.json"), {
-        "command": args.command, "config": config,
+        "command": args.command, "config": {k: clue.to_json(v) for k, v in config.items()},
         "inputs": {k: v for p in inputs for k, v in _hash_tree(p).items()},
         "outputs": outputs,
         "wall_times_s": {k: float(v) for k, v in wall_times.items()},
@@ -627,6 +627,9 @@ def main(argv=None):
     except (models.TrainingDivergence, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
+    except models.TrainingWorkerLost as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

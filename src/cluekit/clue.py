@@ -8,7 +8,6 @@ that produces sets of candidate counterfactuals.
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
@@ -26,11 +25,13 @@ EXTENDED = "extended"  # the kind of a number that may be inf or -inf, but not n
 
 class Rule(NamedTuple):
     """A setting's kind, which is int, float (a finite number), ``EXTENDED``
-    or a tuple of the values allowed, and its bound ``>= ge`` or ``> gt``."""
+    or a tuple of the values allowed, and its bounds ``>= ge`` or ``> gt``,
+    and ``<= le``."""
 
     kind: object
     ge: float | None = None
     gt: float | None = None
+    le: float | None = None
 
     def check(self, key, value):
         """Raise ``ValueError`` naming ``key`` if the rule refuses ``value``."""
@@ -53,6 +54,19 @@ class Rule(NamedTuple):
             raise ValueError(f"{key} must be >= {self.ge}, got {value!r}")
         if self.gt is not None and not value > self.gt:
             raise ValueError(f"{key} must be > {self.gt}, got {value!r}")
+        if self.le is not None and not value <= self.le:
+            raise ValueError(f"{key} must be <= {self.le}, got {value!r}")
+
+    def from_json(self, value):
+        """``value`` as a JSON file holds it: an ``EXTENDED`` setting's "inf"
+        or "-inf" (see ``to_json``) reads as a float."""
+        return float(value) if self.kind is EXTENDED and value in ("inf", "-inf") else value
+
+
+def to_json(value):
+    """``value`` for a JSON file: an infinite float as the string "inf" or
+    "-inf", which strict JSON readers take and bare ``Infinity`` is not."""
+    return str(value) if isinstance(value, float) and math.isinf(value) else value
 
 
 def _setting(default, *rule, **bound):  # a config field, its default and its rule
@@ -62,15 +76,16 @@ def _setting(default, *rule, **bound):  # a config field, its default and its ru
 @dataclass
 class ExperimentConfig:
     delta: float = _setting(math.inf, EXTENDED, gt=0)  # latent l2 radius (inf = unconstrained)
-    k: int = _setting(1, int, ge=1)  # number of counterfactuals
+    # the counts' upper bounds lie far above any desk-scale run
+    k: int = _setting(1, int, ge=1, le=1_000)  # number of counterfactuals
     r: float = _setting(0.0, float, ge=0)  # initialization radius
     scheme: str = _setting("s1", SCHEMES)
     lambda_x: float = _setting(0.0, float, ge=0)  # input-distance weight
     lambda_y: float = _setting(0.0, float, ge=0)  # prediction-distance weight
     lambda_d: float = _setting(0.0, float, ge=0)  # diversity weight
-    n_i: int = _setting(0, int, ge=0)  # diversity pre-search steps
+    n_i: int = _setting(0, int, ge=0, le=100_000)  # diversity pre-search steps
     lr: float = _setting(0.1, float, gt=0)
-    iters: int = _setting(30, int, ge=1)
+    iters: int = _setting(30, int, ge=1, le=100_000)
     h_threshold: float = _setting(math.inf, EXTENDED)  # acceptance entropy (inf accepts all)
     seed: int = _setting(0, int, ge=0)
 
@@ -344,7 +359,7 @@ def _setup(x0, bundle):
 
 def make_candidate(z, x0, z0, bundle, config, start_index, x0_label, trajectory=None):
     """The search end point ``z`` decoded and scored; a non-finite latent
-    distance to z0 (a diverged search) raises ``FloatingPointError``."""
+    distance to z0 (a diverged search) or cost raises ``FloatingPointError``."""
     rho = float(np.linalg.norm(z - z0))
     if not math.isfinite(rho):
         raise FloatingPointError(f"candidate {start_index} diverged: its latent distance "
@@ -355,6 +370,8 @@ def make_candidate(z, x0, z0, bundle, config, start_index, x0_label, trajectory=
     d_x = float(np.sum(np.abs(x - x0)))
     d_y = float(-np.log(max(p[x0_label], 1e-300)))
     cost = h + config.lambda_x * d_x + config.lambda_y * d_y
+    if not math.isfinite(cost):
+        raise FloatingPointError(f"candidate {start_index}'s cost is {cost}")
     return CandidateCE(z=z, x=x, posterior=p, entropy=h, d_x=d_x, d_y=d_y,
                        rho=rho, cost=cost, label=models.argmax_label(p),
                        accepted=bool(h < config.h_threshold), start_index=start_index,
@@ -418,14 +435,15 @@ _SCALAR_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
 
 def ceset_to_json(ceset):
     """JSON-serializable export with config echo and per-candidate fields."""
-    return {"config": asdict(ceset.config), "x0": ceset.x0.tolist(), "z0": ceset.z0.tolist(),
+    return {"config": {k: to_json(v) for k, v in asdict(ceset.config).items()},
+            "x0": ceset.x0.tolist(), "z0": ceset.z0.tolist(),
             "candidates": [{k: getattr(c, k).tolist() if k in _ARRAY_FIELDS else getattr(c, k)
                             for k in _ENTRY_FIELDS} for c in ceset.candidates]}
 
 
 def dump_ceset(ceset, path):
     with models._atomic_open(path) as f:
-        json.dump(ceset_to_json(ceset), f, indent=1, sort_keys=True)
+        f.write(models._json_text(ceset_to_json(ceset)))
 
 
 def _finite_array(name, value):
@@ -454,8 +472,12 @@ def _candidate(entry):
 def ceset_from_json(payload):
     """The CESet of a ``ceset_to_json`` payload; a candidate entry with a
     missing field raises ``KeyError``, and one with an unknown field, a scalar
-    of another type or an array that is not finite numbers ``TypeError``."""
-    return CESet(config=ExperimentConfig(**payload["config"]),
+    of another type or an array that is not finite numbers ``TypeError``. A
+    config value of "inf" or "-inf", or a bare ``Infinity`` of older files,
+    reads as a float where the setting's rule is ``EXTENDED``."""
+    rules = {f.name: f.metadata["rule"] for f in fields(ExperimentConfig)}
+    config = {k: rules[k].from_json(v) if k in rules else v for k, v in payload["config"].items()}
+    return CESet(config=ExperimentConfig(**config),
                  candidates=[_candidate(e) for e in payload["candidates"]],
                  x0=_finite_array("x0", payload["x0"]), z0=_finite_array("z0", payload["z0"]))
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 
 class ShapeError(ValueError):
@@ -379,6 +378,8 @@ def pairwise_dist(x, base="l2"):
 
 def det(k):
     """Determinant via LU with partial pivoting; gradient det * inv(K)^T."""
+    from scipy.linalg import lu_factor, lu_solve  # LAPACK loads at the first determinant
+
     k = as_tensor(k)
     if k.data.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ShapeError(f"det: expected a square matrix, got shape {k.shape}")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from math import comb, isfinite, log
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetri
 
 from . import diffcore as dc
 from .clue import Rule
@@ -73,15 +72,6 @@ def coverage(points, x0):
     if pts.shape[1] != x0.shape[0]:
         raise dc.ShapeError(f"coverage: dimension mismatch {pts.shape[1]} vs {x0.shape[0]}")
     return _value("coverage", pts, x0=x0)
-
-
-def coverage_max(mins, maxs):
-    """(S+ - S-)/d' bound on coverage from per-coordinate data ranges."""
-    mins = np.asarray(mins, dtype=np.float64)
-    maxs = np.asarray(maxs, dtype=np.float64)
-    if np.any(maxs < mins):
-        raise ValueError("coverage_max: per-coordinate max must be >= min")
-    return float((maxs.sum() - mins.sum()) / len(mins))
 
 
 def prediction_coverage(posteriors):
@@ -145,6 +135,8 @@ def value_and_grad(spec, points, n_free, x0=None):
         value = _finite(spec, np.sum(dist) * scale)
         gdist = np.full((n_free, k), 2.0 * scale)  # both index slots of D
     else:
+        from scipy.linalg.lapack import dgetrf, dgetri  # LAPACK loads at the first dpp
+
         kern = 1.0 / (dist + 1.0)
         lu, piv, _ = dgetrf(kern)
         value = _finite(spec, lu.diagonal().prod())

@@ -9,7 +9,6 @@ with ``models._decode_with_grad``, as the searches do.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -198,7 +197,7 @@ def pick_best_mapper(mappers, x, bundle, lambda_x=0.0):
 
 def save_mapper(mapper, path):
     with models._atomic_open(path) as f:
-        json.dump(dict(asdict(mapper), theta=mapper.theta.tolist()), f, indent=1, sort_keys=True)
+        f.write(models._json_text(dict(asdict(mapper), theta=mapper.theta.tolist())))
 
 
 def load_mapper(path):

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 from . import diffcore as dc
 
@@ -54,6 +53,10 @@ def reset_eval_counts():
 
 class TrainingDivergence(RuntimeError):
     """Raised when a training loss becomes non-finite."""
+
+
+class TrainingWorkerLost(RuntimeError):
+    """Raised when the ensemble's training worker ends without a result."""
 
 
 @dataclass
@@ -110,6 +113,22 @@ def _relu(v, out):
     return np.maximum(v, 0.0, out=out)
 
 
+def _sigmoid(v):
+    """The logistic sigmoid of ``v``, computed in ``v``'s array. exp(v) / (1 +
+    exp(v)) never warns: above 40 the sigmoid rounds to 1, so ``v`` is clipped
+    there and exp cannot overflow, and far below 0 exp(v) underflows to 0."""
+    np.minimum(v, 40.0, out=v)
+    np.exp(v, out=v)
+    v /= v + 1.0
+    return v
+
+
+def _xlogx(p):
+    """p log p elementwise, with 0 log 0 := 0: log's argument is at least the
+    smallest subnormal, whose log is finite, so p = 0 gives 0 * -744.4."""
+    return p * np.log(np.maximum(p, 5e-324))
+
+
 def _forward(mlp, x, hidden_act, acts=None):
     """Output logits of ``mlp`` at ``x``, without the tape.
 
@@ -164,7 +183,7 @@ def _decode_with_grad(bundle, z):
     """decode(z) for one latent or a batch, not counted in EVAL_COUNTS, and
     the function that takes an adjoint of the output back to one of ``z``."""
     acts = []
-    x = expit(_forward(bundle.decoder, z, np.tanh, acts))
+    x = _sigmoid(_forward(bundle.decoder, z, np.tanh, acts))
 
     def grad(g):
         return _backprop(bundle.decoder, acts, g * x * (1.0 - x), _tanh_grad)
@@ -247,7 +266,7 @@ def decode(bundle, z):
         raise dc.ShapeError(f"decode: latent length {z.shape[-1]} "
                             f"!= m'={bundle.m_latent}") from None
     EVAL_COUNTS["decode"] += 1
-    return expit(logits)
+    return _sigmoid(logits)
 
 
 def predict(bundle, x):
@@ -267,13 +286,13 @@ def entropy(p):
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-6:
         raise ValueError(f"entropy: input is not a probability simplex (sum={p.sum():.6g})")
-    return float(-xlogy(p, p).sum())
+    return float(-_xlogx(p).sum())
 
 
 def predict_entropy(bundle, x):
     """H of ``predict`` at one input (a float) or at each row of a batch, in one call."""
     p = predict(bundle, x)
-    h = -xlogy(p, p).sum(axis=-1)
+    h = -_xlogx(p).sum(axis=-1)
     return float(h) if p.ndim == 1 else h
 
 
@@ -364,7 +383,7 @@ def train_vae(dataset_inputs, hyperparams, seed):
 
     # reconstruction statistic on the training set, in the decoder's output array
     err = _forward(dec, _forward(enc, x_all, np.tanh)[:, :m], np.tanh)
-    expit(err, out=err)
+    _sigmoid(err)
     err -= x_all
     mean_l1 = float(np.mean(np.sum(np.abs(err, out=err), axis=1)))
 
@@ -429,7 +448,7 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
     p_held, p_train = (_softmax(_forward(ensemble, xs, _relu)).mean(axis=0)
                        for xs in (x_all[held], xt))
     acc = float(np.mean(np.argmax(p_held, axis=1) == y_all[held]))
-    ents = -np.sum(xlogy(p_train, p_train), axis=1)
+    ents = -np.sum(_xlogx(p_train), axis=1)
     n_batches = -(-len(xt) // hp.batch)
     report = TrainingReport(
         loss_curve=(batch_loss_sums / n_batches).mean(axis=0).tolist(), heldout_accuracy=acc,
@@ -459,7 +478,7 @@ def train_bundle(dataset, vae_hp=None, ens_hp=None, n_members=5, seed=0):
     the inputs it inherits, while the VAE trains here; it answers on a pipe and
     is stopped when the call ends, so a VAE failure raises at once. The bytes,
     and the error raised (the VAE's first), are those of training in turn; a
-    worker that ends without answering raises ``RuntimeError``."""
+    worker that ends without answering raises ``TrainingWorkerLost``."""
     vae_hp = vae_hp or VaeHyperparams()
     ens_hp = ens_hp or EnsembleHyperparams()
     xt, yt = dataset.train_inputs(), dataset.train_labels()
@@ -477,8 +496,11 @@ def train_bundle(dataset, vae_hp=None, ens_hp=None, n_members=5, seed=0):
                     ok, result = answer.recv()
                 except EOFError:
                     worker.join()
-                    raise RuntimeError(f"the ensemble's training worker exited with code "
-                                       f"{worker.exitcode} and sent no result") from None
+                    code = worker.exitcode
+                    how = (f"exited with code {code}" if code >= 0
+                           else f"was killed by signal {-code}")
+                    raise TrainingWorkerLost(f"the ensemble's training worker {how} "
+                                             f"and sent no result") from None
                 if not ok:
                     raise result
                 ensemble, erep = result
@@ -514,6 +536,12 @@ def _atomic_open(path, mode="w"):
         raise
 
 
+def _json_text(payload):
+    """``payload`` as the package writes every JSON file: strict JSON, which
+    holds no NaN or Infinity (writing either raises ``ValueError``)."""
+    return json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
+
+
 def _read_json(path, build):
     """``build`` of the JSON document at ``path``; a KeyError, TypeError or
     IndexError from a malformed one is raised as ``ValueError`` naming it."""
@@ -530,7 +558,7 @@ def _save_store(directory, manifest, blob_name, arrays):
     order, to one little-endian float64 blob ``directory/blob_name``. Both are
     serialized before either file is replaced, so a manifest or an array that
     cannot be written leaves an old store as it was."""
-    text = json.dumps(manifest, indent=1, sort_keys=True)
+    text = _json_text(manifest)
     blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
     Path(directory).mkdir(parents=True, exist_ok=True)
     with _atomic_open(Path(directory, "manifest.json")) as f:

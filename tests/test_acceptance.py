@@ -13,6 +13,7 @@ from scipy import stats
 
 from cluekit import cli, clue, data, divclue, diversity as div
 from cluekit import glam, models
+from test_diversity import coverage_max
 
 
 _CAPTURE_MANAGER = None
@@ -252,7 +253,7 @@ def test_metrics_match_oracles_and_ranges():
             assert 0.0 <= div.label_entropy(labels, c) <= 1.0
             assert 1.0 / c - 1e-12 <= div.prediction_coverage(posts) <= 1.0
             assert (div.coverage(pts, x0)
-                    <= div.coverage_max(np.zeros(dim), np.ones(dim)) + 1e-12)
+                    <= coverage_max(np.zeros(dim), np.ones(dim)) + 1e-12)
 
 
 # ---------------------------------------------------------------------------

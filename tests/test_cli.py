@@ -1,6 +1,7 @@
 """End-to-end command-line checks: each subcommand on a tiny workspace,
 exit codes for usage and numerical failures, and byte-level determinism."""
 
+import ast
 import contextlib
 import importlib.util
 import io
@@ -9,8 +10,11 @@ import multiprocessing
 import os
 import re
 import shutil
+import signal
+import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -670,6 +674,10 @@ BAD_SETTINGS = {  # case -> (argv, the text the error must hold)
     "ens_lr_zero": (["train", "--set", "ens_lr=0"], "ens_lr must be > 0"),
     "ens_lr_negative": (["train", "--set", "ens_lr=-0.1"], "ens_lr must be > 0"),
     "kl_weight_negative": (["train", "--set", "kl_weight=-1"], "kl_weight must be >= 0"),
+    # the counts have upper bounds far above any desk-scale run
+    "k_too_many": (["explain", "--set", "k=1001"], "k must be <= 1000"),
+    "iters_too_many": (["explain", "--set", "iters=100001"], "iters must be <= 100000"),
+    "n_i_too_many": (["explain", "--set", "n_i=100001"], "n_i must be <= 100000"),
 }
 
 
@@ -821,8 +829,9 @@ def test_any_single_setting_exits_0_or_2(workspace, case):
 
 def test_manifest_records_every_setting_with_the_value_used(workspace, tmp_path):
     """The run manifest's config holds every key of the command's table: the
-    value given, else the default, and the entropy thresholds the partition
-    used, the bundle's percentiles unless set."""
+    value given, else the default (an infinite one as the string "inf"), and
+    the entropy thresholds the partition used, the bundle's percentiles unless
+    set."""
     inputs = ["--bundle", workspace["bundle"], "--dataset", workspace["dataset"]]
     lo, hi = data.default_taus(models.load_bundle(workspace["bundle"]))
     ex, gl = tmp_path / "ex", tmp_path / "gl"
@@ -834,7 +843,7 @@ def test_manifest_records_every_setting_with_the_value_used(workspace, tmp_path)
     glam_ = json.loads((gl / "run_manifest.json").read_text())
     assert set(explain) == set(cli.SETTINGS["explain"])
     assert set(glam_["config"]) == set(cli.SETTINGS["glam"]) | {"variant"}
-    assert explain == {**{k: v[1] for k, v in cli.SETTINGS["explain"].items()},
+    assert explain == {**{k: clue.to_json(v[1]) for k, v in cli.SETTINGS["explain"].items()},
                        "delta": 1.2, "r": 1.2, "k": 3, "lambda_x": 0.05, "iters": 10,
                        "lr": 0.3, "seed": 5, "scheme": "s2", "tau_low": lo, "tau_high": 0.5}
     assert glam_["config"] == {"seed": 4, "cap": 3, "lambda_x": 0.03, "lambda_theta": 0.01,
@@ -870,3 +879,83 @@ def test_benchmark_workloads_pass_only_known_keys(monkeypatch):
     for command, keys in (("gen-data", workloads.BLOBS_DATA), ("gen-data", workloads.DIGITS_DATA),
                           ("train", workloads.BLOBS_TRAIN), ("train", workloads.DIGITS_TRAIN)):
         assert set(keys) <= set(cli.SETTINGS[command]), (command, keys)
+
+
+def _exit_9(*args):
+    os._exit(9)
+
+
+def _killed(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("lose,named", [(_exit_9, "exited with code 9"),
+                                        (_killed, "was killed by signal 9")],
+                         ids=["exit", "kill"])
+def test_a_lost_training_worker_exits_4(workspace, tmp_path, monkeypatch, capsys, lose, named):
+    """A training worker that ends without a result exits 4 with one line
+    naming its exit code or signal, and leaves no output directory."""
+    monkeypatch.setattr(models, "train_ensemble", lose)
+    out = tmp_path / "model"
+    code = run(["train", "--out", str(out), "--dataset", workspace["dataset"],
+                "--set", "vae_epochs=2", "--set", "ens_epochs=2"])
+    assert (code, capsys.readouterr().err) == (
+        4, f"error: the ensemble's training worker {named} and sent no result\n")
+    assert not out.exists()
+    assert not multiprocessing.active_children()
+
+
+def test_a_count_past_its_bound_exits_2_at_once(workspace, tmp_path, capsys):
+    """A sweep grid value past a count's upper bound exits 2 naming the key
+    before any input loads."""
+    t0 = time.monotonic()
+    code = run(["sweep", "--out", str(tmp_path / "sw"), "--axis", "n_i", "--grid", "1e12",
+                "--set", "k=2", "--set", "delta=1", "--set", "r=1",
+                "--bundle", workspace["bundle"], "--dataset", workspace["dataset"]])
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert "n_i must be <= 100000, got 1000000000000" in capsys.readouterr().err
+
+
+def _strict_json(path):
+    def refuse(name):
+        raise ValueError(f"{path} holds {name}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_every_json_file_is_strict_json(workspace, tmp_path):
+    """Default explain, sweep, glam and bench runs write standard JSON only: an
+    infinite setting (delta and h_threshold by default) is the string "inf"."""
+    inputs = ["--bundle", workspace["bundle"], "--dataset", workspace["dataset"]]
+    ex = tmp_path / "ex"
+    assert run(["explain", "--out", str(ex), "--top", "6"] + inputs) == 0
+    cesets = sorted(str(p) for p in ex.glob("ceset_*.json"))
+    assert run(["sweep", "--out", str(tmp_path / "sw"), "--axis", "delta", "--grid", "1"]
+               + inputs) == 0
+    assert run(["glam", "--out", str(tmp_path / "gl"), "--cesets"] + cesets + inputs) == 0
+    assert run(["bench", "--out", str(tmp_path / "be")] + inputs) == 0
+    files = sorted(tmp_path.rglob("*.json"))
+    assert {p.parent.name for p in files} == {"ex", "sw", "gl", "be"}
+    assert any(p.name.startswith("mapper_") for p in files)
+    payloads = {p: _strict_json(p) for p in files}
+    for p in files:
+        if p.parent.name != "gl":  # glam has no search keys
+            assert payloads[p]["config"]["h_threshold"] == "inf", p
+
+
+def _scipy_modules_after(code):
+    """The scipy modules a fresh interpreter has loaded after running ``code``."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    return ast.literal_eval(done.stdout.strip().splitlines()[-1])
+
+
+def test_the_cli_loads_scipy_only_at_the_first_determinant():
+    assert _scipy_modules_after("import cluekit.cli") == []
+    for det in ("cluekit.diversity.dpp(np.eye(2))", "cluekit.diffcore.det(np.eye(2))"):
+        assert "scipy.linalg" in _scipy_modules_after(f"import numpy as np, cluekit.cli\n{det}")

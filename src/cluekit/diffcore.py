@@ -12,8 +12,6 @@ diversity terms (including a determinant for DPP kernels).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 
@@ -377,34 +375,26 @@ def pairwise_dist(x, base="l2"):
 
 
 def det(k):
-    """Determinant via LU with partial pivoting; gradient det * inv(K)^T."""
-    from scipy.linalg import lu_factor, lu_solve  # LAPACK loads at the first determinant
-
+    """Determinant, with the value and gradient of ``det_and_grad``."""
     k = as_tensor(k)
     if k.data.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ShapeError(f"det: expected a square matrix, got shape {k.shape}")
-    n = k.shape[0]
-    with warnings.catch_warnings():
-        # lu_factor warns on exact singularity; that case is handled below
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(k.data, check_finite=True)
-    diag = np.diag(lu)
-    parity = (-1.0) ** np.count_nonzero(piv != np.arange(n))
-    value = parity * np.prod(diag)
-    singular = not np.isfinite(value) or np.any(diag == 0.0)
-    if singular:
-        value = 0.0
+    value, grad = det_and_grad(k.data)
     out = Tensor(value, _parents=(k,), op="det")
-
-    def bw(g):
-        if singular or value == 0.0:
-            k._accum(g * _adjugate(k.data).T)
-        else:
-            inv = lu_solve((lu, piv), np.eye(n))
-            k._accum(g * value * inv.T)
-
-    out._backward = bw
+    out._backward = lambda g: k._accum(g * grad)
     return out
+
+
+def det_and_grad(m):
+    """det(m) by numpy's LU, and its gradient det * m^-T. Where det is 0 (or
+    overflows) the value is 0.0 and the gradient the adjugate's transpose.
+    A non-finite m raises ValueError."""
+    if not np.isfinite(m).all():
+        raise ValueError("det: the matrix holds a non-finite entry")
+    value = float(np.linalg.det(m))
+    if value == 0.0 or not np.isfinite(value):  # -0.0 reads 0.0
+        return 0.0, _adjugate(m).T
+    return value, value * np.linalg.inv(m).T
 
 
 def _adjugate(m):

@@ -103,8 +103,8 @@ def value_and_grad(spec, points, n_free, x0=None):
     """A differentiable metric's value over a k x dim array and its gradient
     w.r.t. the last ``n_free`` rows (an n_free x dim array), in closed form.
 
-    dpp is det(K) for K = 1/(1 + D), through the same LU as ``dc.det``;
-    its gradient det * K^-T (the adjugate when K is singular) is chained
+    dpp is det(K) for K = 1/(1 + D), by ``dc.det_and_grad`` as on the tape;
+    its gradient det * K^-T (the adjugate when det is 0) is chained
     through the reciprocal and the pairwise distances. apd spreads a
     constant over the distances; coverage routes +-1/dim to the first
     argmax of each coordinate's deviation from x0 (``x0`` is its origin).
@@ -135,18 +135,8 @@ def value_and_grad(spec, points, n_free, x0=None):
         value = _finite(spec, np.sum(dist) * scale)
         gdist = np.full((n_free, k), 2.0 * scale)  # both index slots of D
     else:
-        from scipy.linalg.lapack import dgetrf, dgetri  # LAPACK loads at the first dpp
-
         kern = 1.0 / (dist + 1.0)
-        lu, piv, _ = dgetrf(kern)
-        value = _finite(spec, lu.diagonal().prod())
-        if sum(p != i for i, p in enumerate(piv.tolist())) % 2:
-            value = -value
-        if value == 0.0:  # a zero pivot, or underflow; -0.0 reads 0.0, as in dc.det
-            value = 0.0
-            gkern = dc._adjugate(kern).T
-        else:
-            gkern = value * dgetri(lu, piv)[0].T
+        value, gkern = dc.det_and_grad(kern)
         gdist = -gkern * kern * kern
         gdist = gdist[lo:] + gdist[:, lo:].T  # both index slots of D, free rows
     if spec.base == "l2":

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -744,6 +745,29 @@ def test_malformed_input_exit_2(workspace, tmp_path, case, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "explain", "glam"])
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 1.5, -0.25])
+def test_a_dataset_of_inputs_outside_the_unit_interval_exits_2(workspace, tmp_path, capsys,
+                                                                command, entry):
+    """A non-finite input, or one outside [0, 1], makes every command that
+    loads the dataset exit 2 naming the inputs file, warn nothing and write
+    no output, before training can diverge on it or a search runs on it."""
+    ds = data.load_dataset(workspace["dataset"])
+    ds.inputs[3, 1] = entry
+    bad = tmp_path / "dataset"
+    data.save_dataset(ds, bad)
+    argv = {"train": ["train", "--set", "vae_epochs=1"],
+            "explain": ["explain", "--bundle", workspace["bundle"]] + EXPLAIN_SETS,
+            "glam": ["glam", "--bundle", workspace["bundle"]]}[command]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--dataset", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad / 'inputs.bin'}: inputs must be finite and lie in [0, 1]" in err, err
+    assert not out.exists()
+
+
 def test_older_manifest_loads_with_the_dimensions_of_its_weights(workspace, tmp_path):
     """A manifest in the older format, which also held ``dims`` and
     ``architecture``, loads with the dimensions its weights have, even where
@@ -955,7 +979,28 @@ def _scipy_modules_after(code):
     return ast.literal_eval(done.stdout.strip().splitlines()[-1])
 
 
-def test_the_cli_loads_scipy_only_at_the_first_determinant():
-    assert _scipy_modules_after("import cluekit.cli") == []
-    for det in ("cluekit.diversity.dpp(np.eye(2))", "cluekit.diffcore.det(np.eye(2))"):
-        assert "scipy.linalg" in _scipy_modules_after(f"import numpy as np, cluekit.cli\n{det}")
+def test_no_cluekit_code_path_loads_scipy(workspace, tmp_path):
+    """A fresh interpreter has loaded no scipy module after importing the CLI,
+    after a dpp value and a tape determinant, and after an in-process
+    divclue ``explain`` and a ``sweep`` over lambda_d, whose metric reports
+    score each set's dpp."""
+    inputs = ["--bundle", workspace["bundle"], "--dataset", workspace["dataset"]]
+    commands = {
+        "explain": ["explain", "--method", "divclue-sim", "--top", "1", "--set", "lambda_d=0.3"]
+                   + EXPLAIN_SETS,
+        "sweep": SWEEP + ["--set", "k=3", "--set", "delta=1.2", "--set", "r=1.2",
+                          "--set", "iters=10"],
+    }
+    steps = ["import cluekit.cli",
+             "import numpy as np, cluekit.diversity\nassert cluekit.diversity.dpp(np.eye(3)) > 0",
+             "import numpy as np, cluekit.diffcore\nassert cluekit.diffcore.det(np.eye(3)).data == 1"]
+    for name, argv in commands.items():
+        argv += inputs + ["--out", str(tmp_path / name)]
+        steps.append(f"import cluekit.cli\nassert cluekit.cli.main({argv!r}) == 0")
+    for code in steps:
+        assert _scipy_modules_after(code) == [], code
+    # both commands took determinants: the search's repulsion was a dpp term,
+    # and the sweep reports each set's dpp
+    config = json.loads((tmp_path / "explain" / "run_manifest.json").read_text())["config"]
+    assert (config["metric"], config["lambda_d"]) == ("dpp", 0.3)
+    assert "dpp_latent" in (tmp_path / "sweep" / "sweep.csv").read_text()

@@ -170,6 +170,14 @@ def test_det_singular_matrix_has_finite_gradient():
     assert np.allclose(t.grad, np.array([[4.0, -2.0], [-2.0, 1.0]]).T)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_det_rejects_a_non_finite_matrix(bad):
+    m = np.eye(3)
+    m[1, 2] = bad
+    with pytest.raises(ValueError):
+        dc.det(m)
+
+
 def test_l1_grad_sign_cases():
     t = dc.Tensor(np.array([2.0, 3.0, 4.0]), requires_grad=True)
     dc.l1_dist(t, dc.Tensor(np.array([1.0, 1.0, 1.0]))).backward()

@@ -1,6 +1,8 @@
 """Diversity metrics against independent brute-force oracles, range
 invariants on fuzzed sets, and gradient checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 import cluekit.diffcore as dc
 from cluekit import divclue, diversity as div
+from cluekit.diversity import BASES
+from tape_oracle import diversity_node
 
 
 # ---------------------------------------------------------------------------
@@ -26,17 +30,31 @@ def det_cofactor(m):
     return total
 
 
-def dpp_oracle(points, base="l2"):
+def cofactor_matrix(m):
+    """The cofactors of m by ``det_cofactor``: det's gradient, adj(m)^T."""
+    n = m.shape[0]
+    if n == 1:
+        return np.ones((1, 1))
+    return np.array([[(-1.0) ** (i + j) * det_cofactor(np.delete(np.delete(m, i, 0), j, 1))
+                      for j in range(n)] for i in range(n)])
+
+
+def kernel_oracle(points, base="l2"):
+    """The dpp kernel K_ij = 1/(1 + d(x_i, x_j)), entry by entry."""
     k = len(points)
-    if k == 1:
-        return 0.0
     kern = np.empty((k, k))
     for i in range(k):
         for j in range(k):
             d = (np.linalg.norm(points[i] - points[j]) if base == "l2"
                  else np.sum(np.abs(points[i] - points[j])))
             kern[i, j] = 1.0 / (1.0 + d)
-    return min(1.0, max(0.0, det_cofactor(kern)))
+    return kern
+
+
+def dpp_oracle(points, base="l2"):
+    if len(points) == 1:
+        return 0.0
+    return min(1.0, max(0.0, det_cofactor(kernel_oracle(points, base))))
 
 
 def apd_oracle(points):
@@ -148,6 +166,62 @@ def test_single_point_conventions():
 def test_dpp_duplicate_point_is_zero():
     pts = np.array([[0.5, 1.0], [0.5, 1.0], [2.0, -1.0]])
     assert div.dpp(pts) == 0.0
+
+
+def odd_swap_matrix(rng, k):
+    """A k x k matrix whose LU with partial pivoting swaps rows exactly once:
+    a strictly column diagonally dominant matrix (which needs no swap) with
+    its first two rows exchanged. Its determinant is negative."""
+    m = rng.uniform(-1.0, 1.0, (k, k)) + (k + 1.0) * np.eye(k)
+    m[[0, 1]] = m[[1, 0]]
+    return m
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_det_and_the_dpp_kernel_match_cofactor_expansion(k):
+    """``dc.det``'s value and gradient and the dpp kernel's value equal the
+    cofactor expansion's, also for matrices whose LU swaps rows an odd number
+    of times: their determinant is negative, and numpy's LU gives the sign."""
+    rng = np.random.default_rng(40 + k)
+    mats = [rng.standard_normal((k, k)) for _ in range(5)]
+    odd = [odd_swap_matrix(rng, k) for _ in range(3)] if k > 1 else []
+    for m in mats + odd:
+        t = dc.Tensor(m.copy(), requires_grad=True)
+        out = dc.det(t)
+        out.backward()
+        np.testing.assert_allclose(float(out.data), det_cofactor(m), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(t.grad, cofactor_matrix(m), rtol=1e-12, atol=1e-13)
+    assert all(float(dc.det(m).data) < 0.0 for m in odd)
+    for base in BASES:
+        spec = div.DiversitySpec(metric="dpp", base=base)
+        for _ in range(5):
+            pts = random_set(rng, k=k)
+            value = div.value_and_grad(spec, pts, k)[0]
+            expected = det_cofactor(kernel_oracle(pts, base)) if k > 1 else 0.0
+            np.testing.assert_allclose(value, expected, rtol=1e-12, atol=1e-14)
+
+
+def test_a_zero_determinant_takes_the_adjugate_and_warns_nothing():
+    """A singular matrix's determinant is exactly 0.0 and its gradient the
+    cofactor matrix; a duplicated point gives the dpp kernel the value 0.0
+    and the gradient the tape chains through the same adjugate."""
+    m3 = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 2.0], [1.0, 2.0, 3.0]])
+    pts = np.array([[0.5, 1.0], [0.5, 1.0], [2.0, -1.0], [0.0, 0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((3, 3)), m3):
+            t = dc.Tensor(m, requires_grad=True)
+            out = dc.det(t)
+            out.backward()
+            assert float(out.data) == 0.0 and not np.signbit(out.data)
+            np.testing.assert_allclose(t.grad, cofactor_matrix(m), rtol=1e-12, atol=1e-14)
+        for base in BASES:
+            spec = div.DiversitySpec(metric="dpp", base=base)
+            value, grad = div.value_and_grad(spec, pts, len(pts))
+            node = dc.Tensor(pts, requires_grad=True)
+            diversity_node(spec, node).backward()
+            assert value == 0.0
+            np.testing.assert_allclose(grad, node.grad, rtol=1e-12, atol=1e-14)
 
 
 @settings(max_examples=50, deadline=None)

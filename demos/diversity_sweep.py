@@ -25,7 +25,7 @@ for lam in [0.0, 0.1, 0.3, 1.0, 3.0]:
                                    lambda_x=0.05, lambda_d=lam,
                                    lr=0.3, iters=50, seed=5)
     record = divclue.nabla_clue_simultaneous(x0, bundle, config, spec)
-    rows = {(m, s): v for m, s, _k, v in record.metrics_rows}
+    rows = {(m, s): v for m, s, _k, v in diversity.metric_report_rows(record.ceset)}
     mean_h = np.mean([c.entropy for c in record.ceset.candidates])
     print(f"  {lam:4.1f}    {rows[('dpp', 'latent')]:.3f}  "
           f"{rows[('apd', 'latent')]:6.3f}   {rows[('coverage', 'latent')]:.3f}  "

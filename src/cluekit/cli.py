@@ -280,7 +280,7 @@ def _delta_clue(x0, bundle, config, spec, context):
 
 # method -> fn(x0, bundle, config, spec, context) -> CESet
 METHODS = {
-    "clue": _delta_clue,  # run with delta=inf, r=0, k=1
+    "clue": _delta_clue,  # runs at delta=inf, r=0, k=1 only
     "dclue": _delta_clue,
     "divclue-sim": lambda x0, bundle, config, spec, context:
         divclue.nabla_clue_simultaneous(x0, bundle, config, spec, context).ceset,
@@ -325,8 +325,10 @@ def cmd_explain(args):
     _checked("--top", args.top, Rule(int, ge=0))
     run_method = METHODS[_checked("method", args.method, Rule(tuple(METHODS)))]
     cfg = resolve_config(args)
-    if args.method == "clue":
-        cfg.update(delta=math.inf, r=0.0, k=1)
+    for key, fixed in (("delta", math.inf), ("r", 0.0), ("k", 1)) if args.method == "clue" else ():
+        if cfg[key] != fixed:
+            raise UsageError(f"--method clue runs at {key}={fixed}, got {key}={cfg[key]!r}; "
+                             f"use --method dclue")
     config = _search_config(cfg)
     spec = _diversity_spec(cfg, args.method in DIVERSITY_METHODS)
     if clue.coincident_starts(config, args.method in ("divclue-seq", "divclue-pen")):
@@ -365,7 +367,7 @@ def _sweep_stats(record):
         "min_H": min(hs), "mean_H": float(np.mean(hs)), "max_H": max(hs),
         "min_d_x": min(dxs), "mean_d_x": float(np.mean(dxs)), "max_d_x": max(dxs),
     }
-    for metric, space, _k, value in record.metrics_rows:
+    for metric, space, _k, value in div.metric_report_rows(record.ceset):
         stats[f"{metric}_{space}"] = float(value)
     return stats
 
@@ -620,7 +622,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # every overflow or invalid value a command meets is checked and exits 3
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -120,32 +120,16 @@ class CESet:
     def accepted(self):
         return [c for c in self.candidates if c.accepted]
 
-    def points(self, space="latent", accepted_only=True):
-        cs = self.accepted() if accepted_only else self.candidates
-        if space == "latent":
-            return np.stack([c.z for c in cs])
-        if space == "input":
-            return np.stack([c.x for c in cs])
-        if space == "prediction":
-            return np.stack([c.posterior for c in cs])
-        raise ValueError(f"unknown space {space!r}")
 
-    def labels(self, accepted_only=True):
-        cs = self.accepted() if accepted_only else self.candidates
-        return [c.label for c in cs]
-
-
-def objective(z, x0, bundle, lambda_x=0.0, lambda_y=0.0, x0_label=None):
+def objective(z, x0, bundle, lambda_x, lambda_y, x0_label):
     """Loss H(y | decode(z)) + lambda_x l1(decode(z), x0) + lambda_y d_y, and its z-gradient.
 
-    d_y is the cross-entropy of the candidate posterior against the hard
-    label of the original input (computed from the bundle if not supplied);
-    it participates only when lambda_y > 0. The loss is one fused tape node
-    over ``models.search_objective``, whose backward is derived by hand.
+    d_y is the cross-entropy of the candidate posterior against
+    ``x0_label``, the hard label of the original input; it participates
+    only when lambda_y > 0. The loss is one fused tape node over
+    ``models.search_objective``, whose backward is derived by hand.
     """
     zt = dc.Tensor(z, requires_grad=True)
-    if lambda_y > 0.0 and x0_label is None:
-        x0_label = models.argmax_label(models.predict(bundle, x0))
     h_term, dx_term, dy_term, grad = models.search_objective(
         bundle, zt.data, x0, lambda_x, lambda_y, x0_label)
     value = h_term

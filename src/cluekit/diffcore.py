@@ -388,9 +388,9 @@ def det(k):
 def det_and_grad(m):
     """det(m) by numpy's LU, and its gradient det * m^-T. Where det is 0 (or
     overflows) the value is 0.0 and the gradient the adjugate's transpose.
-    A non-finite m raises ValueError."""
+    A non-finite m is a numerical failure: it raises FloatingPointError."""
     if not np.isfinite(m).all():
-        raise ValueError("det: the matrix holds a non-finite entry")
+        raise FloatingPointError("det: the matrix holds a non-finite entry")
     value = float(np.linalg.det(m))
     if value == 0.0 or not np.isfinite(value):  # -0.0 reads 0.0
         return 0.0, _adjugate(m).T

@@ -30,9 +30,9 @@ PRESEARCH_LR = 0.1
 
 @dataclass
 class DivRunRecord:
+    """A search's set; ``diversity.metric_report_rows(record.ceset)`` scores it."""
     ceset: CESet
     joint_loss: list  # length iters: -lambda_d*D + mean per-candidate loss
-    metrics_rows: list  # all six metrics, all spaces
 
 
 def _diversity(spec, bundle, z0, x0, free, const=None):
@@ -55,18 +55,6 @@ def _diversity(spec, bundle, z0, x0, free, const=None):
     if spec.space == "input":
         grad = decoder_grad(grad)
     return value, grad
-
-
-def _finalize(zs, trajs, x0, z0, bundle, config, x0_label, loss_curve):
-    """Candidates, metric report and record."""
-    ceset = _ceset(zs, trajs, x0, z0, bundle, config, x0_label)
-    use_accepted = bool(ceset.accepted())
-    rows = div.metric_report_rows(
-        ceset.points("input", use_accepted), ceset.points("latent", use_accepted),
-        ceset.points("prediction", use_accepted), ceset.labels(use_accepted),
-        x0, z0, bundle.c_classes,
-    )
-    return DivRunRecord(ceset=ceset, joint_loss=loss_curve, metrics_rows=rows)
 
 
 def nabla_clue_simultaneous(x0, bundle, config, spec, context=None, trace=False):
@@ -92,7 +80,7 @@ def nabla_clue_simultaneous(x0, bundle, config, spec, context=None, trace=False)
             return -config.lambda_d * d_val, scale * d_grads
 
     zs, trajs, loss_curve = _descend(zs, z0, x0, bundle, config, x0_label, trace, repel)
-    return _finalize(zs, trajs, x0, z0, bundle, config, x0_label, loss_curve)
+    return DivRunRecord(_ceset(zs, trajs, x0, z0, bundle, config, x0_label), loss_curve)
 
 
 def _sequential(x0, bundle, config, context, trace, repulsion):
@@ -109,7 +97,7 @@ def _sequential(x0, bundle, config, context, trace, repulsion):
         trajs.append(traj)
         curves.append(curve)
     joint = [float(np.mean([c[i] for c in curves])) for i in range(config.iters)]
-    return _finalize(found, trajs, x0, z0, bundle, config, x0_label, joint)
+    return DivRunRecord(_ceset(found, trajs, x0, z0, bundle, config, x0_label), joint)
 
 
 def nabla_clue_sequential(x0, bundle, config, spec, context=None, trace=False):

@@ -108,7 +108,8 @@ def value_and_grad(spec, points, n_free, x0=None):
     through the reciprocal and the pairwise distances. apd spreads a
     constant over the distances; coverage routes +-1/dim to the first
     argmax of each coordinate's deviation from x0 (``x0`` is its origin).
-    A non-finite value, which non-finite points give, raises ValueError.
+    A non-finite value, which non-finite or overflowing points give, is a
+    numerical failure: it raises FloatingPointError.
     """
     k, dim = points.shape
     lo = k - n_free
@@ -148,15 +149,21 @@ def _finite(spec, value):
     """``value`` as a float; non-finite points give a non-finite value."""
     value = float(value)
     if not isfinite(value):
-        raise ValueError(f"{spec.metric}: non-finite value; a point is non-finite or too large")
+        raise FloatingPointError(f"{spec.metric} diverged to {value}: a point is non-finite "
+                                 f"or too large")
     return value
 
 
-def metric_report_rows(xs, zs, posteriors, labels, x0, z0, c):
-    """All six metrics in every applicable space: rows (metric, space, k, value)."""
-    k = len(labels)
+def metric_report_rows(ceset):
+    """All six metrics in every applicable space over a ``clue.CESet``'s
+    accepted candidates, or all of them when none is accepted: rows
+    (metric, space, k, value)."""
+    cands = ceset.accepted() or ceset.candidates
+    k, c = len(cands), len(cands[0].posterior)
+    labels, posteriors = [cand.label for cand in cands], [cand.posterior for cand in cands]
     rows = []
-    for space, pts, origin in (("input", xs, x0), ("latent", zs, z0)):
+    for space, pts, origin in (("input", [cand.x for cand in cands], ceset.x0),
+                               ("latent", [cand.z for cand in cands], ceset.z0)):
         rows.append(("dpp", space, k, dpp(pts)))
         rows.append(("apd", space, k, apd(pts)))
         rows.append(("coverage", space, k, coverage(pts, origin)))
@@ -166,4 +173,3 @@ def metric_report_rows(xs, zs, posteriors, labels, x0, z0, c):
     rows.append(("distinct_labels", "prediction", k, distinct_labels(labels, c)))
     rows.append(("label_entropy", "prediction", k, label_entropy(labels, c)))
     return rows
-

@@ -297,7 +297,7 @@ def test_diversity_weight_sweep(digits_bundle, most_uncertain_digit):
             record = divclue.nabla_clue_simultaneous(most_uncertain_digit,
                                                      digits_bundle, config, spec)
             tables.append(dict(((m, s), v)
-                               for m, s, _k, v in record.metrics_rows))
+                               for m, s, _k, v in div.metric_report_rows(record.ceset)))
         dpps = [t[("dpp", "latent")] for t in tables]
         rho, _ = stats.spearmanr(grid, dpps)
         assert rho > 0.0

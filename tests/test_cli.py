@@ -104,7 +104,8 @@ def test_missing_bundle_exits_2(workspace, tmp_path, capsys):
 
 
 def test_divergent_training_exits_3(workspace, tmp_path, capsys):
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = run(["train", "--out", str(tmp_path),
                     "--dataset", workspace["dataset"],
                     "--set", "vae_lr=1e6", "--set", "vae_epochs=5"])
@@ -116,7 +117,8 @@ def test_ensemble_divergence_in_the_training_worker_exits_3(workspace, tmp_path,
     """The ensemble trains in a forked worker; its divergence still exits 3,
     leaves no output directory and no process behind."""
     out = tmp_path / "model"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = run(["train", "--out", str(out), "--dataset", workspace["dataset"],
                     "--set", "ens_lr=1e300", "--set", "vae_epochs=2", "--set", "ens_epochs=2"])
     assert code == 3
@@ -157,18 +159,37 @@ def test_explain_rerun_is_byte_identical(workspace, tmp_path):
     assert read_bytes_except(str(a)) == read_bytes_except(str(b))
 
 
+# EXPLAIN_SETS less the keys that --method clue fixes
+CLUE_SETS = ["--set", "lambda_x=0.05", "--set", "iters=10", "--set", "lr=0.3", "--set", "seed=5"]
+
+
 def test_clue_method_is_single_unconstrained_candidate(workspace, tmp_path):
-    """method=clue forces an unconstrained single-start run: one candidate
+    """method=clue is an unconstrained single-start run: one candidate
     that starts at the query's own latent code."""
     out = tmp_path / "clue"
     assert run(["explain", "--out", str(out), "--bundle", workspace["bundle"],
                 "--dataset", workspace["dataset"], "--method", "clue",
-                "--top", "1"] + EXPLAIN_SETS) == 0
+                "--top", "1"] + CLUE_SETS) == 0
     name = next(p for p in os.listdir(out) if p.startswith("ceset_"))
     ceset = clue.load_ceset(str(out / name))
     assert len(ceset.candidates) == 1
     assert ceset.config.delta == float("inf")
     assert ceset.config.r == 0.0
+
+
+@pytest.mark.parametrize("key, value", [("k", "4"), ("delta", "2"), ("r", "1")])
+def test_clue_method_refuses_a_setting_it_fixes(workspace, tmp_path, capsys, key, value):
+    """method=clue runs at delta=inf, r=0 and k=1; another value of any of
+    them exits 2 naming the key, and writes nothing."""
+    out = tmp_path / "clue"
+    assert run(["explain", "--out", str(out), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"], "--method", "clue", "--top", "1",
+                "--set", f"{key}={value}"] + CLUE_SETS) == 2
+    assert f"--method clue runs at {key}=" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["explain", "--out", str(out), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"], "--method", "clue", "--top", "1",
+                "--set", "k=1", "--set", "delta=inf", "--set", "r=0"] + CLUE_SETS) == 0
 
 
 def test_explain_top_zero_writes_empty_tables(workspace, tmp_path):
@@ -218,15 +239,24 @@ def test_sweep_on_an_empty_test_split_exit_2(workspace, tmp_path, capsys):
                  id="glam_cost"),
     pytest.param(["glam", "--variant", "glam1", "--set", "cap=3", "--set", "lambda_x=1e308"],
                  id="glam_mean_cost"),
+    # the apd of points that overflow in latent space, in both diversity searches
+    *[pytest.param(["explain", "--top", "1", "--method", method, "--set", "metric=apd",
+                    "--set", "space=latent", "--set", "k=3", "--set", "r=1",
+                    "--set", "lambda_d=0.5", "--set", "lr=1e300"], id=f"{method}_apd")
+      for method in ("divclue-sim", "divclue-seq")],
 ])
 def test_diverged_search_exits_3(workspace, tmp_path, sets, capsys):
     """A search or a training run that overflows is a numerical failure, not
-    an inf in the outputs, and the command leaves no output directory."""
+    an inf in the outputs: one line on stderr, no warning before it, and no
+    output directory."""
     inputs = ["--bundle", workspace["bundle"], "--dataset", workspace["dataset"]]
     argv = sets + (inputs[2:] if sets[0] == "train" else inputs)
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert run(argv + ["--out", str(tmp_path / "dv")]) == 3
-    assert "diverged" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+    assert "diverged" in err
     assert not (tmp_path / "dv").exists()
 
 

@@ -174,7 +174,7 @@ def test_det_singular_matrix_has_finite_gradient():
 def test_det_rejects_a_non_finite_matrix(bad):
     m = np.eye(3)
     m[1, 2] = bad
-    with pytest.raises(ValueError):
+    with pytest.raises(FloatingPointError):
         dc.det(m)
 
 

@@ -17,6 +17,11 @@ def _config(**kw):
 SPEC = div.DiversitySpec(metric="dpp", space="latent")
 
 
+def _report(record):
+    """The metric report of a run's set: {(metric, space): value}."""
+    return {(m, s): v for m, s, _k, v in div.metric_report_rows(record.ceset)}
+
+
 def _assert_cesets_bitwise_equal(a, b):
     assert len(a.candidates) == len(b.candidates)
     for ca, cb in zip(a.candidates, b.candidates):
@@ -74,9 +79,27 @@ def test_joint_loss_length_and_metrics_table(tiny_bundle):
     config = _config(lambda_d=0.3)
     record = divclue.nabla_clue_simultaneous(x0, bundle, config, SPEC)
     assert len(record.joint_loss) == config.iters
-    metrics = {(m, s) for m, s, _k, _v in record.metrics_rows}
+    metrics = set(_report(record))
     for m in div.ALL_METRICS:
         assert any(key[0] == m for key in metrics)
+
+
+@pytest.mark.parametrize("n_i", [0, 3])
+def test_no_search_computes_the_metric_report(tiny_bundle, monkeypatch, n_i):
+    """The report scores a finished set for whoever reads it: no variant,
+    with or without pre-search, calls it."""
+    def report(ceset):
+        raise AssertionError("a search computed the metric report")
+
+    monkeypatch.setattr(div, "metric_report_rows", report)
+    ds, bundle = tiny_bundle
+    x0 = ds.train_inputs()[7]
+    config = _config(lambda_d=0.5, n_i=n_i)
+    for record in (divclue.nabla_clue_simultaneous(x0, bundle, config, SPEC),
+                   divclue.nabla_clue_sequential(x0, bundle, config, SPEC),
+                   divclue.nabla_clue_penalty(x0, bundle, config)):
+        assert len(record.ceset.candidates) == config.k
+        assert len(record.joint_loss) == config.iters
 
 
 def test_diversity_weight_increases_spread(blobs, blobs_bundle):
@@ -85,8 +108,8 @@ def test_diversity_weight_increases_spread(blobs, blobs_bundle):
     config2 = _config(delta=2.0, r=2.0, k=4, lambda_d=2.0, iters=50, seed=5)
     r0 = divclue.nabla_clue_simultaneous(x0, blobs_bundle, config0, SPEC)
     r2 = divclue.nabla_clue_simultaneous(x0, blobs_bundle, config2, SPEC)
-    dpp0 = dict(((m, s), v) for m, s, _k, v in r0.metrics_rows)[("dpp", "latent")]
-    dpp2 = dict(((m, s), v) for m, s, _k, v in r2.metrics_rows)[("dpp", "latent")]
+    dpp0 = _report(r0)[("dpp", "latent")]
+    dpp2 = _report(r2)[("dpp", "latent")]
     assert dpp2 > dpp0
 
 
@@ -137,8 +160,7 @@ def test_penalty_diversity_saturates_in_lambda(tiny_bundle):
     for lam in (0.0, 0.5, 2.0):
         config = _config(delta=1.5, r=1.5, k=4, lambda_d=lam, iters=30, seed=3)
         record = divclue.nabla_clue_penalty(x0, bundle, config)
-        table = dict(((m, s), v) for m, s, _k, v in record.metrics_rows)
-        values[lam] = table[("dpp", "latent")]
+        values[lam] = _report(record)[("dpp", "latent")]
     first_gain = values[0.5] - values[0.0]
     later_gain = values[2.0] - values[0.5]
     assert later_gain < 0.05
@@ -223,8 +245,7 @@ def test_sequential_spreads_candidates(tiny_bundle):
     for lam in (0.0, 2.0):
         config = _config(delta=1.5, r=1.5, k=4, lambda_d=lam, iters=30, seed=2)
         record = divclue.nabla_clue_sequential(x0, bundle, config, SPEC)
-        table = dict(((m, s), v) for m, s, _k, v in record.metrics_rows)
-        apds.append(table[("apd", "latent")])
+        apds.append(_report(record)[("apd", "latent")])
     assert apds[1] > apds[0]
 
 
@@ -368,8 +389,4 @@ def test_simultaneous_matches_reference_loop(tiny_bundle, space, n_i):
         assert cand.cost == w.cost
         assert np.array_equal(cand.trajectory, traj)
     ref = clue.CESet(candidates=want, config=config, x0=x0, z0=z0)
-    use_accepted = bool(ref.accepted())
-    assert record.metrics_rows == div.metric_report_rows(
-        ref.points("input", use_accepted), ref.points("latent", use_accepted),
-        ref.points("prediction", use_accepted), ref.labels(use_accepted),
-        x0, z0, bundle.c_classes)
+    assert div.metric_report_rows(record.ceset) == div.metric_report_rows(ref)

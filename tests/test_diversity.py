@@ -2,6 +2,7 @@
 invariants on fuzzed sets, and gradient checks."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cluekit.diffcore as dc
-from cluekit import divclue, diversity as div
+from cluekit import clue, divclue, diversity as div
 from cluekit.diversity import BASES
 from tape_oracle import diversity_node
 
@@ -362,15 +363,36 @@ def test_coverage_max_rejects_bad_ranges():
         coverage_max([1.0, 0.0], [0.0, 1.0])
 
 
+def random_ceset(rng, accepted, dim=5, m=3, c=3):
+    """A CESet of random candidates, one per ``accepted`` flag."""
+    candidates = [clue.CandidateCE(
+        z=rng.standard_normal(m), x=rng.uniform(0, 1, size=dim),
+        posterior=rng.dirichlet(np.ones(c)), entropy=0.0, d_x=0.0, d_y=0.0, rho=0.0,
+        cost=0.0, label=int(rng.integers(0, c)), accepted=flag, start_index=i)
+        for i, flag in enumerate(accepted)]
+    return clue.CESet(candidates=candidates, config=clue.ExperimentConfig(),
+                      x0=rng.uniform(0, 1, size=dim), z0=rng.standard_normal(m))
+
+
 def test_metric_report_covers_all_six():
-    rng = np.random.default_rng(8)
-    k, dim, m, c = 4, 5, 3, 3
-    xs = rng.uniform(0, 1, size=(k, dim))
-    zs = rng.standard_normal((k, m))
-    ps = rng.dirichlet(np.ones(c), size=k)
-    labels = rng.integers(0, c, size=k)
-    rows = div.metric_report_rows(xs, zs, ps, labels,
-                                  rng.uniform(0, 1, size=dim),
-                                  rng.standard_normal(m), c)
+    rows = div.metric_report_rows(random_ceset(np.random.default_rng(8), [True] * 4))
     metrics = {r[0] for r in rows}
     assert metrics == set(div.ALL_METRICS)
+    assert {r[2] for r in rows} == {4}
+
+
+def test_metric_report_scores_the_accepted_candidates_or_all_when_none_is():
+    rng = np.random.default_rng(9)
+    some = random_ceset(rng, [True, False, True, False])
+    accepted = clue.CESet(candidates=some.accepted(), config=some.config,
+                          x0=some.x0, z0=some.z0)
+    rows = div.metric_report_rows(some)
+    assert rows == div.metric_report_rows(accepted)
+    assert {r[2] for r in rows} == {2}
+    assert ("dpp", "latent", 2, div.dpp([c.z for c in accepted.candidates])) in rows
+    none = random_ceset(rng, [False] * 4)
+    every = clue.CESet(candidates=[replace(c, accepted=True) for c in none.candidates],
+                       config=none.config, x0=none.x0, z0=none.z0)
+    rows = div.metric_report_rows(none)
+    assert rows == div.metric_report_rows(every)
+    assert {r[2] for r in rows} == {4}

@@ -307,18 +307,20 @@ def _diversity_spec(cfg, optimized):
 
 
 def _init_context(cfg, configs, ds, bundle):
-    """The start data of schemes s2 and s5, drawn from the certainty
-    partition, or None when no config starts with either away from z0."""
-    schemes = {c.scheme for c in configs if c.r > 0.0}
-    if not schemes & {"s2", "s5"}:
+    """The start data of scheme s2, the latents and labels of the certain
+    training points, or None when no config runs s2 away from z0."""
+    if not any(c.scheme == "s2" and c.r > 0.0 for c in configs):
         return None
     part = data.partition_by_certainty(ds, bundle, cfg["tau_low"], cfg["tau_high"])
-    if "s2" in schemes:
-        for j in range(bundle.c_classes):
-            if len(part.certain_of_class(j)) == 0:
-                raise UsageError(f"scheme s2 needs a certain training point in every "
-                                 f"class; class {j} has none at tau_low={part.tau_low!r}")
-    return clue.make_init_context(bundle, part, models.encode(bundle, ds.train_inputs()))
+    for j in range(bundle.c_classes):
+        if len(part.certain_of_class(j)) == 0:
+            raise UsageError(f"scheme s2 needs a certain training point in every "
+                             f"class; class {j} has none at tau_low={part.tau_low!r}")
+    # the certain rows of one batch of every training latent: a batch of the
+    # certain rows alone can differ in the last bit
+    certain = part.flags == "certain"
+    return clue.InitContext(models.encode(bundle, ds.train_inputs())[certain],
+                            part.labels[certain])
 
 
 def cmd_explain(args):
@@ -448,13 +450,15 @@ def _sweep_lambda_theta(grid, cfg, groups, bundle):
     return rows
 
 
-GLAM_VARIANTS = ("glam1", "glam2", "dbm-input", "dbm-latent", "nn-input", "nn-latent")
+BASELINES = ("dbm-input", "dbm-latent", "nn-input", "nn-latent")
+GLAM_VARIANTS = ("glam1", "glam2") + BASELINES
 
 
 def _glam_scheme(variant, cfg, groups, bundle, cesets):
     """Build callable(x, class) -> CandidateCE for one comparison scheme."""
-    lam_x, cap = cfg["lambda_x"], cfg["cap"]
+    lam_x = cfg["lambda_x"]
     if variant == "glam1":
+        cap = cfg["cap"]
         mappers = {c: glam.train_mapper(
             uncertain[:cap], certain[:cap], bundle, lambda_theta=cfg["lambda_theta"],
             source_group=c, target_group=c)
@@ -522,7 +526,7 @@ def cmd_glam(args):
     return 0
 
 
-BENCH_SCHEMES = ("glam", "dclue", "dbm-input", "dbm-latent", "nn-input", "nn-latent")
+BENCH_SCHEMES = ("glam", "dclue") + BASELINES
 
 
 def cmd_bench(args):
@@ -537,24 +541,17 @@ def cmd_bench(args):
     bundle, ds = _load_inputs(args, cfg)
     c, (xu, xc) = next(iter(_groups(cfg, ds, bundle).items()))
     x = xu[0]
-    context = _init_context(cfg, [config], ds, bundle)
+    context = _init_context(cfg, [config] if "dclue" in schemes else [], ds, bundle)
     start = time.perf_counter()
     mapper = glam.train_mapper(xu, xc, bundle, source_group=c, target_group=c)
     train_ms = 1000.0 * (time.perf_counter() - start)
-    # construction (translations, certain-set latents) happens once here;
-    # the timed loop below measures per-point inference only
-    dbm_in = glam.dbm_baseline("input", xu, xc, bundle)
-    dbm_lat = glam.dbm_baseline("latent", xu, xc, bundle)
-    z_certain = models.encode(bundle, xc)
-    runners = {
-        "glam": lambda: glam.apply_mapper(mapper, x, bundle),
-        "dclue": lambda: clue.delta_clue(x, bundle, config, context),
-        "dbm-input": lambda: dbm_in.apply(x, bundle),
-        "dbm-latent": lambda: dbm_lat.apply(x, bundle),
-        "nn-input": lambda: glam.nn_baseline("input", x, xc, bundle),
-        "nn-latent": lambda: glam.nn_baseline("latent", x, xc, bundle,
-                                              z_certain=z_certain),
-    }
+    # each baseline is built here as glam builds it (a DBM's translation once),
+    # so the timed loop below measures what glam runs per point
+    runners = {"glam": lambda: glam.apply_mapper(mapper, x, bundle),
+               "dclue": lambda: clue.delta_clue(x, bundle, config, context)}
+    for variant in BASELINES:
+        scheme = _glam_scheme(variant, cfg, {c: (xu, xc)}, bundle, [])[0]
+        runners[variant] = lambda scheme=scheme: scheme(x, c)
     rows = []
     for name in schemes:
         times = []

@@ -20,6 +20,7 @@ from . import models
 
 
 SCHEMES = ("s1", "s2", "s3", "s4", "s5")
+S5_STEPS = 40  # the ascent steps of an s5 walk out to the ball's radius
 EXTENDED = "extended"  # the kind of a number that may be inf or -inf, but not nan
 
 
@@ -168,12 +169,11 @@ def project_to_ball(z, z0, delta):
 
 @dataclass
 class InitContext:
-    """Extra inputs some schemes need: training latents/labels (s2), bundle (s5)."""
+    """The start data of scheme s2: the latents and labels of the certain
+    training points."""
 
-    bundle: object = None
-    certain_latents: np.ndarray | None = None
-    certain_labels: np.ndarray | None = None
-    n_classes: int = 0
+    certain_latents: np.ndarray
+    certain_labels: np.ndarray
 
 
 def candidate_rng(seed, i):
@@ -190,8 +190,10 @@ def _uniform_direction(rng, m):
     return g / n
 
 
-def init_scheme(scheme, z0, r, i, k, *, rng=None, delta=None, context=None):
-    """Start point i of k for the given scheme around z0."""
+def init_scheme(scheme, z0, r, i, k, *, rng=None, delta=None, bundle=None, context=None):
+    """Start point i of k for the given scheme around z0; s2 and s5 walk
+    toward each of the bundle's classes, s2 on the certain points of
+    ``context``."""
     z0 = np.asarray(z0, dtype=np.float64)
     m = len(z0)
     if r == 0.0:
@@ -210,16 +212,18 @@ def init_scheme(scheme, z0, r, i, k, *, rng=None, delta=None, context=None):
             z = z0 + rng.uniform(-r, r, size=m)
         return z
     if scheme in ("s2", "s5"):
-        if context is None or context.n_classes < 1:
-            raise ValueError(f"scheme {scheme} needs an InitContext")
-        c = context.n_classes
+        if bundle is None:
+            raise ValueError(f"scheme {scheme} needs the bundle")
+        if scheme == "s2" and context is None:
+            raise ValueError("scheme s2 needs an InitContext of certain latents and labels")
+        c = bundle.c_classes
         y = i % c
         j = i // c + 1
         npaths = max(k // c, 1)
         eff_delta = delta if (delta is not None and math.isfinite(delta)) else r
         if scheme == "s2":
             return _s2_point(z0, y, j, npaths, eff_delta, context)
-        return _s5_point(z0, y, j, npaths, eff_delta, context)
+        return _s5_point(z0, y, j, npaths, eff_delta, bundle)
     raise ValueError(f"unknown initialization scheme {scheme!r}")
 
 
@@ -236,15 +240,15 @@ def _s2_point(z0, y, j, npaths, delta, ctx):
     return z0 + delta * (j / npaths) * (zy - z0) / denom
 
 
-def _s5_point(z0, y, j, npaths, delta, ctx, n_steps=40):
-    """Walk normalized ascent steps on p(class=y | decode(z)) out to radius delta,
-    then return the point at arc-length fraction j/npaths along the path."""
-    bundle = ctx.bundle
-    step = delta / n_steps
+def _s5_point(z0, y, j, npaths, delta, bundle):
+    """Walk S5_STEPS normalized ascent steps on p(class=y | decode(z)) out to
+    radius delta, then return the point at arc-length fraction j/npaths along
+    the path."""
+    step = delta / S5_STEPS
     onehot = np.eye(bundle.c_classes)[y]
     path = [z0.copy()]
     z = z0.copy()
-    for _ in range(n_steps):
+    for _ in range(S5_STEPS):
         x, decoder_grad = models._decode_with_grad(bundle, z)
         _, posterior_grad = models._posterior_with_grad(bundle, x)
         g = decoder_grad(posterior_grad(onehot))  # the gradient of p_y
@@ -265,17 +269,6 @@ def _s5_point(z0, y, j, npaths, delta, ctx, n_steps=40):
     return (1.0 - t) * path[lo] + t * path[hi]
 
 
-def make_init_context(bundle, partition=None, train_latents=None):
-    """The bundle (s5) and, given the certainty partition of the training
-    points and their latents, the certain latents and labels (s2)."""
-    ctx = InitContext(bundle=bundle, n_classes=bundle.c_classes)
-    if partition is not None and train_latents is not None:
-        certain = partition.flags == "certain"
-        ctx.certain_latents = np.asarray(train_latents)[certain]
-        ctx.certain_labels = np.asarray(partition.labels)[certain]
-    return ctx
-
-
 def coincident_starts(config, sequential=False):
     """Whether all k >= 2 start points sit at z0 (r = 0), so that the k
     descents give k copies of one candidate. Sequential searches at
@@ -284,7 +277,7 @@ def coincident_starts(config, sequential=False):
     return config.k >= 2 and config.r == 0.0 and not (sequential and config.lambda_d > 0.0)
 
 
-def make_starts(z0, config, context=None, sequential=False):
+def make_starts(z0, config, bundle, context=None, sequential=False):
     """The k start points, each projected into the delta ball; k copies of
     z0 (``coincident_starts``) raise ValueError."""
     if coincident_starts(config, sequential):
@@ -294,7 +287,7 @@ def make_starts(z0, config, context=None, sequential=False):
     for i in range(config.k):
         rng = candidate_rng(config.seed, i)
         z = init_scheme(config.scheme, z0, config.r, i, config.k,
-                        rng=rng, delta=config.delta, context=context)
+                        rng=rng, delta=config.delta, bundle=bundle, context=context)
         starts.append(project_to_ball(z, z0, config.delta))
     return starts
 
@@ -378,7 +371,7 @@ def delta_clue(x0, bundle, config, context=None, trace=False):
     valid outcome.
     """
     x0, z0, x0_label = _setup(x0, bundle)
-    zs, trajs, _ = _descend(make_starts(z0, config, context), z0, x0, bundle, config,
+    zs, trajs, _ = _descend(make_starts(z0, config, bundle, context), z0, x0, bundle, config,
                             x0_label, trace)
     return _ceset(zs, trajs, x0, z0, bundle, config, x0_label)
 

@@ -342,30 +342,19 @@ def pick(p, index):
     return tsum(mul(p, Tensor(onehot)))
 
 
-def pairwise_dist(x, base="l2"):
-    """k x k matrix of pairwise distances between rows of ``x``.
-
-    base 'l2': euclidean; base 'l1': manhattan. Gradient at coincident
-    points is 0 (l2) / uses sign-with-0 (l1).
-    """
+def pairwise_dist(x):
+    """k x k matrix of euclidean distances between rows of ``x``; the
+    gradient at coincident points is 0."""
     x = as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"pairwise_dist: expected a matrix, got shape {x.shape}")
     diff = x.data[:, None, :] - x.data[None, :, :]  # k x k x d
-    if base == "l2":
-        d = np.sqrt(np.sum(diff * diff, axis=-1))
-    elif base == "l1":
-        d = np.sum(np.abs(diff), axis=-1)
-    else:
-        raise ValueError(f"unknown base distance {base!r}")
+    d = np.sqrt(np.sum(diff * diff, axis=-1))
     out = Tensor(d, _parents=(x,), op="pairwise_dist")
 
     def bw(g):
-        if base == "l2":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                unit = np.where(d[:, :, None] > 0.0, diff / d[:, :, None], 0.0)
-        else:
-            unit = np.sign(diff)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit = np.where(d[:, :, None] > 0.0, diff / d[:, :, None], 0.0)
         # d is symmetric in its two index slots; both receive adjoints
         gx = np.einsum("ij,ijk->ik", g, unit) - np.einsum("ij,ijk->jk", g, unit)
         x._accum(gx)

@@ -66,7 +66,7 @@ def nabla_clue_simultaneous(x0, bundle, config, spec, context=None, trace=False)
     bit-for-bit the plain per-candidate step.
     """
     x0, z0, x0_label = _setup(x0, bundle)
-    zs = make_starts(z0, config, context)
+    zs = make_starts(z0, config, bundle, context)
     if config.n_i > 0:
         zs = diversity_presearch(zs, spec, config.n_i, config.r, z0,
                                  bundle=bundle, x0=x0)
@@ -89,7 +89,7 @@ def _sequential(x0, bundle, config, context, trace, repulsion):
     that descent adds to every step. The joint loss averages the k curves."""
     x0, z0, x0_label = _setup(x0, bundle)
     found, trajs, curves = [], [], []
-    for z_start in make_starts(z0, config, context, sequential=True):
+    for z_start in make_starts(z0, config, bundle, context, sequential=True):
         repel = repulsion(found, z0, x0) if config.lambda_d > 0.0 and found else None
         (z,), (traj,), curve = _descend([z_start], z0, x0, bundle, config, x0_label,
                                         trace, repel)

@@ -24,17 +24,15 @@ DIFFERENTIABLE_METRICS = ("dpp", "apd", "coverage")
 LABEL_METRICS = ("prediction_coverage", "distinct_labels", "label_entropy")
 ALL_METRICS = DIFFERENTIABLE_METRICS + LABEL_METRICS
 SPACES = ("input", "latent", "prediction")
-BASES = ("l2", "l1")
 
 
 @dataclass
 class DiversitySpec:
     metric: str = "dpp"
     space: str = "latent"  # "input" | "latent" | "prediction"
-    base: str = "l2"  # base distance for dpp/apd
 
     def __post_init__(self):
-        for name, choices in (("metric", ALL_METRICS), ("space", SPACES), ("base", BASES)):
+        for name, choices in (("metric", ALL_METRICS), ("space", SPACES)):
             Rule(choices).check(name, getattr(self, name))
         if self.metric in LABEL_METRICS:
             self.space = "prediction"
@@ -42,23 +40,23 @@ class DiversitySpec:
             raise ValueError("coverage applies in input or latent space only")
 
 
-def _value(metric, points, base="l2", x0=None):
+def _value(metric, points, x0=None):
     """A differentiable metric's value: ``value_and_grad`` with no free rows."""
     pts = np.asarray(points, dtype=np.float64)
     if not np.all(np.isfinite(pts)):
         raise ValueError(f"{metric}: non-finite point")
-    return value_and_grad(DiversitySpec(metric=metric, base=base), pts, 0, x0)[0]
+    return value_and_grad(DiversitySpec(metric=metric), pts, 0, x0)[0]
 
 
-def dpp(points, base="l2"):
-    """det of K with K_ij = 1/(1 + d(x_i, x_j)); 0 for k=1 by convention."""
+def dpp(points):
+    """det of K with K_ij = 1/(1 + ||x_i - x_j||); 0 for k=1 by convention."""
     # PSD kernel guarantees [0,1]; clamp roundoff
-    return min(1.0, max(0.0, _value("dpp", points, base)))
+    return min(1.0, max(0.0, _value("dpp", points)))
 
 
-def apd(points, base="l2"):
-    """Average pairwise distance; 0 for k=1."""
-    return _value("apd", points, base)
+def apd(points):
+    """Average l2 pairwise distance; 0 for k=1."""
+    return _value("apd", points)
 
 
 def coverage(points, x0):
@@ -108,8 +106,9 @@ def value_and_grad(spec, points, n_free, x0=None):
     through the reciprocal and the pairwise distances. apd spreads a
     constant over the distances; coverage routes +-1/dim to the first
     argmax of each coordinate's deviation from x0 (``x0`` is its origin).
-    A non-finite value, which non-finite or overflowing points give, is a
-    numerical failure: it raises FloatingPointError.
+    A non-finite value, or a non-finite distance in dpp, which non-finite or
+    overflowing points give, is a numerical failure: it raises
+    FloatingPointError.
     """
     k, dim = points.shape
     lo = k - n_free
@@ -126,22 +125,19 @@ def value_and_grad(spec, points, n_free, x0=None):
     if k == 1:
         return 0.0, np.zeros((n_free, dim))
     diff = points[:, None, :] - points[None, :, :]  # k x k x dim
-    if spec.base == "l2":
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    else:
-        dist = np.sum(np.abs(diff), axis=-1)
-        diff = np.sign(diff)  # all that the l1 gradient needs of diff
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
     if spec.metric == "apd":
         scale = 1.0 / (2.0 * comb(k, 2))
         value = _finite(spec, np.sum(dist) * scale)
         gdist = np.full((n_free, k), 2.0 * scale)  # both index slots of D
     else:
+        # one pass: an infinite distance, as a 0 kernel entry, gives a NaN gradient
+        _finite(spec, dist.max())
         kern = 1.0 / (dist + 1.0)
         value, gkern = dc.det_and_grad(kern)
         gdist = -gkern * kern * kern
         gdist = gdist[lo:] + gdist[:, lo:].T  # both index slots of D, free rows
-    if spec.base == "l2":
-        gdist = np.divide(gdist, dist[lo:], out=np.zeros(gdist.shape), where=dist[lo:] > 0.0)
+    gdist = np.divide(gdist, dist[lo:], out=np.zeros(gdist.shape), where=dist[lo:] > 0.0)
     return value, np.matmul(gdist[:, None, :], diff[lo:])[:, 0]
 
 

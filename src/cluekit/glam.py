@@ -139,13 +139,9 @@ def dbm_baseline(space, x_uncertain, x_certain, bundle):
     return DbmBaseline(space=space, translation=translation)
 
 
-def nn_baseline(space, x_uncertain, x_certain, bundle, lambda_x=0.0,
-                z_certain=None):
-    """Nearest certain neighbor, in input or latent space.
-
-    ``z_certain`` optionally carries precomputed certain-set latents so a
-    timing harness can amortize the encoding across queries.
-    """
+def nn_baseline(space, x_uncertain, x_certain, bundle, lambda_x=0.0):
+    """Nearest certain neighbor, in input or latent space; the latent one
+    encodes the certain set on every call."""
     if len(x_certain) == 0:
         raise ValueError("nn_baseline: empty certain set")
     x = np.asarray(x_uncertain, dtype=np.float64)
@@ -157,8 +153,7 @@ def nn_baseline(space, x_uncertain, x_certain, bundle, lambda_x=0.0,
         x_ce = x_c[int(np.argmin(np.linalg.norm(x_c - x, axis=1)))]
         return _score(models.encode(bundle, x_ce), x_ce, z0, x, bundle, lambda_x)
     # row by row: batched, the timed loop outgrows the benchmark's memory bound (ROADMAP 1)
-    z_c = (np.asarray(z_certain) if z_certain is not None
-           else np.stack([models.encode(bundle, xc) for xc in x_c]))
+    z_c = np.stack([models.encode(bundle, xc) for xc in x_c])
     z = z_c[int(np.argmin(np.linalg.norm(z_c - z0, axis=1)))]
     return _score(z, models.decode(bundle, z), z0, x, bundle, lambda_x)
 

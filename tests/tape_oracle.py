@@ -71,13 +71,13 @@ def diversity_node(spec, points_node, x0=None):
     if spec.metric == "dpp":
         if k == 1:
             return dc.Tensor(0.0)
-        dmat = dc.pairwise_dist(points_node, spec.base)
+        dmat = dc.pairwise_dist(points_node)
         kern = dc.recip(dc.add(dmat, 1.0))
         return dc.det(kern)
     if spec.metric == "apd":
         if k == 1:
             return dc.Tensor(0.0)
-        dmat = dc.pairwise_dist(points_node, spec.base)
+        dmat = dc.pairwise_dist(points_node)
         return dc.mul(dc.tsum(dmat), 1.0 / (2.0 * comb(k, 2)))
     if spec.metric == "coverage":
         diff = dc.sub(points_node, dc.Tensor(np.asarray(x0, dtype=np.float64)))

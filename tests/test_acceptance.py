@@ -319,7 +319,7 @@ def test_descent_beats_sampling(digits_bundle, most_uncertain_digit):
         z0 = models.encode(digits_bundle, most_uncertain_digit)
         label = models.argmax_label(
             models.predict(digits_bundle, most_uncertain_digit))
-        starts = clue.make_starts(z0, config)
+        starts = clue.make_starts(z0, config, digits_bundle)
         initial = [clue.objective(zs, most_uncertain_digit, digits_bundle,
                                   config.lambda_x, config.lambda_y, label)[0]
                    for zs in starts]

@@ -545,6 +545,50 @@ def test_bench_wall_time_spans_the_timed_work(workspace, tmp_path, monkeypatch):
     assert manifest["wall_times_s"]["bench"] > sum(float(r[1]) for r in rows) / 1000.0
 
 
+def test_bench_times_nn_latent_as_glam_runs_it(workspace, tmp_path, monkeypatch):
+    """Each timed nn-latent call encodes the input and every certain point of
+    bench's group, as glam's nn-latent scheme does on each call."""
+    encodes = []
+    clock = time.perf_counter
+
+    def counting_clock():
+        encodes.append(models.EVAL_COUNTS["encode"])
+        return clock()
+
+    monkeypatch.setattr(cli.time, "perf_counter", counting_clock)
+    assert run(["bench", "--out", str(tmp_path / "be"), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"], "--schemes", "nn-latent",
+                "--repetitions", "2"] + EXPLAIN_SETS) == 0
+    monkeypatch.undo()
+    # readings: the start, the end of mapper training, each call's start and
+    # end, and the end of the run
+    assert len(encodes) == 7
+    per_call = [encodes[3] - encodes[2], encodes[5] - encodes[4]]
+    bundle = models.load_bundle(workspace["bundle"])
+    ds = data.load_dataset(workspace["dataset"])
+    cfg = dict(zip(cli.TAUS, data.default_taus(bundle)), lambda_x=0.0)
+    c, (xu, xc) = next(iter(cli._groups(cfg, ds, bundle).items()))
+    scheme, _ = cli._glam_scheme("nn-latent", cfg, {c: (xu, xc)}, bundle, [])
+    before = models.EVAL_COUNTS["encode"]
+    scheme(xu[0], c)
+    assert per_call == [models.EVAL_COUNTS["encode"] - before] * 2 == [1 + len(xc)] * 2
+
+
+def test_bench_partitions_for_s2_only_to_time_dclue(workspace, tmp_path, monkeypatch):
+    """One partition gives bench its group; an s2 dclue needs a second for
+    its certain set, and no other scheme does."""
+    calls = []
+    partition = data.partition_by_certainty
+    monkeypatch.setattr(data, "partition_by_certainty",
+                        lambda *args: calls.append(1) or partition(*args))
+    for schemes, partitions in (("nn-latent", 1), ("dclue", 2)):
+        calls.clear()
+        assert run(["bench", "--out", str(tmp_path / schemes), "--bundle", workspace["bundle"],
+                    "--dataset", workspace["dataset"], "--schemes", schemes,
+                    "--repetitions", "1", "--set", "scheme=s2"] + EXPLAIN_SETS) == 0
+        assert len(calls) == partitions
+
+
 def test_config_file_and_override_precedence(workspace, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"delta": 1.0, "k": 2, "r": 1.0,
@@ -592,6 +636,20 @@ def test_certainty_schemes_run_from_the_cli(workspace, tmp_path, command, scheme
             assert all(c.rho <= 1.2 + 1e-9 for c in ceset.candidates)
     else:
         assert (out / "sweep.csv").read_text().count("\nlambda_d,") > 0
+
+
+@pytest.mark.parametrize("command", ["explain", "sweep"])
+def test_s5_never_partitions_the_training_set(workspace, tmp_path, monkeypatch, command):
+    """s5 walks from the bundle alone; only s2 reads the certain set."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the training set was partitioned")
+
+    monkeypatch.setattr(data, "partition_by_certainty", refuse)
+    extra = (["--top", "2"] if command == "explain"
+             else ["--axis", "lambda_d", "--grid", "0,0.3"])
+    assert run([command, "--out", str(tmp_path / "out"), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"], "--set", "scheme=s5"]
+               + extra + EXPLAIN_SETS) == 0
 
 
 def test_s2_without_certain_points_exit_2(workspace, tmp_path, capsys):

@@ -4,6 +4,7 @@ objective gradients, acceptance, and the class weighting rule."""
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -173,32 +174,43 @@ def test_zero_radius_returns_center():
         assert np.array_equal(z, z0)
 
 
+TWO_CLASSES = SimpleNamespace(c_classes=2)  # all that s2 reads of a bundle
+
+
 def test_s2_errors_on_missing_class():
-    ctx = clue.InitContext(certain_latents=np.zeros((3, 2)),
-                           certain_labels=np.array([0, 0, 0]), n_classes=2)
+    ctx = clue.InitContext(certain_latents=np.zeros((3, 2)), certain_labels=np.array([0, 0, 0]))
     with pytest.raises(ValueError, match="class 1"):
         clue.init_scheme("s2", np.zeros(2), 1.0, 1, 2, delta=1.0,
-                         rng=clue.candidate_rng(0, 1), context=ctx)
+                         rng=clue.candidate_rng(0, 1), bundle=TWO_CLASSES, context=ctx)
 
 
 def test_s2_walks_toward_nearest_certain_latent():
     ctx = clue.InitContext(certain_latents=np.array([[2.0, 0.0], [0.0, 5.0]]),
-                           certain_labels=np.array([0, 1]), n_classes=2)
+                           certain_labels=np.array([0, 1]))
     z0 = np.zeros(2)
     # i=0 -> class 0, j=1, npaths=1: full delta along the unit direction
     z = clue.init_scheme("s2", z0, 1.0, 0, 2, delta=1.0,
-                         rng=clue.candidate_rng(0, 0), context=ctx)
+                         rng=clue.candidate_rng(0, 0), bundle=TWO_CLASSES, context=ctx)
     assert np.allclose(z, [1.0, 0.0])
+
+
+def test_s2_and_s5_name_the_start_data_they_lack(tiny_bundle):
+    _, bundle = tiny_bundle
+    z0 = np.zeros(bundle.m_latent)
+    for scheme in ("s2", "s5"):
+        with pytest.raises(ValueError, match=f"scheme {scheme} needs the bundle"):
+            clue.init_scheme(scheme, z0, 1.0, 0, 2, delta=1.0)
+    with pytest.raises(ValueError, match="scheme s2 needs an InitContext"):
+        clue.init_scheme("s2", z0, 1.0, 0, 2, delta=1.0, bundle=bundle)
 
 
 def test_s5_points_respect_delta(tiny_bundle):
     ds, bundle = tiny_bundle
     x0 = ds.train_inputs()[0]
     z0 = models.encode(bundle, x0)
-    ctx = clue.make_init_context(bundle)
     for i in range(6):
         z = clue.init_scheme("s5", z0, 1.0, i, 6, delta=1.0,
-                             rng=clue.candidate_rng(0, i), context=ctx)
+                             rng=clue.candidate_rng(0, i), bundle=bundle)
         assert np.linalg.norm(z - z0) <= 1.0 + 1e-9
 
 
@@ -264,7 +276,7 @@ def test_acceptance_threshold(tiny_bundle):
     assert len(ceset.accepted()) == 3
 
 
-def _reference_delta_clue(x0, bundle, config, context):
+def _reference_delta_clue(x0, bundle, config):
     """delta_clue as k independent loops of objective, projection and
     candidate scoring, one point after the other."""
     z0 = models.encode(bundle, x0)
@@ -273,7 +285,7 @@ def _reference_delta_clue(x0, bundle, config, context):
     for i in range(config.k):
         z = clue.init_scheme(config.scheme, z0, config.r, i, config.k,
                              rng=clue.candidate_rng(config.seed, i), delta=config.delta,
-                             context=context)
+                             bundle=bundle)
         z = clue.project_to_ball(z, z0, config.delta)
         trajectory = [z]
         for _ in range(config.iters):
@@ -293,9 +305,8 @@ def test_delta_clue_matches_reference_loop(tiny_bundle, scheme, delta, lambda_x,
     x0 = ds.test_inputs()[1]
     config = clue.ExperimentConfig(delta=delta, k=3, r=0.7, scheme=scheme, lambda_x=lambda_x,
                                    lambda_y=lambda_y, lr=0.4, iters=12, seed=3)
-    context = clue.make_init_context(bundle)
-    ceset = clue.delta_clue(x0, bundle, config, context, trace=True)
-    reference = _reference_delta_clue(x0, bundle, config, context)
+    ceset = clue.delta_clue(x0, bundle, config, trace=True)  # s5 needs only the bundle
+    reference = _reference_delta_clue(x0, bundle, config)
     assert len(ceset.candidates) == len(reference) == config.k
     for ours, ref in zip(ceset.candidates, reference):
         for field in ("z", "x", "trajectory"):

@@ -280,7 +280,7 @@ def _ref_sequential(x0, bundle, config, spec=None):
         rng = clue.candidate_rng(config.seed, t)
         z = clue.project_to_ball(
             clue.init_scheme(config.scheme, z0, config.r, t, config.k,
-                             rng=rng, delta=config.delta),
+                             rng=rng, delta=config.delta, bundle=bundle),
             z0, config.delta)
         traj = [z.copy()]
         curve = []
@@ -344,7 +344,7 @@ def _ref_simultaneous(x0, bundle, config, spec):
     x0 = np.asarray(x0, dtype=np.float64)
     z0 = models.encode(bundle, x0)
     x0_label = models.argmax_label(models.predict(bundle, x0))
-    zs = clue.make_starts(z0, config)
+    zs = clue.make_starts(z0, config, bundle)
     if config.n_i > 0:
         zs = divclue.diversity_presearch(zs, spec, config.n_i, config.r, z0,
                                          bundle=bundle, x0=x0)
@@ -369,6 +369,49 @@ def _ref_simultaneous(x0, bundle, config, spec):
         for t, z in zip(trajs, zs):
             t.append(z.copy())
     return zs, [np.stack(t) for t in trajs], loss_curve, z0, x0_label
+
+
+def _ref_s5_start(bundle, z0, i, config):
+    """Start i of an s5 search as its own loop: normalized ascent steps on
+    p(class y | decode(z)) out to the ball's radius, read at arc-length
+    fraction j/npaths of the path and projected into the ball."""
+    c, n_steps, delta = bundle.c_classes, 40, config.delta
+    y, j, npaths = i % c, i // c + 1, max(config.k // c, 1)
+    path, z = [z0], z0
+    for _ in range(n_steps):
+        x, decoder_grad = models._decode_with_grad(bundle, z)
+        _, posterior_grad = models._posterior_with_grad(bundle, x)
+        g = decoder_grad(posterior_grad(np.eye(c)[y]))
+        gn = float(np.linalg.norm(g))
+        if gn == 0.0:
+            break
+        z = z + delta / n_steps * (g / gn)
+        if np.linalg.norm(z - z0) > delta:
+            path.append(clue.project_to_ball(z, z0, delta))
+            break
+        path.append(z)
+    idx = min(j / npaths, 1.0) * (len(path) - 1)
+    lo = int(idx)
+    t, hi = idx - lo, min(lo + 1, len(path) - 1)
+    return clue.project_to_ball((1.0 - t) * path[lo] + t * path[hi], z0, delta)
+
+
+@pytest.mark.parametrize("search", ["delta_clue", "nabla_clue_simultaneous"])
+def test_s5_runs_from_the_bundle_alone(tiny_bundle, search):
+    """With r > 0 and no InitContext, s5 walks from the bundle the search
+    takes; the starts equal the reference walk's bit for bit."""
+    ds, bundle = tiny_bundle
+    x0 = ds.train_inputs()[9]
+    config = _config(k=4, lambda_d=0.5, scheme="s5")
+    if search == "delta_clue":
+        ceset = clue.delta_clue(x0, bundle, config, trace=True)
+    else:
+        spec = div.DiversitySpec(metric="dpp", space="input")
+        ceset = divclue.nabla_clue_simultaneous(x0, bundle, config, spec, trace=True).ceset
+        zs, _, _, _, _ = _ref_simultaneous(x0, bundle, config, spec)
+        assert all(np.array_equal(c.z, z) for c, z in zip(ceset.candidates, zs))
+    for i, cand in enumerate(ceset.candidates):
+        assert np.array_equal(cand.trajectory[0], _ref_s5_start(bundle, ceset.z0, i, config))
 
 
 @pytest.mark.parametrize("space", ["latent", "input"])

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import cluekit.diffcore as dc
 from cluekit import clue, divclue, diversity as div
-from cluekit.diversity import BASES
 from tape_oracle import diversity_node
 
 
@@ -40,22 +39,20 @@ def cofactor_matrix(m):
                       for j in range(n)] for i in range(n)])
 
 
-def kernel_oracle(points, base="l2"):
-    """The dpp kernel K_ij = 1/(1 + d(x_i, x_j)), entry by entry."""
+def kernel_oracle(points):
+    """The dpp kernel K_ij = 1/(1 + ||x_i - x_j||), entry by entry."""
     k = len(points)
     kern = np.empty((k, k))
     for i in range(k):
         for j in range(k):
-            d = (np.linalg.norm(points[i] - points[j]) if base == "l2"
-                 else np.sum(np.abs(points[i] - points[j])))
-            kern[i, j] = 1.0 / (1.0 + d)
+            kern[i, j] = 1.0 / (1.0 + np.linalg.norm(points[i] - points[j]))
     return kern
 
 
-def dpp_oracle(points, base="l2"):
+def dpp_oracle(points):
     if len(points) == 1:
         return 0.0
-    return min(1.0, max(0.0, det_cofactor(kernel_oracle(points, base))))
+    return min(1.0, max(0.0, det_cofactor(kernel_oracle(points))))
 
 
 def apd_oracle(points):
@@ -93,8 +90,7 @@ def test_dpp_matches_cofactor_oracle():
     rng = np.random.default_rng(0)
     for _ in range(50):
         pts = random_set(rng)
-        for base in ("l2", "l1"):
-            assert abs(div.dpp(pts, base) - dpp_oracle(pts, base)) < 1e-10
+        assert abs(div.dpp(pts) - dpp_oracle(pts)) < 1e-10
 
 
 def test_apd_matches_oracle():
@@ -193,13 +189,12 @@ def test_det_and_the_dpp_kernel_match_cofactor_expansion(k):
         np.testing.assert_allclose(float(out.data), det_cofactor(m), rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(t.grad, cofactor_matrix(m), rtol=1e-12, atol=1e-13)
     assert all(float(dc.det(m).data) < 0.0 for m in odd)
-    for base in BASES:
-        spec = div.DiversitySpec(metric="dpp", base=base)
-        for _ in range(5):
-            pts = random_set(rng, k=k)
-            value = div.value_and_grad(spec, pts, k)[0]
-            expected = det_cofactor(kernel_oracle(pts, base)) if k > 1 else 0.0
-            np.testing.assert_allclose(value, expected, rtol=1e-12, atol=1e-14)
+    spec = div.DiversitySpec(metric="dpp")
+    for _ in range(5):
+        pts = random_set(rng, k=k)
+        value = div.value_and_grad(spec, pts, k)[0]
+        expected = det_cofactor(kernel_oracle(pts)) if k > 1 else 0.0
+        np.testing.assert_allclose(value, expected, rtol=1e-12, atol=1e-14)
 
 
 def test_a_zero_determinant_takes_the_adjugate_and_warns_nothing():
@@ -216,13 +211,12 @@ def test_a_zero_determinant_takes_the_adjugate_and_warns_nothing():
             out.backward()
             assert float(out.data) == 0.0 and not np.signbit(out.data)
             np.testing.assert_allclose(t.grad, cofactor_matrix(m), rtol=1e-12, atol=1e-14)
-        for base in BASES:
-            spec = div.DiversitySpec(metric="dpp", base=base)
-            value, grad = div.value_and_grad(spec, pts, len(pts))
-            node = dc.Tensor(pts, requires_grad=True)
-            diversity_node(spec, node).backward()
-            assert value == 0.0
-            np.testing.assert_allclose(grad, node.grad, rtol=1e-12, atol=1e-14)
+        spec = div.DiversitySpec(metric="dpp")
+        value, grad = div.value_and_grad(spec, pts, len(pts))
+        node = dc.Tensor(pts, requires_grad=True)
+        diversity_node(spec, node).backward()
+        assert value == 0.0
+        np.testing.assert_allclose(grad, node.grad, rtol=1e-12, atol=1e-14)
 
 
 @settings(max_examples=50, deadline=None)
@@ -328,10 +322,23 @@ def test_spec_space_forcing_rules():
 
 
 def test_spec_rejects_unknown_space_and_base():
+    """dpp and apd measure l2 distances: a spec takes no base distance."""
     with pytest.raises(ValueError, match="space"):
         div.DiversitySpec(metric="dpp", space="bogus")
-    with pytest.raises(ValueError, match="base"):
-        div.DiversitySpec(metric="apd", base="l3")
+    with pytest.raises(TypeError, match="base"):
+        div.DiversitySpec(metric="apd", base="l2")
+
+
+def test_an_infinite_distance_raises_in_dpp_as_in_apd():
+    """Finite points further apart than the float range have an infinite
+    distance, whose 0 kernel entry would give dpp a NaN gradient."""
+    pts = np.array([[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]])
+    with np.errstate(over="ignore"):
+        for metric in ("dpp", "apd"):
+            with pytest.raises(FloatingPointError, match=f"^{metric} "):
+                div.value_and_grad(div.DiversitySpec(metric=metric), pts, 2)
+        with pytest.raises(FloatingPointError, match="^dpp "):
+            div.dpp(pts)
 
 
 def test_dpp_rejects_non_finite_points():

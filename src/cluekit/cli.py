@@ -542,16 +542,16 @@ def cmd_bench(args):
     c, (xu, xc) = next(iter(_groups(cfg, ds, bundle).items()))
     x = xu[0]
     context = _init_context(cfg, [config] if "dclue" in schemes else [], ds, bundle)
-    start = time.perf_counter()
-    mapper = glam.train_mapper(xu, xc, bundle, source_group=c, target_group=c)
-    train_ms = 1000.0 * (time.perf_counter() - start)
-    # each baseline is built here as glam builds it (a DBM's translation once),
+    # each scheme is built here as glam builds it (glam1's mapper on the first
+    # cap rows of each side at glam's lambda_theta, a DBM's translation once),
     # so the timed loop below measures what glam runs per point
-    runners = {"glam": lambda: glam.apply_mapper(mapper, x, bundle),
-               "dclue": lambda: clue.delta_clue(x, bundle, config, context)}
-    for variant in BASELINES:
-        scheme = _glam_scheme(variant, cfg, {c: (xu, xc)}, bundle, [])[0]
-        runners[variant] = lambda scheme=scheme: scheme(x, c)
+    cfg_glam = dict(cfg, **{key: SETTINGS["glam"][key][1] for key in ("cap", "lambda_theta")})
+    start = time.perf_counter()
+    built = {"glam": _glam_scheme("glam1", cfg_glam, {c: (xu, xc)}, bundle, [])[0]}
+    train_ms = 1000.0 * (time.perf_counter() - start)
+    built.update((v, _glam_scheme(v, cfg_glam, {c: (xu, xc)}, bundle, [])[0]) for v in BASELINES)
+    runners = {name: lambda scheme=scheme: scheme(x, c) for name, scheme in built.items()}
+    runners["dclue"] = lambda: clue.delta_clue(x, bundle, config, context)
     rows = []
     for name in schemes:
         times = []

@@ -190,14 +190,11 @@ def _uniform_direction(rng, m):
     return g / n
 
 
-def init_scheme(scheme, z0, r, i, k, *, rng=None, delta=None, bundle=None, context=None):
-    """Start point i of k for the given scheme around z0; s2 and s5 walk
-    toward each of the bundle's classes, s2 on the certain points of
-    ``context``."""
-    z0 = np.asarray(z0, dtype=np.float64)
+def _random_start(scheme, z0, r, rng):
+    """A start of scheme s1, s3 or s4 within radius r of z0, drawn from
+    ``rng``: s1 at a uniform radius, s3 at a half-normal one (scale r/2,
+    redrawn past r), s4 uniform in the cube, redrawn outside the ball."""
     m = len(z0)
-    if r == 0.0:
-        return z0.copy()
     if scheme == "s1":
         radius = rng.uniform(0.0, r)
         return z0 + radius * _uniform_direction(rng, m)
@@ -206,28 +203,15 @@ def init_scheme(scheme, z0, r, i, k, *, rng=None, delta=None, bundle=None, conte
         while radius > r:
             radius = abs(rng.normal(0.0, r / 2.0))
         return z0 + radius * _uniform_direction(rng, m)
-    if scheme == "s4":
+    z = z0 + rng.uniform(-r, r, size=m)
+    while np.linalg.norm(z - z0) > r:
         z = z0 + rng.uniform(-r, r, size=m)
-        while np.linalg.norm(z - z0) > r:
-            z = z0 + rng.uniform(-r, r, size=m)
-        return z
-    if scheme in ("s2", "s5"):
-        if bundle is None:
-            raise ValueError(f"scheme {scheme} needs the bundle")
-        if scheme == "s2" and context is None:
-            raise ValueError("scheme s2 needs an InitContext of certain latents and labels")
-        c = bundle.c_classes
-        y = i % c
-        j = i // c + 1
-        npaths = max(k // c, 1)
-        eff_delta = delta if (delta is not None and math.isfinite(delta)) else r
-        if scheme == "s2":
-            return _s2_point(z0, y, j, npaths, eff_delta, context)
-        return _s5_point(z0, y, j, npaths, eff_delta, bundle)
-    raise ValueError(f"unknown initialization scheme {scheme!r}")
+    return z
 
 
-def _s2_point(z0, y, j, npaths, delta, ctx):
+def _s2_way(z0, y, delta, ctx):
+    """The way toward class y's nearest certain latent: the point at fraction
+    f lies f * delta along the line to it (f may pass 1)."""
     mask = np.asarray(ctx.certain_labels) == y
     if not np.any(mask):
         raise ValueError(f"scheme s2: no certain training point in class {y}")
@@ -236,18 +220,17 @@ def _s2_point(z0, y, j, npaths, delta, ctx):
     zy = latents[int(np.argmin(dists))]
     denom = float(np.linalg.norm(zy - z0))
     if denom == 0.0:
-        return z0.copy()
-    return z0 + delta * (j / npaths) * (zy - z0) / denom
+        return lambda f: z0.copy()
+    return lambda f: z0 + delta * f * (zy - z0) / denom
 
 
-def _s5_point(z0, y, j, npaths, delta, bundle):
+def _s5_way(z0, y, delta, bundle):
     """Walk S5_STEPS normalized ascent steps on p(class=y | decode(z)) out to
-    radius delta, then return the point at arc-length fraction j/npaths along
-    the path."""
+    radius delta; the point at fraction f lies at arc-length fraction
+    min(f, 1) along the path."""
     step = delta / S5_STEPS
     onehot = np.eye(bundle.c_classes)[y]
-    path = [z0.copy()]
-    z = z0.copy()
+    path, z = [z0], z0
     for _ in range(S5_STEPS):
         x, decoder_grad = models._decode_with_grad(bundle, z)
         _, posterior_grad = models._posterior_with_grad(bundle, x)
@@ -256,17 +239,16 @@ def _s5_point(z0, y, j, npaths, delta, bundle):
         if gn == 0.0:
             break
         z = z + step * (g / gn)
+        path.append(project_to_ball(z, z0, delta))
         if np.linalg.norm(z - z0) > delta:
-            z = project_to_ball(z, z0, delta)
-            path.append(z.copy())
             break
-        path.append(z.copy())
-    frac = min(j / npaths, 1.0)
-    idx = frac * (len(path) - 1)
-    lo = int(math.floor(idx))
-    hi = min(lo + 1, len(path) - 1)
-    t = idx - lo
-    return (1.0 - t) * path[lo] + t * path[hi]
+
+    def at(f):
+        idx = min(f, 1.0) * (len(path) - 1)
+        lo = int(idx)
+        hi, t = min(lo + 1, len(path) - 1), idx - lo
+        return (1.0 - t) * path[lo] + t * path[hi]
+    return at
 
 
 def coincident_starts(config, sequential=False):
@@ -279,17 +261,27 @@ def coincident_starts(config, sequential=False):
 
 def make_starts(z0, config, bundle, context=None, sequential=False):
     """The k start points, each projected into the delta ball; k copies of
-    z0 (``coincident_starts``) raise ValueError."""
+    z0 (``coincident_starts``) raise ValueError. s2 and s5 build one way
+    toward each of the first min(k, c') classes (s2 on the certain points of
+    ``context``); start i is the point at fraction (i // c' + 1) / max(k // c', 1)
+    of the way to class i mod c'."""
     if coincident_starts(config, sequential):
         raise ValueError(f"k={config.k} start points need r > 0: at r=0 they all sit at z0, "
                          f"so the search gives {config.k} identical candidates")
-    starts = []
-    for i in range(config.k):
-        rng = candidate_rng(config.seed, i)
-        z = init_scheme(config.scheme, z0, config.r, i, config.k,
-                        rng=rng, delta=config.delta, bundle=bundle, context=context)
-        starts.append(project_to_ball(z, z0, config.delta))
-    return starts
+    k, r, delta = config.k, config.r, config.delta
+    if r == 0.0:
+        return [z0.copy() for _ in range(k)]
+    if config.scheme in ("s1", "s3", "s4"):
+        starts = [_random_start(config.scheme, z0, r, candidate_rng(config.seed, i))
+                  for i in range(k)]
+    elif config.scheme == "s2" and context is None:
+        raise ValueError("scheme s2 needs an InitContext of certain latents and labels")
+    else:
+        c, reach = bundle.c_classes, delta if math.isfinite(delta) else r
+        way, data = (_s2_way, context) if config.scheme == "s2" else (_s5_way, bundle)
+        ways = [way(z0, y, reach, data) for y in range(min(k, c))]
+        starts = [ways[i % c]((i // c + 1) / max(k // c, 1)) for i in range(k)]
+    return [project_to_ball(z, z0, delta) for z in starts]
 
 
 def _descend(starts, z0, x0, bundle, config, x0_label, trace=False, repel=None):

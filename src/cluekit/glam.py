@@ -57,7 +57,7 @@ def train_mapper(x_uncertain, x_certain, bundle, lambda_theta=0.1,
     hp = hyperparams or MapperHyperparams()
     x_certain = np.asarray(x_certain, dtype=np.float64)
     z_u = models.encode(bundle, x_uncertain)
-    theta = mean_translation(x_uncertain, x_certain, bundle)
+    theta = models.encode(bundle, x_certain).mean(axis=0) - z_u.mean(axis=0)
 
     curve = []
     for step in range(hp.steps):

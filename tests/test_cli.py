@@ -263,9 +263,10 @@ def test_diverged_search_exits_3(workspace, tmp_path, sets, capsys):
 def test_diverged_mapper_fit_exits_3(workspace, tmp_path, monkeypatch, capsys):
     """A mapper fit whose loss overflows exits 3 and writes nothing. The
     workspace's translations are shorter than 1 in l1, so that no finite
-    lambda_theta overflows the loss; the fit starts from a longer one."""
-    monkeypatch.setattr(glam, "mean_translation",
-                        lambda x_uncertain, x_certain, bundle: np.full(bundle.m_latent, 10.0))
+    lambda_theta overflows the loss; an encoder that stretches every latent
+    1,000-fold makes the fit start from a longer one."""
+    encode = models.encode
+    monkeypatch.setattr(models, "encode", lambda bundle, x: 1e3 * encode(bundle, x))
     out = tmp_path / "dv"
     assert run(["glam", "--variant", "glam1", "--set", "cap=3", "--set", "lambda_theta=1e308",
                 "--out", str(out), "--bundle", workspace["bundle"],
@@ -572,6 +573,24 @@ def test_bench_times_nn_latent_as_glam_runs_it(workspace, tmp_path, monkeypatch)
     before = models.EVAL_COUNTS["encode"]
     scheme(xu[0], c)
     assert per_call == [models.EVAL_COUNTS["encode"] - before] * 2 == [1 + len(xc)] * 2
+
+
+def test_bench_fits_glam1_as_glam_does(workspace, tmp_path, monkeypatch):
+    """bench's glam and mapper-training rows time glam's glam1 mapper: one fit
+    on at most cap rows of each side at glam's default lambda_theta."""
+    fits, train_mapper = [], glam.train_mapper
+
+    def recording(x_uncertain, x_certain, bundle, lambda_theta=0.1, **kwargs):
+        fits.append((len(x_uncertain), len(x_certain), lambda_theta))
+        return train_mapper(x_uncertain, x_certain, bundle, lambda_theta, **kwargs)
+
+    monkeypatch.setattr(glam, "train_mapper", recording)
+    assert run(["bench", "--out", str(tmp_path / "be"), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"], "--schemes", "glam",
+                "--repetitions", "1"] + EXPLAIN_SETS) == 0
+    cap = cli.SETTINGS["glam"]["cap"][1]
+    [(n_uncertain, n_certain, lambda_theta)] = fits
+    assert n_uncertain <= cap and n_certain <= cap and lambda_theta == 0.01
 
 
 def test_bench_partitions_for_s2_only_to_time_dclue(workspace, tmp_path, monkeypatch):

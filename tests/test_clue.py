@@ -121,7 +121,7 @@ def test_config_accepts_int_and_numpy_reals():
 
 @pytest.mark.parametrize("scheme", ["s9", "s0", "S1", ""])
 def test_config_rejects_unknown_scheme(scheme):
-    # r=0 skips init_scheme's own check, so the config must catch it
+    # make_starts has no unknown-scheme branch, so the config must catch it
     with pytest.raises(ValueError, match="unknown scheme"):
         clue.ExperimentConfig(scheme=scheme, r=0.0)
 
@@ -151,8 +151,7 @@ def test_objective_matches_finite_differences(tiny_bundle):
 def test_s1_mean_radius_near_half_r():
     z0 = np.zeros(6)
     r = 2.0
-    radii = [np.linalg.norm(clue.init_scheme("s1", z0, r, i, 4000,
-                                             rng=clue.candidate_rng(0, i)) - z0)
+    radii = [np.linalg.norm(clue._random_start("s1", z0, r, clue.candidate_rng(0, i)) - z0)
              for i in range(4000)]
     assert np.all(np.array(radii) <= r + 1e-12)
     assert abs(np.mean(radii) - r / 2) < 0.05
@@ -162,26 +161,29 @@ def test_s3_s4_stay_inside_radius():
     z0 = np.zeros(4)
     for scheme in ("s3", "s4"):
         for i in range(500):
-            z = clue.init_scheme(scheme, z0, 1.5, i, 500,
-                                 rng=clue.candidate_rng(1, i))
+            z = clue._random_start(scheme, z0, 1.5, clue.candidate_rng(1, i))
             assert np.linalg.norm(z - z0) <= 1.5 + 1e-12
-
-
-def test_zero_radius_returns_center():
-    z0 = np.array([1.0, -2.0, 0.5])
-    for scheme in ("s1", "s2", "s3", "s4", "s5"):
-        z = clue.init_scheme(scheme, z0, 0.0, 0, 1, rng=clue.candidate_rng(0, 0))
-        assert np.array_equal(z, z0)
 
 
 TWO_CLASSES = SimpleNamespace(c_classes=2)  # all that s2 reads of a bundle
 
 
+def _s2_config(k, delta=1.0, r=1.0):
+    return clue.ExperimentConfig(scheme="s2", k=k, r=r, delta=delta)
+
+
+def test_zero_radius_returns_center():
+    z0 = np.array([1.0, -2.0, 0.5])
+    for scheme in ("s1", "s2", "s3", "s4", "s5"):
+        # at r=0 no start data is read: s2 needs no context here
+        (z,) = clue.make_starts(z0, clue.ExperimentConfig(scheme=scheme, r=0.0), TWO_CLASSES)
+        assert np.array_equal(z, z0)
+
+
 def test_s2_errors_on_missing_class():
     ctx = clue.InitContext(certain_latents=np.zeros((3, 2)), certain_labels=np.array([0, 0, 0]))
     with pytest.raises(ValueError, match="class 1"):
-        clue.init_scheme("s2", np.zeros(2), 1.0, 1, 2, delta=1.0,
-                         rng=clue.candidate_rng(0, 1), bundle=TWO_CLASSES, context=ctx)
+        clue.make_starts(np.zeros(2), _s2_config(k=2), TWO_CLASSES, ctx)
 
 
 def test_s2_walks_toward_nearest_certain_latent():
@@ -189,34 +191,46 @@ def test_s2_walks_toward_nearest_certain_latent():
                            certain_labels=np.array([0, 1]))
     z0 = np.zeros(2)
     # i=0 -> class 0, j=1, npaths=1: full delta along the unit direction
-    z = clue.init_scheme("s2", z0, 1.0, 0, 2, delta=1.0,
-                         rng=clue.candidate_rng(0, 0), bundle=TWO_CLASSES, context=ctx)
+    z = clue.make_starts(z0, _s2_config(k=2), TWO_CLASSES, ctx)[0]
     assert np.allclose(z, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("delta", [np.inf, 0.8])
+def test_s2_at_k_past_the_class_count_gives_the_closed_form_points(delta):
+    """k=7 on 3 classes: start i lies at fraction j / npaths = (i // 3 + 1) / 2
+    of the way to class i mod 3's nearest certain latent, 3 / 2 for i = 6. At
+    delta=inf the way's length is r, and nothing projects a point back."""
+    latents = np.array([[2.0, 0.0], [5.0, 1.0], [0.0, -3.0], [-1.0, 4.0], [0.5, 0.5]])
+    ctx = clue.InitContext(certain_latents=latents, certain_labels=np.array([0, 0, 1, 2, 2]))
+    z0, r = np.array([0.2, -0.1]), 1.0
+    reach = delta if np.isfinite(delta) else r
+    starts = clue.make_starts(z0, _s2_config(k=7, delta=delta, r=r),
+                              SimpleNamespace(c_classes=3), ctx)
+    nearest = [latents[0], latents[2], latents[4]]
+    for i, z in enumerate(starts):
+        zy, j = nearest[i % 3], i // 3 + 1
+        want = z0 + reach * (j / 2) * (zy - z0) / float(np.linalg.norm(zy - z0))
+        assert np.array_equal(z, clue.project_to_ball(want, z0, delta)), i
+    if delta == np.inf:
+        assert np.isclose(np.linalg.norm(starts[6] - z0), 1.5 * r)
+
+
 def test_s2_and_s5_name_the_start_data_they_lack(tiny_bundle):
+    # s5 reads only the bundle, which make_starts always takes
     _, bundle = tiny_bundle
-    z0 = np.zeros(bundle.m_latent)
-    for scheme in ("s2", "s5"):
-        with pytest.raises(ValueError, match=f"scheme {scheme} needs the bundle"):
-            clue.init_scheme(scheme, z0, 1.0, 0, 2, delta=1.0)
     with pytest.raises(ValueError, match="scheme s2 needs an InitContext"):
-        clue.init_scheme("s2", z0, 1.0, 0, 2, delta=1.0, bundle=bundle)
+        clue.make_starts(np.zeros(bundle.m_latent), _s2_config(k=2), bundle)
 
 
 def test_s5_points_respect_delta(tiny_bundle):
     ds, bundle = tiny_bundle
     x0 = ds.train_inputs()[0]
     z0 = models.encode(bundle, x0)
-    for i in range(6):
-        z = clue.init_scheme("s5", z0, 1.0, i, 6, delta=1.0,
-                             rng=clue.candidate_rng(0, i), bundle=bundle)
-        assert np.linalg.norm(z - z0) <= 1.0 + 1e-9
-
-
-def test_unknown_scheme_errors():
-    with pytest.raises(ValueError):
-        clue.init_scheme("s9", np.zeros(2), 1.0, 0, 1, rng=clue.candidate_rng(0, 0))
+    # k=6 on 3 classes reads each way at fractions 1/2 and 1, before projection
+    for y in range(3):
+        way = clue._s5_way(z0, y, 1.0, bundle)
+        for f in (0.5, 1.0):
+            assert np.linalg.norm(way(f) - z0) <= 1.0 + 1e-9
 
 
 def test_candidate_rng_is_order_independent():
@@ -282,11 +296,7 @@ def _reference_delta_clue(x0, bundle, config):
     z0 = models.encode(bundle, x0)
     label = models.argmax_label(models.predict(bundle, x0))
     candidates = []
-    for i in range(config.k):
-        z = clue.init_scheme(config.scheme, z0, config.r, i, config.k,
-                             rng=clue.candidate_rng(config.seed, i), delta=config.delta,
-                             bundle=bundle)
-        z = clue.project_to_ball(z, z0, config.delta)
+    for i, z in enumerate(clue.make_starts(z0, config, bundle)):
         trajectory = [z]
         for _ in range(config.iters):
             _, grad = clue.objective(z, x0, bundle, config.lambda_x, config.lambda_y, label)

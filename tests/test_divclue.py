@@ -276,12 +276,7 @@ def _ref_sequential(x0, bundle, config, spec=None):
     z0 = models.encode(bundle, x0)
     x0_label = models.argmax_label(models.predict(bundle, x0))
     found, trajs, curves = [], [], []
-    for t in range(config.k):
-        rng = clue.candidate_rng(config.seed, t)
-        z = clue.project_to_ball(
-            clue.init_scheme(config.scheme, z0, config.r, t, config.k,
-                             rng=rng, delta=config.delta, bundle=bundle),
-            z0, config.delta)
+    for z in clue.make_starts(z0, config, bundle, sequential=True):
         traj = [z.copy()]
         curve = []
         for _ in range(config.iters):
@@ -394,6 +389,27 @@ def _ref_s5_start(bundle, z0, i, config):
     lo = int(idx)
     t, hi = idx - lo, min(lo + 1, len(path) - 1)
     return clue.project_to_ball((1.0 - t) * path[lo] + t * path[hi], z0, delta)
+
+
+def test_s5_walks_each_class_path_once(blobs, blobs_bundle, monkeypatch):
+    """k=8 on 4 classes: two starts share each class's ascent path, which is
+    walked once, so the starts take at most S5_STEPS * min(k, c') decoder
+    steps; each start equals the reference walk's bit for bit."""
+    z0 = models.encode(blobs_bundle, blobs.train_inputs()[0])
+    config = _config(k=8, scheme="s5")
+    calls, decode_with_grad = [], models._decode_with_grad
+
+    def counted(*args):
+        calls.append(1)
+        return decode_with_grad(*args)
+
+    monkeypatch.setattr(models, "_decode_with_grad", counted)
+    starts = clue.make_starts(z0, config, blobs_bundle)
+    assert blobs_bundle.c_classes == 4
+    assert len(calls) <= clue.S5_STEPS * min(config.k, blobs_bundle.c_classes)
+    monkeypatch.setattr(models, "_decode_with_grad", decode_with_grad)
+    for i, z in enumerate(starts):
+        assert np.array_equal(z, _ref_s5_start(blobs_bundle, z0, i, config)), i
 
 
 @pytest.mark.parametrize("search", ["delta_clue", "nabla_clue_simultaneous"])

@@ -41,6 +41,14 @@ def test_initialization_equals_latent_mean_difference(planted, blobs_bundle):
     assert np.array_equal(start.theta, expected) and start.loss_curve == []
 
 
+def test_a_mapper_fit_encodes_each_side_once(planted, blobs_bundle):
+    x_u, x_c, _ = planted
+    models.reset_eval_counts()
+    glam.train_mapper(x_u, x_c, blobs_bundle, hyperparams=glam.MapperHyperparams(steps=2))
+    assert models.EVAL_COUNTS["encode"] == 2
+    models.reset_eval_counts()
+
+
 def test_training_loss_is_monotone_decreasing(planted, blobs_bundle):
     x_u, x_c, _ = planted
     mapper = glam.train_mapper(x_u, x_c, blobs_bundle, lambda_theta=0.1)

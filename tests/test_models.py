@@ -267,7 +267,7 @@ def test_training_and_the_s5_walk_build_no_tensor(monkeypatch):
                                  n_members=2, seed=3)
     assert not made
     z0 = models.encode(bundle, ds.train_inputs()[0])
-    clue.init_scheme("s5", z0, 1.0, 1, 3, delta=1.0, bundle=bundle)
+    clue.make_starts(z0, clue.ExperimentConfig(scheme="s5", k=3, r=1.0, delta=1.0), bundle)
     assert not made
 
 

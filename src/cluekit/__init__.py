@@ -2,7 +2,8 @@
 
 Subpackages:
   diffcore  - minimal reverse-mode autodiff engine
-  models    - VAE + deep-ensemble bundle, training, persistence
+  store     - the on-disk format: atomic writes, strict JSON, CSV, stores
+  models    - VAE + deep-ensemble bundle, training, its codec
   clue      - constrained latent-space counterfactual search
   diversity - six diversity metrics over counterfactual sets
   divclue   - diversity-regularized generation (simultaneous/sequential/penalty)
@@ -11,6 +12,6 @@ Subpackages:
   cli       - command-line orchestration
 """
 
-from . import diffcore, models, clue, diversity, divclue, glam, data  # noqa: F401
+from . import diffcore, store, models, clue, diversity, divclue, glam, data  # noqa: F401
 
 __version__ = "0.1.0"

@@ -2,24 +2,24 @@
 sweep ablation grids, train amortized mappers, and benchmark timings.
 
 Each command reads the settings of one table, ``SETTINGS[command]``, which
-declares every key it reads with its rule (a ``clue.Rule``, for the search keys
+declares every key it reads with its rule (a ``store.Rule``, for the search keys
 ``ExperimentConfig``'s own) and default. ``resolve_config`` merges ``--config``,
 ``--set`` and ``--seed`` and checks each value with its rule, as ``sweep`` does
 each grid value, before any input is loaded: an unknown key, or a value its rule
 refuses, is a usage error naming the key (and, for a misspelling, the key
 probably meant). Every command does all of its work first and then hands its
 files to ``write_outputs``, which creates ``--out``, writes each file
-atomically (to a temp name, then a rename) and adds a run manifest (the
-resolved settings, input/output hashes, wall times, seed); a command that
-fails writes nothing. Exit codes: 0 success, 2 usage or config error, 3
-numerical failure, 4 a lost training worker.
+through ``store.write_file`` (to a temp name, then a rename) and adds a run
+manifest (the resolved settings, input/output hashes, wall times, seed); a
+command that fails writes nothing. A missing or malformed input or config
+file is a usage error naming it. Exit codes: 0 success, 2 usage or config
+error, 3 numerical failure, 4 a lost training worker.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
-import hashlib
 import json
 import math
 import os
@@ -29,7 +29,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import clue, data, divclue, diversity as div, glam, models
+from . import clue, data, divclue, diversity as div, glam, models, store
 
 
 class UsageError(Exception):
@@ -40,40 +40,8 @@ class UsageError(Exception):
 # plumbing
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def atomic_write_text(path, text):
-    with models._atomic_open(path) as f:
-        f.write(text)
-
-
 def write_json(path, payload):
-    atomic_write_text(path, models._json_text(payload) + "\n")
-
-
-def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _hash_tree(path):
-    """Hash a file, or every regular file under a directory."""
-    if os.path.isfile(path):
-        return {path: _sha256(path)}
-    out = {}
-    for root, _dirs, files in sorted(os.walk(path)):
-        for name in sorted(files):
-            p = os.path.join(root, name)
-            out[p] = _sha256(p)
-    return out
+    store.write_file(path, store.json_text(payload) + "\n")
 
 
 def write_outputs(args, config, inputs, files, wall_times):
@@ -87,10 +55,10 @@ def write_outputs(args, config, inputs, files, wall_times):
     for name, writer in files.items():
         path = os.path.join(args.out, name)
         writer(path)
-        outputs.update(_hash_tree(path))
+        outputs.update(store.hash_tree(path))
     write_json(os.path.join(args.out, "run_manifest.json"), {
-        "command": args.command, "config": {k: clue.to_json(v) for k, v in config.items()},
-        "inputs": {k: v for p in inputs for k, v in _hash_tree(p).items()},
+        "command": args.command, "config": {k: store.to_json(v) for k, v in config.items()},
+        "inputs": {k: v for p in inputs for k, v in store.hash_tree(p).items()},
         "outputs": outputs,
         "wall_times_s": {k: float(v) for k, v in wall_times.items()},
         "seed": config["seed"]})
@@ -99,13 +67,7 @@ def write_outputs(args, config, inputs, files, wall_times):
 def load_config(path):
     if path is None:
         return {}
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as f:
-        try:
-            cfg = json.load(f)
-        except json.JSONDecodeError as e:
-            raise UsageError(f"config file {path} is not valid JSON: {e}")
+    cfg = _load("config", lambda p: store.read_json(p, lambda payload: payload), path)
     if not isinstance(cfg, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     return cfg
@@ -114,11 +76,11 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 # settings: each command's table of every key it reads
 
-# key -> (rule, default); a clue.Rule gives the kind and bound of the values a
+# key -> (rule, default); a store.Rule gives the kind and bound of the values a
 # key takes. The search keys' rules are declared beside ExperimentConfig's
 # fields. The generators' own bounds (c, d, n against c, test_frac, spread)
 # stay in data, as gen_* and regenerate are library calls too.
-Rule = clue.Rule
+Rule = store.Rule
 SEARCH = {f.name: (f.metadata["rule"], f.default) for f in fields(clue.ExperimentConfig)}
 DIVERSITY = {"metric": (Rule(div.ALL_METRICS), "dpp"), "space": (Rule(div.SPACES), "latent")}
 # the certainty partition's entropy thresholds; None is the bundle's 20th or
@@ -309,13 +271,16 @@ def _diversity_spec(cfg, optimized):
 def _init_context(cfg, configs, ds, bundle):
     """The start data of scheme s2, the latents and labels of the certain
     training points, or None when no config runs s2 away from z0."""
-    if not any(c.scheme == "s2" and c.r > 0.0 for c in configs):
+    ks = [c.k for c in configs if c.scheme == "s2" and c.r > 0.0]
+    if not ks:
         return None
     part = data.partition_by_certainty(ds, bundle, cfg["tau_low"], cfg["tau_high"])
-    for j in range(bundle.c_classes):
+    classes = min(max(ks), bundle.c_classes)  # make_starts builds a way to each
+    for j in range(classes):
         if len(part.certain_of_class(j)) == 0:
-            raise UsageError(f"scheme s2 needs a certain training point in every "
-                             f"class; class {j} has none at tau_low={part.tau_low!r}")
+            raise UsageError(f"scheme s2 at k={max(ks)} needs a certain training point in "
+                             f"each of the first {classes} classes; class {j} has none at "
+                             f"tau_low={part.tau_low!r}")
     # the certain rows of one batch of every training latent: a batch of the
     # certain rows alone can differ in the last bit
     certain = part.flags == "certain"
@@ -348,9 +313,9 @@ def cmd_explain(args):
                     for idx, ceset in cesets for ci, c in enumerate(ceset.candidates)]
     dist_rows = [[idx, cls, float(w)] for idx, ceset in cesets if ceset.accepted()
                  for cls, w in enumerate(clue.label_distribution(ceset))]
-    files["scatter.csv"] = lambda p: write_csv(
+    files["scatter.csv"] = lambda p: store.write_csv(
         p, ["input", "candidate", "H", "d_x", "rho", "cost", "label", "accepted"], scatter_rows)
-    files["label_distribution.csv"] = lambda p: write_csv(
+    files["label_distribution.csv"] = lambda p: store.write_csv(
         p, ["input", "class", "weight"], dist_rows)
     write_outputs(args, cfg, [args.bundle, args.dataset], files, {"explain": wall})
     return 0
@@ -415,7 +380,7 @@ def cmd_sweep(args):
                 rows.append([args.axis, value, stat, v])
     wall = time.perf_counter() - t0
     write_outputs(args, dict(cfg, axis=args.axis, grid=grid), [args.bundle, args.dataset],
-                  {"sweep.csv": lambda p: write_csv(
+                  {"sweep.csv": lambda p: store.write_csv(
                       p, ["axis", "value", "statistic", "result"], rows)},
                   {"sweep": wall})
     return 0
@@ -519,7 +484,7 @@ def cmd_glam(args):
         files.update({f"mapper_{variant}_{i}.json": lambda p, m=m: glam.save_mapper(m, p)
                       for i, m in enumerate(mappers)})
     wall = time.perf_counter() - t0
-    files["comparison.csv"] = lambda p: write_csv(
+    files["comparison.csv"] = lambda p: store.write_csv(
         p, ["scheme", "point", "H", "d_x", "cost", "label"], rows + summaries)
     write_outputs(args, dict(cfg, variant=args.variant),
                   [args.bundle, args.dataset] + (args.cesets or []), files, {"glam": wall})
@@ -563,7 +528,7 @@ def cmd_bench(args):
     rows.append(["mapper-training", train_ms, 1])
     wall = time.perf_counter() - start
     write_outputs(args, dict(cfg, schemes=schemes), [args.bundle, args.dataset],
-                  {"bench.csv": lambda p: write_csv(
+                  {"bench.csv": lambda p: store.write_csv(
                       p, ["scheme", "median_ms", "repetitions"], rows)},
                   {"bench": wall})
     return 0

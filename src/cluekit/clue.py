@@ -11,67 +11,20 @@ import contextlib
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
 from . import diffcore as dc
-from . import models
+from . import models, store
+from .store import EXTENDED
 
 
 SCHEMES = ("s1", "s2", "s3", "s4", "s5")
 S5_STEPS = 40  # the ascent steps of an s5 walk out to the ball's radius
-EXTENDED = "extended"  # the kind of a number that may be inf or -inf, but not nan
-
-
-class Rule(NamedTuple):
-    """A setting's kind, which is int, float (a finite number), ``EXTENDED``
-    or a tuple of the values allowed, and its bounds ``>= ge`` or ``> gt``,
-    and ``<= le``."""
-
-    kind: object
-    ge: float | None = None
-    gt: float | None = None
-    le: float | None = None
-
-    def check(self, key, value):
-        """Raise ``ValueError`` naming ``key`` if the rule refuses ``value``."""
-        kind = self.kind
-        if isinstance(kind, tuple):
-            if value not in kind:
-                raise ValueError(f"unknown {key} {value!r}; choose from {kind}")
-            return
-        number = kind is not int
-        if isinstance(value, bool) or not isinstance(value, numbers.Real if number else int):
-            raise ValueError(f"{key} must be {'a number' if number else 'an int'}, got {value!r}")
-        try:
-            finite = not number or math.isfinite(value)
-        except OverflowError:  # an int past float range
-            finite = False
-        if not finite and not (kind is EXTENDED and abs(value) == math.inf):
-            raise ValueError(f"{key} must be finite{', inf or -inf' if kind is EXTENDED else ''}, "
-                             f"got {value!r}")
-        if self.ge is not None and not value >= self.ge:
-            raise ValueError(f"{key} must be >= {self.ge}, got {value!r}")
-        if self.gt is not None and not value > self.gt:
-            raise ValueError(f"{key} must be > {self.gt}, got {value!r}")
-        if self.le is not None and not value <= self.le:
-            raise ValueError(f"{key} must be <= {self.le}, got {value!r}")
-
-    def from_json(self, value):
-        """``value`` as a JSON file holds it: an ``EXTENDED`` setting's "inf"
-        or "-inf" (see ``to_json``) reads as a float."""
-        return float(value) if self.kind is EXTENDED and value in ("inf", "-inf") else value
-
-
-def to_json(value):
-    """``value`` for a JSON file: an infinite float as the string "inf" or
-    "-inf", which strict JSON readers take and bare ``Infinity`` is not."""
-    return str(value) if isinstance(value, float) and math.isinf(value) else value
 
 
 def _setting(default, *rule, **bound):  # a config field, its default and its rule
-    return field(default=default, metadata={"rule": Rule(*rule, **bound)})
+    return field(default=default, metadata={"rule": store.Rule(*rule, **bound)})
 
 
 @dataclass
@@ -404,15 +357,14 @@ _SCALAR_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
 
 def ceset_to_json(ceset):
     """JSON-serializable export with config echo and per-candidate fields."""
-    return {"config": {k: to_json(v) for k, v in asdict(ceset.config).items()},
+    return {"config": {k: store.to_json(v) for k, v in asdict(ceset.config).items()},
             "x0": ceset.x0.tolist(), "z0": ceset.z0.tolist(),
             "candidates": [{k: getattr(c, k).tolist() if k in _ARRAY_FIELDS else getattr(c, k)
                             for k in _ENTRY_FIELDS} for c in ceset.candidates]}
 
 
 def dump_ceset(ceset, path):
-    with models._atomic_open(path) as f:
-        f.write(models._json_text(ceset_to_json(ceset)))
+    store.write_file(path, store.json_text(ceset_to_json(ceset)))
 
 
 def _finite_array(name, value):
@@ -454,7 +406,7 @@ def ceset_from_json(payload):
 def load_ceset(path):
     """Read a file written by ``dump_ceset``; a malformed one, or one with no
     candidates, raises ``ValueError``."""
-    ceset = models._read_json(path, ceset_from_json)
+    ceset = store.read_json(path, ceset_from_json)
     if not ceset.candidates:
         raise ValueError(f"{path} holds no candidates")
     return ceset

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from . import models
+from . import models, store
 
 
 @dataclass
@@ -181,31 +182,43 @@ def save_dataset(dataset, directory):
     n, d = dataset.inputs.shape
     manifest = {"n": n, "d": d, "generator": dataset.generator,
                 "labels": dataset.labels.tolist(), "split": dataset.split.tolist()}
-    models._save_store(directory, manifest, "inputs.bin", [dataset.inputs])
+    store.save_store(directory, manifest, "inputs.bin", [dataset.inputs])
 
 
 def load_dataset(directory):
-    """Read a dataset written by ``save_dataset``; a malformed manifest, an
-    inputs blob whose length does not match it, or inputs that are
-    non-finite or outside [0, 1] raise ``ValueError``."""
-    def build(manifest, arrays, manifest_path):
-        n = len(arrays[0])
-        if len(manifest["labels"]) != n or len(manifest["split"]) != n:
-            raise ValueError(f"{manifest_path}: labels and split must have n={n} entries")
-        if not np.all((arrays[0] >= 0.0) & (arrays[0] <= 1.0)):  # NaN fails both
-            raise ValueError(f"{manifest_path.with_name('inputs.bin')}: inputs must be "
-                             f"finite and lie in [0, 1]")
-        return Dataset(inputs=arrays[0], labels=np.array(manifest["labels"], dtype=np.int64),
-                       split=np.array(manifest["split"]), generator=manifest["generator"])
+    """Read a dataset written by ``save_dataset``; a malformed manifest (among
+    them an n or d that is not an int >= 0, a label that is not an int >= 0
+    or a split tag that is not "train" or "test"), an inputs blob whose
+    length does not match it, or inputs that are non-finite or outside
+    [0, 1] raise ``ValueError``."""
+    def shapes(manifest):
+        for key in ("n", "d"):
+            store.Rule(int, ge=0).check(key, manifest[key])
+        return [(manifest["n"], manifest["d"])]
 
-    return models._load_store(directory, "inputs.bin",
-                              lambda manifest: [(int(manifest["n"]), int(manifest["d"]))], build)
+    def build(manifest, arrays):
+        n, labels, split = len(arrays[0]), manifest["labels"], manifest["split"]
+        if len(labels) != n or len(split) != n:
+            raise ValueError(f"labels and split must have n={n} entries")
+        # one pass over each list: a dataset's labels are read in every set-up
+        if labels and not (set(map(type, labels)) == {int} and 0 <= min(labels)
+                           and max(labels) < 2**63):
+            bad = next(y for y in labels if type(y) is not int or not 0 <= y < 2**63)
+            raise ValueError(f"labels must be non-negative ints, got {bad!r}")
+        if not set(split) <= {"train", "test"}:
+            bad = next(tag for tag in split if tag not in ("train", "test"))
+            raise ValueError(f"split tags must be 'train' or 'test', got {bad!r}")
+        if not np.all((arrays[0] >= 0.0) & (arrays[0] <= 1.0)):  # NaN fails both
+            raise ValueError(f"{Path(directory, 'inputs.bin')}: inputs must be finite "
+                             f"and lie in [0, 1]")
+        return Dataset(inputs=arrays[0], labels=np.array(labels, dtype=np.int64),
+                       split=np.array(split), generator=manifest["generator"])
+
+    return store.load_store(directory, "inputs.bin", shapes, build)
 
 
 def export_csv(dataset, path):
-    header = "label,split," + ",".join(f"x{i}" for i in range(dataset.inputs.shape[1]))
-    with models._atomic_open(path) as f:
-        f.write(header + "\n")
-        for y, tag, row in zip(dataset.labels, dataset.split,
-                               np.asarray(dataset.inputs, dtype=np.float64)):
-            f.write(f"{int(y)},{tag}," + ",".join(map(repr, row.tolist())) + "\n")
+    inputs = np.asarray(dataset.inputs, dtype=np.float64)
+    store.write_csv(path, ["label", "split"] + [f"x{i}" for i in range(inputs.shape[1])],
+                    ([int(y), tag, *row.tolist()]
+                     for y, tag, row in zip(dataset.labels, dataset.split, inputs)))

@@ -18,7 +18,7 @@ from math import comb, isfinite, log
 import numpy as np
 
 from . import diffcore as dc
-from .clue import Rule
+from .store import Rule
 
 DIFFERENTIABLE_METRICS = ("dpp", "apd", "coverage")
 LABEL_METRICS = ("prediction_coverage", "distinct_labels", "label_entropy")

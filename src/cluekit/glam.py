@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import models
+from . import models, store
 from .clue import CandidateCE
 
 
@@ -191,12 +191,11 @@ def pick_best_mapper(mappers, x, bundle, lambda_x=0.0):
 
 
 def save_mapper(mapper, path):
-    with models._atomic_open(path) as f:
-        f.write(models._json_text(dict(asdict(mapper), theta=mapper.theta.tolist())))
+    store.write_file(path, store.json_text(dict(asdict(mapper), theta=mapper.theta.tolist())))
 
 
 def load_mapper(path):
     """Read a file written by ``save_mapper``; one lacking a field without a
     default, or holding an unknown one, raises ``ValueError``."""
-    return models._read_json(path, lambda p: MapperParams(
+    return store.read_json(path, lambda p: MapperParams(
         **dict(p, theta=np.array(p["theta"], dtype=np.float64))))

@@ -8,7 +8,7 @@ ensemble-averaged class posterior.
 The ensemble is one stacked ``MLP`` whose layer i holds all E members'
 weights as an E x in x out array, so each layer of all members is one
 matmul. The dimensions d', m', c' and E are read from the weight shapes;
-a saved bundle records shapes only in its manifest's ``tensors`` list.
+a saved bundle (a ``store``) records shapes only in its manifest's ``tensors`` list.
 
 One numpy forward (``_forward``) and its hand-derived backward
 (``_backprop``) serve every use of the networks. Inference (``encode``,
@@ -29,17 +29,14 @@ that inherits the inputs and answers on a pipe (on Linux).
 from __future__ import annotations
 
 import itertools
-import json
 import multiprocessing
-import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import diffcore as dc
+from . import store
 
 # crude instrumentation for the amortization claims: number of model
 # forward passes by kind, incremented on every public forward call
@@ -515,75 +512,7 @@ def train_bundle(dataset, vae_hp=None, ens_hp=None, n_members=5, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# persistence: a store is one JSON manifest + one raw little-endian float64
-# blob; a bundle's blob holds every parameter tensor in manifest order
-
-
-@contextmanager
-def _atomic_open(path, mode="w"):
-    """``open(path, mode)`` for writing, through a temp file that replaces
-    ``path`` once the block has written it whole; on an error the temp file
-    is removed and ``path`` keeps its old content. Every file the package
-    writes goes through here."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def _json_text(payload):
-    """``payload`` as the package writes every JSON file: strict JSON, which
-    holds no NaN or Infinity (writing either raises ``ValueError``)."""
-    return json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
-
-
-def _read_json(path, build):
-    """``build`` of the JSON document at ``path``; a KeyError, TypeError or
-    IndexError from a malformed one is raised as ``ValueError`` naming it."""
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
-    try:
-        return build(payload)
-    except (KeyError, TypeError, IndexError) as e:
-        raise ValueError(f"{path} is malformed: {type(e).__name__} {e}") from e
-
-
-def _save_store(directory, manifest, blob_name, arrays):
-    """Write ``manifest`` to ``directory/manifest.json`` and ``arrays``, in
-    order, to one little-endian float64 blob ``directory/blob_name``. Both are
-    serialized before either file is replaced, so a manifest or an array that
-    cannot be written leaves an old store as it was."""
-    text = _json_text(manifest)
-    blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
-    Path(directory).mkdir(parents=True, exist_ok=True)
-    with _atomic_open(Path(directory, "manifest.json")) as f:
-        f.write(text)
-    with _atomic_open(Path(directory, blob_name), "wb") as f:
-        f.write(blob)
-
-
-def _load_store(directory, blob_name, shapes, build):
-    """``build(manifest, arrays, manifest_path)`` for a store written by
-    ``_save_store``, its arrays shaped as ``shapes(manifest)`` lists; a blob of
-    another length, or a malformed manifest, raises ``ValueError``."""
-    manifest_path, blob_path = Path(directory, "manifest.json"), Path(directory, blob_name)
-
-    def _build(manifest):
-        raw, dims = blob_path.read_bytes(), shapes(manifest)
-        ends = np.cumsum([0] + [int(np.prod(shape)) for shape in dims])
-        if len(raw) != 8 * ends[-1]:
-            raise ValueError(f"{blob_path} holds {len(raw)} bytes, its manifest "
-                             f"needs {8 * ends[-1]}")
-        blob = np.frombuffer(raw, dtype="<f8")
-        return build(manifest, [blob[lo:hi].reshape(shape).astype(np.float64)
-                                for shape, lo, hi in zip(dims, ends, ends[1:])], manifest_path)
-
-    return _read_json(manifest_path, _build)
+# persistence: a bundle's store blob holds every parameter tensor in manifest order
 
 
 def _bundle_tensors(bundle):
@@ -594,9 +523,19 @@ def _bundle_tensors(bundle):
             for kind, arrays in (("w", mlp.weights), ("b", mlp.biases))]
 
 
-# the TrainingReport fields a bundle's manifest keeps, per report
-_REPORT_FIELDS = {"vae_report": ("loss_curve", "final_loss", "mean_recon_l1"),
-                  "ensemble_report": ("heldout_accuracy", "entropy_percentiles")}
+# the TrainingReport fields a bundle's manifest keeps, per report, with the JSON
+# type that holds each field's finite numbers: one number, a list or a dict
+_REPORT_FIELDS = {"vae_report": {"loss_curve": list, "final_loss": float, "mean_recon_l1": float},
+                  "ensemble_report": {"heldout_accuracy": float, "entropy_percentiles": dict}}
+
+
+def _check_numbers(where, value, kind):
+    """Raise ``ValueError`` naming ``where`` unless ``value`` is a finite
+    number, or a list or dict of them, as ``kind`` says."""
+    if kind is not float and not isinstance(value, kind):
+        raise ValueError(f"{where} must be a {kind.__name__} of finite numbers, got {value!r}")
+    for number in value.values() if kind is dict else value if kind is list else [value]:
+        store.Rule(float).check(where, number)
 
 
 def save_bundle(bundle, directory):
@@ -605,7 +544,7 @@ def save_bundle(bundle, directory):
                 "tensors": [{"name": n, "shape": list(t.shape)} for n, t in tensors]}
     for report, keys in _REPORT_FIELDS.items():
         manifest[report] = {k: getattr(getattr(bundle, report), k) for k in keys}
-    _save_store(directory, manifest, "weights.bin", [t for _, t in tensors])
+    store.save_store(directory, manifest, "weights.bin", [t for _, t in tensors])
 
 
 def _shape_error(encoder, decoder, members):
@@ -635,11 +574,12 @@ def _shape_error(encoder, decoder, members):
 
 
 def load_bundle(directory):
-    """Read a bundle written by ``save_bundle``; a malformed manifest, a
-    weights blob whose length does not match it, or tensors that do not form
-    the three networks raise ``ValueError``. Layer and member counts come
-    from the tensor names."""
-    def build(manifest, tensors, manifest_path):
+    """Read a bundle written by ``save_bundle``; a malformed manifest (among
+    them a seed that is not an int >= 0, or a report field that is not finite
+    numbers), a weights blob whose length does not match it, or tensors that
+    do not form the three networks raise ``ValueError``. Layer and member
+    counts come from the tensor names."""
+    def build(manifest, tensors):
         arrays = {entry["name"]: t for entry, t in zip(manifest["tensors"], tensors)}
 
         def _count(name):  # how many i give a tensor ``name.format(i)``
@@ -654,12 +594,16 @@ def load_bundle(directory):
         members = [_mlp(f"ensemble{e}") for e in range(_count("ensemble{}.w0"))]
         problem = _shape_error(encoder, decoder, members)
         if problem:
-            raise ValueError(f"{manifest_path}: its tensors do not form the bundle's "
-                             f"networks: {problem}")
-        reports = {report: TrainingReport(**{k: manifest[report][k] for k in keys})
-                   for report, keys in _REPORT_FIELDS.items()}
+            raise ValueError(f"its tensors do not form the bundle's networks: {problem}")
+        store.Rule(int, ge=0).check("seed", manifest["seed"])
+        for report, kinds in _REPORT_FIELDS.items():
+            for key, kind in kinds.items():
+                _check_numbers(f"{report}.{key}", manifest[report][key], kind)
+        reports = {report: TrainingReport(**{k: manifest[report][k] for k in kinds})
+                   for report, kinds in _REPORT_FIELDS.items()}
         return ModelBundle(encoder=encoder, decoder=decoder, ensemble=_stack(members),
                            seed=manifest["seed"], **reports)
 
-    return _load_store(directory, "weights.bin",
-                       lambda manifest: [tuple(e["shape"]) for e in manifest["tensors"]], build)
+    return store.load_store(directory, "weights.bin",
+                            lambda manifest: [tuple(e["shape"]) for e in manifest["tensors"]],
+                            build)

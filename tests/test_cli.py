@@ -23,7 +23,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from cluekit import cli, clue, data, glam, models
+from cluekit import cli, clue, data, glam, models, store
 
 
 def run(argv):
@@ -71,7 +71,7 @@ def test_gen_data_outputs_and_manifest(workspace):
     assert manifest["seed"] == 3
     assert manifest["outputs"], "manifest must hash the written files"
     for path, digest in manifest["outputs"].items():
-        assert cli._sha256(path) == digest
+        assert store.hash_tree(path) == {path: digest}
 
 
 def test_gen_data_rerun_is_byte_identical(workspace, tmp_path):
@@ -680,6 +680,37 @@ def test_s2_without_certain_points_exit_2(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_s2_needs_certain_points_only_in_the_classes_it_walks_to(workspace, tmp_path, capsys,
+                                                                  k):
+    """s2 builds a way to each of its first min(k, c') classes only: with no
+    training point in class 2, k = 1 and 2 write the library call's bytes,
+    and k = 3 exits 2 naming class 2."""
+    ds = data.load_dataset(workspace["dataset"])
+    ds.labels[ds.labels == 2] = 0
+    edited = tmp_path / "dataset"
+    data.save_dataset(ds, edited)
+    out = tmp_path / "out"
+    code = run(["explain", "--out", str(out), "--bundle", workspace["bundle"],
+                "--dataset", str(edited), "--set", "scheme=s2", "--set", f"k={k}",
+                "--set", "r=2", "--set", "delta=2"])
+    if k == 3:
+        assert code == 2
+        assert "class 2 has none" in capsys.readouterr().err
+        assert not out.exists()
+        return
+    assert code == 0
+    bundle = models.load_bundle(workspace["bundle"])
+    part = data.partition_by_certainty(ds, bundle, *data.default_taus(bundle))
+    certain = part.flags == "certain"
+    context = clue.InitContext(models.encode(bundle, ds.train_inputs())[certain],
+                               part.labels[certain])
+    [(idx, x0)] = cli._top_uncertain(ds, bundle, 1)
+    config = clue.ExperimentConfig(scheme="s2", k=k, r=2, delta=2)
+    clue.dump_ceset(clue.delta_clue(x0, bundle, config, context), tmp_path / "library.json")
+    assert (out / f"ceset_{idx}.json").read_bytes() == (tmp_path / "library.json").read_bytes()
+
+
 def test_glam_all_without_enough_pairs_leaves_no_outputs(workspace, tmp_path, capsys):
     ex = tmp_path / "ex"
     assert run(["explain", "--out", str(ex), "--bundle", workspace["bundle"],
@@ -700,8 +731,8 @@ def _truncated_weights(bundle):
     return path
 
 
-def _edit_manifest(bundle, edit):
-    path = bundle / "manifest.json"
+def _edit_manifest(directory, edit):
+    path = directory / "manifest.json"
     manifest = json.loads(path.read_text())
     edit(manifest)
     path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
@@ -852,6 +883,50 @@ def test_malformed_input_exit_2(workspace, tmp_path, case, capsys):
     assert not out.exists()
 
 
+RECORD_EDITS = {  # case -> (the record, the keys of one manifest field, its new value,
+    #                    and the text naming the field in the error)
+    "label_past_int64": ("dataset", ("labels", 0), 10**30, "labels"),
+    "label_fraction": ("dataset", ("labels", 0), 0.5, "labels"),
+    "d_fraction": ("dataset", ("d",), 8.5, "d must be an int"),
+    "split_dev": ("dataset", ("split", 0), "dev", "split"),
+    "seed_string": ("bundle", ("seed",), "x", "seed"),
+    "loss_curve_string": ("bundle", ("vae_report", "loss_curve"), "abc",
+                          "vae_report.loss_curve"),
+    "percentile_string": ("bundle", ("ensemble_report", "entropy_percentiles", "20"), "abc",
+                          "ensemble_report.entropy_percentiles"),
+}
+
+
+@pytest.mark.parametrize("case", list(RECORD_EDITS))
+def test_an_edited_record_exits_2_naming_its_manifest_and_field(workspace, tmp_path, capsys,
+                                                                 case):
+    """A dataset or bundle manifest whose field holds a value its record
+    cannot hold makes every command that loads it exit 2 with one line that
+    names the manifest and the field, and write no output, rather than read
+    the value as another one or fail later with a traceback."""
+    record, keys, value, field = RECORD_EDITS[case]
+    paths = {"dataset": workspace["dataset"], "bundle": workspace["bundle"]}
+    paths[record] = tmp_path / record
+    shutil.copytree(workspace[record], paths[record])
+
+    def edit(manifest):
+        for key in keys[:-1]:
+            manifest = manifest[key]
+        manifest[keys[-1]] = value
+
+    manifest = _edit_manifest(paths[record], edit)
+    commands = [["explain", "--bundle", str(paths["bundle"])] + EXPLAIN_SETS]
+    if record == "dataset":
+        commands.append(["train", "--set", "vae_epochs=1"])
+    out = tmp_path / "out"
+    for argv in commands:
+        assert run(argv + ["--dataset", str(paths["dataset"]), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(manifest) in err and field in err, err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "explain", "glam"])
 @pytest.mark.parametrize("entry", [np.nan, np.inf, 1.5, -0.25])
 def test_a_dataset_of_inputs_outside_the_unit_interval_exits_2(workspace, tmp_path, capsys,
@@ -974,7 +1049,7 @@ def test_manifest_records_every_setting_with_the_value_used(workspace, tmp_path)
     glam_ = json.loads((gl / "run_manifest.json").read_text())
     assert set(explain) == set(cli.SETTINGS["explain"])
     assert set(glam_["config"]) == set(cli.SETTINGS["glam"]) | {"variant"}
-    assert explain == {**{k: clue.to_json(v[1]) for k, v in cli.SETTINGS["explain"].items()},
+    assert explain == {**{k: store.to_json(v[1]) for k, v in cli.SETTINGS["explain"].items()},
                        "delta": 1.2, "r": 1.2, "k": 3, "lambda_x": 0.05, "iters": 10,
                        "lr": 0.3, "seed": 5, "scheme": "s2", "tau_low": lo, "tau_high": 0.5}
     assert glam_["config"] == {"seed": 4, "cap": 3, "lambda_x": 0.03, "lambda_theta": 0.01,
@@ -1073,6 +1148,35 @@ def test_every_json_file_is_strict_json(workspace, tmp_path):
     for p in files:
         if p.parent.name != "gl":  # glam has no search keys
             assert payloads[p]["config"]["h_threshold"] == "inf", p
+
+
+def test_every_file_is_written_through_store_write_file(workspace, tmp_path, monkeypatch):
+    """Each command writes each file under its --out, and nothing else,
+    through ``store.write_file``, the one atomic writer."""
+    written, write_file = [], store.write_file
+
+    def recorded(path, content):
+        written.append(str(path))
+        write_file(path, content)
+
+    monkeypatch.setattr(store, "write_file", recorded)
+    inputs = ["--bundle", workspace["bundle"], "--dataset", workspace["dataset"]]
+    commands = {
+        "gd": ["gen-data", "--set", "n=60", "--set", "c=3", "--set", "d=4"],
+        "tr": ["train", "--dataset", workspace["dataset"], "--set", "vae_epochs=1",
+               "--set", "ens_epochs=1", "--set", "members=2"],
+        "ex": ["explain", "--top", "6"] + inputs,
+        "sw": ["sweep", "--axis", "delta", "--grid", "1"] + inputs,
+        "gl": ["glam", "--cesets"],  # the explain run's cesets and the inputs follow
+        "be": ["bench", "--repetitions", "1"] + inputs,
+    }
+    for name, argv in commands.items():
+        if name == "gl":
+            argv = argv + sorted(str(p) for p in (tmp_path / "ex").glob("ceset_*.json")) + inputs
+        written.clear()
+        out = tmp_path / name
+        assert run(argv + ["--out", str(out)]) == 0
+        assert sorted(written) == sorted(str(p) for p in out.rglob("*") if p.is_file()), name
 
 
 def _scipy_modules_after(code):

@@ -469,6 +469,10 @@ def cmd_glam(args):
             if len(array) != width:
                 raise UsageError(f"ceset {path} has {what} of width {len(array)}, "
                                  f"bundle {args.bundle} takes width {width}")
+        for i, c in enumerate(cs.candidates):
+            if c.label >= bundle.c_classes:
+                raise UsageError(f"ceset {path} has candidate {i}'s label {c.label}, "
+                                 f"bundle {args.bundle} has {bundle.c_classes} classes")
     groups = _groups(cfg, ds, bundle)
     t0 = time.perf_counter()
     rows, summaries, files = [], [], {}

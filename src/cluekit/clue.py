@@ -7,9 +7,7 @@ that produces sets of candidate counterfactuals.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -347,60 +345,43 @@ def label_distribution(ceset):
     return weights / weights.sum()
 
 
+_NUMBER, _NUMBERS, _INDEX = store.Rule(float), [store.Rule(float)], store.Rule(int, ge=0)
 # a candidate's entry in a ceset file: each field but the trajectory, arrays as
-# lists, and each scalar a JSON value of the field's type (a boolean is no number)
-_ENTRY_TYPES = {f.name: f.type for f in fields(CandidateCE) if f.name != "trajectory"}
-_ENTRY_FIELDS = list(_ENTRY_TYPES)
-_ARRAY_FIELDS = ("z", "x", "posterior")
-_SCALAR_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
+# lists; ExperimentConfig checks the config's settings
+CANDIDATE_FIELDS = {"z": _NUMBERS, "x": _NUMBERS, "posterior": _NUMBERS, "entropy": _NUMBER,
+                    "d_x": _NUMBER, "d_y": _NUMBER, "rho": _NUMBER, "cost": _NUMBER,
+                    "label": _INDEX, "accepted": store.Rule(bool), "start_index": _INDEX}
+CESET_FIELDS = {"config": {}, "x0": _NUMBERS, "z0": _NUMBERS, "candidates": [CANDIDATE_FIELDS]}
 
 
 def ceset_to_json(ceset):
     """JSON-serializable export with config echo and per-candidate fields."""
     return {"config": {k: store.to_json(v) for k, v in asdict(ceset.config).items()},
             "x0": ceset.x0.tolist(), "z0": ceset.z0.tolist(),
-            "candidates": [{k: getattr(c, k).tolist() if k in _ARRAY_FIELDS else getattr(c, k)
-                            for k in _ENTRY_FIELDS} for c in ceset.candidates]}
+            "candidates": [{k: getattr(c, k).tolist() if isinstance(rule, list) else getattr(c, k)
+                            for k, rule in CANDIDATE_FIELDS.items()} for c in ceset.candidates]}
 
 
 def dump_ceset(ceset, path):
     store.write_file(path, store.json_text(ceset_to_json(ceset)))
 
 
-def _finite_array(name, value):
-    """A JSON list of finite numbers as a float array; any other value, such as
-    a string, a boolean, a nested list, NaN or an int past float range, raises
-    ``TypeError``."""
-    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
-        with contextlib.suppress(OverflowError):
-            array = np.array(value, dtype=np.float64)
-            if np.all(np.isfinite(array)):
-                return array
-    raise TypeError(f"a ceset's {name} must be a list of finite numbers")
-
-
-def _candidate(entry):
-    if set(entry) - set(_ENTRY_FIELDS):
-        raise TypeError(f"a candidate has fields {sorted(entry)}, not {_ENTRY_FIELDS}")
-    for k, t in _ENTRY_TYPES.items():
-        kind, value = _SCALAR_KINDS.get(t), entry[k]
-        if kind and (not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)):
-            raise TypeError(f"a candidate's {k} must be of type {t}, got {value!r}")
-    return CandidateCE(**{k: _finite_array(k, entry[k]) if k in _ARRAY_FIELDS else entry[k]
-                          for k in _ENTRY_FIELDS})
-
-
 def ceset_from_json(payload):
-    """The CESet of a ``ceset_to_json`` payload; a candidate entry with a
-    missing field raises ``KeyError``, and one with an unknown field, a scalar
-    of another type or an array that is not finite numbers ``TypeError``. A
-    config value of "inf" or "-inf", or a bare ``Infinity`` of older files,
+    """The CESet of a ``ceset_to_json`` payload; one that ``CESET_FIELDS``
+    refuses, or whose candidates hold another field, raises ``ValueError``.
+    A config value of "inf" or "-inf", or a bare ``Infinity`` of older files,
     reads as a float where the setting's rule is ``EXTENDED``."""
+    store.check_fields(CESET_FIELDS, payload)
+    if unknown := {k for e in payload["candidates"] for k in e} - set(CANDIDATE_FIELDS):
+        raise ValueError(f"candidates hold fields {sorted(unknown)} that no ceset file holds")
     rules = {f.name: f.metadata["rule"] for f in fields(ExperimentConfig)}
     config = {k: rules[k].from_json(v) if k in rules else v for k, v in payload["config"].items()}
-    return CESet(config=ExperimentConfig(**config),
-                 candidates=[_candidate(e) for e in payload["candidates"]],
-                 x0=_finite_array("x0", payload["x0"]), z0=_finite_array("z0", payload["z0"]))
+    candidates = [CandidateCE(**{k: np.array(e[k], dtype=np.float64) if isinstance(rule, list)
+                                 else e[k] for k, rule in CANDIDATE_FIELDS.items()})
+                  for e in payload["candidates"]]
+    return CESet(config=ExperimentConfig(**config), candidates=candidates,
+                 x0=np.array(payload["x0"], dtype=np.float64),
+                 z0=np.array(payload["z0"], dtype=np.float64))
 
 
 def load_ceset(path):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -164,18 +163,20 @@ def partition_by_certainty(dataset, bundle, tau_low, tau_high):
     ents = models.predict_entropy(bundle, xs)
     flags = np.where(ents <= tau_low, "certain",
                      np.where(ents > tau_high, "uncertain", "mid"))
-    part = GroupPartition(entropies=ents, labels=ys, flags=flags,
+    return GroupPartition(entropies=ents, labels=ys, flags=flags,
                           tau_low=float(tau_low), tau_high=float(tau_high))
-    for j in np.unique(ys):
-        if len(part.certain_of_class(int(j))) == 0:
-            warnings.warn(f"class {int(j)} has no certain points", stacklevel=2)
-    return part
 
 
 def default_taus(bundle):
     """20th / 80th percentile of training entropies recorded at training time."""
     pct = bundle.ensemble_report.entropy_percentiles
     return float(pct["20"]), float(pct["80"])
+
+
+# a dataset manifest's fields; its labels become int64
+DATASET_FIELDS = {"n": store.Rule(int, ge=0), "d": store.Rule(int, ge=0), "generator": {},
+                  "labels": [store.Rule(int, ge=0, le=2**63 - 1)],
+                  "split": [store.Rule(("train", "test"))]}
 
 
 def save_dataset(dataset, directory):
@@ -186,28 +187,17 @@ def save_dataset(dataset, directory):
 
 
 def load_dataset(directory):
-    """Read a dataset written by ``save_dataset``; a malformed manifest (among
-    them an n or d that is not an int >= 0, a label that is not an int >= 0
-    or a split tag that is not "train" or "test"), an inputs blob whose
-    length does not match it, or inputs that are non-finite or outside
-    [0, 1] raise ``ValueError``."""
+    """Read a dataset written by ``save_dataset``; a manifest that
+    ``DATASET_FIELDS`` refuses, lists of other than n entries, a blob of another
+    length, or inputs that are non-finite or outside [0, 1] raise ``ValueError``."""
     def shapes(manifest):
-        for key in ("n", "d"):
-            store.Rule(int, ge=0).check(key, manifest[key])
+        store.check_fields(DATASET_FIELDS, manifest)
         return [(manifest["n"], manifest["d"])]
 
     def build(manifest, arrays):
         n, labels, split = len(arrays[0]), manifest["labels"], manifest["split"]
         if len(labels) != n or len(split) != n:
             raise ValueError(f"labels and split must have n={n} entries")
-        # one pass over each list: a dataset's labels are read in every set-up
-        if labels and not (set(map(type, labels)) == {int} and 0 <= min(labels)
-                           and max(labels) < 2**63):
-            bad = next(y for y in labels if type(y) is not int or not 0 <= y < 2**63)
-            raise ValueError(f"labels must be non-negative ints, got {bad!r}")
-        if not set(split) <= {"train", "test"}:
-            bad = next(tag for tag in split if tag not in ("train", "test"))
-            raise ValueError(f"split tags must be 'train' or 'test', got {bad!r}")
         if not np.all((arrays[0] >= 0.0) & (arrays[0] <= 1.0)):  # NaN fails both
             raise ValueError(f"{Path(directory, 'inputs.bin')}: inputs must be finite "
                              f"and lie in [0, 1]")

@@ -190,12 +190,21 @@ def pick_best_mapper(mappers, x, bundle, lambda_x=0.0):
     return min(cands, key=lambda c: c.cost)
 
 
+# a mapper file's fields; a group is -1 where the mapper was fit on no named group
+MAPPER_FIELDS = {"source_group": store.Rule(int), "target_group": store.Rule(int),
+                 "theta": [store.Rule(float)], "lambda_theta": store.Rule(float, ge=0),
+                 "loss_curve": [store.Rule(float)]}
+
+
 def save_mapper(mapper, path):
     store.write_file(path, store.json_text(dict(asdict(mapper), theta=mapper.theta.tolist())))
 
 
 def load_mapper(path):
-    """Read a file written by ``save_mapper``; one lacking a field without a
-    default, or holding an unknown one, raises ``ValueError``."""
-    return store.read_json(path, lambda p: MapperParams(
-        **dict(p, theta=np.array(p["theta"], dtype=np.float64))))
+    """Read a file written by ``save_mapper``; one that ``MAPPER_FIELDS``
+    refuses, or that holds a field it does not name, raises ``ValueError``."""
+    def build(payload):
+        store.check_fields(MAPPER_FIELDS, payload)
+        return MapperParams(**dict(payload, theta=np.array(payload["theta"], dtype=np.float64)))
+
+    return store.read_json(path, build)

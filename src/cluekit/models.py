@@ -523,27 +523,22 @@ def _bundle_tensors(bundle):
             for kind, arrays in (("w", mlp.weights), ("b", mlp.biases))]
 
 
-# the TrainingReport fields a bundle's manifest keeps, per report, with the JSON
-# type that holds each field's finite numbers: one number, a list or a dict
-_REPORT_FIELDS = {"vae_report": {"loss_curve": list, "final_loss": float, "mean_recon_l1": float},
-                  "ensemble_report": {"heldout_accuracy": float, "entropy_percentiles": dict}}
-
-
-def _check_numbers(where, value, kind):
-    """Raise ``ValueError`` naming ``where`` unless ``value`` is a finite
-    number, or a list or dict of them, as ``kind`` says."""
-    if kind is not float and not isinstance(value, kind):
-        raise ValueError(f"{where} must be a {kind.__name__} of finite numbers, got {value!r}")
-    for number in value.values() if kind is dict else value if kind is list else [value]:
-        store.Rule(float).check(where, number)
+_FINITE = store.Rule(float)
+# a bundle manifest's fields but its tensors, which the weights blob checks
+BUNDLE_FIELDS = {"seed": store.Rule(int, ge=0),
+                 "vae_report": {"loss_curve": [_FINITE], "final_loss": _FINITE,
+                                "mean_recon_l1": _FINITE},
+                 "ensemble_report": {"heldout_accuracy": _FINITE, "entropy_percentiles":
+                                     {"20": _FINITE, "50": _FINITE, "80": _FINITE}}}
+_REPORTS = ("vae_report", "ensemble_report")
 
 
 def save_bundle(bundle, directory):
     tensors = _bundle_tensors(bundle)
     manifest = {"seed": bundle.seed,
                 "tensors": [{"name": n, "shape": list(t.shape)} for n, t in tensors]}
-    for report, keys in _REPORT_FIELDS.items():
-        manifest[report] = {k: getattr(getattr(bundle, report), k) for k in keys}
+    for report in _REPORTS:
+        manifest[report] = {k: getattr(getattr(bundle, report), k) for k in BUNDLE_FIELDS[report]}
     store.save_store(directory, manifest, "weights.bin", [t for _, t in tensors])
 
 
@@ -574,11 +569,10 @@ def _shape_error(encoder, decoder, members):
 
 
 def load_bundle(directory):
-    """Read a bundle written by ``save_bundle``; a malformed manifest (among
-    them a seed that is not an int >= 0, or a report field that is not finite
-    numbers), a weights blob whose length does not match it, or tensors that
-    do not form the three networks raise ``ValueError``. Layer and member
-    counts come from the tensor names."""
+    """Read a bundle written by ``save_bundle``; a manifest that
+    ``BUNDLE_FIELDS`` refuses, a weights blob whose length does not match it,
+    or tensors that do not form the three networks raise ``ValueError``.
+    Layer and member counts come from the tensor names."""
     def build(manifest, tensors):
         arrays = {entry["name"]: t for entry, t in zip(manifest["tensors"], tensors)}
 
@@ -595,12 +589,9 @@ def load_bundle(directory):
         problem = _shape_error(encoder, decoder, members)
         if problem:
             raise ValueError(f"its tensors do not form the bundle's networks: {problem}")
-        store.Rule(int, ge=0).check("seed", manifest["seed"])
-        for report, kinds in _REPORT_FIELDS.items():
-            for key, kind in kinds.items():
-                _check_numbers(f"{report}.{key}", manifest[report][key], kind)
-        reports = {report: TrainingReport(**{k: manifest[report][k] for k in kinds})
-                   for report, kinds in _REPORT_FIELDS.items()}
+        store.check_fields(BUNDLE_FIELDS, manifest)
+        reports = {report: TrainingReport(**{k: manifest[report][k] for k in BUNDLE_FIELDS[report]})
+                   for report in _REPORTS}
         return ModelBundle(encoder=encoder, decoder=decoder, ensemble=_stack(members),
                            seed=manifest["seed"], **reports)
 

@@ -4,7 +4,8 @@ infinite setting as "inf" or "-inf", and a store is a directory of one JSON
 manifest and one raw little-endian float64 blob. A ``Rule`` gives the kind
 and bounds of a JSON scalar, a setting's or a record field's. Each record's
 codec stays beside its type: ``models.save_bundle``, ``data.save_dataset``,
-``clue.dump_ceset``, ``glam.save_mapper`` and ``cli.write_outputs``.
+``clue.dump_ceset``, ``glam.save_mapper`` and ``cli.write_outputs``, and so
+does the table of rules that ``check_fields`` holds each loaded record to.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ EXTENDED = "extended"  # the kind of a number that may be inf or -inf, but not n
 
 
 class Rule(NamedTuple):
-    """A value's kind, which is int, float (a finite number), ``EXTENDED``
-    or a tuple of the values allowed, and its bounds ``>= ge`` or ``> gt``,
-    and ``<= le``."""
+    """A value's kind, which is int, float (a finite number), ``EXTENDED``,
+    bool or a tuple of the values allowed, and its bounds ``>= ge`` or
+    ``> gt``, and ``<= le``."""
 
     kind: object
     ge: float | None = None
@@ -41,9 +42,11 @@ class Rule(NamedTuple):
             if value not in kind:
                 raise ValueError(f"unknown {key} {value!r}; choose from {kind}")
             return
-        number = kind is not int
-        if isinstance(value, bool) or not isinstance(value, numbers.Real if number else int):
-            raise ValueError(f"{key} must be {'a number' if number else 'an int'}, got {value!r}")
+        number = kind not in (int, bool)  # a bool is an int that no other kind takes
+        if isinstance(value, bool) != (kind is bool) or not isinstance(
+                value, numbers.Real if number else int):
+            what = "a number" if number else "an int" if kind is int else "a boolean"
+            raise ValueError(f"{key} must be {what}, got {value!r}")
         try:
             finite = not number or math.isfinite(value)
         except OverflowError:  # an int past float range
@@ -62,6 +65,28 @@ class Rule(NamedTuple):
         """``value`` as a JSON file holds it: an ``EXTENDED`` setting's "inf"
         or "-inf" (see ``to_json``) reads as a float."""
         return float(value) if self.kind is EXTENDED and value in ("inf", "-inf") else value
+
+
+def check_fields(table, value, name=None):
+    """Raise ``ValueError`` naming the field, its keys joined by dots, unless
+    ``value`` takes ``table``: a ``Rule`` for a scalar, ``[rule]`` for a list
+    whose entries each take ``rule``, or a dict for an object that holds each
+    key the dict names, with a value that takes its rule (other keys pass)."""
+    if isinstance(table, Rule):
+        table.check(name, value)
+    elif isinstance(table, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        for entry in value:
+            check_fields(table[0], entry, name)
+    else:
+        if not isinstance(value, dict):
+            raise ValueError(f"{name or 'the record'} must be an object, got {value!r}")
+        for key, rule in table.items():
+            field = key if name is None else f"{name}.{key}"
+            if key not in value:
+                raise ValueError(f"{field} is missing")
+            check_fields(rule, value[key], field)
 
 
 def to_json(value):

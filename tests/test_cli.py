@@ -333,6 +333,33 @@ def test_ceset_candidate_of_another_width_exit_2(workspace, tmp_path, field, wid
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("config", 5, "config must be an object, got 5"),
+    ("label", 99, "has candidate 0's label 99"),
+    ("label", -3, "candidates.label must be >= 0, got -3"),
+])
+def test_ceset_of_a_config_or_label_the_bundle_cannot_hold_exit_2(workspace, tmp_path, field,
+                                                                   value, message, capsys):
+    """Three copies of a ceset whose config is not an object, or whose
+    candidate's label is not one of the bundle's classes, make glam2 exit 2
+    with one line naming the file, rather than fail with a traceback or write
+    a mapper to a class the bundle does not have."""
+    path = _ceset_file(tmp_path / "edited.json", 8)
+    payload = json.loads(path.read_text())
+    (payload if field == "config" else payload["candidates"][0])[field] = value
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "gl"
+    assert run(["glam", "--out", str(out), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"], "--variant", "glam2",
+                "--cesets"] + [str(path)] * 3) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(path) in err and message in err, err
+    if value == 99:
+        assert f"bundle {workspace['bundle']} has 3 classes" in err, err
+    assert not out.exists()
+
+
 def test_explain_negative_top_exit_2(workspace, tmp_path, capsys):
     out = tmp_path / "neg"
     assert run(["explain", "--out", str(out), "--bundle", workspace["bundle"],
@@ -691,9 +718,11 @@ def test_s2_needs_certain_points_only_in_the_classes_it_walks_to(workspace, tmp_
     edited = tmp_path / "dataset"
     data.save_dataset(ds, edited)
     out = tmp_path / "out"
-    code = run(["explain", "--out", str(out), "--bundle", workspace["bundle"],
-                "--dataset", str(edited), "--set", "scheme=s2", "--set", f"k={k}",
-                "--set", "r=2", "--set", "delta=2"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["explain", "--out", str(out), "--bundle", workspace["bundle"],
+                    "--dataset", str(edited), "--set", "scheme=s2", "--set", f"k={k}",
+                    "--set", "r=2", "--set", "delta=2"])
     if k == 3:
         assert code == 2
         assert "class 2 has none" in capsys.readouterr().err
@@ -840,7 +869,7 @@ def _negative_train_label(ds):
 
 BAD_DATASETS = {  # case -> (edit of the workspace dataset, text the error holds)
     "train_no_train_rows": (_all_rows_in_test, "empty dataset"),
-    "train_negative_label": (_negative_train_label, "non-negative"),
+    "train_negative_label": (_negative_train_label, "labels must be >= 0"),
 }
 
 
@@ -883,6 +912,7 @@ def test_malformed_input_exit_2(workspace, tmp_path, case, capsys):
     assert not out.exists()
 
 
+DELETED = object()  # a RECORD_EDITS value that deletes its field
 RECORD_EDITS = {  # case -> (the record, the keys of one manifest field, its new value,
     #                    and the text naming the field in the error)
     "label_past_int64": ("dataset", ("labels", 0), 10**30, "labels"),
@@ -894,6 +924,8 @@ RECORD_EDITS = {  # case -> (the record, the keys of one manifest field, its new
                           "vae_report.loss_curve"),
     "percentile_string": ("bundle", ("ensemble_report", "entropy_percentiles", "20"), "abc",
                           "ensemble_report.entropy_percentiles"),
+    "percentile_missing": ("bundle", ("ensemble_report", "entropy_percentiles", "20"), DELETED,
+                           "ensemble_report.entropy_percentiles.20 is missing"),
 }
 
 
@@ -912,7 +944,10 @@ def test_an_edited_record_exits_2_naming_its_manifest_and_field(workspace, tmp_p
     def edit(manifest):
         for key in keys[:-1]:
             manifest = manifest[key]
-        manifest[keys[-1]] = value
+        if value is DELETED:
+            del manifest[keys[-1]]
+        else:
+            manifest[keys[-1]] = value
 
     manifest = _edit_manifest(paths[record], edit)
     commands = [["explain", "--bundle", str(paths["bundle"])] + EXPLAIN_SETS]
@@ -948,6 +983,127 @@ def test_a_dataset_of_inputs_outside_the_unit_interval_exits_2(workspace, tmp_pa
     err = capsys.readouterr().err
     assert f"{bad / 'inputs.bin'}: inputs must be finite and lie in [0, 1]" in err, err
     assert not out.exists()
+
+
+RECORD_TABLES = {"dataset": data.DATASET_FIELDS, "bundle": models.BUNDLE_FIELDS,
+                 "ceset": clue.CESET_FIELDS, "mapper": glam.MAPPER_FIELDS}
+
+
+@pytest.fixture(scope="module")
+def record_files(workspace):
+    """A file of each record kind, as the CLI writes it: the workspace's
+    dataset and bundle manifests, a ceset of ``explain`` and a mapper of ``glam``."""
+    root, inputs = workspace["root"], ["--bundle", workspace["bundle"],
+                                       "--dataset", workspace["dataset"]]
+    assert run(["explain", "--out", str(root / "rec-ex"), "--top", "1"]
+               + inputs + EXPLAIN_SETS) == 0
+    assert run(["glam", "--out", str(root / "rec-gl"), "--variant", "glam1",
+                "--set", "cap=3"] + inputs) == 0
+    return {"dataset": os.path.join(workspace["dataset"], "manifest.json"),
+            "bundle": os.path.join(workspace["bundle"], "manifest.json"),
+            "ceset": str(next((root / "rec-ex").glob("ceset_*.json"))),
+            "mapper": str(next((root / "rec-gl").glob("mapper_*.json")))}
+
+
+def _unnamed(table, payload, path=""):
+    """The fields of ``payload`` that ``table`` does not name. A table ``{}``
+    names an object whose own keys it leaves alone (a ceset's config, which
+    ExperimentConfig checks, and a dataset's generator spec)."""
+    if isinstance(table, list):
+        return {name for entry in payload for name in _unnamed(table[0], entry, path)}
+    if not isinstance(table, dict) or not table:
+        return set()
+    return {f"{path}{key}" for key in payload if key not in table} | {
+        name for key in table for name in _unnamed(table[key], payload[key], f"{path}{key}.")}
+
+
+def test_each_record_table_names_every_field_its_writer_writes(record_files):
+    """Every field a record's writer writes has its rule in the record's
+    table, but a bundle's tensors, which its weights blob checks; and each
+    written record takes its table."""
+    for record, path in record_files.items():
+        with open(path) as f:
+            payload = json.load(f)
+        store.check_fields(RECORD_TABLES[record], payload)
+        expected = {"tensors"} if record == "bundle" else set()
+        assert _unnamed(RECORD_TABLES[record], payload) == expected, record
+
+
+def _field_paths(table, path=()):
+    """The key path of each field ``table`` names, with its rule; the entry
+    of a list is at index 0."""
+    children = ([(0, table[0])] if isinstance(table, list)
+                else table.items() if isinstance(table, dict) else [])
+    for key, rule in children:
+        yield path + (key,), rule
+        yield from _field_paths(rule, path + (key,))
+
+
+def _refuses(rule, value):
+    try:
+        store.check_fields(rule, value, "field")
+    except ValueError:
+        return True
+    return False
+
+
+JSON_ANY = st.recursive(st.none() | st.booleans() | st.integers() | st.floats()
+                        | st.text(max_size=4),
+                        lambda inner: st.lists(inner, max_size=2)
+                        | st.dictionaries(st.text(max_size=3), inner, max_size=2), max_leaves=4)
+
+
+@st.composite
+def _refused_field(draw):
+    record = draw(st.sampled_from(sorted(RECORD_TABLES)))
+    path, rule = draw(st.sampled_from(list(_field_paths(RECORD_TABLES[record]))))
+    return record, path, draw(JSON_ANY.filter(lambda value: _refuses(rule, value)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_refused_field())
+def test_a_field_its_rule_refuses_exits_2_naming_the_record_and_field(workspace, record_files,
+                                                                      case):
+    """Whatever field of a dataset, bundle, ceset or mapper holds a value its
+    rule refuses, ``explain`` (on a dataset or bundle) or ``glam2`` (on three
+    copies of a ceset) exits 2 with one ``error:`` line naming the file and
+    the field, and writes no output; ``load_mapper`` raises ValueError naming
+    them."""
+    record, path, value = case
+    field = ".".join(key for key in path if isinstance(key, str))
+    event(f"{record} {field}")
+    with tempfile.TemporaryDirectory() as root:
+        inputs = {"dataset": workspace["dataset"], "bundle": workspace["bundle"]}
+        if record in inputs:
+            inputs[record] = os.path.join(root, record)
+            shutil.copytree(workspace[record], inputs[record])
+            edited = os.path.join(inputs[record], "manifest.json")
+        else:
+            edited = os.path.join(root, f"{record}.json")
+        with open(record_files[record]) as f:
+            payload = json.load(f)
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with open(edited, "w") as f:
+            f.write(json.dumps(payload))
+        if record == "mapper":
+            with pytest.raises(ValueError) as raised:
+                glam.load_mapper(edited)
+            assert edited in str(raised.value) and field in str(raised.value)
+            return
+        argv = (["explain", "--top", "0"] if record != "ceset"
+                else ["glam", "--variant", "glam2", "--cesets"] + [edited] * 3)
+        out = os.path.join(root, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(argv + ["--bundle", inputs["bundle"], "--dataset", inputs["dataset"],
+                               "--out", out])
+        err = err.getvalue()
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+        assert edited in err and field in err, err
+        assert not os.path.exists(out)
 
 
 def test_older_manifest_loads_with_the_dimensions_of_its_weights(workspace, tmp_path):

@@ -138,8 +138,7 @@ def test_partition_every_point_gets_one_flag(blobs, blobs_bundle):
 def test_partition_tau_extremes(blobs, blobs_bundle):
     part = data.partition_by_certainty(blobs, blobs_bundle, np.inf, np.inf)
     assert np.all(part.flags == "certain")
-    with pytest.warns(UserWarning, match="no certain points"):
-        part = data.partition_by_certainty(blobs, blobs_bundle, -1.0, np.inf)
+    part = data.partition_by_certainty(blobs, blobs_bundle, -1.0, np.inf)
     assert np.sum(part.flags == "uncertain") == 0
     assert np.sum(part.flags == "certain") == 0
 

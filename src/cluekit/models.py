@@ -530,15 +530,15 @@ BUNDLE_FIELDS = {"seed": store.Rule(int, ge=0),
                                 "mean_recon_l1": _FINITE},
                  "ensemble_report": {"heldout_accuracy": _FINITE, "entropy_percentiles":
                                      {"20": _FINITE, "50": _FINITE, "80": _FINITE}}}
-_REPORTS = ("vae_report", "ensemble_report")
 
 
 def save_bundle(bundle, directory):
     tensors = _bundle_tensors(bundle)
     manifest = {"seed": bundle.seed,
                 "tensors": [{"name": n, "shape": list(t.shape)} for n, t in tensors]}
-    for report in _REPORTS:
-        manifest[report] = {k: getattr(getattr(bundle, report), k) for k in BUNDLE_FIELDS[report]}
+    for report, table in BUNDLE_FIELDS.items():
+        if isinstance(table, dict):
+            manifest[report] = {k: getattr(getattr(bundle, report), k) for k in table}
     store.save_store(directory, manifest, "weights.bin", [t for _, t in tensors])
 
 
@@ -590,8 +590,8 @@ def load_bundle(directory):
         if problem:
             raise ValueError(f"its tensors do not form the bundle's networks: {problem}")
         store.check_fields(BUNDLE_FIELDS, manifest)
-        reports = {report: TrainingReport(**{k: manifest[report][k] for k in BUNDLE_FIELDS[report]})
-                   for report in _REPORTS}
+        reports = {report: TrainingReport(**{k: manifest[report][k] for k in table})
+                   for report, table in BUNDLE_FIELDS.items() if isinstance(table, dict)}
         return ModelBundle(encoder=encoder, decoder=decoder, ensemble=_stack(members),
                            seed=manifest["seed"], **reports)
 

@@ -1020,13 +1020,18 @@ def _unnamed(table, payload, path=""):
 def test_each_record_table_names_every_field_its_writer_writes(record_files):
     """Every field a record's writer writes has its rule in the record's
     table, but a bundle's tensors, which its weights blob checks; and each
-    written record takes its table."""
+    written record takes its table. A ceset's candidates and a bundle's
+    reports are written from their tables, so those tables must name every
+    field of the dataclass they stand for."""
     for record, path in record_files.items():
         with open(path) as f:
             payload = json.load(f)
         store.check_fields(RECORD_TABLES[record], payload)
         expected = {"tensors"} if record == "bundle" else set()
         assert _unnamed(RECORD_TABLES[record], payload) == expected, record
+    assert set(clue.CANDIDATE_FIELDS) == {f.name for f in fields(clue.CandidateCE)} - {"trajectory"}
+    reports = [t for t in models.BUNDLE_FIELDS.values() if isinstance(t, dict)]
+    assert sorted(k for t in reports for k in t) == sorted(f.name for f in fields(models.TrainingReport))
 
 
 def _field_paths(table, path=()):

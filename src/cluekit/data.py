@@ -104,21 +104,20 @@ _DIGIT_SEGMENTS = {
 }
 
 
-def _render_glyph(digit, rng):
-    img = np.zeros((8, 8))
-    dr = int(rng.integers(-1, 2))
-    dc_ = int(rng.integers(-1, 2))
-    intensity = 0.7 + 0.3 * rng.random()
-    for seg in _DIGIT_SEGMENTS[digit]:
-        r0, c0, r1, c1 = _SEGMENTS[seg]
-        steps = max(abs(r1 - r0), abs(c1 - c0)) + 1
-        for t in range(steps):
-            r = r0 + (r1 - r0) * t // max(steps - 1, 1) + dr
-            c = c0 + (c1 - c0) * t // max(steps - 1, 1) + dc_
-            if 0 <= r < 8 and 0 <= c < 8:
-                img[r, c] = intensity
-    img += 0.08 * rng.standard_normal((8, 8))
-    return np.clip(img, 0.0, 1.0).reshape(-1)
+def _stroke_masks():
+    """1.0 on the cells of each digit's strokes shifted by (dr, dc), 0.0
+    elsewhere: ``masks[digit, dr + 1, dc + 1]`` holds the 64 cells of an 8x8
+    glyph. A stroke cell shifted off the grid is dropped."""
+    padded = np.zeros((10, 10, 10))  # each digit's glyph inside a border of empty cells
+    for digit, segments in _DIGIT_SEGMENTS.items():
+        for seg in segments:
+            r0, c0, r1, c1 = _SEGMENTS[seg]  # every segment is a row or a column
+            padded[digit, 1 + r0:2 + r1, 1 + c0:2 + c1] = 1.0
+    masks = np.empty((10, 3, 3, 64))
+    for dr in (-1, 0, 1):
+        for dc_ in (-1, 0, 1):
+            masks[:, dr + 1, dc_ + 1] = padded[:, 1 - dr:9 - dr, 1 - dc_:9 - dc_].reshape(10, 64)
+    return masks
 
 
 def gen_minidigits(n, seed, test_frac=0.2):
@@ -126,14 +125,26 @@ def gen_minidigits(n, seed, test_frac=0.2):
 
     Digit classes share strokes (e.g. 3/9, 5/6, 8/0), so a trained
     classifier exhibits genuine between-class confusion, which the
-    multi-class diversity machinery needs.
+    multi-class diversity machinery needs. Each glyph draws a shift (dr, dc)
+    in {-1, 0, 1}, an intensity in [0.7, 1) for its strokes and Gaussian
+    noise of sd 0.08 on every cell, in that order; the values are clipped to [0, 1].
     """
+    if n < 1:
+        raise ValueError(f"gen_minidigits: need n >= 1, got n={n}")
     rng = np.random.default_rng([seed, 0])
     base = n // 10
     counts = [base + (1 if i < n % 10 else 0) for i in range(10)]
     labels = np.concatenate([np.full(cnt, digit) for digit, cnt in enumerate(counts)])
     rng.shuffle(labels)
-    points = np.stack([_render_glyph(int(y), rng) for y in labels])
+    shifts, levels, noise = np.empty((n, 2), dtype=np.int64), np.empty(n), np.empty((n, 64))
+    for i in range(n):  # one glyph's draws at a time, as the generator's stream orders them
+        shifts[i] = rng.integers(-1, 2), rng.integers(-1, 2)
+        levels[i] = rng.random()
+        rng.standard_normal(out=noise[i])
+    points = _stroke_masks()[labels, shifts[:, 0] + 1, shifts[:, 1] + 1]
+    points *= (0.7 + 0.3 * levels)[:, None]
+    points += 0.08 * noise
+    np.clip(points, 0.0, 1.0, out=points)
     split = _split_tags(np.random.default_rng([seed, 1]), n, test_frac, labels)
     return Dataset(inputs=points, labels=labels.astype(np.int64), split=split,
                    generator={"kind": "minidigits", "n": n, "seed": seed,

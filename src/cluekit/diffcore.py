@@ -197,9 +197,10 @@ def log(x):
 
 
 def softplus(x):
-    """log(1 + exp(x)), computed stably."""
+    """log(1 + exp(x)), computed stably as max(x, 0) + log1p(exp(-|x|)): numpy
+    runs exp and log1p vectorised, where ``np.logaddexp`` is a scalar loop."""
     x = as_tensor(x)
-    data = np.logaddexp(0.0, x.data)
+    data = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
     out = Tensor(data, _parents=(x,), op="softplus")
     out._backward = lambda g: x._accum(g * _stable_sigmoid(x.data))
     return out

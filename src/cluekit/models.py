@@ -18,8 +18,12 @@ search objective (``search_objective``), the s5 start walk, the diversity
 gradients and the mapper fit take adjoints back to the latent through
 ``_decode_with_grad`` and ``_posterior_with_grad``; ``search_objective``
 returns its loss's z-gradient as an array. Training takes them on
-to the weights: given the input as well, ``_backprop`` returns each layer's
-weight and bias adjoints. The tests build the same networks on the autodiff
+to the weights: given the input as well, ``_backprop`` writes each layer's
+weight and bias adjoints into a gradient MLP. Each trainer holds all its
+weights and biases as views of one flat vector (``_flat``) and the adjoints
+as views of a second, so one ``params -= lr * grads`` is its SGD step. The
+VAE's Bernoulli loss and its logit adjoint share one exp(-|logits|)
+(``_bernoulli_xent``). The tests build the same networks on the autodiff
 tape as the oracle, and training repeats the tape's arithmetic term by
 term, so it gives the tape's weights bit for bit, also where ``train_bundle``
 trains the ensemble, while the VAE trains, in a process forked for the call
@@ -145,12 +149,12 @@ def _forward(mlp, x, hidden_act, acts=None):
     return x
 
 
-def _backprop(mlp, acts, g, act_grad, x=None, input_grad=True):
+def _backprop(mlp, acts, g, act_grad, x=None, input_grad=True, out=None):
     """Adjoint of ``_forward``'s input from the adjoint ``g`` of its logits.
 
-    Given the input ``x`` as well, returns (input adjoint, weight adjoints,
-    bias adjoints), the last two in layer order; the input adjoint is None
-    unless ``input_grad``.
+    Given the input ``x`` as well, also writes each layer's weight and bias
+    adjoints into the arrays of ``out``, an MLP of ``mlp``'s shapes; the input
+    adjoint is then None unless ``input_grad``.
     """
     ws = mlp.weights
     if x is None:
@@ -158,14 +162,14 @@ def _backprop(mlp, acts, g, act_grad, x=None, input_grad=True):
             g = g @ ws[i].swapaxes(-1, -2)
             g *= act_grad(acts[i - 1])
         return g @ ws[0].swapaxes(-1, -2)
-    ins, gw, gb = [x, *acts], [], []  # ins[i]: the input of layer i
+    ins = [x, *acts]  # ins[i]: the input of layer i
     for i in range(len(ws) - 1, -1, -1):
-        gw.insert(0, ins[i].swapaxes(-1, -2) @ g)
-        gb.insert(0, g.sum(axis=-2).reshape(mlp.biases[i].shape))
+        np.matmul(ins[i].swapaxes(-1, -2), g, out=out.weights[i])
+        np.add.reduce(g, axis=-2, out=out.biases[i].reshape(g.shape[:-2] + g.shape[-1:]))
         if i:
             g = g @ ws[i].swapaxes(-1, -2)
             g *= act_grad(ins[i])
-    return (g @ ws[0].swapaxes(-1, -2) if input_grad else None), gw, gb
+    return g @ ws[0].swapaxes(-1, -2) if input_grad else None
 
 
 def _tanh_grad(a):
@@ -307,9 +311,45 @@ def _init_mlp(rng, sizes):
     return MLP(weights=ws, biases=bs)
 
 
-def _sgd_step(arrays, grads, lr):
-    for a, g in zip(arrays, grads):
-        a -= lr * g
+def _flat(*mlps):
+    """The arrays of ``mlps`` copied into one flat float64 vector, weights then
+    biases of each MLP in turn, and a gradient vector of the same layout.
+
+    Returns (params, grads, the MLPs as views of params, the MLPs as views of
+    grads), so that ``_backprop`` writes every adjoint into ``grads`` and one
+    ``params -= lr * grads`` is an SGD step of every array.
+    """
+    arrays = [a for mlp in mlps for a in mlp.weights + mlp.biases]
+    params = np.concatenate([a.ravel() for a in arrays])
+    grads = np.empty_like(params)
+
+    def views(flat):
+        parts = iter(np.split(flat, np.cumsum([a.size for a in arrays[:-1]])))
+        return [MLP(weights=[next(parts).reshape(w.shape) for w in mlp.weights],
+                    biases=[next(parts).reshape(b.shape) for b in mlp.biases])
+                for mlp in mlps]
+
+    return params, grads, views(params), views(grads)
+
+
+def _bernoulli_xent(logits, x, g):
+    """The Bernoulli cross-entropy of targets ``x`` (soft targets too) under
+    ``logits``, summed, and ``g`` times its adjoint in the logits: returns
+    (sum(softplus(a) - x a), g sigmoid(a) - g x). softplus(a) = max(a, 0) +
+    log1p(e) and the sigmoid share one e = exp(-|a|); both repeat diffcore's
+    ``softplus`` and ``_stable_sigmoid`` term by term."""
+    e = np.abs(logits)
+    np.exp(np.negative(e, out=e), out=e)
+    xa = x * logits
+    sp = np.maximum(logits, 0.0)
+    sp += np.log1p(e)
+    sp -= xa
+    e1 = e + 1.0
+    s = np.maximum(e, logits >= 0.0, out=e)  # e where a < 0, else 1 (e <= 1)
+    s /= e1
+    s *= g
+    s -= np.multiply(x, g, out=xa)
+    return np.add.reduce(sp, axis=None), s
 
 
 @dataclass
@@ -337,9 +377,9 @@ def train_vae(dataset_inputs, hyperparams, seed):
     d = x_all.shape[1]
     m = hp.latent
     rng = np.random.default_rng([seed, 0])
-    enc = _init_mlp(rng, [d, hp.hidden, hp.hidden, 2 * m])
-    dec = _init_mlp(rng, [m, hp.hidden, hp.hidden, d])
-    params = enc.weights + enc.biases + dec.weights + dec.biases
+    params, grads, (enc, dec), (enc_g, dec_g) = _flat(
+        _init_mlp(rng, [d, hp.hidden, hp.hidden, 2 * m]),
+        _init_mlp(rng, [m, hp.hidden, hp.hidden, d]))
 
     n = x_all.shape[0]
     curve = []
@@ -351,30 +391,28 @@ def train_vae(dataset_inputs, hyperparams, seed):
             xb = x_all[idx]
             enc_acts, dec_acts = [], []
             h = _forward(enc, xb, np.tanh, enc_acts)
-            mu, logvar = h[:, :m], h[:, m:]
+            # contiguous copies: the ops below run several times faster on them
+            mu, logvar = h[:, :m].copy(), h[:, m:].copy()
             eps = rng.standard_normal((len(idx), m))
             sd = np.exp(logvar * 0.5)
             z = mu + sd * eps
             logits = _forward(dec, z, np.tanh, dec_acts)
-            # Bernoulli cross-entropy from logits: softplus(a) - x*a (stable;
-            # valid for soft targets)
-            recon = np.sum(np.logaddexp(0.0, logits) - xb * logits)
+            g = 1.0 / len(idx)
+            recon, g_logits = _bernoulli_xent(logits, xb, g)
             var = np.exp(logvar)
             kl = np.sum((mu * mu + var) - (logvar + 1.0)) * (0.5 * hp.kl_weight)
-            loss = (recon + kl) * (1.0 / len(idx))
+            loss = (recon + kl) * g
             if not np.isfinite(loss):
                 raise TrainingDivergence(f"VAE loss diverged at epoch {epoch}")
             # the backward repeats the autodiff tape's arithmetic term by term,
             # so that training gives the tape's weights bit for bit
-            g = 1.0 / len(idx)
             g_kl = g * (0.5 * hp.kl_weight)
-            g_z, dec_w, dec_b = _backprop(dec, dec_acts, g * dc._stable_sigmoid(logits) - g * xb,
-                                          _tanh_grad, z)
+            g_z = _backprop(dec, dec_acts, g_logits, _tanh_grad, z, out=dec_g)
             g_mu = (g_z + g_kl * mu) + g_kl * mu
             g_logvar = ((g_z * eps) * sd) * 0.5 + g_kl * var - g_kl
-            _, enc_w, enc_b = _backprop(enc, enc_acts, np.concatenate([g_mu, g_logvar], axis=1),
-                                        _tanh_grad, xb, input_grad=False)
-            _sgd_step(params, enc_w + enc_b + dec_w + dec_b, hp.lr)
+            _backprop(enc, enc_acts, np.concatenate([g_mu, g_logvar], axis=1), _tanh_grad, xb,
+                      input_grad=False, out=enc_g)
+            params -= hp.lr * grads
             epoch_loss += float(loss) * len(idx)
         curve.append(epoch_loss / n)
 
@@ -422,8 +460,8 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
     xt, yt = x_all[train], y_all[train]
 
     rngs = [np.random.default_rng([seed, 1 + e]) for e in range(n_members)]
-    ensemble = _stack([_init_mlp(rng, [d, hp.hidden, hp.hidden, c]) for rng in rngs])
-    params = ensemble.weights + ensemble.biases
+    params, grads, (ensemble,), (ensemble_g,) = _flat(
+        _stack([_init_mlp(rng, [d, hp.hidden, hp.hidden, c]) for rng in rngs]))
     onehot = np.eye(c)[yt]
     batch_loss_sums = np.zeros((n_members, hp.epochs))
     for epoch in range(hp.epochs):
@@ -438,8 +476,8 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
                 raise TrainingDivergence(f"ensemble member {bad[0]} diverged at epoch {epoch}")
             g = (yb * (-1.0 / idx.shape[1])) / p  # in the tape's order, as in train_vae
             g = p * (g - (g * p).sum(axis=-1, keepdims=True))
-            _, gw, gb = _backprop(ensemble, acts, g, _relu_grad, xb, input_grad=False)
-            _sgd_step(params, gw + gb, hp.lr)
+            _backprop(ensemble, acts, g, _relu_grad, xb, input_grad=False, out=ensemble_g)
+            params -= hp.lr * grads
             batch_loss_sums[:, epoch] += losses
     # held-out accuracy + training entropy percentiles of the full ensemble
     p_held, p_train = (_softmax(_forward(ensemble, xs, _relu)).mean(axis=0)

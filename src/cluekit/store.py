@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 import os
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -154,7 +154,8 @@ def load_store(directory, blob_name, shapes, build):
 
     def _build(manifest):
         raw, dims = blob_path.read_bytes(), shapes(manifest)
-        ends = np.cumsum([0] + [int(np.prod(shape)) for shape in dims])
+        # Python ints: numpy's int64 would wrap past 2**63 and misstate the length
+        ends = list(accumulate((math.prod(map(int, shape)) for shape in dims), initial=0))
         if len(raw) != 8 * ends[-1]:
             raise ValueError(f"{blob_path} holds {len(raw)} bytes, the manifest needs "
                              f"{8 * ends[-1]}")

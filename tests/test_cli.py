@@ -919,6 +919,8 @@ RECORD_EDITS = {  # case -> (the record, the keys of one manifest field, its new
     "label_fraction": ("dataset", ("labels", 0), 0.5, "labels"),
     "d_fraction": ("dataset", ("d",), 8.5, "d must be an int"),
     "split_dev": ("dataset", ("split", 0), "dev", "split"),
+    # the workspace's d is 8: n * d * 8 bytes is 2**68, past int64
+    "n_past_int64_bytes": ("dataset", ("n",), 2**62, f"the manifest needs {2**68}"),
     "seed_string": ("bundle", ("seed",), "x", "seed"),
     "loss_curve_string": ("bundle", ("vae_report", "loss_curve"), "abc",
                           "vae_report.loss_curve"),

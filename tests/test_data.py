@@ -24,6 +24,47 @@ def test_minidigits_ranges_and_balance():
     assert counts.min() >= 45  # near-balanced classes
 
 
+def _stroke_walk_glyph(digit, rng):
+    """One glyph as the generator drew it before the stroke masks: each
+    segment walked cell by cell, shifted, and kept where it lands on the grid."""
+    img = np.zeros((8, 8))
+    dr = int(rng.integers(-1, 2))
+    dc_ = int(rng.integers(-1, 2))
+    intensity = 0.7 + 0.3 * rng.random()
+    for seg in data._DIGIT_SEGMENTS[digit]:
+        r0, c0, r1, c1 = data._SEGMENTS[seg]
+        steps = max(abs(r1 - r0), abs(c1 - c0)) + 1
+        for t in range(steps):
+            r = r0 + (r1 - r0) * t // max(steps - 1, 1) + dr
+            c = c0 + (c1 - c0) * t // max(steps - 1, 1) + dc_
+            if 0 <= r < 8 and 0 <= c < 8:
+                img[r, c] = intensity
+    img += 0.08 * rng.standard_normal((8, 8))
+    return np.clip(img, 0.0, 1.0).reshape(-1)
+
+
+@pytest.mark.parametrize("n,seed", [(2000, 11), (203, 0), (57, 4), (1, 8)])
+def test_minidigits_equal_the_stroke_walk(n, seed):
+    """The glyphs rendered from stroke masks equal the cell-by-cell stroke
+    walk bit for bit, with the same draws in the same order, also for an n
+    that is not a multiple of 10; ``regenerate`` gives the same bytes again."""
+    ds = data.gen_minidigits(n, seed)
+    rng = np.random.default_rng([seed, 0])
+    labels = np.concatenate([np.full(n // 10 + (digit < n % 10), digit) for digit in range(10)])
+    rng.shuffle(labels)
+    reference = np.stack([_stroke_walk_glyph(int(y), rng) for y in labels])
+    assert ds.inputs.tobytes() == reference.tobytes()
+    assert np.array_equal(ds.labels, labels)
+    again = data.regenerate(ds.generator)
+    assert again.inputs.tobytes() == ds.inputs.tobytes()
+    assert np.array_equal(again.labels, ds.labels) and np.array_equal(again.split, ds.split)
+
+
+def test_minidigits_reject_an_empty_set():
+    with pytest.raises(ValueError, match="need n >= 1"):
+        data.gen_minidigits(0, seed=0)
+
+
 def test_regeneration_is_bitwise(tmp_path):
     for ds in (data.gen_blobs(c=3, d=6, n=100, spread=0.15, seed=9),
                data.gen_minidigits(n=120, seed=9)):

@@ -104,6 +104,27 @@ def test_sigmoid_and_xlogx_match_scipy():
     assert np.isnan(models._sigmoid(np.array([np.nan]))[0])
 
 
+def test_shared_exp_softplus_matches_logaddexp():
+    """The tape's softplus and the VAE step's loss term, max(v, 0) +
+    log1p(exp(-|v|)), agree with np.logaddexp(0, v) to rtol 1e-15 on the
+    sigmoid grid and +-40 (the tape's also at +-inf, where the step's x * v
+    term is nan for a target of 0), without warning; the step's logit adjoint
+    is the tape's sigmoid bit for bit; nan stays nan."""
+    v = np.concatenate([SIGMOID_GRID, [40.0, -40.0]])
+    v_inf = np.concatenate([v, [np.inf, -np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tape_sp = dc.softplus(v_inf).data
+        step = [models._bernoulli_xent(np.array([[a]]), np.zeros((1, 1)), 1.0) for a in v]
+    np.testing.assert_allclose(tape_sp, np.logaddexp(0.0, v_inf), rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose([loss for loss, _ in step], np.logaddexp(0.0, v),
+                               rtol=1e-15, atol=0.0)
+    assert np.array_equal(np.concatenate([grad[0] for _, grad in step]), dc._stable_sigmoid(v))
+    assert np.isnan(dc.softplus(np.array([np.nan])).data[0])
+    loss, grad = models._bernoulli_xent(np.array([[np.nan]]), np.zeros((1, 1)), 1.0)
+    assert np.isnan(loss) and np.isnan(grad[0, 0])
+
+
 def test_argmax_label_tie_goes_to_lowest_index():
     assert models.argmax_label(np.array([0.4, 0.4, 0.2])) == 0
     assert models.argmax_label(np.array([0.1, 0.45, 0.45])) == 1
@@ -247,7 +268,8 @@ def test_input_adjoint_alone_equals_the_training_backward(tiny_bundle):
         out = models._forward(mlp, x, act, acts)
         g = rng.standard_normal(out.shape)
         alone = models._backprop(mlp, acts, g, act_grad)
-        assert np.array_equal(alone, models._backprop(mlp, acts, g, act_grad, x)[0])
+        _, _, _, (grads,) = models._flat(mlp)
+        assert np.array_equal(alone, models._backprop(mlp, acts, g, act_grad, x, out=grads))
 
 
 def test_training_and_the_s5_walk_build_no_tensor(monkeypatch):

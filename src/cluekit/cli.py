@@ -89,7 +89,7 @@ TAUS = {"tau_low": (Rule(float), None), "tau_high": (Rule(float), None)}
 SEED = {"seed": SEARCH["seed"]}
 CAP = {"cap": (Rule(int, ge=1), 20)}  # each group's inputs glam1 fits and every scheme explains
 SETTINGS = {
-    "gen-data": {**SEED, "generator": (Rule(("blobs", "minidigits")), "blobs"),
+    "gen-data": {**SEED, "generator": (Rule(tuple(data.GENERATORS)), "blobs"),
                  "n": (Rule(int, ge=1), 2000), "test_frac": (Rule(float), 0.2),
                  "c": (Rule(int), 4), "d": (Rule(int), 16), "spread": (Rule(float), 0.18)},
     "train": {**SEED, "vae_hidden": (Rule(int, ge=1), 64), "latent": (Rule(int, ge=1), 8),
@@ -191,11 +191,7 @@ def cmd_gen_data(args):
     cfg = resolve_config(args)
     t0 = time.perf_counter()
     try:
-        if cfg["generator"] == "blobs":
-            ds = data.gen_blobs(c=cfg["c"], d=cfg["d"], n=cfg["n"], spread=cfg["spread"],
-                                seed=cfg["seed"], test_frac=cfg["test_frac"])
-        else:
-            ds = data.gen_minidigits(n=cfg["n"], seed=cfg["seed"], test_frac=cfg["test_frac"])
+        ds = data.regenerate(dict(cfg, kind=cfg["generator"]))
     except ValueError as e:
         raise UsageError(f"bad generator settings: {e}")
     wall = time.perf_counter() - t0
@@ -317,7 +313,8 @@ def cmd_explain(args):
         p, ["input", "candidate", "H", "d_x", "rho", "cost", "label", "accepted"], scatter_rows)
     files["label_distribution.csv"] = lambda p: store.write_csv(
         p, ["input", "class", "weight"], dist_rows)
-    write_outputs(args, cfg, [args.bundle, args.dataset], files, {"explain": wall})
+    write_outputs(args, dict(cfg, method=args.method, top=args.top), [args.bundle, args.dataset],
+                  files, {"explain": wall})
     return 0
 
 
@@ -531,7 +528,8 @@ def cmd_bench(args):
         rows.append([name, float(np.median(times)), len(times)])
     rows.append(["mapper-training", train_ms, 1])
     wall = time.perf_counter() - start
-    write_outputs(args, dict(cfg, schemes=schemes), [args.bundle, args.dataset],
+    write_outputs(args, dict(cfg, schemes=schemes, repetitions=args.repetitions),
+                  [args.bundle, args.dataset],
                   {"bench.csv": lambda p: store.write_csv(
                       p, ["scheme", "median_ms", "repetitions"], rows)},
                   {"bench": wall})

@@ -190,9 +190,7 @@ def _s5_way(z0, y, delta, bundle):
         if gn == 0.0:
             break
         z = z + step * (g / gn)
-        path.append(project_to_ball(z, z0, delta))
-        if np.linalg.norm(z - z0) > delta:
-            break
+        path.append(z)  # t steps of delta / S5_STEPS stay in the delta ball
 
     def at(f):
         idx = min(f, 1.0) * (len(path) - 1)

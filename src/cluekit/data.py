@@ -151,15 +151,17 @@ def gen_minidigits(n, seed, test_frac=0.2):
                               "test_frac": test_frac})
 
 
+GENERATORS = {  # kind -> the dataset of a generator spec
+    "blobs": lambda s: gen_blobs(s["c"], s["d"], s["n"], s["spread"], s["seed"],
+                                 s.get("test_frac", 0.2)),
+    "minidigits": lambda s: gen_minidigits(s["n"], s["seed"], s.get("test_frac", 0.2))}
+
+
 def regenerate(spec):
     """Rebuild a dataset bitwise-identically from its generator manifest."""
-    kind = spec["kind"]
-    if kind == "blobs":
-        return gen_blobs(spec["c"], spec["d"], spec["n"], spec["spread"],
-                         spec["seed"], spec.get("test_frac", 0.2))
-    if kind == "minidigits":
-        return gen_minidigits(spec["n"], spec["seed"], spec.get("test_frac", 0.2))
-    raise ValueError(f"unknown generator kind {kind!r}")
+    if spec["kind"] not in GENERATORS:
+        raise ValueError(f"unknown generator kind {spec['kind']!r}")
+    return GENERATORS[spec["kind"]](spec)
 
 
 def partition_by_certainty(dataset, bundle, tau_low, tau_high):

@@ -82,58 +82,37 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def add(a, b):
+def _broadcast(op, a, b, value, grad_a, grad_b):
+    """The node ``value(a, b)`` of two operands under numpy broadcasting,
+    named ``op``; its backward sends ``grad_a(g, b)`` to a and ``grad_b(g, a)``
+    to b (of the operands' arrays), each summed down to its operand's shape."""
     a, b = as_tensor(a), as_tensor(b)
     try:
-        data = a.data + b.data
+        data = value(a.data, b.data)
     except ValueError:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
-    out = Tensor(data, _parents=(a, b), op="add")
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
+    out = Tensor(data, _parents=(a, b), op=op)
 
     def bw(g):
         if a.requires_grad or a._parents:
-            a._accum(_unbroadcast(g, a.shape))
+            a._accum(_unbroadcast(grad_a(g, b.data), a.shape))
         if b.requires_grad or b._parents:
-            b._accum(_unbroadcast(g, b.shape))
+            b._accum(_unbroadcast(grad_b(g, a.data), b.shape))
 
     out._backward = bw
     return out
+
+
+def add(a, b):
+    return _broadcast("add", a, b, np.add, lambda g, _: g, lambda g, _: g)
 
 
 def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}") from None
-    out = Tensor(data, _parents=(a, b), op="sub")
-
-    def bw(g):
-        if a.requires_grad or a._parents:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad or b._parents:
-            b._accum(-_unbroadcast(g, b.shape))
-
-    out._backward = bw
-    return out
+    return _broadcast("sub", a, b, np.subtract, lambda g, _: g, lambda g, _: -g)
 
 
 def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from None
-    out = Tensor(data, _parents=(a, b), op="mul")
-
-    def bw(g):
-        if a.requires_grad or a._parents:
-            a._accum(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad or b._parents:
-            b._accum(_unbroadcast(g * a.data, b.shape))
-
-    out._backward = bw
-    return out
+    return _broadcast("mul", a, b, np.multiply, np.multiply, np.multiply)
 
 
 def matmul(a, b):

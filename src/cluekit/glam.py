@@ -2,7 +2,8 @@
 
 A mapper is a single translation vector in latent space, trained once per
 (source group, target group) pair; applying it to a new uncertain input is
-one encode, one vector add, one decode, one predict — no optimization.
+one encode, one vector add, one decode, one predict — no optimization;
+the latent DBM baseline applies its translation through the same ``_translate``.
 The fit differentiates its loss in plain numpy, back through the decoder
 with ``models._decode_with_grad``, as the searches do.
 """
@@ -33,6 +34,17 @@ class MapperHyperparams:
     steps: int = 200
 
 
+def _check_groups(caller, x_uncertain, x_certain):
+    if len(x_uncertain) == 0 or len(x_certain) == 0:
+        side = "uncertain" if len(x_uncertain) == 0 else "certain"
+        raise ValueError(f"{caller}: empty {side} group")
+
+
+def _check_space(space):
+    if space not in ("input", "latent"):
+        raise ValueError(f"unknown space {space!r}")
+
+
 def mean_translation(x_uncertain, x_certain, bundle):
     """Latent difference-between-means: the mapper's initialization."""
     return (models.encode(bundle, x_certain).mean(axis=0)
@@ -51,9 +63,7 @@ def train_mapper(x_uncertain, x_certain, bundle, lambda_theta=0.1,
     theta starts at the latent difference between means. A non-finite loss
     raises ``FloatingPointError``.
     """
-    if len(x_uncertain) == 0 or len(x_certain) == 0:
-        side = "uncertain" if len(x_uncertain) == 0 else "certain"
-        raise ValueError(f"train_mapper: empty {side} group")
+    _check_groups("train_mapper", x_uncertain, x_certain)
     hp = hyperparams or MapperHyperparams()
     x_certain = np.asarray(x_certain, dtype=np.float64)
     z_u = models.encode(bundle, x_uncertain)
@@ -100,12 +110,17 @@ def _score(z, x_ce, z0, x, bundle, lambda_x):
                        start_index=0)
 
 
+def _translate(theta, x, bundle, lambda_x):
+    """The scored counterfactual of input ``x`` at latent translation ``theta``."""
+    x = np.asarray(x, dtype=np.float64)
+    z0 = models.encode(bundle, x)
+    z = z0 + theta
+    return _score(z, models.decode(bundle, z), z0, x, bundle, lambda_x)
+
+
 def apply_mapper(mapper, x_uncertain, bundle, lambda_x=0.0):
     """One encode, one add, one decode, one predict; no iterative search."""
-    x = np.asarray(x_uncertain, dtype=np.float64)
-    z0 = models.encode(bundle, x)
-    z = z0 + mapper.theta
-    return _score(z, models.decode(bundle, z), z0, x, bundle, lambda_x)
+    return _translate(mapper.theta, x_uncertain, bundle, lambda_x)
 
 
 @dataclass
@@ -114,28 +129,22 @@ class DbmBaseline:
     translation: np.ndarray
 
     def apply(self, x, bundle, lambda_x=0.0):
+        if self.space == "latent":
+            return _translate(self.translation, x, bundle, lambda_x)
         x = np.asarray(x, dtype=np.float64)
         z0 = models.encode(bundle, x)
-        if self.space == "input":
-            z = models.encode(bundle, np.clip(x + self.translation, 0.0, 1.0))
-        else:
-            z = z0 + self.translation
+        z = models.encode(bundle, np.clip(x + self.translation, 0.0, 1.0))
         return _score(z, models.decode(bundle, z), z0, x, bundle, lambda_x)
 
 
 def dbm_baseline(space, x_uncertain, x_certain, bundle):
     """Difference-between-means translation, in input or latent space."""
-    if len(x_uncertain) == 0 or len(x_certain) == 0:
-        side = "uncertain" if len(x_uncertain) == 0 else "certain"
-        raise ValueError(f"dbm_baseline: empty {side} group")
+    _check_groups("dbm_baseline", x_uncertain, x_certain)
+    _check_space(space)
     x_u = np.asarray(x_uncertain, dtype=np.float64)
     x_c = np.asarray(x_certain, dtype=np.float64)
-    if space == "input":
-        translation = x_c.mean(axis=0) - x_u.mean(axis=0)
-    elif space == "latent":
-        translation = mean_translation(x_u, x_c, bundle)
-    else:
-        raise ValueError(f"unknown space {space!r}")
+    translation = (x_c.mean(axis=0) - x_u.mean(axis=0) if space == "input"
+                   else mean_translation(x_u, x_c, bundle))
     return DbmBaseline(space=space, translation=translation)
 
 
@@ -144,10 +153,9 @@ def nn_baseline(space, x_uncertain, x_certain, bundle, lambda_x=0.0):
     encodes the certain set on every call."""
     if len(x_certain) == 0:
         raise ValueError("nn_baseline: empty certain set")
+    _check_space(space)
     x = np.asarray(x_uncertain, dtype=np.float64)
     x_c = np.asarray(x_certain, dtype=np.float64)
-    if space not in ("input", "latent"):
-        raise ValueError(f"unknown space {space!r}")
     z0 = models.encode(bundle, x)
     if space == "input":
         x_ce = x_c[int(np.argmin(np.linalg.norm(x_c - x, axis=1)))]

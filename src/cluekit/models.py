@@ -12,8 +12,11 @@ a saved bundle (a ``store``) records shapes only in its manifest's ``tensors`` l
 
 One numpy forward (``_forward``) and its hand-derived backward
 (``_backprop``) serve every use of the networks. Inference (``encode``,
-``decode``, ``predict``) runs the forward alone, on one row or on a batch
-of rows in one call; ``predict`` returns the ensemble-mean posterior. The
+``decode``, ``predict``) runs the forward alone, on one row or a batch of
+rows, through one counted call (``_infer``). ``predict`` returns the
+ensemble-mean posterior (``_mean_posterior``, which the training report
+shares); ``entropy``, ``predict_entropy`` and the report take one row
+entropy (``_row_entropy``). The
 search objective (``search_objective``), the s5 start walk, the diversity
 gradients and the mapper fit take adjoints back to the latent through
 ``_decode_with_grad`` and ``_posterior_with_grad``; ``search_objective``
@@ -244,41 +247,46 @@ def search_objective(bundle, z, x0, lambda_x, lambda_y, label):
     return h, d_x, d_y, decoder_grad(gx)
 
 
-# encode, decode and predict let the first matmul check the input width,
-# which costs nothing when it fits: the timed paths call them row by row
+def _infer(kind, mlp, x, hidden_act):
+    """``x`` as float64 and ``mlp``'s logits at it, counted in EVAL_COUNTS: the one
+    forward of encode, decode and predict (the ensemble reads a vector as one row).
+    The first matmul checks x's width, at no cost when it fits; the timed paths call per row."""
+    x = np.asarray(x, dtype=np.float64)
+    try:
+        logits = _forward(mlp, x.reshape(-1, x.shape[-1]) if kind == "predict" else x, hidden_act)
+    except ValueError:
+        what, width = ("latent", "m'") if kind == "decode" else ("input", "d'")
+        raise dc.ShapeError(f"{kind}: {what} length {x.shape[-1]} "
+                            f"!= {width}={mlp.weights[0].shape[-2]}") from None
+    EVAL_COUNTS[kind] += 1
+    return x, logits
+
+
+def _mean_posterior(logits):
+    """The ensemble-mean posterior from the E x n x c' member logits."""
+    member = _softmax(logits)
+    return member.sum(axis=0) / len(member)
+
+
+def _row_entropy(p):
+    """-sum p log p over the last axis, in nats, with 0 log 0 := 0."""
+    return -_xlogx(p).sum(axis=-1)
 
 
 def encode(bundle, x):
     """Deterministic latent embedding: the encoder mean (no sampling)."""
-    x = np.asarray(x, dtype=np.float64)
-    try:
-        h = _forward(bundle.encoder, x, np.tanh)
-    except ValueError:
-        raise dc.ShapeError(f"encode: input length {x.shape[-1]} != d'={bundle.d_in}") from None
-    EVAL_COUNTS["encode"] += 1
+    h = _infer("encode", bundle.encoder, x, np.tanh)[1]
     return h[..., :h.shape[-1] // 2]
 
 
 def decode(bundle, z):
-    z = np.asarray(z, dtype=np.float64)
-    try:
-        logits = _forward(bundle.decoder, z, np.tanh)
-    except ValueError:
-        raise dc.ShapeError(f"decode: latent length {z.shape[-1]} "
-                            f"!= m'={bundle.m_latent}") from None
-    EVAL_COUNTS["decode"] += 1
-    return _sigmoid(logits)
+    return _sigmoid(_infer("decode", bundle.decoder, z, np.tanh)[1])
 
 
 def predict(bundle, x):
     """The ensemble-mean posterior: length c' at one input, n x c' at n x d'."""
-    x = np.asarray(x, dtype=np.float64)
-    try:
-        member = _softmax(_forward(bundle.ensemble, x.reshape(-1, x.shape[-1]), _relu))
-    except ValueError:
-        raise dc.ShapeError(f"predict: input length {x.shape[-1]} != d'={bundle.d_in}") from None
-    EVAL_COUNTS["predict"] += 1
-    p = member.sum(axis=0) / len(member)
+    x, logits = _infer("predict", bundle.ensemble, x, _relu)
+    p = _mean_posterior(logits)
     return p[0] if x.ndim == 1 else p
 
 
@@ -287,14 +295,13 @@ def entropy(p):
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-6:
         raise ValueError(f"entropy: input is not a probability simplex (sum={p.sum():.6g})")
-    return float(-_xlogx(p).sum())
+    return float(_row_entropy(p))
 
 
 def predict_entropy(bundle, x):
     """H of ``predict`` at one input (a float) or at each row of a batch, in one call."""
-    p = predict(bundle, x)
-    h = -_xlogx(p).sum(axis=-1)
-    return float(h) if p.ndim == 1 else h
+    h = _row_entropy(predict(bundle, x))
+    return float(h) if h.ndim == 0 else h
 
 
 def argmax_label(probs):
@@ -480,10 +487,9 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
             params -= hp.lr * grads
             batch_loss_sums[:, epoch] += losses
     # held-out accuracy + training entropy percentiles of the full ensemble
-    p_held, p_train = (_softmax(_forward(ensemble, xs, _relu)).mean(axis=0)
-                       for xs in (x_all[held], xt))
+    p_held, p_train = (_mean_posterior(_forward(ensemble, xs, _relu)) for xs in (x_all[held], xt))
     acc = float(np.mean(np.argmax(p_held, axis=1) == y_all[held]))
-    ents = -np.sum(_xlogx(p_train), axis=1)
+    ents = _row_entropy(p_train)
     n_batches = -(-len(xt) // hp.batch)
     report = TrainingReport(
         loss_curve=(batch_loss_sums / n_batches).mean(axis=0).tolist(), heldout_accuracy=acc,
@@ -562,12 +568,13 @@ def _bundle_tensors(bundle):
 
 
 _FINITE = store.Rule(float)
-# a bundle manifest's fields but its tensors, which the weights blob checks
+# a bundle manifest's fields; its tensor names must name the three networks' layers
 BUNDLE_FIELDS = {"seed": store.Rule(int, ge=0),
                  "vae_report": {"loss_curve": [_FINITE], "final_loss": _FINITE,
                                 "mean_recon_l1": _FINITE},
                  "ensemble_report": {"heldout_accuracy": _FINITE, "entropy_percentiles":
-                                     {"20": _FINITE, "50": _FINITE, "80": _FINITE}}}
+                                     {"20": _FINITE, "50": _FINITE, "80": _FINITE}},
+                 "tensors": [{"shape": [store.Rule(int, ge=0)]}]}
 
 
 def save_bundle(bundle, directory):
@@ -633,6 +640,8 @@ def load_bundle(directory):
         return ModelBundle(encoder=encoder, decoder=decoder, ensemble=_stack(members),
                            seed=manifest["seed"], **reports)
 
-    return store.load_store(directory, "weights.bin",
-                            lambda manifest: [tuple(e["shape"]) for e in manifest["tensors"]],
-                            build)
+    def shapes(manifest):  # the shapes are checked before they size the blob
+        store.check_fields({"tensors": BUNDLE_FIELDS["tensors"]}, manifest)
+        return [tuple(e["shape"]) for e in manifest["tensors"]]
+
+    return store.load_store(directory, "weights.bin", shapes, build)

@@ -101,6 +101,8 @@ def test_missing_bundle_exits_2(workspace, tmp_path, capsys):
                 "--dataset", workspace["dataset"]])
     assert code == 2
     assert "/nope/bundle" in capsys.readouterr().err
+    assert run(["explain", "--out", str(tmp_path / "o"), "--dataset", workspace["dataset"]]) == 2
+    assert "--bundle is required" in capsys.readouterr().err
 
 
 def test_divergent_training_exits_3(workspace, tmp_path, capsys):
@@ -540,6 +542,8 @@ def test_bench_outputs(workspace, tmp_path):
     for name, r in rows.items():
         assert float(r[1]) > 0.0
         assert int(r[2]) == 1
+    config = json.loads((out / "run_manifest.json").read_text())["config"]
+    assert (config["schemes"], config["repetitions"]) == (list(cli.BENCH_SCHEMES), 1)
 
 
 @pytest.mark.parametrize("repetitions", ["0", "-3"])
@@ -656,6 +660,11 @@ def test_bad_config_file_exit_2(workspace, tmp_path, capsys):
                 "--bundle", workspace["bundle"],
                 "--dataset", workspace["dataset"],
                 "--config", str(bad)]) == 2
+    listed = tmp_path / "list.json"
+    listed.write_text('[{"k": 2}]')
+    assert run(["explain", "--out", str(tmp_path / "o"), "--bundle", workspace["bundle"],
+                "--dataset", workspace["dataset"], "--config", str(listed)]) == 2
+    assert f"config file {listed} must hold a JSON object" in capsys.readouterr().err
     assert run(["explain", "--out", str(tmp_path / "o"),
                 "--bundle", workspace["bundle"],
                 "--dataset", workspace["dataset"],
@@ -780,8 +789,25 @@ def _transposed_decoder_w0(bundle):
     return _edit_manifest(bundle, edit)
 
 
-BROKEN_BUNDLES = {"weights": _truncated_weights, "manifest": _manifest_without_tensors,
-                  "decoder_w0": _transposed_decoder_w0}
+def _renamed(*renames):
+    """The bundle with tensor ``old`` named ``new`` for each (old, new): the blob
+    length still matches."""
+    def edit(manifest):
+        for old, new in renames:
+            next(t for t in manifest["tensors"] if t["name"] == old)["name"] = new
+    return lambda bundle: _edit_manifest(bundle, edit)
+
+
+BROKEN_BUNDLES = {  # case -> (edit of the bundle, the text the error must hold)
+    "weights": (_truncated_weights, "weights.bin holds"),
+    "manifest": (_manifest_without_tensors, "tensors is missing"),
+    "decoder_w0": (_transposed_decoder_w0, "decoder layer 0 has weights"),
+    # ensemble0 has no first layer, so the bundle has no member
+    "no_members": (_renamed(("ensemble0.w0", "spare.w0")), "the ensemble has no members"),
+    # ensemble1 keeps two of its three layers
+    "member_shapes": (_renamed(("ensemble1.w2", "spare.w2"), ("ensemble1.b2", "spare.b2")),
+                      "the ensemble members have different shapes"),
+}
 LAMBDA_THETA = ["sweep", "--axis", "lambda_theta", "--grid", "0"]
 BAD_SETTINGS = {  # case -> (argv, the text the error must hold)
     "vae_epochs": (["train", "--set", "vae_epochs=abc"], "vae_epochs"),
@@ -846,6 +872,11 @@ BAD_SETTINGS = {  # case -> (argv, the text the error must hold)
     "k_too_many": (["explain", "--set", "k=1001"], "k must be <= 1000"),
     "iters_too_many": (["explain", "--set", "iters=100001"], "iters must be <= 100000"),
     "n_i_too_many": (["explain", "--set", "n_i=100001"], "n_i must be <= 100000"),
+    "grid_not_a_number": (["sweep", "--axis", "delta", "--grid", "1,abc"], "bad grid"),
+    # coverage has no prediction-space form, which a diversity search would optimize
+    "coverage_prediction": (["sweep", "--axis", "delta", "--grid", "1", "--set", "metric=coverage",
+                             "--set", "space=prediction"],
+                            "coverage applies in input or latent space only"),
 }
 
 
@@ -885,8 +916,8 @@ def test_malformed_input_exit_2(workspace, tmp_path, case, capsys):
     out = tmp_path / "out"
     inputs = ["--bundle", str(bundle), "--dataset", workspace["dataset"]]
     if case in BROKEN_BUNDLES:
-        broken = BROKEN_BUNDLES[case](bundle)
-        argv, named = ["explain"] + inputs + EXPLAIN_SETS, [str(broken)]
+        edit, text = BROKEN_BUNDLES[case]
+        argv, named = ["explain"] + inputs + EXPLAIN_SETS, [str(edit(bundle)), text]
     elif case in WIDE_INPUTS:
         wide = tmp_path / "wide"
         if case.startswith("width_glam2"):
@@ -928,6 +959,11 @@ RECORD_EDITS = {  # case -> (the record, the keys of one manifest field, its new
                           "ensemble_report.entropy_percentiles"),
     "percentile_missing": ("bundle", ("ensemble_report", "entropy_percentiles", "20"), DELETED,
                            "ensemble_report.entropy_percentiles.20 is missing"),
+    # a tensor shape is an int >= 0, not read as int(2.5) = 2 or failed on by int("a")
+    "shape_fraction": ("bundle", ("tensors", 0, "shape", 0), 2.5, "tensors.shape must be an int"),
+    "shape_string": ("bundle", ("tensors", 0, "shape", 0), "a", "tensors.shape must be an int"),
+    "labels_short": ("dataset", ("labels",), [0], "labels and split must have n="),
+    "split_short": ("dataset", ("split",), ["train"], "labels and split must have n="),
 }
 
 
@@ -1021,7 +1057,7 @@ def _unnamed(table, payload, path=""):
 
 def test_each_record_table_names_every_field_its_writer_writes(record_files):
     """Every field a record's writer writes has its rule in the record's
-    table, but a bundle's tensors, which its weights blob checks; and each
+    table, but a bundle's tensor names, which must name its networks' layers; and each
     written record takes its table. A ceset's candidates and a bundle's
     reports are written from their tables, so those tables must name every
     field of the dataclass they stand for."""
@@ -1029,7 +1065,7 @@ def test_each_record_table_names_every_field_its_writer_writes(record_files):
         with open(path) as f:
             payload = json.load(f)
         store.check_fields(RECORD_TABLES[record], payload)
-        expected = {"tensors"} if record == "bundle" else set()
+        expected = {"tensors.name"} if record == "bundle" else set()
         assert _unnamed(RECORD_TABLES[record], payload) == expected, record
     assert set(clue.CANDIDATE_FIELDS) == {f.name for f in fields(clue.CandidateCE)} - {"trajectory"}
     reports = [t for t in models.BUNDLE_FIELDS.values() if isinstance(t, dict)]
@@ -1200,7 +1236,7 @@ def test_manifest_records_every_setting_with_the_value_used(workspace, tmp_path)
     """The run manifest's config holds every key of the command's table: the
     value given, else the default (an infinite one as the string "inf"), and
     the entropy thresholds the partition used, the bundle's percentiles unless
-    set."""
+    set; and the options that chose what ran (explain's method and top)."""
     inputs = ["--bundle", workspace["bundle"], "--dataset", workspace["dataset"]]
     lo, hi = data.default_taus(models.load_bundle(workspace["bundle"]))
     ex, gl = tmp_path / "ex", tmp_path / "gl"
@@ -1210,11 +1246,12 @@ def test_manifest_records_every_setting_with_the_value_used(workspace, tmp_path)
                 "--seed", "4"] + inputs) == 0
     explain = json.loads((ex / "run_manifest.json").read_text())["config"]
     glam_ = json.loads((gl / "run_manifest.json").read_text())
-    assert set(explain) == set(cli.SETTINGS["explain"])
+    assert set(explain) == set(cli.SETTINGS["explain"]) | {"method", "top"}
     assert set(glam_["config"]) == set(cli.SETTINGS["glam"]) | {"variant"}
     assert explain == {**{k: store.to_json(v[1]) for k, v in cli.SETTINGS["explain"].items()},
                        "delta": 1.2, "r": 1.2, "k": 3, "lambda_x": 0.05, "iters": 10,
-                       "lr": 0.3, "seed": 5, "scheme": "s2", "tau_low": lo, "tau_high": 0.5}
+                       "lr": 0.3, "seed": 5, "scheme": "s2", "tau_low": lo, "tau_high": 0.5,
+                       "method": "dclue", "top": 1}
     assert glam_["config"] == {"seed": 4, "cap": 3, "lambda_x": 0.03, "lambda_theta": 0.01,
                                "lambda_theta_clue": 0.0, "tau_low": lo, "tau_high": hi,
                                "variant": "dbm-latent"}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cluekit import data, models
+from cluekit import data, models, store
 
 
 def test_blobs_ranges_and_split():
@@ -151,6 +151,12 @@ def test_failed_writes_leave_the_old_files_whole(tmp_path):
         data.export_csv(broken, tmp_path / "ds.csv")
     with pytest.raises(ValueError):
         data.save_dataset(broken, tmp_path / "dataset")
+
+    def rows():  # a table whose second row fails after the first is written
+        yield [0, "train", 0.5]
+        raise ValueError("not a row")
+    with pytest.raises(ValueError, match="not a row"):
+        store.write_csv(tmp_path / "ds.csv", ["label", "split", "x0"], rows())
     assert {p.name: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 

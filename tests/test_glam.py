@@ -112,6 +112,8 @@ def test_dbm_baseline_translations(blobs, blobs_bundle):
                        glam.mean_translation(x_u, x_c, blobs_bundle))
     with pytest.raises(ValueError):
         glam.dbm_baseline("spectral", x_u, x_c, blobs_bundle)
+    with pytest.raises(ValueError, match="unknown space 'spectral'"):
+        glam.nn_baseline("spectral", x_u[0], x_c, blobs_bundle)
 
 
 def test_mappers_from_cesets_grouping(blobs, blobs_bundle):

@@ -105,15 +105,15 @@ _DIGIT_SEGMENTS = {
 
 
 def _stroke_masks():
-    """1.0 on the cells of each digit's strokes shifted by (dr, dc), 0.0
+    """True on the cells of each digit's strokes shifted by (dr, dc), False
     elsewhere: ``masks[digit, dr + 1, dc + 1]`` holds the 64 cells of an 8x8
     glyph. A stroke cell shifted off the grid is dropped."""
-    padded = np.zeros((10, 10, 10))  # each digit's glyph inside a border of empty cells
+    padded = np.zeros((10, 10, 10), dtype=bool)  # each glyph inside a border of empty cells
     for digit, segments in _DIGIT_SEGMENTS.items():
         for seg in segments:
             r0, c0, r1, c1 = _SEGMENTS[seg]  # every segment is a row or a column
-            padded[digit, 1 + r0:2 + r1, 1 + c0:2 + c1] = 1.0
-    masks = np.empty((10, 3, 3, 64))
+            padded[digit, 1 + r0:2 + r1, 1 + c0:2 + c1] = True
+    masks = np.empty((10, 3, 3, 64), dtype=bool)
     for dr in (-1, 0, 1):
         for dc_ in (-1, 0, 1):
             masks[:, dr + 1, dc_ + 1] = padded[:, 1 - dr:9 - dr, 1 - dc_:9 - dc_].reshape(10, 64)
@@ -128,6 +128,7 @@ def gen_minidigits(n, seed, test_frac=0.2):
     multi-class diversity machinery needs. Each glyph draws a shift (dr, dc)
     in {-1, 0, 1}, an intensity in [0.7, 1) for its strokes and Gaussian
     noise of sd 0.08 on every cell, in that order; the values are clipped to [0, 1].
+    The noise is drawn into the output array, which then only changes in place.
     """
     if n < 1:
         raise ValueError(f"gen_minidigits: need n >= 1, got n={n}")
@@ -136,14 +137,16 @@ def gen_minidigits(n, seed, test_frac=0.2):
     counts = [base + (1 if i < n % 10 else 0) for i in range(10)]
     labels = np.concatenate([np.full(cnt, digit) for digit, cnt in enumerate(counts)])
     rng.shuffle(labels)
-    shifts, levels, noise = np.empty((n, 2), dtype=np.int64), np.empty(n), np.empty((n, 64))
+    shifts, levels, points = np.empty((n, 2), dtype=np.int64), np.empty(n), np.empty((n, 64))
     for i in range(n):  # one glyph's draws at a time, as the generator's stream orders them
         shifts[i] = rng.integers(-1, 2), rng.integers(-1, 2)
         levels[i] = rng.random()
-        rng.standard_normal(out=noise[i])
-    points = _stroke_masks()[labels, shifts[:, 0] + 1, shifts[:, 1] + 1]
-    points *= (0.7 + 0.3 * levels)[:, None]
-    points += 0.08 * noise
+        rng.standard_normal(out=points[i])
+    points *= 0.08
+    # a stroke cell adds its level to its noise (the float level + noise is); a
+    # cell off the strokes keeps its noise, as 0 + noise does
+    np.add(points, (0.7 + 0.3 * levels)[:, None], out=points,
+           where=_stroke_masks()[labels, shifts[:, 0] + 1, shifts[:, 1] + 1])
     np.clip(points, 0.0, 1.0, out=points)
     split = _split_tags(np.random.default_rng([seed, 1]), n, test_frac, labels)
     return Dataset(inputs=points, labels=labels.astype(np.int64), split=split,

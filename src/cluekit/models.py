@@ -423,11 +423,15 @@ def train_vae(dataset_inputs, hyperparams, seed):
             epoch_loss += float(loss) * len(idx)
         curve.append(epoch_loss / n)
 
-    # reconstruction statistic on the training set, in the decoder's output array
-    err = _forward(dec, _forward(enc, x_all, np.tanh)[:, :m], np.tanh)
-    _sigmoid(err)
-    err -= x_all
-    mean_l1 = float(np.mean(np.sum(np.abs(err, out=err), axis=1)))
+    # reconstruction statistic on the training set, a batch of rows at a time
+    # in the decoder's output array; each row's l1 is that of the whole set's pass
+    l1 = np.empty(n)
+    for lo in range(0, n, hp.batch):
+        xb = x_all[lo:lo + hp.batch]
+        err = _sigmoid(_forward(dec, _forward(enc, xb, np.tanh)[:, :m], np.tanh))
+        err -= xb
+        np.sum(np.abs(err, out=err), axis=1, out=l1[lo:lo + hp.batch])
+    mean_l1 = float(np.mean(l1))
 
     report = TrainingReport(loss_curve=curve, final_loss=curve[-1], mean_recon_l1=mean_l1)
     return enc, dec, report
@@ -574,7 +578,7 @@ BUNDLE_FIELDS = {"seed": store.Rule(int, ge=0),
                                 "mean_recon_l1": _FINITE},
                  "ensemble_report": {"heldout_accuracy": _FINITE, "entropy_percentiles":
                                      {"20": _FINITE, "50": _FINITE, "80": _FINITE}},
-                 "tensors": [{"shape": [store.Rule(int, ge=0)]}]}
+                 "tensors": [{"name": store.Rule(str), "shape": [store.Rule(int, ge=0)]}]}
 
 
 def save_bundle(bundle, directory):
@@ -592,6 +596,8 @@ def _shape_error(encoder, decoder, members):
     nets = [("encoder", encoder), ("decoder", decoder)]
     nets += [(f"ensemble{e}", m) for e, m in enumerate(members)]
     for name, mlp in nets:
+        if not mlp.weights:
+            return f"{name} has no layers"
         for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
             if w.ndim != 2 or b.shape != w.shape[1:]:
                 return f"{name} layer {i} has weights {w.shape} and biases {b.shape}"
@@ -640,7 +646,7 @@ def load_bundle(directory):
         return ModelBundle(encoder=encoder, decoder=decoder, ensemble=_stack(members),
                            seed=manifest["seed"], **reports)
 
-    def shapes(manifest):  # the shapes are checked before they size the blob
+    def shapes(manifest):  # the names and shapes are checked before the shapes size the blob
         store.check_fields({"tensors": BUNDLE_FIELDS["tensors"]}, manifest)
         return [tuple(e["shape"]) for e in manifest["tensors"]]
 

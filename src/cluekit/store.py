@@ -27,7 +27,7 @@ EXTENDED = "extended"  # the kind of a number that may be inf or -inf, but not n
 
 class Rule(NamedTuple):
     """A value's kind, which is int, float (a finite number), ``EXTENDED``,
-    bool or a tuple of the values allowed, and its bounds ``>= ge`` or
+    bool, str or a tuple of the values allowed, and its bounds ``>= ge`` or
     ``> gt``, and ``<= le``."""
 
     kind: object
@@ -41,6 +41,10 @@ class Rule(NamedTuple):
         if isinstance(kind, tuple):
             if value not in kind:
                 raise ValueError(f"unknown {key} {value!r}; choose from {kind}")
+            return
+        if kind is str:
+            if not isinstance(value, str):
+                raise ValueError(f"{key} must be a string, got {value!r}")
             return
         number = kind not in (int, bool)  # a bool is an int that no other kind takes
         if isinstance(value, bool) != (kind is bool) or not isinstance(
@@ -98,14 +102,17 @@ def to_json(value):
 def write_file(path, content):
     """Write ``content``, bytes or text (as UTF-8), to ``path`` through a temp
     file that replaces ``path`` once it is written whole; on an error the temp
-    file is removed and ``path`` keeps its old content. Text may come as an
-    iterable of chunks, so a large table is never held whole. Every file the
-    package writes goes through here."""
+    file is removed and ``path`` keeps its old content. Content may come as an
+    iterable of chunks, text or buffers (arrays, say), so a large table or blob
+    is never held whole or copied. Every file the package writes goes through here."""
     tmp = f"{path}.tmp"
-    binary = isinstance(content, bytes)
+    chunks = iter([content] if isinstance(content, (str, bytes)) else content)
+    first = next(chunks, b"")
+    binary = not isinstance(first, str)
     try:
         with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8") as f:
-            f.writelines([content] if isinstance(content, (str, bytes)) else content)
+            f.write(first)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -140,7 +147,7 @@ def save_store(directory, manifest, blob_name, arrays):
     serialized before either file is replaced, so a manifest or an array that
     cannot be written leaves an old store as it was."""
     text = json_text(manifest)
-    blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+    blob = [np.ascontiguousarray(a, dtype="<f8") for a in arrays]  # no copy of a float64 array
     Path(directory).mkdir(parents=True, exist_ok=True)
     write_file(Path(directory, "manifest.json"), text)
     write_file(Path(directory, blob_name), blob)
@@ -153,14 +160,14 @@ def load_store(directory, blob_name, shapes, build):
     blob_path = Path(directory, blob_name)
 
     def _build(manifest):
-        raw, dims = blob_path.read_bytes(), shapes(manifest)
+        raw, dims = np.fromfile(blob_path, dtype=np.uint8), shapes(manifest)  # read once, writable
         # Python ints: numpy's int64 would wrap past 2**63 and misstate the length
         ends = list(accumulate((math.prod(map(int, shape)) for shape in dims), initial=0))
         if len(raw) != 8 * ends[-1]:
             raise ValueError(f"{blob_path} holds {len(raw)} bytes, the manifest needs "
                              f"{8 * ends[-1]}")
-        blob = np.frombuffer(raw, dtype="<f8")
-        return build(manifest, [blob[lo:hi].reshape(shape).astype(np.float64)
+        blob = raw.view("<f8")  # each array is a view of the one buffer
+        return build(manifest, [blob[lo:hi].reshape(shape).astype(np.float64, copy=False)
                                 for shape, lo, hi in zip(dims, ends, ends[1:])])
 
     return read_json(Path(directory, "manifest.json"), _build)

@@ -1,5 +1,7 @@
-"""Shared trained fixtures. Training is the expensive part of the suite, so
+"""Shared fixtures. Training is the expensive part of the suite, so
 both bundles are built once per session and treated as read-only."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,3 +49,18 @@ def tiny_bundle():
     vae_hp = models.VaeHyperparams(hidden=12, latent=3, epochs=10)
     ens_hp = models.EnsembleHyperparams(hidden=8, epochs=10)
     return ds, models.train_bundle(ds, vae_hp, ens_hp, n_members=3, seed=3)
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)``: ``fn()`` and the most memory it held at once beyond
+    what was held before, as tracemalloc counts it (numpy reports every array to it)."""
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    return peak

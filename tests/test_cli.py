@@ -962,6 +962,9 @@ RECORD_EDITS = {  # case -> (the record, the keys of one manifest field, its new
     # a tensor shape is an int >= 0, not read as int(2.5) = 2 or failed on by int("a")
     "shape_fraction": ("bundle", ("tensors", 0, "shape", 0), 2.5, "tensors.shape must be an int"),
     "shape_string": ("bundle", ("tensors", 0, "shape", 0), "a", "tensors.shape must be an int"),
+    # a tensor's name is a string, and a network whose names are gone has no layers
+    "tensor_name_int": ("bundle", ("tensors", 0, "name"), 5, "tensors.name must be a string"),
+    "tensor_name_unknown": ("bundle", ("tensors", 0, "name"), "x", "encoder has no layers"),
     "labels_short": ("dataset", ("labels",), [0], "labels and split must have n="),
     "split_short": ("dataset", ("split",), ["train"], "labels and split must have n="),
 }
@@ -1057,16 +1060,14 @@ def _unnamed(table, payload, path=""):
 
 def test_each_record_table_names_every_field_its_writer_writes(record_files):
     """Every field a record's writer writes has its rule in the record's
-    table, but a bundle's tensor names, which must name its networks' layers; and each
-    written record takes its table. A ceset's candidates and a bundle's
+    table, and each written record takes its table. A ceset's candidates and a bundle's
     reports are written from their tables, so those tables must name every
     field of the dataclass they stand for."""
     for record, path in record_files.items():
         with open(path) as f:
             payload = json.load(f)
         store.check_fields(RECORD_TABLES[record], payload)
-        expected = {"tensors.name"} if record == "bundle" else set()
-        assert _unnamed(RECORD_TABLES[record], payload) == expected, record
+        assert _unnamed(RECORD_TABLES[record], payload) == set(), record
     assert set(clue.CANDIDATE_FIELDS) == {f.name for f in fields(clue.CandidateCE)} - {"trajectory"}
     reports = [t for t in models.BUNDLE_FIELDS.values() if isinstance(t, dict)]
     assert sorted(k for t in reports for k in t) == sorted(f.name for f in fields(models.TrainingReport))
@@ -1178,13 +1179,13 @@ def test_older_manifest_loads_with_the_dimensions_of_its_weights(workspace, tmp_
     assert shares and all(v > 0 and abs(3 * v - round(3 * v)) < 1e-12 for v in shares)
 
 
-FUZZ_ARGS = {  # command -> cheap arguments the drawn --set is added to
-    "gen-data": [],
-    "train": ["--set", "vae_epochs=1", "--set", "ens_epochs=1"],
-    "explain": ["--top", "0"],
-    "sweep": ["--axis", "delta", "--grid", "1", "--set", "iters=2"],
-    "glam": ["--variant", "glam1", "--set", "cap=2"],
-    "bench": ["--schemes", "glam,dclue", "--repetitions", "1", "--set", "iters=2"],
+FUZZ_ARGS = {  # command -> cheap options and settings the drawn setting is added to
+    "gen-data": ([], {}),
+    "train": ([], {"vae_epochs": 1, "ens_epochs": 1}),
+    "explain": (["--top", "0"], {}),
+    "sweep": (["--axis", "delta", "--grid", "1"], {"iters": 2}),
+    "glam": (["--variant", "glam1"], {"cap": 2}),
+    "bench": (["--schemes", "glam,dclue", "--repetitions", "1"], {"iters": 2}),
 }
 JSON_SCALARS = st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
 # numbers as often as every other JSON type, and a bare string as --set reads one
@@ -1216,21 +1217,36 @@ def test_any_single_setting_exits_0_or_2(workspace, case):
     """Whatever one --set of any command holds, a key of the command's table
     or a near miss of one, the command exits 0; or exits 2 naming the key; or,
     where the value makes a search or training diverge, exits 3. Neither
-    failure leaves an output directory."""
+    failure leaves an output directory. The same setting in a --config file
+    gives the same exit code and, on exit 2, names the key too."""
     command, key, value = case
     inputs = {"gen-data": [], "train": ["--dataset", workspace["dataset"]]}.get(
         command, ["--bundle", workspace["bundle"], "--dataset", workspace["dataset"]])
+    options, cheap = FUZZ_ARGS[command]
+    try:  # the value as --set reads it
+        parsed = json.loads(value)
+    except json.JSONDecodeError:
+        parsed = float(value) if value in ("nan", "inf", "-inf") else value
+    codes = []
     with tempfile.TemporaryDirectory() as root:
-        out = os.path.join(root, "out")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
-                np.errstate(all="ignore"):
-            code = run([command, "--out", out] + inputs + FUZZ_ARGS[command]
-                       + ["--set", f"{key}={value}"])
-        event(f"{command} exits {code}")
-        assert code in (0, 2, 3), err.getvalue()
-        assert code == 0 or not os.path.exists(out)
-        assert code != 2 or re.search(rf"\b{re.escape(key)}\b", err.getvalue()), err.getvalue()
+        config = os.path.join(root, "config.json")
+        with open(config, "w") as f:  # the drawn key last, as the last --set wins
+            json.dump({**cheap, key: parsed}, f)
+        sets = [a for k, v in cheap.items() for a in ("--set", f"{k}={v}")]
+        for way, setting in (("--set", sets + ["--set", f"{key}={value}"]),
+                             ("--config", ["--config", config])):
+            out = os.path.join(root, way.strip("-"))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    np.errstate(all="ignore"):
+                code = run([command, "--out", out] + inputs + options + setting)
+            event(f"{command} {way} exits {code}")
+            assert code in (0, 2, 3), err.getvalue()
+            assert code == 0 or not os.path.exists(out)
+            assert code != 2 or re.search(rf"\b{re.escape(key)}\b", err.getvalue()), \
+                err.getvalue()
+            codes.append(code)
+    assert codes[0] == codes[1], (codes, parsed)
 
 def test_manifest_records_every_setting_with_the_value_used(workspace, tmp_path):
     """The run manifest's config holds every key of the command's table: the

@@ -254,6 +254,28 @@ def test_training_equals_the_tape(n_members):
     assert ens_report.heldout_accuracy == ref_ens_report.heldout_accuracy
 
 
+@pytest.mark.parametrize("n,batch", [(50, 128), (300, 128), (2003, 128), (256, 64)])
+def test_vae_report_scored_per_batch_equals_the_full_batch_formula(n, batch):
+    """``mean_recon_l1``, scored a batch of rows at a time, is the full
+    set's one-pass statistic bit for bit, for n < batch and n % batch != 0."""
+    x = data.gen_minidigits(n, seed=n).inputs
+    hp = models.VaeHyperparams(hidden=16, latent=4, epochs=2, batch=batch)
+    enc, dec, report = models.train_vae(x, hp, seed=1)
+    full = models._sigmoid(models._forward(dec, models._forward(enc, x, np.tanh)[:, :4], np.tanh))
+    assert report.mean_recon_l1 == float(np.mean(np.sum(np.abs(full - x), axis=1)))
+
+
+def test_vae_report_holds_one_batch_of_rows(traced_peak):
+    """Training the VAE on 2,000 minidigits peaks under 1.5x its inputs'
+    bytes, as tracemalloc counts it: the report's forward passes hold one
+    batch of rows, where the whole set's took 2.65x."""
+    x = data.gen_minidigits(2000, seed=0).inputs
+    hp = models.VaeHyperparams(epochs=1)
+    models.train_vae(x[:300], hp, seed=0)
+    _, peak = traced_peak(lambda: models.train_vae(x, hp, seed=0))
+    assert peak < 1.5 * x.nbytes, peak / x.nbytes
+
+
 def test_input_adjoint_alone_equals_the_training_backward(tiny_bundle):
     """``_backprop`` without the input skips the weight adjoints; its input
     adjoint is the training path's bit for bit, on all three networks."""

@@ -4,12 +4,16 @@
 
 Each ``--src`` is a directory holding the ``cluekit`` package (default:
 this checkout's ``src``). The script builds a small workspace once (a blobs
-dataset and a bundle trained on it), then runs ``--help``, ``gen-data`` and a
-one-point ``explain`` as ``python -m cluekit.cli``, and ``python -c "import
-cluekit.cli"``, with each source in turn, alternating the sources within every
-repeat. For each command and source it prints the minimum and median wall time
-and the median of the child's peak RSS (``ru_maxrss`` from ``os.wait4``). The
-last line of standard output is one JSON object that holds every run.
+dataset and a bundle trained on it, and a minidigits dataset of 2,000 rows),
+then runs ``--help``, ``gen-data``, a one-point ``explain``, a minidigits
+``gen-data`` of 2,000 rows and a 5-epoch ``train`` on those rows as ``python -m
+cluekit.cli``, and ``python -c "import cluekit.cli"``, with each source in
+turn, alternating the sources within every repeat. The two minidigits commands
+are the set-up of the benchmark's ``diverse`` workload at a short training, so
+their peak RSS shows what a dataset of that size costs each command. For each
+command and source it prints the minimum and median wall time and the median
+of the child's peak RSS (``ru_maxrss`` from ``os.wait4``). The last line of
+standard output is one JSON object that holds every run.
 """
 
 from __future__ import annotations
@@ -57,6 +61,8 @@ def main(argv=None):
         _run(sources[0], cli + ["train", "--out", "ws/model", "--dataset", "ws/data/dataset",
                                 "--seed", "0", "--set", "vae_epochs=5",
                                 "--set", "ens_epochs=5"], work)
+        digits = ["--seed", "0", "--set", "generator=minidigits", "--set", "n=2000"]
+        _run(sources[0], cli + ["gen-data", "--out", "ws/digits"] + digits, work)
         commands = {
             "import": ["-c", "import cluekit.cli"],
             "--help": cli + ["--help"],
@@ -64,6 +70,10 @@ def main(argv=None):
             "explain": cli + ["explain", "--out", "out/ce", "--bundle", "ws/model/bundle",
                               "--dataset", "ws/data/dataset", "--top", "1",
                               "--set", "iters=5"],
+            "gen-data-digits": cli + ["gen-data", "--out", "out/digits"] + digits,
+            "train-digits": cli + ["train", "--out", "out/digits-model", "--dataset",
+                                   "ws/digits/dataset", "--seed", "0", "--set", "vae_epochs=5",
+                                   "--set", "ens_epochs=5"],
         }
         runs = {name: {str(s): [] for s in sources} for name in commands}
         for repeat in range(args.repeats):
@@ -80,7 +90,7 @@ def main(argv=None):
             result[name][src] = {"wall_s": walls, "wall_s_min": min(walls),
                                  "wall_s_median": statistics.median(walls),
                                  "maxrss_mb_median": statistics.median(rss)}
-            print(f"{name:9s} {src}: wall min {min(walls):.3f} s, median "
+            print(f"{name:15s} {src}: wall min {min(walls):.3f} s, median "
                   f"{statistics.median(walls):.3f} s, maxrss {statistics.median(rss):.1f} MB")
     print(json.dumps({"python": sys.version.split()[0], "repeats": args.repeats,
                       "commands": {k: " ".join(v) for k, v in commands.items()},

@@ -5,7 +5,11 @@ explicit diversity reward, a greedy sequential scheme that repels each new
 candidate from the ones already found, and a sequential scheme with a
 simple inverse-distance penalty. Also: diversity pre-search, which spreads
 the initializations before any descent happens. Every variant runs
-``clue._descend`` with its diversity term as the descent's repel term.
+``clue._descend`` with its diversity term as the descent's repel term. The
+sequential scheme maps the found points into the spec's space, and for dpp
+factors their kernel, once per descent; each step adds the one free row to
+that factor, and ``_diversity`` falls back to the full kernel where the
+update cannot take the rows.
 
 All variants collapse bitwise to the plain constrained descent when the
 diversity weight is zero (the diversity branch is skipped entirely, so the
@@ -35,23 +39,30 @@ class DivRunRecord:
     joint_loss: list  # length iters: -lambda_d*D + mean per-candidate loss
 
 
-def _diversity(spec, bundle, z0, x0, free, const=None):
+def _diversity(spec, bundle, z0, x0, free, const=None, factor=None):
     """Diversity of const + free in the spec's space, and its gradient
     w.r.t. the free latents only, one row per free latent.
 
     ``const`` holds rows already mapped into the spec's space (found points
     of a sequential search); ``free`` holds latents. In input space the free
     latents are decoded in one batch and the metric's gradient is taken back
-    through the decoder, as ``models.search_objective`` does.
+    through the decoder, as ``models.search_objective`` does. dpp of found
+    rows and one free row adds that row to ``factor``, the found rows'
+    ``div._dpp_factor`` (computed here when not given); the full kernel
+    takes the cases that update refuses.
     """
     if spec.space not in ("latent", "input"):
         raise ValueError("diversity optimization supports latent or input space")
     rows = np.array(free, dtype=np.float64)
     if spec.space == "input":
         rows, decoder_grad = models._decode_with_grad(bundle, rows)
-    pts = rows if const is None else np.concatenate((const, rows))
-    value, grad = div.value_and_grad(spec, pts, len(rows),
-                                     z0 if spec.space == "latent" else x0)
+    result = None
+    if spec.metric == "dpp" and const is not None and len(rows) == 1:
+        result = div._dpp_add_row(const, factor or div._dpp_factor(const), rows[0])
+    if result is None:
+        pts = rows if const is None else np.concatenate((const, rows))
+        result = div.value_and_grad(spec, pts, len(rows), z0 if spec.space == "latent" else x0)
+    value, grad = result
     if spec.space == "input":
         grad = decoder_grad(grad)
     return value, grad
@@ -105,16 +116,18 @@ def nabla_clue_sequential(x0, bundle, config, spec, context=None, trace=False):
     the diversity of the set found so far plus the new point.
 
     The diversity term is subtracted (diversity is maximized), matching the
-    simultaneous objective. Found points are mapped into the spec's space
-    once per descent.
+    simultaneous objective. Found points are mapped into the spec's space,
+    and for dpp their kernel factored, once per descent; each step then adds
+    the one free row to that factor.
     """
     def repulsion(found, z0, x0):
         # one decode per found point: the tests pin it bitwise to that loop
         const = np.stack([models.decode(bundle, f) for f in found]
                          if spec.space == "input" else found)
+        factor = div._dpp_factor(const) if spec.metric == "dpp" else None
 
         def repel(zs):
-            d_val, d_grads = _diversity(spec, bundle, z0, x0, zs, const)
+            d_val, d_grads = _diversity(spec, bundle, z0, x0, zs, const, factor)
             return -config.lambda_d * d_val, -config.lambda_d * d_grads
         return repel
 

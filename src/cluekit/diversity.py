@@ -6,14 +6,19 @@ entropy. The first three are differentiable and can serve as optimization
 terms; the label-based metrics are evaluation-only. The differentiable
 three come from one closed-form numpy kernel (``value_and_grad``): the
 searches take their values and gradients from it, and ``dpp``, ``apd`` and
-``coverage``, which the metric report calls, their values. The tests check
-the kernel against the same metrics built on the autodiff tape.
+``coverage``, which the metric report calls, their values. A sequential
+search's dpp adds its one free row to the found rows, whose kernel A it
+factors once per descent (``_dpp_factor``): by the determinant lemma each
+step costs O(k^2) (``_dpp_add_row``), and the full kernel takes a singular
+or non-finite A and a free row at distance 0, or a non-finite distance,
+from a found row. The tests check the kernel and the one-row update against
+the same metrics built on the autodiff tape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isfinite, log
+from math import comb, inf, isfinite, log
 
 import numpy as np
 
@@ -139,6 +144,40 @@ def value_and_grad(spec, points, n_free, x0=None):
         gdist = gdist[lo:] + gdist[:, lo:].T  # both index slots of D, free rows
     gdist = np.divide(gdist, dist[lo:], out=np.zeros(gdist.shape), where=dist[lo:] > 0.0)
     return value, np.matmul(gdist[:, None, :], diff[lo:])[:, 0]
+
+
+def _dpp_factor(const):
+    """(det A, A^-1) of the dpp kernel A over the found rows ``const``, by
+    numpy's LU, once per sequential descent; (0.0, None) where A is singular
+    or a distance is non-finite, and ``_dpp_add_row`` then falls back."""
+    diff = const[:, None, :] - const[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    if not dist.max() < inf:  # NaN as well
+        return 0.0, None
+    kern = 1.0 / (dist + 1.0)
+    det = float(np.linalg.det(kern))
+    if det == 0.0 or not isfinite(det):
+        return 0.0, None
+    return det, np.linalg.inv(kern)
+
+
+def _dpp_add_row(const, factor, row):
+    """dpp of ``const`` plus one ``row`` and its gradient w.r.t. that row, a
+    1 x dim array, from ``_dpp_factor(const)`` by the determinant lemma:
+    det K = det A (1 - b' A^-1 b) with b_j = 1/(1 + ||row - c_j||), and
+    d det K / d row = sum_j 2 det A (A^-1 b)_j b_j^2 (row - c_j)/||row - c_j||.
+    None where A is singular, or the row is at distance 0 or a non-finite
+    distance from a found row: the full kernel then gives the value, its
+    adjugate gradient, or its FloatingPointError."""
+    det, inv = factor
+    diff = row - const
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    if inv is None or not (0.0 < dist.min() and dist.max() < inf):
+        return None
+    b = 1.0 / (dist + 1.0)
+    inv_b = inv @ b
+    coef = (2.0 * det) * inv_b * b * b / dist
+    return float(det * (1.0 - b @ inv_b)), (coef @ diff)[None, :]
 
 
 def _finite(spec, value):

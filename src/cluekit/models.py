@@ -622,10 +622,15 @@ def _shape_error(encoder, decoder, members):
 def load_bundle(directory):
     """Read a bundle written by ``save_bundle``; a manifest that
     ``BUNDLE_FIELDS`` refuses, a weights blob whose length does not match it,
-    or tensors that do not form the three networks raise ``ValueError``.
-    Layer and member counts come from the tensor names."""
+    or tensors that do not form the three networks raise ``ValueError``, as
+    do a repeated tensor name and a tensor that no network reads. Layer and
+    member counts come from the tensor names."""
     def build(manifest, tensors):
-        arrays = {entry["name"]: t for entry, t in zip(manifest["tensors"], tensors)}
+        names = [entry["name"] for entry in manifest["tensors"]]
+        arrays = dict(zip(names, tensors))
+        if len(arrays) < len(names):
+            twice = next(n for i, n in enumerate(names) if n in names[:i])
+            raise ValueError(f"tensor {twice!r} is named twice")
 
         def _count(name):  # how many i give a tensor ``name.format(i)``
             return next(i for i in itertools.count() if name.format(i) not in arrays)
@@ -643,8 +648,13 @@ def load_bundle(directory):
         store.check_fields(BUNDLE_FIELDS, manifest)
         reports = {report: TrainingReport(**{k: manifest[report][k] for k in table})
                    for report, table in BUNDLE_FIELDS.items() if isinstance(table, dict)}
-        return ModelBundle(encoder=encoder, decoder=decoder, ensemble=_stack(members),
-                           seed=manifest["seed"], **reports)
+        bundle = ModelBundle(encoder=encoder, decoder=decoder, ensemble=_stack(members),
+                             seed=manifest["seed"], **reports)
+        read = {name for name, _ in _bundle_tensors(bundle)}
+        unread = [name for name in names if name not in read]
+        if unread:
+            raise ValueError(f"no network reads tensor {unread[0]!r}")
+        return bundle
 
     def shapes(manifest):  # the names and shapes are checked before the shapes size the blob
         store.check_fields({"tensors": BUNDLE_FIELDS["tensors"]}, manifest)

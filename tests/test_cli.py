@@ -965,6 +965,12 @@ RECORD_EDITS = {  # case -> (the record, the keys of one manifest field, its new
     # a tensor's name is a string, and a network whose names are gone has no layers
     "tensor_name_int": ("bundle", ("tensors", 0, "name"), 5, "tensors.name must be a string"),
     "tensor_name_unknown": ("bundle", ("tensors", 0, "name"), "x", "encoder has no layers"),
+    # a tensor no network reads, and a repeated name, are refused, not dropped:
+    # tensor -6 is the last member's w0 (the members have three layers)
+    "tensor_name_unread": ("bundle", ("tensors", -6, "name"), "x",
+                           "no network reads tensor 'x'"),
+    "tensor_name_repeated": ("bundle", ("tensors", 1, "name"), "encoder.w0",
+                             "tensor 'encoder.w0' is named twice"),
     "labels_short": ("dataset", ("labels",), [0], "labels and split must have n="),
     "split_short": ("dataset", ("split",), ["train"], "labels and split must have n="),
 }

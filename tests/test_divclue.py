@@ -333,6 +333,22 @@ def test_sequential_variants_match_reference_loops(tiny_bundle, variant, space):
         assert np.array_equal(cand.trajectory, traj)
 
 
+@pytest.mark.parametrize("space", ["latent", "input"])
+def test_sequential_dpp_factors_each_found_set_once(tiny_bundle, monkeypatch, space):
+    """k = 4 descents factor the 3 found sets, one per descent, and every
+    step adds its row to that factor: the full kernel is never called."""
+    ds, bundle = tiny_bundle
+    calls = {"_dpp_factor": 0, "value_and_grad": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(div, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(div, name, counted)
+    spec = div.DiversitySpec(metric="dpp", space=space)
+    divclue.nabla_clue_sequential(ds.train_inputs()[8], bundle, _config(k=4, lambda_d=0.5), spec)
+    assert calls == {"_dpp_factor": 3, "value_and_grad": 0}
+
+
 def _ref_simultaneous(x0, bundle, config, spec):
     """Lockstep descent of all k latents with the joint diversity reward,
     pre-search first when n_i > 0."""

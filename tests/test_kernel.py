@@ -8,6 +8,8 @@ the numpy forward against the autodiff tape.
 oracle here. Training is checked against the tape in ``test_models``.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -186,13 +188,14 @@ def l2_seed(seed):
 @pytest.mark.parametrize("space", ["latent", "input"])
 @l2_seed(31)
 def test_diversity_kernel_matches_tape(metric, space, seed, tiny_bundle):
-    """Every metric x space, 1-5 free points under 0-3 found rows."""
+    """Every metric x space, 1-5 free points under 0-5 found rows: one free
+    row under found rows takes dpp's one-row update, up to k = 6."""
     ds, bundle = tiny_bundle
     spec = div.DiversitySpec(metric=metric, space=space)
     rng = np.random.default_rng(seed)
     z0s = models.encode(bundle, ds.train_inputs()[:10])
     for n_free in range(1, 6):
-        for n_const in range(4):
+        for n_const in range(6):
             for _ in range(3):
                 z0 = z0s[int(rng.integers(len(z0s)))]
                 x0 = models.decode(bundle, z0)
@@ -221,6 +224,36 @@ def test_diversity_kernel_matches_tape_at_coincident_points(seed):
         ref_value, ref_grad = tape_diversity(spec, None, z0, None, list(free))
         assert value == ref_value
         np.testing.assert_allclose(grad, ref_grad, rtol=RTOL, atol=0.0)
+
+
+@l2_seed(34)
+def test_dpp_one_row_update_leaves_what_it_cannot_take_to_the_full_kernel(seed):
+    """A free row on a found row, two coincident found rows, a non-finite
+    found row, found rows whose distance overflows and a non-finite free row
+    leave dpp's one-row update: ``_diversity`` then gives bitwise what
+    ``value_and_grad`` gives on the stacked rows, or raises its error."""
+    rng = np.random.default_rng(seed)
+    spec = div.DiversitySpec(metric="dpp")
+    found, row = rng.normal(0.0, 1.0, (3, 3)), rng.normal(0.0, 1.0, 3)
+    coincident, non_finite, far = found.copy(), found.copy(), found.copy()
+    coincident[2] = coincident[0]
+    non_finite[1, 0] = np.nan
+    # 2e154 apart, a squared distance past the float range; the free row is not
+    far[0], far[1] = (1e154, 0.0, 0.0), (-1e154, 0.0, 0.0)
+    singular = [(found, found[1].copy()), (coincident, row)]
+    failing = [(non_finite, row), (far, row), (found, np.full(3, np.inf))]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for const, free in singular + failing:
+            assert div._dpp_add_row(const, div._dpp_factor(const), free) is None
+        for const, free in singular:
+            want = div.value_and_grad(spec, np.concatenate((const, free[None])), 1)
+            value, grad = divclue._diversity(spec, None, np.zeros(3), None, [free], const)
+            assert value == want[0] == 0.0 and np.array_equal(grad, want[1])
+        for const, free in failing:
+            with pytest.raises(FloatingPointError) as want:
+                div.value_and_grad(spec, np.concatenate((const, free[None])), 1)
+            with pytest.raises(FloatingPointError, match=re.escape(str(want.value))):
+                divclue._diversity(spec, None, np.zeros(3), None, [free], const)
 
 
 def test_diversity_kernel_errors(tiny_bundle):

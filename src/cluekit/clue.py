@@ -1,8 +1,9 @@
 """Constrained counterfactual search in latent space.
 
 Implements the uncertainty + distance objective, the l2 ball projection,
-the five initialization schemes, and the projected-gradient descent loop
-that produces sets of candidate counterfactuals.
+the five initialization schemes, the projected-gradient descent loop
+that produces sets of candidate counterfactuals, and the one scorer
+(``_score``) that ends every method, GLAM's translations included.
 """
 
 from __future__ import annotations
@@ -275,25 +276,36 @@ def _setup(x0, bundle):
     return x0, models.encode(bundle, x0), models.argmax_label(models.predict(bundle, x0))
 
 
-def make_candidate(z, x0, z0, bundle, config, start_index, x0_label, trajectory=None):
-    """The search end point ``z`` decoded and scored; a non-finite latent
-    distance to z0 (a diverged search) or cost raises ``FloatingPointError``."""
+def _score(z, x, x0, z0, bundle, lambda_x, lambda_y=0.0, x0_label=None,
+           h_threshold=math.inf, start_index=0, trajectory=None):
+    """The counterfactual ``x`` (latent ``z``) of the input ``x0`` (latent
+    ``z0``) as a scored candidate, in one predict: every method's last step.
+
+    d_y is 0.0 without ``x0_label``. A non-finite latent distance to z0 (a
+    diverged search) or cost raises ``FloatingPointError``.
+    """
     rho = float(np.linalg.norm(z - z0))
     if not math.isfinite(rho):
         raise FloatingPointError(f"candidate {start_index} diverged: its latent distance "
                                  f"to z0 is {rho} (lower lr, or bound it with delta)")
-    x = models.decode(bundle, z)
     p = models.predict(bundle, x)
     h = models.entropy(p)
-    d_x = float(np.sum(np.abs(x - x0)))
-    d_y = float(-np.log(max(p[x0_label], 1e-300)))
-    cost = h + config.lambda_x * d_x + config.lambda_y * d_y
+    d_x = float(np.abs(x - x0).sum())
+    d_y = 0.0 if x0_label is None else float(-np.log(max(p[x0_label], 1e-300)))
+    cost = h + lambda_x * d_x + lambda_y * d_y
     if not math.isfinite(cost):
-        raise FloatingPointError(f"candidate {start_index}'s cost is {cost}")
+        raise FloatingPointError(f"candidate {start_index}'s cost is {cost}: the score "
+                                 f"diverged (lower lambda_x or lambda_y)")
     return CandidateCE(z=z, x=x, posterior=p, entropy=h, d_x=d_x, d_y=d_y,
                        rho=rho, cost=cost, label=models.argmax_label(p),
-                       accepted=bool(h < config.h_threshold), start_index=start_index,
+                       accepted=bool(h < h_threshold), start_index=start_index,
                        trajectory=trajectory)
+
+
+def make_candidate(z, x0, z0, bundle, config, start_index, x0_label, trajectory=None):
+    """The search end point ``z`` decoded and scored by ``_score``."""
+    return _score(z, models.decode(bundle, z), x0, z0, bundle, config.lambda_x,
+                  config.lambda_y, x0_label, config.h_threshold, start_index, trajectory)
 
 
 def _ceset(zs, trajs, x0, z0, bundle, config, x0_label):

@@ -3,7 +3,9 @@
 A mapper is a single translation vector in latent space, trained once per
 (source group, target group) pair; applying it to a new uncertain input is
 one encode, one vector add, one decode, one predict — no optimization;
-the latent DBM baseline applies its translation through the same ``_translate``.
+the latent DBM baseline applies its translation through the same ``_translate``,
+and glam2's ``pick_best_mapper`` applies every mapper to one encode of its input.
+Each scheme scores its counterfactual with the searches' scorer, ``clue._score``.
 The fit differentiates its loss in plain numpy, back through the decoder
 with ``models._decode_with_grad``, as the searches do.
 """
@@ -15,8 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import models, store
-from .clue import CandidateCE
+from . import clue, models, store
 
 
 @dataclass
@@ -94,33 +95,18 @@ def _recon_and_grad(bundle, z_u, x_certain, theta):
     return np.sum(diff * diff) * scale, decoder_grad(scale * 2.0 * diff).sum(axis=0)
 
 
-def _score(z, x_ce, z0, x, bundle, lambda_x):
-    """The counterfactual x_ce (latent z) of the input x (latent z0) as a
-    scored candidate; the caller supplies both latents, so this is one
-    predict. A non-finite cost raises ``FloatingPointError``."""
-    p = models.predict(bundle, x_ce)
-    h = models.entropy(p)
-    d_x = float(np.abs(x_ce - x).sum())
-    cost = h + lambda_x * d_x
-    if not math.isfinite(cost):
-        raise FloatingPointError(f"the counterfactual's cost diverged to {cost} (lower lambda_x)")
-    return CandidateCE(z=z, x=x_ce, posterior=p, entropy=h, d_x=d_x,
-                       d_y=0.0, rho=float(np.linalg.norm(z - z0)), cost=cost,
-                       label=models.argmax_label(p), accepted=True,
-                       start_index=0)
-
-
-def _translate(theta, x, bundle, lambda_x):
-    """The scored counterfactual of input ``x`` at latent translation ``theta``."""
+def _translate(thetas, x, bundle, lambda_x):
+    """The scored counterfactuals of input ``x`` at each latent translation in
+    ``thetas``: one encode, then one decode and one predict per translation."""
     x = np.asarray(x, dtype=np.float64)
     z0 = models.encode(bundle, x)
-    z = z0 + theta
-    return _score(z, models.decode(bundle, z), z0, x, bundle, lambda_x)
+    zs = [z0 + theta for theta in thetas]
+    return [clue._score(z, models.decode(bundle, z), x, z0, bundle, lambda_x) for z in zs]
 
 
 def apply_mapper(mapper, x_uncertain, bundle, lambda_x=0.0):
     """One encode, one add, one decode, one predict; no iterative search."""
-    return _translate(mapper.theta, x_uncertain, bundle, lambda_x)
+    return _translate([mapper.theta], x_uncertain, bundle, lambda_x)[0]
 
 
 @dataclass
@@ -130,11 +116,11 @@ class DbmBaseline:
 
     def apply(self, x, bundle, lambda_x=0.0):
         if self.space == "latent":
-            return _translate(self.translation, x, bundle, lambda_x)
+            return _translate([self.translation], x, bundle, lambda_x)[0]
         x = np.asarray(x, dtype=np.float64)
         z0 = models.encode(bundle, x)
         z = models.encode(bundle, np.clip(x + self.translation, 0.0, 1.0))
-        return _score(z, models.decode(bundle, z), z0, x, bundle, lambda_x)
+        return clue._score(z, models.decode(bundle, z), x, z0, bundle, lambda_x)
 
 
 def dbm_baseline(space, x_uncertain, x_certain, bundle):
@@ -159,11 +145,11 @@ def nn_baseline(space, x_uncertain, x_certain, bundle, lambda_x=0.0):
     z0 = models.encode(bundle, x)
     if space == "input":
         x_ce = x_c[int(np.argmin(np.linalg.norm(x_c - x, axis=1)))]
-        return _score(models.encode(bundle, x_ce), x_ce, z0, x, bundle, lambda_x)
+        return clue._score(models.encode(bundle, x_ce), x_ce, x, z0, bundle, lambda_x)
     # row by row: batched, the timed loop outgrows the benchmark's memory bound (ROADMAP 1)
     z_c = np.stack([models.encode(bundle, xc) for xc in x_c])
     z = z_c[int(np.argmin(np.linalg.norm(z_c - z0, axis=1)))]
-    return _score(z, models.decode(bundle, z), z0, x, bundle, lambda_x)
+    return clue._score(z, models.decode(bundle, z), x, z0, bundle, lambda_x)
 
 
 def mappers_from_cesets(cesets, source_labels, bundle, lambda_theta=0.0, min_pairs=3):
@@ -192,10 +178,10 @@ def mappers_from_cesets(cesets, source_labels, bundle, lambda_theta=0.0, min_pai
 
 
 def pick_best_mapper(mappers, x, bundle, lambda_x=0.0):
-    """Unknown-class inference: apply every mapper and keep the
-    lowest-cost counterfactual."""
-    cands = [apply_mapper(m, x, bundle, lambda_x) for m in mappers]
-    return min(cands, key=lambda c: c.cost)
+    """Unknown-class inference: apply every mapper to one encode of ``x`` and
+    keep the lowest-cost counterfactual (the first of equal costs)."""
+    return min(_translate([m.theta for m in mappers], x, bundle, lambda_x),
+               key=lambda c: c.cost)
 
 
 # a mapper file's fields; a group is -1 where the mapper was fit on no named group

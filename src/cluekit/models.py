@@ -21,9 +21,9 @@ search objective (``search_objective``), the s5 start walk, the diversity
 gradients and the mapper fit take adjoints back to the latent through
 ``_decode_with_grad`` and ``_posterior_with_grad``; ``search_objective``
 returns its loss's z-gradient as an array. Training takes them on
-to the weights: given the input as well, ``_backprop`` writes each layer's
-weight and bias adjoints into a gradient MLP. Each trainer holds all its
-weights and biases as views of one flat vector (``_flat``) and the adjoints
+to the weights: given the input and a gradient MLP, the same backward loop
+writes each layer's weight and bias adjoints into it. Each trainer holds all
+its weights and biases as views of one flat vector (``_flat``) and the adjoints
 as views of a second, so one ``params -= lr * grads`` is its SGD step. The
 VAE's Bernoulli loss and its logit adjoint share one exp(-|logits|)
 (``_bernoulli_xent``). The tests build the same networks on the autodiff
@@ -155,23 +155,18 @@ def _forward(mlp, x, hidden_act, acts=None):
 def _backprop(mlp, acts, g, act_grad, x=None, input_grad=True, out=None):
     """Adjoint of ``_forward``'s input from the adjoint ``g`` of its logits.
 
-    Given the input ``x`` as well, also writes each layer's weight and bias
-    adjoints into the arrays of ``out``, an MLP of ``mlp``'s shapes; the input
-    adjoint is then None unless ``input_grad``.
+    Given ``out``, an MLP of ``mlp``'s shapes, and the input ``x``, the same
+    loop also writes each layer's weight and bias adjoints into out's arrays.
+    The input adjoint is None unless ``input_grad``.
     """
     ws = mlp.weights
-    if x is None:
-        for i in range(len(ws) - 1, 0, -1):
-            g = g @ ws[i].swapaxes(-1, -2)
-            g *= act_grad(acts[i - 1])
-        return g @ ws[0].swapaxes(-1, -2)
-    ins = [x, *acts]  # ins[i]: the input of layer i
     for i in range(len(ws) - 1, -1, -1):
-        np.matmul(ins[i].swapaxes(-1, -2), g, out=out.weights[i])
-        np.add.reduce(g, axis=-2, out=out.biases[i].reshape(g.shape[:-2] + g.shape[-1:]))
+        if out is not None:
+            np.matmul((acts[i - 1] if i else x).swapaxes(-1, -2), g, out=out.weights[i])
+            np.add.reduce(g, axis=-2, out=out.biases[i].reshape(g.shape[:-2] + g.shape[-1:]))
         if i:
             g = g @ ws[i].swapaxes(-1, -2)
-            g *= act_grad(ins[i])
+            g *= act_grad(acts[i - 1])
     return g @ ws[0].swapaxes(-1, -2) if input_grad else None
 
 
@@ -467,6 +462,9 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
     split_rng = np.random.default_rng([seed, 999])
     perm = split_rng.permutation(len(x_all))
     n_held = max(1, int(len(x_all) * HELDOUT_FRAC))
+    if n_held >= len(x_all):
+        raise ValueError(f"train_ensemble: holding out {n_held} of {len(x_all)} rows "
+                         f"leaves none to train on")
     held, train = perm[:n_held], perm[n_held:]
     xt, yt = x_all[train], y_all[train]
 

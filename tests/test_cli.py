@@ -129,6 +129,24 @@ def test_ensemble_divergence_in_the_training_worker_exits_3(workspace, tmp_path,
     assert not multiprocessing.active_children()
 
 
+@pytest.mark.parametrize("n,code", [(1, 2), (2, 0)])
+def test_train_on_one_row_exits_2(tmp_path, n, code, capsys):
+    """One training row is all held out, which is a usage error with one
+    stderr line and no output directory; two rows train."""
+    assert run(["gen-data", "--out", str(tmp_path / "gd"), "--seed", "0",
+                "--set", "generator=minidigits", "--set", f"n={n}"]) == 0
+    out = tmp_path / "model"
+    capsys.readouterr()
+    assert run(["train", "--out", str(out), "--dataset", str(tmp_path / "gd" / "dataset"),
+                "--set", "vae_epochs=2", "--set", "ens_epochs=2"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("error: cannot train on dataset " + str(tmp_path / "gd" / "dataset")
+                       + ": train_ensemble: holding out 1 of 1 rows leaves none to train on\n")
+    assert out.exists() == (code == 0)
+    assert not multiprocessing.active_children()
+
+
 EXPLAIN_SETS = ["--set", "delta=1.2", "--set", "r=1.2", "--set", "k=3",
                 "--set", "lambda_x=0.05", "--set", "iters=10",
                 "--set", "lr=0.3", "--set", "seed=5"]

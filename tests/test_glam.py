@@ -1,6 +1,7 @@
 """Amortized translation mappers: planted-translation recovery, the
 regularization limit, baselines, and the comparison harness."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -80,6 +81,39 @@ def test_apply_mapper_is_single_shot(planted, blobs_bundle):
     z = models.encode(blobs_bundle, x_u[0])
     assert np.array_equal(ce.z, z + t)
     assert np.array_equal(ce.x, models.decode(blobs_bundle, z + t))
+    assert_glam_record(glam.apply_mapper(mapper, x_u[0], blobs_bundle, 0.05), x_u[0],
+                       blobs_bundle, 0.05)
+    models.reset_eval_counts()
+
+
+def assert_glam_record(ce, x, bundle, lambda_x):
+    """Every glam scheme's candidate: rho is the latent distance to x's
+    encode, no prediction distance, accepted, start 0, and the cost
+    H + lambda_x d_x bitwise."""
+    assert ce.rho == float(np.linalg.norm(ce.z - models.encode(bundle, x)))
+    assert ce.d_y == 0.0 and ce.accepted is True and ce.start_index == 0
+    assert ce.d_x == float(np.abs(ce.x - x).sum()) > 0.0
+    assert ce.cost == ce.entropy + lambda_x * ce.d_x
+
+
+def test_pick_best_mapper_encodes_its_input_once(planted, blobs_bundle):
+    """glam2 applies G mappers to one encode: G decodes and G predicts, and
+    the candidate is bitwise the lowest-cost one of G single applies."""
+    x_u, _, t = planted
+    mappers = [glam.MapperParams(source_group=0, target_group=g, theta=s * t, lambda_theta=0.0)
+               for g, s in enumerate((1.0, -1.0, 0.5))]
+    models.reset_eval_counts()
+    best = glam.pick_best_mapper(mappers, x_u[0], blobs_bundle, 0.05)
+    assert models.EVAL_COUNTS == {"encode": 1, "decode": 3, "predict": 3}
+    each = [glam.apply_mapper(m, x_u[0], blobs_bundle, 0.05) for m in mappers]
+    assert len({c.cost for c in each}) == 3
+    want = min(each, key=lambda c: c.cost)
+    for f in dataclasses.fields(want):
+        got, expected = getattr(best, f.name), getattr(want, f.name)
+        if isinstance(expected, np.ndarray):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), f.name
+        else:
+            assert type(got) is type(expected) and got == expected, f.name
     models.reset_eval_counts()
 
 
@@ -89,6 +123,9 @@ def test_nn_baseline_matches_linear_scan(blobs, blobs_bundle):
     ce = glam.nn_baseline("input", x, certain, blobs_bundle)
     idx = np.argmin([np.linalg.norm(c - x) for c in certain])
     assert np.array_equal(ce.x, certain[idx])
+    for space in ("input", "latent"):
+        assert_glam_record(glam.nn_baseline(space, x, certain, blobs_bundle, 0.05), x,
+                           blobs_bundle, 0.05)
 
 
 def test_nn_baseline_identity_and_singleton(blobs, blobs_bundle):
@@ -107,9 +144,11 @@ def test_dbm_baseline_translations(blobs, blobs_bundle):
     x_c = blobs.train_inputs()[10:30]
     b = glam.dbm_baseline("input", x_u, x_c, blobs_bundle)
     assert np.allclose(b.translation, x_c.mean(axis=0) - x_u.mean(axis=0))
+    assert_glam_record(b.apply(x_u[0], blobs_bundle, 0.05), x_u[0], blobs_bundle, 0.05)
     b = glam.dbm_baseline("latent", x_u, x_c, blobs_bundle)
     assert np.allclose(b.translation,
                        glam.mean_translation(x_u, x_c, blobs_bundle))
+    assert_glam_record(b.apply(x_u[0], blobs_bundle, 0.05), x_u[0], blobs_bundle, 0.05)
     with pytest.raises(ValueError):
         glam.dbm_baseline("spectral", x_u, x_c, blobs_bundle)
     with pytest.raises(ValueError, match="unknown space 'spectral'"):

@@ -366,6 +366,17 @@ def test_ensemble_value_error_in_the_worker_raises_in_the_caller():
     assert not multiprocessing.active_children()
 
 
+def test_one_training_row_leaves_none_to_train_on():
+    """At least one row is held out for the accuracy report, so one row is a
+    ValueError naming the counts, not an empty percentile; two rows train."""
+    x, y = np.array([[0.2, 0.8], [0.9, 0.1]]), np.array([0, 1])
+    hp = models.EnsembleHyperparams(hidden=4, epochs=2, batch=2)
+    with pytest.raises(ValueError, match="holding out 1 of 1 rows leaves none to train on"):
+        models.train_ensemble(x[:1], y[:1], 2, hp, 0)
+    _, report = models.train_ensemble(x, y, 2, hp, 0)
+    assert len(report.loss_curve) == 2 and set(report.entropy_percentiles) == {"20", "50", "80"}
+
+
 # module-level, so that a worker that pickles its job by name could run them too
 def _sleep_30s(*args):
     time.sleep(30)

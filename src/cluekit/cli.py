@@ -92,11 +92,14 @@ SETTINGS = {
     "gen-data": {**SEED, "generator": (Rule(tuple(data.GENERATORS)), "blobs"),
                  "n": (Rule(int, ge=1), 2000), "test_frac": (Rule(float), 0.2),
                  "c": (Rule(int), 4), "d": (Rule(int), 16), "spread": (Rule(float), 0.18)},
+    # the loop counts' upper bounds lie far above any desk-scale run, as k's and iters' do
     "train": {**SEED, "vae_hidden": (Rule(int, ge=1), 64), "latent": (Rule(int, ge=1), 8),
-              "vae_lr": (Rule(float, gt=0), 0.05), "vae_epochs": (Rule(int, ge=1), 60),
+              "vae_lr": (Rule(float, gt=0), 0.05),
+              "vae_epochs": (Rule(int, ge=1, le=100_000), 60),
               "batch": (Rule(int, ge=1), 128), "kl_weight": (Rule(float, ge=0), 0.1),
               "ens_hidden": (Rule(int, ge=1), 32), "ens_lr": (Rule(float, gt=0), 0.1),
-              "ens_epochs": (Rule(int, ge=1), 80), "members": (Rule(int, ge=1), 5)},
+              "ens_epochs": (Rule(int, ge=1, le=100_000), 80),
+              "members": (Rule(int, ge=1, le=1_000), 5)},
     "explain": {**SEARCH, **DIVERSITY, **TAUS},
     "sweep": {**SEARCH, **DIVERSITY, **TAUS, **CAP},  # lambda_x weights glam1's cost too
     "glam": {**SEED, **TAUS, **CAP, "lambda_x": (SEARCH["lambda_x"][0], 0.03),
@@ -496,7 +499,7 @@ BENCH_SCHEMES = ("glam", "dclue") + BASELINES
 
 
 def cmd_bench(args):
-    _checked("--repetitions", args.repetitions, Rule(int, ge=1))
+    _checked("--repetitions", args.repetitions, Rule(int, ge=1, le=100_000))
     cfg = resolve_config(args)
     schemes = (list(BENCH_SCHEMES) if args.schemes == "all"
                else [_checked("scheme", s, Rule(BENCH_SCHEMES)) for s in args.schemes.split(",")])
@@ -589,8 +592,8 @@ def main(argv=None):
         # every overflow or invalid value a command meets is checked and exits 3
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.fn(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (UsageError, MemoryError) as e:  # a size past memory is the user's to lower
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
     except (models.TrainingDivergence, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)

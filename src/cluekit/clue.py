@@ -77,28 +77,45 @@ class CESet:
 def objective(z, x0, bundle, lambda_x, lambda_y, x0_label):
     """Loss H(y | decode(z)) + lambda_x l1(decode(z), x0) + lambda_y d_y, and its z-gradient.
 
-    d_y is the cross-entropy of the candidate posterior against
-    ``x0_label``, the hard label of the original input; it participates
-    only when lambda_y > 0. The loss is one fused tape node over
-    ``models.search_objective``, whose backward is derived by hand.
+    With x = decode(z) and p the ensemble-mean posterior at x, the terms
+    are h = H(p) = -sum p log p, d_x = sum |x - x0| and d_y = -log
+    p[x0_label], the cross-entropy of p against the original input's hard
+    label. A term of weight 0 is not computed, and then x0 or x0_label is
+    not read. The forward and the hand-derived backward run in numpy; the
+    loss is one tape node that carries their z-gradient. A non-finite
+    term or total raises FloatingPointError.
     """
     zt = dc.Tensor(z, requires_grad=True)
-    h_term, dx_term, dy_term, grad = models.search_objective(
-        bundle, zt.data, x0, lambda_x, lambda_y, x0_label)
-    value = h_term
-    if lambda_x > 0.0:
-        if not math.isfinite(dx_term):
-            raise FloatingPointError("objective: input-distance term is non-finite")
-        value = value + dx_term * lambda_x
+    x, decoder_grad = models._decode_with_grad(bundle, zt.data)
+    p, posterior_grad = models._posterior_with_grad(bundle, x)
+    logp = np.log(p)
+    h = -np.add.reduce(p * logp)
+    gp = -(logp + 1.0)  # dH/dp
+    # the weighted terms in the order they are checked and added to h; d_y
+    # enters dL/dp before the posterior's backward, d_x enters dL/dx after it
+    terms = []
     if lambda_y > 0.0:
-        if not math.isfinite(dy_term):
-            raise FloatingPointError("objective: prediction-distance term is non-finite")
-        value = value + dy_term * lambda_y
-    if not math.isfinite(h_term):
+        terms.append(("prediction-distance", -logp[x0_label], lambda_y))
+        gp[x0_label] -= lambda_y / p[x0_label]
+    gx = posterior_grad(gp)
+    if lambda_x > 0.0:
+        x0 = np.asarray(x0, dtype=np.float64)
+        if x0.shape != x.shape:
+            raise dc.ShapeError(f"objective: x0 shape {x0.shape} != {x.shape}")
+        diff = x - x0
+        terms.insert(0, ("input-distance", np.add.reduce(np.abs(diff)), lambda_x))
+        gx += lambda_x * np.sign(diff)
+    value = h
+    for name, term, weight in terms:
+        if not math.isfinite(term):
+            raise FloatingPointError(f"objective: {name} term is non-finite")
+        value = value + term * weight
+    if not math.isfinite(h):
         raise FloatingPointError("objective: entropy term is non-finite")
     if not math.isfinite(value):
         raise FloatingPointError("objective: total loss is non-finite")
-    loss = dc.Tensor(value, _parents=(zt,), op="search_objective")
+    grad = decoder_grad(gx)
+    loss = dc.Tensor(value, _parents=(zt,), op="objective")
     loss._backward = lambda g: zt._accum(g * grad)
     loss.backward()
     return float(loss.data), zt.grad

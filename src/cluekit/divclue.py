@@ -46,7 +46,7 @@ def _diversity(spec, bundle, z0, x0, free, const=None, factor=None):
     ``const`` holds rows already mapped into the spec's space (found points
     of a sequential search); ``free`` holds latents. In input space the free
     latents are decoded in one batch and the metric's gradient is taken back
-    through the decoder, as ``models.search_objective`` does. dpp of found
+    through the decoder, as the search step ``clue.objective`` does. dpp of found
     rows and one free row adds that row to ``factor``, the found rows'
     ``div._dpp_factor`` (computed here when not given); the full kernel
     takes the cases that update refuses.

@@ -17,10 +17,9 @@ rows, through one counted call (``_infer``). ``predict`` returns the
 ensemble-mean posterior (``_mean_posterior``, which the training report
 shares); ``entropy``, ``predict_entropy`` and the report take one row
 entropy (``_row_entropy``). The
-search objective (``search_objective``), the s5 start walk, the diversity
+search step (``clue.objective``), the s5 start walk, the diversity
 gradients and the mapper fit take adjoints back to the latent through
-``_decode_with_grad`` and ``_posterior_with_grad``; ``search_objective``
-returns its loss's z-gradient as an array. Training takes them on
+``_decode_with_grad`` and ``_posterior_with_grad``. Training takes them on
 to the weights: given the input and a gradient MLP, the same backward loop
 writes each layer's weight and bias adjoints into it. Each trainer holds all
 its weights and biases as views of one flat vector (``_flat``) and the adjoints
@@ -210,36 +209,6 @@ def _posterior_with_grad(bundle, x):
         return np.add.reduce(_backprop(bundle.ensemble, acts, gl, _relu_grad))[0]
 
     return np.add.reduce(s)[0] * scale, grad
-
-
-def search_objective(bundle, z, x0, lambda_x, lambda_y, label):
-    """The search loss at one latent ``z``, split into its terms.
-
-    With x = decode(z) and p the ensemble-mean posterior at x, the loss is
-    h + lambda_x * d_x + lambda_y * d_y for h = H(p) = -sum p log p,
-    d_x = sum |x - x0| and d_y = -log p[label]; a term whose weight is 0 is
-    not computed and reported as 0. Returns (h, d_x, d_y, grad), where grad
-    is the loss's gradient in z, an array. Non-finite terms are returned as
-    they are, for the caller to reject.
-    """
-    x, decoder_grad = _decode_with_grad(bundle, z)
-    p, posterior_grad = _posterior_with_grad(bundle, x)
-    logp = np.log(p)
-    h = -np.add.reduce(p * logp)
-    gp = -(logp + 1.0)  # dH/dp
-    d_x = d_y = 0.0
-    if lambda_y > 0.0:
-        d_y = -logp[label]
-        gp[label] -= lambda_y / p[label]
-    gx = posterior_grad(gp)
-    if lambda_x > 0.0:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.shape != x.shape:
-            raise dc.ShapeError(f"search_objective: x0 shape {x0.shape} != {x.shape}")
-        diff = x - x0
-        d_x = np.add.reduce(np.abs(diff))
-        gx += lambda_x * np.sign(diff)
-    return h, d_x, d_y, decoder_grad(gx)
 
 
 def _infer(kind, mlp, x, hidden_act):

@@ -147,6 +147,24 @@ def test_train_on_one_row_exits_2(tmp_path, n, code, capsys):
     assert not multiprocessing.active_children()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--set", f"n={2**59}"],
+    ["gen-data", "--set", "generator=minidigits", "--set", f"n={2**59}"],
+    ["train", "--set", f"vae_hidden={2**55}"],
+], ids=["blobs_n", "minidigits_n", "vae_hidden"])
+def test_size_past_memory_exits_2(workspace, tmp_path, argv, capsys):
+    """A size whose arrays pass the address space fails its first allocation
+    at once: one error: line, exit 2, and no output directory."""
+    out = tmp_path / "out"
+    if argv[0] == "train":
+        argv = argv + ["--dataset", workspace["dataset"]]
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+    assert not multiprocessing.active_children()
+
+
 EXPLAIN_SETS = ["--set", "delta=1.2", "--set", "r=1.2", "--set", "k=3",
                 "--set", "lambda_x=0.05", "--set", "iters=10",
                 "--set", "lr=0.3", "--set", "seed=5"]
@@ -890,6 +908,13 @@ BAD_SETTINGS = {  # case -> (argv, the text the error must hold)
     "k_too_many": (["explain", "--set", "k=1001"], "k must be <= 1000"),
     "iters_too_many": (["explain", "--set", "iters=100001"], "iters must be <= 100000"),
     "n_i_too_many": (["explain", "--set", "n_i=100001"], "n_i must be <= 100000"),
+    "members_too_many": (["train", "--set", "members=1001"], "members must be <= 1000"),
+    "vae_epochs_too_many": (["train", "--set", "vae_epochs=100001"],
+                            "vae_epochs must be <= 100000"),
+    "ens_epochs_too_many": (["train", "--set", "ens_epochs=100001"],
+                            "ens_epochs must be <= 100000"),
+    "repetitions_too_many": (["bench", "--repetitions", "100001"],
+                             "--repetitions must be <= 100000"),
     "grid_not_a_number": (["sweep", "--axis", "delta", "--grid", "1,abc"], "bad grid"),
     # coverage has no prediction-space form, which a diversity search would optimize
     "coverage_prediction": (["sweep", "--axis", "delta", "--grid", "1", "--set", "metric=coverage",

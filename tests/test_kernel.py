@@ -159,6 +159,30 @@ def test_zero_posterior_entry_raises(tiny_bundle):
             clue.objective(z, x0, dead, 0.1, 0.1, 1)
 
 
+def test_objective_rejects_bad_x0_and_overflowing_total(tiny_bundle):
+    """An x0 entry of inf makes d_x non-finite. A weight of 1e308 makes the
+    total non-finite where x0, shifted by 1 in each entry, puts d_x near d.
+    Each case has finite other terms. A too-wide x0 is refused only at
+    lambda_x > 0, the one weight at which x0 is read."""
+    ds, bundle = tiny_bundle
+    x0 = ds.train_inputs()[0]
+    z = models.encode(bundle, x0)
+    inf_x0 = x0.copy()
+    inf_x0[0] = np.inf
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError, match="input-distance term"):
+            clue.objective(z, inf_x0, bundle, 0.1, 0.0, 0)
+        with pytest.raises(FloatingPointError, match="total loss"):
+            clue.objective(z, x0 + 1.0, bundle, 1e308, 0.0, 0)
+    wide = np.append(x0, 0.0)
+    with pytest.raises(dc.ShapeError, match="x0 shape"):
+        clue.objective(z, wide, bundle, 0.1, 0.0, 0)
+    value, grad = clue.objective(z, wide, bundle, 0.0, 0.0, 0)
+    expected_value, expected_grad = clue.objective(z, x0, bundle, 0.0, 0.0, 0)
+    assert value == expected_value
+    assert np.array_equal(grad, expected_grad)
+
+
 # ---------------------------------------------------------------------------
 # the diversity kernel
 

@@ -10,7 +10,8 @@ refuses, is a usage error naming the key (and, for a misspelling, the key
 probably meant). Every command does all of its work first and then hands its
 files to ``write_outputs``, which creates ``--out``, writes each file
 through ``store.write_file`` (to a temp name, then a rename) and adds a run
-manifest (the resolved settings, input/output hashes, wall times, seed); a
+manifest (the resolved settings, input/output hashes, wall times, seed, and
+for ``train`` each job's wall time and the BLAS thread counts); a
 command that fails writes nothing. A missing or malformed input or config
 file is a usage error naming it. Exit codes: 0 success, 2 usage or config
 error, 3 numerical failure, 4 a lost training worker.
@@ -44,12 +45,13 @@ def write_json(path, payload):
     store.write_file(path, store.json_text(payload) + "\n")
 
 
-def write_outputs(args, config, inputs, files, wall_times):
+def write_outputs(args, config, inputs, files, wall_times, **environment):
     """Create ``--out``, call ``writer(path)`` for each ``name: writer`` of
     ``files`` with ``path`` the name under it, and write ``run_manifest.json``
     with the resolved settings ``config``, hashing the inputs and every file
-    written. Each command calls this as its last step, so one that fails
-    before it leaves no output directory."""
+    written, and with each ``environment`` entry as a key of its own. Each
+    command calls this as its last step, so one that fails before it leaves
+    no output directory."""
     os.makedirs(args.out, exist_ok=True)
     outputs = {}
     for name, writer in files.items():
@@ -61,7 +63,7 @@ def write_outputs(args, config, inputs, files, wall_times):
         "inputs": {k: v for p in inputs for k, v in store.hash_tree(p).items()},
         "outputs": outputs,
         "wall_times_s": {k: float(v) for k, v in wall_times.items()},
-        "seed": config["seed"]})
+        **environment, "seed": config["seed"]})
 
 
 def load_config(path):
@@ -213,9 +215,10 @@ def cmd_train(args):
     ens_hp = models.EnsembleHyperparams(
         hidden=cfg["ens_hidden"], lr=cfg["ens_lr"], epochs=cfg["ens_epochs"], batch=cfg["batch"])
     ds = _load("dataset", data.load_dataset, args.dataset)
-    t0 = time.perf_counter()
+    t0, record = time.perf_counter(), {}
     try:
-        bundle = models.train_bundle(ds, vae_hp, ens_hp, n_members=cfg["members"], seed=cfg["seed"])
+        bundle = models.train_bundle(ds, vae_hp, ens_hp, n_members=cfg["members"],
+                                     seed=cfg["seed"], record=record)
     except ValueError as e:
         raise UsageError(f"cannot train on dataset {args.dataset}: {e}")
     wall = time.perf_counter() - t0
@@ -230,7 +233,8 @@ def cmd_train(args):
     write_outputs(args, cfg, [args.dataset],
                   {"bundle": lambda p: models.save_bundle(bundle, p),
                    "training_report.json": lambda p: write_json(p, report)},
-                  {"train": wall})
+                  {"train": wall, "vae": record["vae_s"], "ensemble": record["ensemble_s"]},
+                  blas_threads=record["blas_threads"])
     print(f"held-out accuracy: {bundle.ensemble_report.heldout_accuracy}")
     return 0
 

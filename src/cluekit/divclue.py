@@ -107,7 +107,8 @@ def _sequential(x0, bundle, config, context, trace, repulsion):
         found.append(z)
         trajs.append(traj)
         curves.append(curve)
-    joint = [float(np.mean([c[i] for c in curves])) for i in range(config.iters)]
+    # each step's mean over a contiguous row, so numpy sums it as the 1-D mean does
+    joint = np.mean(np.array(curves).T.copy(), axis=1).tolist()
     return DivRunRecord(_ceset(found, trajs, x0, z0, bundle, config, x0_label), joint)
 
 

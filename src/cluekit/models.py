@@ -29,14 +29,23 @@ VAE's Bernoulli loss and its logit adjoint share one exp(-|logits|)
 tape as the oracle, and training repeats the tape's arithmetic term by
 term, so it gives the tape's weights bit for bit, also where ``train_bundle``
 trains the ensemble, while the VAE trains, in a process forked for the call
-that inherits the inputs and answers on a pipe (on Linux).
+that inherits the inputs and answers on a pipe (on Linux). The data is held
+once: the VAE gathers each batch through the training rows' index, and only
+the worker gathers the ensemble's rows. Each process runs numpy's OpenBLAS at
+one thread for the call, where the library exports a known setter
+(``_blas_libraries``), and the caller's count is restored after it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import itertools
 import multiprocessing
+import os
 import sys
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -333,16 +342,21 @@ class VaeHyperparams:
     kl_weight: float = 0.1  # < 1 avoids posterior collapse at desk scale
 
 
-def train_vae(dataset_inputs, hyperparams, seed):
-    """Standard ELBO training with Gaussian reparameterization.
+def train_vae(dataset_inputs, hyperparams, seed, rows=None):
+    """Standard ELBO training with Gaussian reparameterization, on the rows
+    ``rows`` of ``dataset_inputs`` (default: all of them) in that order.
 
-    Returns (encoder, decoder, report). The encoder's output layer stacks
-    mean and log-variance. Divergence (non-finite loss) aborts.
+    Each batch is gathered from the inputs through ``rows``, so the rows
+    trained on are never copied as a whole. Returns (encoder, decoder,
+    report). The encoder's output layer stacks mean and log-variance.
+    Divergence (non-finite loss) aborts.
     """
     x_all = np.asarray(dataset_inputs, dtype=np.float64)
-    if x_all.size == 0:
+    rows = np.arange(len(x_all)) if rows is None else np.asarray(rows)
+    if rows.size == 0 or x_all.shape[1] == 0:
         raise ValueError("train_vae: empty dataset")
-    if x_all.min() < 0.0 or x_all.max() > 1.0:
+    # per-row extremes: the range check reads the rows without gathering them
+    if x_all.min(axis=1)[rows].min() < 0.0 or x_all.max(axis=1)[rows].max() > 1.0:
         raise ValueError("train_vae: inputs must lie in [0,1]")
     hp = hyperparams
     d = x_all.shape[1]
@@ -352,14 +366,14 @@ def train_vae(dataset_inputs, hyperparams, seed):
         _init_mlp(rng, [d, hp.hidden, hp.hidden, 2 * m]),
         _init_mlp(rng, [m, hp.hidden, hp.hidden, d]))
 
-    n = x_all.shape[0]
+    n = len(rows)
     curve = []
     for epoch in range(hp.epochs):
         perm = rng.permutation(n)
         epoch_loss = 0.0
         for lo in range(0, n, hp.batch):
             idx = perm[lo:lo + hp.batch]
-            xb = x_all[idx]
+            xb = x_all[rows[idx]]
             enc_acts, dec_acts = [], []
             h = _forward(enc, xb, np.tanh, enc_acts)
             # contiguous copies: the ops below run several times faster on them
@@ -391,7 +405,7 @@ def train_vae(dataset_inputs, hyperparams, seed):
     # in the decoder's output array; each row's l1 is that of the whole set's pass
     l1 = np.empty(n)
     for lo in range(0, n, hp.batch):
-        xb = x_all[lo:lo + hp.batch]
+        xb = x_all[rows[lo:lo + hp.batch]]
         err = _sigmoid(_forward(dec, _forward(enc, xb, np.tanh)[:, :m], np.tanh))
         err -= xb
         np.sum(np.abs(err, out=err), axis=1, out=l1[lo:lo + hp.batch])
@@ -472,56 +486,126 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
 # fork, named: spawn and forkserver re-import numpy and re-run a script's module
 # code; Windows has no fork and macOS's Accelerate breaks under it, so run in turn
 _FORK_WORKER = sys.platform.startswith("linux")
+# OpenBLAS's thread-count getter and setter, by the names numpy's and scipy's
+# builds and a plain build export; an environment variable cannot set the count,
+# since OpenBLAS reads it only when it loads
+_BLAS_THREAD_CALLS = [(f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+                      for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
 
 
-def _ensemble_worker(send, *args):
-    """The forked worker's body: ``train_ensemble(*args)`` on the arrays the
-    fork copied, answered on ``send`` as (True, result) or (False, exception)."""
+@functools.cache
+def _blas_libraries():
+    """(file name, getter, setter) of each loaded OpenBLAS library that
+    exports a known pair, found once, at the first call: the process's memory
+    map names the libraries. Empty where there is no map (off Linux) or no
+    such library; training then runs at the libraries' own thread counts."""
     try:
-        reply = True, train_ensemble(*args)
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = sorted({line.split()[-1] for line in f
+                            if "openblas" in line.lower() and line.split()[-1].startswith("/")})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # unmapped or replaced since the map was read
+            continue
+        for get_name, set_name in _BLAS_THREAD_CALLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                found.append((os.path.basename(path), get, set_))
+                break
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Each library of ``_blas_libraries`` at one thread inside the block, and
+    at its former count after it, also when the block raises. Yields the
+    counts the block runs at by file name."""
+    blas = _blas_libraries()
+    counts = [get() for _, get, _ in blas]
+    try:
+        for _, _, set_ in blas:
+            set_(1)
+        yield {name: get() for name, get, _ in blas}
+    finally:
+        for (_, _, set_), count in zip(blas, counts):
+            set_(count)
+
+
+def _timed(fn, *args):
+    """``fn(*args)`` and its wall time in seconds."""
+    t0 = time.perf_counter()
+    return fn(*args), time.perf_counter() - t0
+
+
+def _ensemble_worker(send, dataset, *args):
+    """The forked worker's body: ``train_ensemble`` on the training rows it
+    gathers from the dataset the fork copied, so only this process holds them;
+    answered on ``send`` as (True, result, seconds) or (False, exception, None)."""
+    try:
+        reply = True, *_timed(train_ensemble, dataset.train_inputs(), dataset.train_labels(),
+                              *args)
     except Exception as e:  # any failure is the caller's to raise
-        reply = False, e
+        reply = False, e, None
     send.send(reply)
 
 
-def train_bundle(dataset, vae_hp=None, ens_hp=None, n_members=5, seed=0):
-    """Train VAE + ensemble on a Dataset and assemble a ModelBundle. With
-    ``_FORK_WORKER`` the ensemble trains in a process forked for the call, on
-    the inputs it inherits, while the VAE trains here; it answers on a pipe and
-    is stopped when the call ends, so a VAE failure raises at once. The bytes,
-    and the error raised (the VAE's first), are those of training in turn; a
-    worker that ends without answering raises ``TrainingWorkerLost``."""
+def train_bundle(dataset, vae_hp=None, ens_hp=None, n_members=5, seed=0, record=None):
+    """Train VAE + ensemble on a Dataset and assemble a ModelBundle.
+
+    The VAE gathers its batches from the dataset's inputs through the
+    training rows' index. With ``_FORK_WORKER`` the ensemble trains in a
+    process forked for the call, on the training rows it gathers from the
+    inputs it inherits, while the VAE trains here; it answers on a pipe and is
+    stopped when the call ends, so a VAE failure raises at once. Both
+    processes run at one BLAS thread (``_one_blas_thread``). The bytes, and
+    the error raised (the VAE's first), are those of training in turn; a
+    worker that ends without answering raises ``TrainingWorkerLost``.
+
+    ``record``, a dict if given, receives ``vae_s`` and ``ensemble_s``, each
+    job's own wall time, and ``blas_threads``, the thread count each BLAS
+    library trained at by its file name.
+    """
     vae_hp = vae_hp or VaeHyperparams()
     ens_hp = ens_hp or EnsembleHyperparams()
-    xt, yt = dataset.train_inputs(), dataset.train_labels()
-    if _FORK_WORKER:
-        ctx = multiprocessing.get_context("fork")
-        answer, send = ctx.Pipe(duplex=False)
-        worker = ctx.Process(target=_ensemble_worker,
-                             args=(send, xt, yt, n_members, ens_hp, seed))
-        with answer:
-            with send:  # the worker holds the only send end: its exit ends the pipe
-                worker.start()
-            try:
-                enc, dec, vrep = train_vae(xt, vae_hp, seed)
+    rows = np.flatnonzero(dataset.split == "train")
+    with _one_blas_thread() as threads:
+        if _FORK_WORKER:
+            ctx = multiprocessing.get_context("fork")
+            answer, send = ctx.Pipe(duplex=False)
+            worker = ctx.Process(target=_ensemble_worker,
+                                 args=(send, dataset, n_members, ens_hp, seed))
+            with answer:
+                with send:  # the worker holds the only send end: its exit ends the pipe
+                    worker.start()
                 try:
-                    ok, result = answer.recv()
-                except EOFError:
+                    (enc, dec, vrep), vae_s = _timed(train_vae, dataset.inputs, vae_hp, seed, rows)
+                    try:
+                        ok, result, ensemble_s = answer.recv()
+                    except EOFError:
+                        worker.join()
+                        code = worker.exitcode
+                        how = (f"exited with code {code}" if code >= 0
+                               else f"was killed by signal {-code}")
+                        raise TrainingWorkerLost(f"the ensemble's training worker {how} "
+                                                 f"and sent no result") from None
+                    if not ok:
+                        raise result
+                finally:
+                    worker.terminate()
                     worker.join()
-                    code = worker.exitcode
-                    how = (f"exited with code {code}" if code >= 0
-                           else f"was killed by signal {-code}")
-                    raise TrainingWorkerLost(f"the ensemble's training worker {how} "
-                                             f"and sent no result") from None
-                if not ok:
-                    raise result
-                ensemble, erep = result
-            finally:
-                worker.terminate()
-                worker.join()
-    else:
-        enc, dec, vrep = train_vae(xt, vae_hp, seed)
-        ensemble, erep = train_ensemble(xt, yt, n_members, ens_hp, seed)
+        else:
+            (enc, dec, vrep), vae_s = _timed(train_vae, dataset.inputs, vae_hp, seed, rows)
+            result, ensemble_s = _timed(train_ensemble, dataset.train_inputs(),
+                                        dataset.train_labels(), n_members, ens_hp, seed)
+    if record is not None:
+        record.update(vae_s=vae_s, ensemble_s=ensemble_s, blas_threads=threads)
+    ensemble, erep = result
     return ModelBundle(encoder=enc, decoder=dec, ensemble=ensemble, seed=seed,
                        vae_report=vrep, ensemble_report=erep)
 

@@ -89,6 +89,17 @@ def test_train_report_and_accuracy(workspace, capsys):
     assert len(report["vae"]["loss_curve"]) == 40
 
 
+def test_train_manifest_records_each_job_and_the_blas_threads(workspace):
+    """Each job's own wall time and the thread count of each BLAS library
+    training ran at are in the run manifest, and in no other output."""
+    with open(os.path.join(workspace["tr"], "run_manifest.json")) as f:
+        manifest = json.load(f)
+    times = manifest["wall_times_s"]
+    assert set(times) == {"train", "vae", "ensemble"}
+    assert 0.0 < times["vae"] <= times["train"] and times["ensemble"] > 0.0
+    assert manifest["blas_threads"] == {name: 1 for name, _, _ in models._blas_libraries()}
+
+
 def test_missing_dataset_exits_2_and_names_path(capsys):
     code = run(["train", "--out", "/tmp/cli_nowhere",
                 "--dataset", "/nope/missing"])

@@ -428,6 +428,26 @@ def test_s5_walks_each_class_path_once(blobs, blobs_bundle, monkeypatch):
         assert np.array_equal(z, _ref_s5_start(blobs_bundle, z0, i, config)), i
 
 
+@pytest.mark.parametrize("k", [1, 4, 8, 9])
+def test_sequential_joint_loss_is_the_per_step_mean(tiny_bundle, monkeypatch, k):
+    """The joint curve, averaged in one call, is each step's mean over the k
+    descents' curves as a 1-D mean gives it, bit for bit."""
+    ds, bundle = tiny_bundle
+    descend, curves = divclue._descend, []
+
+    def recording_descend(*args):
+        zs, trajs, curve = descend(*args)
+        curves.append(curve)
+        return zs, trajs, curve
+
+    monkeypatch.setattr(divclue, "_descend", recording_descend)
+    config = _config(k=k, lambda_d=0.5)
+    record = divclue.nabla_clue_penalty(ds.train_inputs()[8], bundle, config)
+    assert len(curves) == k
+    assert record.joint_loss == [float(np.mean([c[i] for c in curves]))
+                                 for i in range(config.iters)]
+
+
 @pytest.mark.parametrize("search", ["delta_clue", "nabla_clue_simultaneous"])
 def test_s5_runs_from_the_bundle_alone(tiny_bundle, search):
     """With r > 0 and no InitContext, s5 walks from the bundle the search

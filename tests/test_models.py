@@ -436,6 +436,93 @@ def test_training_in_the_caller_starts_no_thread_and_pickles_no_input(monkeypatc
     assert all(n < ds.train_inputs().nbytes for n in pickled)
 
 
+def test_training_in_the_caller_holds_no_copy_of_the_rows(traced_peak):
+    """On the fork path the caller's VAE gathers each batch through the
+    training rows' index and the worker gathers the ensemble's rows itself:
+    training 2,000 minidigits holds under 1.3x the inputs' bytes in the
+    caller, where a copy of the training rows took 1.97x."""
+    ds = data.gen_minidigits(2000, seed=0)
+    vae_hp, ens_hp = models.VaeHyperparams(epochs=1), models.EnsembleHyperparams(epochs=1)
+    models.train_bundle(ds, vae_hp, ens_hp, seed=0)
+    assert models._FORK_WORKER, "the fork path runs on Linux only"
+    _, peak = traced_peak(lambda: models.train_bundle(ds, vae_hp, ens_hp, seed=0))
+    assert peak < 1.3 * ds.inputs.nbytes, peak / ds.inputs.nbytes
+
+
+def test_gathered_rows_train_the_weights_of_a_copy_of_them():
+    """``train_vae`` on the inputs and an index gives the weights and report of
+    training on the indexed rows copied out, and checks the indexed rows only."""
+    ds = data.gen_blobs(c=3, d=8, n=300, spread=0.2, seed=3)
+    hp = models.VaeHyperparams(hidden=12, latent=3, epochs=3, batch=64)
+    rows = np.flatnonzero(ds.split == "train")
+    enc, dec, report = models.train_vae(ds.inputs, hp, 4, rows)
+    ref_enc, ref_dec, ref_report = models.train_vae(ds.train_inputs(), hp, 4)
+    assert all(np.array_equal(a, b) for a, b in zip(_arrays(enc, dec), _arrays(ref_enc, ref_dec)))
+    assert report == ref_report
+    bad = ds.inputs.copy()
+    bad[np.flatnonzero(ds.split == "test")[0]] = 2.0  # outside [0, 1], on a row not trained on
+    models.train_vae(bad, dataclasses.replace(hp, epochs=1), 4, rows)
+    with pytest.raises(ValueError, match="inputs must lie in"):
+        models.train_vae(bad, hp, 4)
+    with pytest.raises(ValueError, match="empty dataset"):
+        models.train_vae(ds.inputs, hp, 4, rows[:0])
+
+
+def _write_blas_threads(path):
+    """The BLAS thread counts this process reads, appended to ``path``."""
+    with open(path, "a") as f:
+        f.write(json.dumps([get() for _, get, _ in models._blas_libraries()]) + "\n")
+
+
+@pytest.mark.parametrize("ending", ["trained", "vae_diverged", "worker_lost"])
+def test_training_runs_one_blas_thread_per_process(ending, tmp_path, monkeypatch):
+    """The VAE in the caller and the ensemble in the worker each read one BLAS
+    thread, and the caller's count is back after the call, whether it trained,
+    its VAE diverged or its worker was lost."""
+    blas = models._blas_libraries()
+    if not blas:
+        pytest.skip("no loaded OpenBLAS library exports a known thread-count setter")
+    make, vae_hp, ens_hp, n_members, seed = TRAINING_CASES["tiny"]
+    train_vae, train_ensemble = models.train_vae, models.train_ensemble
+    vae_log, worker_log = tmp_path / "vae", tmp_path / "worker"
+
+    def vae(*args):
+        _write_blas_threads(vae_log)
+        if ending == "vae_diverged":
+            raise models.TrainingDivergence("VAE loss diverged at epoch 0")
+        return train_vae(*args)
+
+    def ensemble(*args):
+        _write_blas_threads(worker_log)
+        if ending == "worker_lost":
+            os._exit(7)
+        return train_ensemble(*args)
+
+    monkeypatch.setattr(models, "train_vae", vae)
+    monkeypatch.setattr(models, "train_ensemble", ensemble)
+    caller = [get() for _, get, _ in blas]
+    for _, _, set_ in blas:
+        set_(3)  # a count that neither the default nor the pin gives on a small host
+    record = {}
+    try:
+        if ending == "trained":
+            models.train_bundle(make(), vae_hp, ens_hp, n_members, seed, record=record)
+        else:
+            with pytest.raises((models.TrainingDivergence, models.TrainingWorkerLost)):
+                models.train_bundle(make(), vae_hp, ens_hp, n_members, seed)
+        after = [get() for _, get, _ in blas]
+    finally:
+        for (_, _, set_), count in zip(blas, caller):
+            set_(count)
+    assert after == [3] * len(blas)
+    assert json.loads(vae_log.read_text()) == [1] * len(blas)
+    if ending != "vae_diverged":  # a diverged VAE may stop the worker before it starts
+        assert json.loads(worker_log.read_text()) == [1] * len(blas)
+    if ending == "trained":
+        assert record["blas_threads"] == {name: 1 for name, _, _ in blas}
+        assert record["vae_s"] > 0.0 and record["ensemble_s"] > 0.0
+
+
 def test_single_member_ensemble(tiny_bundle):
     ds, _ = tiny_bundle
     hp = models.EnsembleHyperparams(hidden=8, epochs=10)

@@ -6,14 +6,17 @@ Each ``--src`` is a directory holding the ``cluekit`` package (default:
 this checkout's ``src``). The script builds a small workspace once (a blobs
 dataset and a bundle trained on it, and a minidigits dataset of 2,000 rows),
 then runs ``--help``, ``gen-data``, a one-point ``explain``, a minidigits
-``gen-data`` of 2,000 rows and a 5-epoch ``train`` on those rows as ``python -m
-cluekit.cli``, and ``python -c "import cluekit.cli"``, with each source in
-turn, alternating the sources within every repeat. The two minidigits commands
-are the set-up of the benchmark's ``diverse`` workload at a short training, so
-their peak RSS shows what a dataset of that size costs each command. For each
-command and source it prints the minimum and median wall time and the median
-of the child's peak RSS (``ru_maxrss`` from ``os.wait4``). The last line of
-standard output is one JSON object that holds every run.
+``gen-data`` of 2,000 rows, a 5-epoch ``train`` on those rows and a ``train`` at
+the default settings on them as ``python -m cluekit.cli``, and ``python -c
+"import cluekit.cli"``, with each source in turn, alternating the sources within
+every repeat. The minidigits commands are the set-up of the benchmark's
+``diverse`` workload, so their peak RSS shows what a dataset of that size costs
+each command; the full-length ``train`` is the one a user runs first. Every
+command runs without the BLAS thread-count variables of this environment, so at
+the host's default thread count. For each command and source it prints the
+minimum and median wall time and the median of the child's peak RSS
+(``ru_maxrss`` from ``os.wait4``). The last line of standard output is one JSON
+object that holds every run and the host's CPU count.
 """
 
 from __future__ import annotations
@@ -29,12 +32,14 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _run(src, args, cwd):
     """Wall seconds and peak RSS in MB of ``python args`` with ``src`` first
     on the path; a run that fails stops the script."""
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(src)
     with tempfile.TemporaryFile() as err:  # a file, so a chatty child cannot block on a pipe
         t0 = time.perf_counter()
         proc = subprocess.Popen([sys.executable, *args], cwd=cwd, env=env,
@@ -74,6 +79,8 @@ def main(argv=None):
             "train-digits": cli + ["train", "--out", "out/digits-model", "--dataset",
                                    "ws/digits/dataset", "--seed", "0", "--set", "vae_epochs=5",
                                    "--set", "ens_epochs=5"],
+            "train-digits-full": cli + ["train", "--out", "out/digits-model-full", "--dataset",
+                                        "ws/digits/dataset", "--seed", "0"],
         }
         runs = {name: {str(s): [] for s in sources} for name in commands}
         for repeat in range(args.repeats):
@@ -92,7 +99,8 @@ def main(argv=None):
                                  "maxrss_mb_median": statistics.median(rss)}
             print(f"{name:15s} {src}: wall min {min(walls):.3f} s, median "
                   f"{statistics.median(walls):.3f} s, maxrss {statistics.median(rss):.1f} MB")
-    print(json.dumps({"python": sys.version.split()[0], "repeats": args.repeats,
+    print(json.dumps({"python": sys.version.split()[0], "cpus": os.cpu_count(),
+                      "repeats": args.repeats,
                       "commands": {k: " ".join(v) for k, v in commands.items()},
                       "results": result}))
     return 0

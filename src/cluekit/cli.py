@@ -126,11 +126,13 @@ def _search_config(settings):
 
 
 def resolve_config(args):
-    """Every key of the command's table with its value from ``--seed``, else
-    ``--set``, else ``--config``, else the table's default, checked once; an
-    unknown key is a usage error naming it and the key it is closest to."""
+    """Every key of the command's table with its value from ``--seed``, else ``--set``,
+    else ``--config``, else the table's default, checked once; an unknown key (and its
+    nearest) or a refused value is a usage error naming it and any config file it came from."""
     cfg = load_config(args.config)
-    for pair in args.set or []:  # JSON, else a bare nan, inf or -inf, else a bare string
+    where = dict.fromkeys(cfg, f" (config file {args.config})")  # "" once a flag sets it
+    seed = [] if args.seed is None else [f"seed={args.seed}"]  # --seed wins over --set
+    for pair in (args.set or []) + seed:  # JSON, else a bare nan, inf or -inf, else a string
         key, eq, text = pair.partition("=")
         if not eq:
             raise UsageError(f"--set expects key=value, got {pair!r}")
@@ -138,16 +140,15 @@ def resolve_config(args):
             cfg[key] = json.loads(text)
         except json.JSONDecodeError:
             cfg[key] = float(text) if text in ("nan", "inf", "-inf") else text
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+        where[key] = ""
     table = SETTINGS[args.command]
     for key in cfg:
         if key not in table:
             near = difflib.get_close_matches(key, table, n=1)
-            raise UsageError(f"unknown setting {key!r} for {args.command}"
+            raise UsageError(f"unknown setting {key!r}{where[key]} for {args.command}"
                              + (f"; did you mean {near[0]!r}?" if near else "")
                              + f" ({args.command} reads {', '.join(sorted(table))})")
-    settings = {key: _checked(key, cfg[key], rule) if key in cfg else default
+    settings = {key: _checked(key + where[key], cfg[key], rule) if key in cfg else default
                 for key, (rule, default) in table.items()}
     # a float setting is read as a float, but a search key keeps its JSON type for the ceset echo
     settings.update((key, float(settings[key])) for key in cfg

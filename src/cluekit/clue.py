@@ -193,29 +193,32 @@ def _s2_way(z0, y, delta, ctx):
     return lambda f: z0 + delta * f * (zy - z0) / denom
 
 
-def _s5_way(z0, y, delta, bundle):
-    """Walk S5_STEPS normalized ascent steps on p(class=y | decode(z)) out to
-    radius delta; the point at fraction f lies at arc-length fraction
-    min(f, 1) along the path."""
-    step = delta / S5_STEPS
-    onehot = np.eye(bundle.c_classes)[y]
-    path, z = [z0], z0
-    for _ in range(S5_STEPS):
+def _along(path, f):
+    """The point at arc-length fraction min(f, 1) along ``path``."""
+    idx = min(f, 1.0) * (len(path) - 1)
+    lo = int(idx)
+    hi, t = min(lo + 1, len(path) - 1), idx - lo
+    return (1.0 - t) * path[lo] + t * path[hi]
+
+
+def _s5_ways(z0, n, delta, bundle):
+    """The ways toward classes 0 .. n-1, read by ``_along``: S5_STEPS normalized ascent
+    steps on p(class=y | decode(z)) out to radius delta, in lockstep, the live ways one
+    stack of 1 x m' latents per step; a way whose gradient is 0 stops there."""
+    step, onehot = delta / S5_STEPS, np.eye(bundle.c_classes)[:n, None]  # n x 1 x c'
+    paths, live = [[z0] for _ in range(n)], list(range(n))
+    for i in range(S5_STEPS):
+        z = np.stack([paths[y][-1] for y in live])[:, None]  # the live ways' last points
         x, decoder_grad = models._decode_with_grad(bundle, z)
         _, posterior_grad = models._posterior_with_grad(bundle, x)
-        g = decoder_grad(posterior_grad(onehot))  # the gradient of p_y
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0:
+        for y, g in zip(live, decoder_grad(posterior_grad(onehot[live]))):  # the gradients of p_y
+            gn = math.sqrt(g[0] @ g[0])  # np.linalg.norm(g), bit for bit
+            if gn != 0.0:  # t steps of delta / S5_STEPS stay in the delta ball
+                paths[y].append(paths[y][-1] + step * (g[0] / gn))
+        live = [y for y in live if len(paths[y]) == i + 2]
+        if not live:
             break
-        z = z + step * (g / gn)
-        path.append(z)  # t steps of delta / S5_STEPS stay in the delta ball
-
-    def at(f):
-        idx = min(f, 1.0) * (len(path) - 1)
-        lo = int(idx)
-        hi, t = min(lo + 1, len(path) - 1), idx - lo
-        return (1.0 - t) * path[lo] + t * path[hi]
-    return at
+    return [lambda f, path=path: _along(path, f) for path in paths]
 
 
 def coincident_starts(config, sequential=False):
@@ -245,8 +248,8 @@ def make_starts(z0, config, bundle, context=None, sequential=False):
         raise ValueError("scheme s2 needs an InitContext of certain latents and labels")
     else:
         c, reach = bundle.c_classes, delta if math.isfinite(delta) else r
-        way, data = (_s2_way, context) if config.scheme == "s2" else (_s5_way, bundle)
-        ways = [way(z0, y, reach, data) for y in range(min(k, c))]
+        ways = ([_s2_way(z0, y, reach, context) for y in range(min(k, c))]
+                if config.scheme == "s2" else _s5_ways(z0, min(k, c), reach, bundle))
         starts = [ways[i % c]((i // c + 1) / max(k // c, 1)) for i in range(k)]
     return [project_to_ball(z, z0, delta) for z in starts]
 
@@ -319,17 +322,13 @@ def _score(z, x, x0, z0, bundle, lambda_x, lambda_y=0.0, x0_label=None,
                        trajectory=trajectory)
 
 
-def make_candidate(z, x0, z0, bundle, config, start_index, x0_label, trajectory=None):
-    """The search end point ``z`` decoded and scored by ``_score``."""
-    return _score(z, models.decode(bundle, z), x0, z0, bundle, config.lambda_x,
-                  config.lambda_y, x0_label, config.h_threshold, start_index, trajectory)
-
-
 def _ceset(zs, trajs, x0, z0, bundle, config, x0_label):
-    """The decoded, scored candidates of a search; ``trajs`` holds None per
-    candidate when untraced."""
-    candidates = [make_candidate(z, x0, z0, bundle, config, i, x0_label, t)
-                  for i, (z, t) in enumerate(zip(zs, trajs))]
+    """A search's candidates: its end points decoded in one call, as a stack of
+    1 x m' latents, each scored by ``_score``; ``trajs`` holds None each untraced."""
+    xs = models.decode(bundle, np.stack(zs)[:, None])[:, 0]
+    candidates = [_score(z, x, x0, z0, bundle, config.lambda_x, config.lambda_y, x0_label,
+                         config.h_threshold, i, t)
+                  for i, (z, x, t) in enumerate(zip(zs, xs, trajs))]
     return CESet(candidates=candidates, config=config, x0=x0, z0=z0)
 
 

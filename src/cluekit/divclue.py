@@ -122,9 +122,8 @@ def nabla_clue_sequential(x0, bundle, config, spec, context=None, trace=False):
     the one free row to that factor.
     """
     def repulsion(found, z0, x0):
-        # one decode per found point: the tests pin it bitwise to that loop
-        const = np.stack([models.decode(bundle, f) for f in found]
-                         if spec.space == "input" else found)
+        const = np.stack(found)  # in input space decoded in one call, as 1 x m' latents
+        const = models.decode(bundle, const[:, None])[:, 0] if spec.space == "input" else const
         factor = div._dpp_factor(const) if spec.metric == "dpp" else None
 
         def repel(zs):

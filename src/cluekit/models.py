@@ -53,8 +53,8 @@ import numpy as np
 from . import diffcore as dc
 from . import store
 
-# crude instrumentation for the amortization claims: number of model
-# forward passes by kind, incremented on every public forward call
+# crude instrumentation for the amortization claims: the public forward calls
+# by kind, one count per call however many rows (or stacked rows) it runs
 EVAL_COUNTS = {"encode": 0, "decode": 0, "predict": 0}
 
 
@@ -187,8 +187,8 @@ def _relu_grad(a):
 
 
 def _decode_with_grad(bundle, z):
-    """decode(z) for one latent or a batch, not counted in EVAL_COUNTS, and
-    the function that takes an adjoint of the output back to one of ``z``."""
+    """decode(z) for one latent, a batch or an n x 1 x m' stack (each as that latent
+    alone, bit for bit), not counted in EVAL_COUNTS, and the adjoint back to ``z``."""
     acts = []
     x = _sigmoid(_forward(bundle.decoder, z, np.tanh, acts))
 
@@ -206,18 +206,18 @@ def _softmax(v):
 
 
 def _posterior_with_grad(bundle, x):
-    """The ensemble-mean posterior at one input, not counted in EVAL_COUNTS,
-    and the function that takes an adjoint of it back to one of ``x``."""
+    """The ensemble-mean posterior at each row on ``x``'s leading axes (bit for bit as
+    that row alone), not counted in EVAL_COUNTS, and the adjoint back to ``x``."""
     acts = []
-    s = _softmax(_forward(bundle.ensemble, x[None], _relu, acts))  # E x 1 x c'
-    scale = 1.0 / len(s)
+    s = _softmax(_forward(bundle.ensemble, x[..., None, None, :], _relu, acts))  # E x 1 x c'
+    scale = 1.0 / s.shape[-3]
 
     def grad(gp):
-        gp = gp * scale  # d/dp of the mean, to each member
+        gp = gp[..., None, None, :] * scale  # d/dp of the mean, to each member
         gl = s * (gp - np.add.reduce(s * gp, axis=-1, keepdims=True))  # softmax
-        return np.add.reduce(_backprop(bundle.ensemble, acts, gl, _relu_grad))[0]
+        return np.add.reduce(_backprop(bundle.ensemble, acts, gl, _relu_grad), axis=(-3, -2))
 
-    return np.add.reduce(s)[0] * scale, grad
+    return np.add.reduce(s, axis=(-3, -2)) * scale, grad  # over the members and the 1-row axis
 
 
 def _infer(kind, mlp, x, hidden_act):
@@ -431,9 +431,9 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
 
     The members train together as the stacked MLP of ``ModelBundle.ensemble``,
     one forward and backward per batch; member e draws its init and epoch
-    orders from its own rng and sees row e of each E x B x d' batch. Returns
-    (ensemble, report). The report's loss curve holds, per epoch, the
-    members' mean batch loss averaged over the members.
+    orders from its own rng and sees row e of each E x B x d' batch, gathered
+    through the fit rows' index. Returns (ensemble, report). The report's loss
+    curve holds, per epoch, the members' mean batch loss averaged over them.
     """
     x_all = np.asarray(inputs, dtype=np.float64)
     y_all = np.asarray(labels, dtype=np.int64)
@@ -449,18 +449,17 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
         raise ValueError(f"train_ensemble: holding out {n_held} of {len(x_all)} rows "
                          f"leaves none to train on")
     held, train = perm[:n_held], perm[n_held:]
-    xt, yt = x_all[train], y_all[train]
 
     rngs = [np.random.default_rng([seed, 1 + e]) for e in range(n_members)]
     params, grads, (ensemble,), (ensemble_g,) = _flat(
         _stack([_init_mlp(rng, [d, hp.hidden, hp.hidden, c]) for rng in rngs]))
-    onehot = np.eye(c)[yt]
+    onehot = np.eye(c)
     batch_loss_sums = np.zeros((n_members, hp.epochs))
     for epoch in range(hp.epochs):
-        orders = np.stack([rng.permutation(len(xt)) for rng in rngs])
-        for lo in range(0, len(xt), hp.batch):
-            idx = orders[:, lo:lo + hp.batch]  # row e: member e's batch
-            xb, yb, acts = xt[idx], onehot[idx], []
+        orders = np.stack([rng.permutation(len(train)) for rng in rngs])
+        for lo in range(0, len(train), hp.batch):
+            idx = train[orders[:, lo:lo + hp.batch]]  # row e: member e's batch
+            xb, yb, acts = x_all[idx], onehot[y_all[idx]], []
             p = _softmax(_forward(ensemble, xb, _relu, acts))
             losses = np.sum(yb * np.log(p), axis=(1, 2)) * (-1.0 / idx.shape[1])
             bad = np.flatnonzero(~np.isfinite(losses))
@@ -471,11 +470,12 @@ def train_ensemble(inputs, labels, n_members, hyperparams, seed):
             _backprop(ensemble, acts, g, _relu_grad, xb, input_grad=False, out=ensemble_g)
             params -= hp.lr * grads
             batch_loss_sums[:, epoch] += losses
-    # held-out accuracy + training entropy percentiles of the full ensemble
-    p_held, p_train = (_mean_posterior(_forward(ensemble, xs, _relu)) for xs in (x_all[held], xt))
-    acc = float(np.mean(np.argmax(p_held, axis=1) == y_all[held]))
-    ents = _row_entropy(p_train)
-    n_batches = -(-len(xt) // hp.batch)
+    # held-out accuracy + training entropy percentiles, a batch of rows at a time as in train_vae
+    p_held, p_train = ([_mean_posterior(_forward(ensemble, x_all[rows[lo:lo + hp.batch]], _relu))
+                        for lo in range(0, len(rows), hp.batch)] for rows in (held, train))
+    acc = float(np.mean(np.argmax(np.concatenate(p_held), axis=1) == y_all[held]))
+    ents = _row_entropy(np.concatenate(p_train))
+    n_batches = -(-len(train) // hp.batch)
     report = TrainingReport(
         loss_curve=(batch_loss_sums / n_batches).mean(axis=0).tolist(), heldout_accuracy=acc,
         entropy_percentiles={str(q): float(np.percentile(ents, q)) for q in (20, 50, 80)},

@@ -1157,10 +1157,15 @@ JSON_ANY = st.recursive(st.none() | st.booleans() | st.integers() | st.floats()
                         | st.dictionaries(st.text(max_size=3), inner, max_size=2), max_leaves=4)
 
 
+# a --config file of explain's settings is a record too, though no command writes one
+CONFIG_RULES = {key: rule for key, (rule, _default) in cli.SETTINGS["explain"].items()}
+
+
 @st.composite
 def _refused_field(draw):
-    record = draw(st.sampled_from(sorted(RECORD_TABLES)))
-    path, rule = draw(st.sampled_from(list(_field_paths(RECORD_TABLES[record]))))
+    record = draw(st.sampled_from(sorted(RECORD_TABLES) + ["config"]))
+    table = RECORD_TABLES.get(record, CONFIG_RULES)
+    path, rule = draw(st.sampled_from(list(_field_paths(table))))
     return record, path, draw(JSON_ANY.filter(lambda value: _refuses(rule, value)))
 
 
@@ -1168,11 +1173,11 @@ def _refused_field(draw):
 @given(case=_refused_field())
 def test_a_field_its_rule_refuses_exits_2_naming_the_record_and_field(workspace, record_files,
                                                                       case):
-    """Whatever field of a dataset, bundle, ceset or mapper holds a value its
-    rule refuses, ``explain`` (on a dataset or bundle) or ``glam2`` (on three
-    copies of a ceset) exits 2 with one ``error:`` line naming the file and
-    the field, and writes no output; ``load_mapper`` raises ValueError naming
-    them."""
+    """Whatever field of a dataset, bundle, ceset, mapper or ``--config`` file
+    holds a value its rule refuses, ``explain`` (on a dataset, bundle or config
+    file) or ``glam2`` (on three copies of a ceset) exits 2 with one ``error:``
+    line naming the file and the field, and writes no output; ``load_mapper``
+    raises ValueError naming them."""
     record, path, value = case
     field = ".".join(key for key in path if isinstance(key, str))
     event(f"{record} {field}")
@@ -1184,8 +1189,10 @@ def test_a_field_its_rule_refuses_exits_2_naming_the_record_and_field(workspace,
             edited = os.path.join(inputs[record], "manifest.json")
         else:
             edited = os.path.join(root, f"{record}.json")
-        with open(record_files[record]) as f:
-            payload = json.load(f)
+        payload = {}  # a config file of the one refused setting
+        if record != "config":
+            with open(record_files[record]) as f:
+                payload = json.load(f)
         target = payload
         for key in path[:-1]:
             target = target[key]
@@ -1199,6 +1206,7 @@ def test_a_field_its_rule_refuses_exits_2_naming_the_record_and_field(workspace,
             return
         argv = (["explain", "--top", "0"] if record != "ceset"
                 else ["glam", "--variant", "glam2", "--cesets"] + [edited] * 3)
+        argv += ["--config", edited] if record == "config" else []
         out = os.path.join(root, "out")
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):

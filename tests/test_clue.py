@@ -227,8 +227,7 @@ def test_s5_points_respect_delta(tiny_bundle):
     x0 = ds.train_inputs()[0]
     z0 = models.encode(bundle, x0)
     # k=6 on 3 classes reads each way at fractions 1/2 and 1, before projection
-    for y in range(3):
-        way = clue._s5_way(z0, y, 1.0, bundle)
+    for way in clue._s5_ways(z0, 3, 1.0, bundle):
         for f in (0.5, 1.0):
             assert np.linalg.norm(way(f) - z0) <= 1.0 + 1e-9
 
@@ -292,7 +291,7 @@ def test_acceptance_threshold(tiny_bundle):
 
 def _reference_delta_clue(x0, bundle, config):
     """delta_clue as k independent loops of objective, projection and
-    candidate scoring, one point after the other."""
+    candidate scoring, one point after the other, each end point decoded alone."""
     z0 = models.encode(bundle, x0)
     label = models.argmax_label(models.predict(bundle, x0))
     candidates = []
@@ -302,8 +301,9 @@ def _reference_delta_clue(x0, bundle, config):
             _, grad = clue.objective(z, x0, bundle, config.lambda_x, config.lambda_y, label)
             z = clue.project_to_ball(z - config.lr * grad, z0, config.delta)
             trajectory.append(z)
-        candidates.append(clue.make_candidate(z, x0, z0, bundle, config, i, label,
-                                              np.stack(trajectory)))
+        candidates.append(clue._score(z, models.decode(bundle, z), x0, z0, bundle,
+                                      config.lambda_x, config.lambda_y, label,
+                                      config.h_threshold, i, np.stack(trajectory)))
     return candidates
 
 
@@ -379,8 +379,8 @@ def test_diverged_search_raises(tiny_bundle):
         clue.delta_clue(x0, bundle, clue.ExperimentConfig(lr=1e300))
     x0, z0, label = clue._setup(x0, bundle)
     with pytest.raises(FloatingPointError, match="candidate 2 diverged"):
-        clue.make_candidate(np.full_like(z0, np.nan), x0, z0, bundle,
-                            clue.ExperimentConfig(), 2, label)
+        clue._ceset([z0, z0, np.full_like(z0, np.nan)], [None] * 3, x0, z0, bundle,
+                    clue.ExperimentConfig(), label)
 
 
 def test_ceset_json_roundtrip(tiny_bundle, tmp_path):
@@ -437,8 +437,8 @@ def test_a_candidate_of_non_finite_cost_raises(tiny_bundle):
     ds, bundle = tiny_bundle
     x0, z0, label = clue._setup(ds.train_inputs()[0], bundle)
     with pytest.raises(FloatingPointError, match="candidate 1's cost is inf"):
-        clue.make_candidate(z0, x0 + 5.0, z0, bundle, clue.ExperimentConfig(lambda_x=1e308),
-                            1, label)
+        clue._score(z0, models.decode(bundle, z0), x0 + 5.0, z0, bundle, 1e308, 0.0, label,
+                    start_index=1)
 
 
 ENTRY_VALUES = {"label_string": ("label", "x"), "cost_string": ("cost", "high"),

@@ -17,6 +17,12 @@ def _config(**kw):
 SPEC = div.DiversitySpec(metric="dpp", space="latent")
 
 
+def _candidate(z, x0, z0, bundle, config, i, x0_label):
+    """The reference loops' candidate: the end point ``z`` decoded alone and scored."""
+    return clue._score(z, models.decode(bundle, z), x0, z0, bundle, config.lambda_x,
+                       config.lambda_y, x0_label, config.h_threshold, i)
+
+
 def _report(record):
     """The metric report of a run's set: {(metric, space): value}."""
     return {(m, s): v for m, s, _k, v in div.metric_report_rows(record.ceset)}
@@ -326,7 +332,7 @@ def test_sequential_variants_match_reference_loops(tiny_bundle, variant, space):
     assert record.joint_loss == joint
     assert len([c for c in record.ceset.candidates if c.trajectory is not None]) == config.k
     for i, (cand, z, traj) in enumerate(zip(record.ceset.candidates, found, trajs)):
-        want = clue.make_candidate(z, x0, z0, bundle, config, i, x0_label)
+        want = _candidate(z, x0, z0, bundle, config, i, x0_label)
         assert np.array_equal(cand.z, z)
         assert np.array_equal(cand.x, want.x)
         assert cand.cost == want.cost
@@ -428,6 +434,24 @@ def test_s5_walks_each_class_path_once(blobs, blobs_bundle, monkeypatch):
         assert np.array_equal(z, _ref_s5_start(blobs_bundle, z0, i, config)), i
 
 
+@pytest.mark.parametrize("k", [1, 4, 7])
+def test_each_search_decodes_its_end_points_in_one_call(tiny_bundle, k):
+    """Every search decodes its k end points in one ``models.decode`` call, and
+    a sequential dpp search in input space its found points once per descent
+    that has some: k decodes in all. The s5 walk and the steps count none."""
+    ds, bundle = tiny_bundle
+    x0 = ds.train_inputs()[8]
+    config = _config(k=k, lambda_d=0.5, scheme="s5")
+    spec = div.DiversitySpec(metric="dpp", space="input")
+    for search, decodes in ((lambda: clue.delta_clue(x0, bundle, config), 1),
+                            (lambda: divclue.nabla_clue_simultaneous(x0, bundle, config, spec), 1),
+                            (lambda: divclue.nabla_clue_penalty(x0, bundle, config), 1),
+                            (lambda: divclue.nabla_clue_sequential(x0, bundle, config, spec), k)):
+        models.reset_eval_counts()
+        search()
+        assert models.EVAL_COUNTS == {"encode": 1, "decode": decodes, "predict": 1 + k}
+
+
 @pytest.mark.parametrize("k", [1, 4, 8, 9])
 def test_sequential_joint_loss_is_the_per_step_mean(tiny_bundle, monkeypatch, k):
     """The joint curve, averaged in one call, is each step's mean over the k
@@ -476,8 +500,7 @@ def test_simultaneous_matches_reference_loop(tiny_bundle, space, n_i):
     record = divclue.nabla_clue_simultaneous(x0, bundle, config, spec, trace=True)
     zs, trajs, joint, z0, x0_label = _ref_simultaneous(x0, bundle, config, spec)
     assert record.joint_loss == joint
-    want = [clue.make_candidate(z, x0, z0, bundle, config, i, x0_label)
-            for i, z in enumerate(zs)]
+    want = [_candidate(z, x0, z0, bundle, config, i, x0_label) for i, z in enumerate(zs)]
     for cand, w, traj in zip(record.ceset.candidates, want, trajs):
         assert np.array_equal(cand.z, w.z)
         assert np.array_equal(cand.x, w.x)

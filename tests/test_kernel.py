@@ -135,6 +135,100 @@ def test_s5_ascent_gradient_matches_tape(which, tiny_bundle, request):
             np.testing.assert_allclose(grad, zt.grad, rtol=RTOL, atol=0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 10])
+@pytest.mark.parametrize("which", ["tiny", "digits64"])
+def test_a_stack_of_rows_runs_as_each_row_alone(which, n, tiny_bundle, request):
+    """``_decode_with_grad``, ``_posterior_with_grad`` (values and adjoints) and
+    ``models.decode`` on n rows stacked on leading axes give each row's
+    one-row call bit for bit: an n x 1 x width stack, and for the posterior
+    also an n x d' array."""
+    ds, bundle = tiny_bundle if which == "tiny" else request.getfixturevalue("digits64_bundle")
+    rng = np.random.default_rng(n)
+    zs = models.encode(bundle, ds.train_inputs()[:n]) + rng.normal(0.0, 0.5, (n, bundle.m_latent))
+    gxs = rng.standard_normal((n, bundle.d_in))
+    gps = rng.standard_normal((n, bundle.c_classes))
+    xs, decoder_grad = models._decode_with_grad(bundle, zs[:, None])
+    ps, posterior_grad = models._posterior_with_grad(bundle, xs)
+    p2, posterior_grad2 = models._posterior_with_grad(bundle, xs[:, 0])
+    stacked = (xs[:, 0], decoder_grad(gxs[:, None])[:, 0], ps[:, 0],
+               posterior_grad(gps[:, None])[:, 0], p2, posterior_grad2(gps),
+               models.decode(bundle, zs[:, None])[:, 0])
+    for i, z in enumerate(zs):
+        x, decoder_grad = models._decode_with_grad(bundle, z)
+        p, posterior_grad = models._posterior_with_grad(bundle, x)
+        gp = posterior_grad(gps[i])
+        alone = (x, decoder_grad(gxs[i]), p, gp, p, gp, models.decode(bundle, z))
+        for j, (a, b) in enumerate(zip(stacked, alone)):
+            assert a[i].shape == b.shape and a[i].tobytes() == b.tobytes(), (i, j)
+
+
+def _ref_s5_path(z0, y, delta, bundle):
+    """The reference walk of one s5 way on its own: S5_STEPS normalized ascent
+    steps on p_y(decode(z)), one one-row call of each kernel per step, ending
+    where the gradient is 0."""
+    path, z = [z0], z0
+    for _ in range(clue.S5_STEPS):
+        x, decoder_grad = models._decode_with_grad(bundle, z)
+        _, posterior_grad = models._posterior_with_grad(bundle, x)
+        g = decoder_grad(posterior_grad(np.eye(bundle.c_classes)[y]))
+        gn = float(np.linalg.norm(g))
+        if gn == 0.0:
+            break
+        z = z + delta / clue.S5_STEPS * (g / gn)
+        path.append(z)
+    return path
+
+
+def _stop_way(monkeypatch, dead, after):
+    """Patch the posterior kernel so that class ``dead``'s ascent gradient is 0
+    from its step ``after`` on, in a one-row call and in a stack alike. Returns
+    the per-class step counts, which the caller clears between walks, and the
+    kernel calls made."""
+    steps, calls, posterior_with_grad = {}, [], models._posterior_with_grad
+
+    def patched(bundle, x):
+        calls.append(x.shape)
+        p, grad = posterior_with_grad(bundle, x)
+
+        def stopping(gp):
+            g = grad(gp)
+            for gp_row, g_row in zip(gp.reshape(-1, gp.shape[-1]), g.reshape(-1, g.shape[-1])):
+                y = int(gp_row.argmax())
+                steps[y] = steps.get(y, 0) + 1
+                if y == dead and steps[y] > after:
+                    g_row[:] = 0.0  # a view of g
+            return g
+        return p, stopping
+
+    monkeypatch.setattr(models, "_posterior_with_grad", patched)
+    return steps, calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_lockstep_s5_ways_equal_the_per_class_walks(digits64_bundle, monkeypatch, n):
+    """The n ways walked in lockstep read as the n ways walked one by one, bit
+    for bit, with way n // 2's gradient 0 from its step 7 on: it stops there
+    while the others walk on. The walk makes at most S5_STEPS calls of each
+    kernel, each on the stack of the live ways (one way that stops ends it)."""
+    ds, bundle = digits64_bundle
+    z0 = models.encode(bundle, ds.train_inputs()[3])
+    dead, decodes, decode_with_grad = n // 2, [], models._decode_with_grad
+    steps, calls = _stop_way(monkeypatch, dead, after=7)
+    monkeypatch.setattr(models, "_decode_with_grad",
+                        lambda *args: decodes.append(1) or decode_with_grad(*args))
+    ways = clue._s5_ways(z0, n, 1.5, bundle)
+    assert len(decodes) == len(calls) == (clue.S5_STEPS if n > 1 else 8)
+    assert calls[0] == (n, 1, bundle.d_in) and calls[-1] == (max(n - 1, 1), 1, bundle.d_in)
+    steps.clear()
+    paths = [_ref_s5_path(z0, y, 1.5, bundle) for y in range(n)]
+    assert [len(path) for path in paths] == [8 if y == dead else clue.S5_STEPS + 1
+                                             for y in range(n)]
+    fractions = np.append(np.linspace(0.0, 1.0, 4 * clue.S5_STEPS + 1), 1.5)
+    for y, (way, path) in enumerate(zip(ways, paths)):
+        for f in fractions:
+            assert way(f).tobytes() == clue._along(path, f).tobytes(), (y, f)
+
+
 def _with_dead_class(bundle, dead):
     """The bundle with every member's logit for class ``dead`` pushed to -1e4,
     so the ensemble posterior of that class underflows to exactly 0."""

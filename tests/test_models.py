@@ -276,6 +276,41 @@ def test_vae_report_holds_one_batch_of_rows(traced_peak):
     assert peak < 1.5 * x.nbytes, peak / x.nbytes
 
 
+@pytest.mark.parametrize("n,batch", [(50, 128), (300, 128), (2003, 128), (256, 64)])
+def test_ensemble_report_scored_per_batch_equals_the_full_batch_formula(n, batch):
+    """The held-out accuracy and the training-entropy percentiles, scored a
+    batch of rows at a time, are the whole sets' one-pass numbers bit for bit,
+    for n < batch and n % batch != 0."""
+    ds = data.gen_minidigits(n, seed=n)
+    x, y = ds.train_inputs(), ds.train_labels()
+    ensemble, report = models.train_ensemble(
+        x, y, 3, models.EnsembleHyperparams(hidden=16, epochs=2, batch=batch), seed=1)
+    perm = np.random.default_rng([1, 999]).permutation(len(x))
+    n_held = max(1, int(len(x) * models.HELDOUT_FRAC))
+    held, train = perm[:n_held], perm[n_held:]
+    p_held, p_train = (models._mean_posterior(models._forward(ensemble, x[rows], models._relu))
+                       for rows in (held, train))
+    assert report.heldout_accuracy == float(np.mean(np.argmax(p_held, axis=1) == y[held]))
+    ents = models._row_entropy(p_train)
+    assert report.entropy_percentiles == {str(q): float(np.percentile(ents, q))
+                                          for q in (20, 50, 80)}
+
+
+@pytest.mark.parametrize("epochs", [0, 1])
+def test_ensemble_training_holds_one_batch_of_rows(traced_peak, epochs):
+    """Training the ensemble on 2,000 minidigits' training rows peaks under
+    1.0x (no epochs) and 2.1x (one epoch) their bytes, as tracemalloc counts it:
+    each batch is gathered through the fit rows' index and the report's forward
+    passes hold one batch of rows (an E x B x d' gather is 0.41x here), where a
+    copy of the fit rows and the whole sets' passes took 5.5x and 6.4x."""
+    ds = data.gen_minidigits(2000, seed=0)
+    x, y = ds.train_inputs(), ds.train_labels()
+    hp = models.EnsembleHyperparams(epochs=epochs)
+    models.train_ensemble(x[:300], y[:300], 5, hp, 0)
+    _, peak = traced_peak(lambda: models.train_ensemble(x, y, 5, hp, 0))
+    assert peak < (1.0, 2.1)[epochs] * x.nbytes, peak / x.nbytes
+
+
 def test_input_adjoint_alone_equals_the_training_backward(tiny_bundle):
     """``_backprop`` without the input skips the weight adjoints; its input
     adjoint is the training path's bit for bit, on all three networks."""

@@ -7,7 +7,8 @@ runs one fixed command-line session (``SESSION``) as ``python -m cluekit.cli``
 subprocesses, once per source tree, each tree in a temporary directory of
 its own, one tree after the other. The session covers the blobs commands
 (``explain`` with every method and scheme, the ``sweep`` axes, ``glam`` and
-``bench``) and a minidigits ``gen-data``, ``train`` and ``explain``. It then
+``bench``) and a minidigits ``gen-data``, ``train`` and two ``explain`` runs, the
+second an s5 search whose start walk steps ten ways at once. It then
 lists every file whose bytes differ between the two trees' outputs, or that
 only one tree wrote, ignoring ``IGNORED`` (the files that hold timings).
 
@@ -30,6 +31,7 @@ IGNORED = {"run_manifest.json", "bench.csv"}
 BLOBS = ["--bundle", "runs/model/bundle", "--dataset", "runs/data/dataset"]
 BALL = ["--set", "k=4", "--set", "r=2", "--set", "delta=2"]
 DIVERSE = BLOBS + BALL + ["--top", "3", "--set", "lambda_d=0.5"]
+DIGITS = ["--bundle", "runs/digits-model/bundle", "--dataset", "runs/digits/dataset"]
 SESSION = [  # (output directory, the command's arguments); a * pattern expands in the work dir
     ("data", ["gen-data", "--seed", "0", "--set", "generator=blobs"]),
     ("model", ["train", "--dataset", "runs/data/dataset", "--seed", "0"]),
@@ -55,8 +57,9 @@ SESSION = [  # (output directory, the command's arguments); a * pattern expands 
     ("digits", ["gen-data", "--seed", "0", "--set", "generator=minidigits", "--set", "n=200"]),
     ("digits-model", ["train", "--dataset", "runs/digits/dataset", "--seed", "0",
                       "--set", "vae_epochs=5", "--set", "ens_epochs=5"]),
-    ("digits-ce", ["explain", "--top", "3", "--bundle", "runs/digits-model/bundle",
-                   "--dataset", "runs/digits/dataset"] + BALL),
+    ("digits-ce", ["explain", "--top", "3"] + DIGITS + BALL),
+    ("digits-s5", ["explain", "--top", "3", "--set", "scheme=s5", "--set", "k=10",
+                   "--set", "r=2", "--set", "delta=2"] + DIGITS),
 ]
 
 

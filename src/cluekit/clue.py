@@ -204,17 +204,17 @@ def _along(path, f):
 def _s5_ways(z0, n, delta, bundle):
     """The ways toward classes 0 .. n-1, read by ``_along``: S5_STEPS normalized ascent
     steps on p(class=y | decode(z)) out to radius delta, in lockstep, the live ways one
-    stack of 1 x m' latents per step; a way whose gradient is 0 stops there."""
-    step, onehot = delta / S5_STEPS, np.eye(bundle.c_classes)[:n, None]  # n x 1 x c'
+    array of latents per step; a way whose gradient is 0 stops there."""
+    step, onehot = delta / S5_STEPS, np.eye(bundle.c_classes)[:n]
     paths, live = [[z0] for _ in range(n)], list(range(n))
     for i in range(S5_STEPS):
-        z = np.stack([paths[y][-1] for y in live])[:, None]  # the live ways' last points
+        z = np.stack([paths[y][-1] for y in live])  # the live ways' last points
         x, decoder_grad = models._decode_with_grad(bundle, z)
         _, posterior_grad = models._posterior_with_grad(bundle, x)
         for y, g in zip(live, decoder_grad(posterior_grad(onehot[live]))):  # the gradients of p_y
-            gn = math.sqrt(g[0] @ g[0])  # np.linalg.norm(g), bit for bit
+            gn = math.sqrt(g @ g)  # np.linalg.norm(g), bit for bit
             if gn != 0.0:  # t steps of delta / S5_STEPS stay in the delta ball
-                paths[y].append(paths[y][-1] + step * (g[0] / gn))
+                paths[y].append(paths[y][-1] + step * (g / gn))
         live = [y for y in live if len(paths[y]) == i + 2]
         if not live:
             break
@@ -323,9 +323,9 @@ def _score(z, x, x0, z0, bundle, lambda_x, lambda_y=0.0, x0_label=None,
 
 
 def _ceset(zs, trajs, x0, z0, bundle, config, x0_label):
-    """A search's candidates: its end points decoded in one call, as a stack of
-    1 x m' latents, each scored by ``_score``; ``trajs`` holds None each untraced."""
-    xs = models.decode(bundle, np.stack(zs)[:, None])[:, 0]
+    """A search's candidates: its end points decoded in one call, each scored by
+    ``_score``; ``trajs`` holds None each untraced."""
+    xs = models.decode(bundle, np.stack(zs))
     candidates = [_score(z, x, x0, z0, bundle, config.lambda_x, config.lambda_y, x0_label,
                          config.h_threshold, i, t)
                   for i, (z, x, t) in enumerate(zip(zs, xs, trajs))]
@@ -354,20 +354,10 @@ def label_distribution(ceset):
     cands = ceset.accepted()
     if not cands:
         raise ValueError("label_distribution: no accepted candidates")
-    c = len(cands[0].posterior)
-    min_cost = {}
-    for cand in cands:
-        cur = min_cost.get(cand.label)
-        if cur is None or cand.cost < cur:
-            min_cost[cand.label] = cand.cost
-    weights = np.zeros(c)
-    zero_classes = [j for j, v in min_cost.items() if v == 0.0]
-    if zero_classes:
-        for j in zero_classes:
-            weights[j] = 1.0
-    else:
-        for j, v in min_cost.items():
-            weights[j] = 1.0 / (v * v)
+    min_cost = np.full(len(cands[0].posterior), np.inf)  # a class without candidates weighs 0
+    np.minimum.at(min_cost, [cand.label for cand in cands], [cand.cost for cand in cands])
+    sq = min_cost * min_cost  # a square that underflows to 0 takes the mass, as a 0 cost does
+    weights = 1.0 / sq if sq.all() else (sq == 0.0) * 1.0
     return weights / weights.sum()
 
 

@@ -154,17 +154,18 @@ def gen_minidigits(n, seed, test_frac=0.2):
                               "test_frac": test_frac})
 
 
-GENERATORS = {  # kind -> the dataset of a generator spec
-    "blobs": lambda s: gen_blobs(s["c"], s["d"], s["n"], s["spread"], s["seed"],
-                                 s.get("test_frac", 0.2)),
-    "minidigits": lambda s: gen_minidigits(s["n"], s["seed"], s.get("test_frac", 0.2))}
+GENERATORS = {  # kind -> (its generator, the spec keys it reads as its arguments)
+    "blobs": (gen_blobs, ("c", "d", "n", "spread", "seed", "test_frac")),
+    "minidigits": (gen_minidigits, ("n", "seed", "test_frac"))}
 
 
 def regenerate(spec):
-    """Rebuild a dataset bitwise-identically from its generator manifest."""
+    """Rebuild a dataset bitwise-identically from its generator manifest, passing
+    the generator of its kind exactly the keys it reads."""
     if spec["kind"] not in GENERATORS:
         raise ValueError(f"unknown generator kind {spec['kind']!r}")
-    return GENERATORS[spec["kind"]](spec)
+    generator, keys = GENERATORS[spec["kind"]]
+    return generator(**{key: spec[key] for key in keys})
 
 
 def partition_by_certainty(dataset, bundle, tau_low, tau_high):

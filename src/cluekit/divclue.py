@@ -122,8 +122,8 @@ def nabla_clue_sequential(x0, bundle, config, spec, context=None, trace=False):
     the one free row to that factor.
     """
     def repulsion(found, z0, x0):
-        const = np.stack(found)  # in input space decoded in one call, as 1 x m' latents
-        const = models.decode(bundle, const[:, None])[:, 0] if spec.space == "input" else const
+        const = np.stack(found)  # in input space decoded in one call
+        const = models.decode(bundle, const) if spec.space == "input" else const
         factor = div._dpp_factor(const) if spec.metric == "dpp" else None
 
         def repel(zs):

@@ -146,7 +146,7 @@ def nn_baseline(space, x_uncertain, x_certain, bundle, lambda_x=0.0):
     if space == "input":
         x_ce = x_c[int(np.argmin(np.linalg.norm(x_c - x, axis=1)))]
         return clue._score(models.encode(bundle, x_ce), x_ce, x, z0, bundle, lambda_x)
-    # row by row: batched, the timed loop outgrows the benchmark's memory bound (ROADMAP 1)
+    # row by row, bit for bit one encode: that faster call grows the benchmark's record (ROADMAP 1)
     z_c = np.stack([models.encode(bundle, xc) for xc in x_c])
     z = z_c[int(np.argmin(np.linalg.norm(z_c - z0, axis=1)))]
     return clue._score(z, models.decode(bundle, z), x, z0, bundle, lambda_x)

@@ -10,29 +10,29 @@ weights as an E x in x out array, so each layer of all members is one
 matmul. The dimensions d', m', c' and E are read from the weight shapes;
 a saved bundle (a ``store``) records shapes only in its manifest's ``tensors`` list.
 
-One numpy forward (``_forward``) and its hand-derived backward
-(``_backprop``) serve every use of the networks. Inference (``encode``,
-``decode``, ``predict``) runs the forward alone, on one row or a batch of
-rows, through one counted call (``_infer``). ``predict`` returns the
-ensemble-mean posterior (``_mean_posterior``, which the training report
-shares); ``entropy``, ``predict_entropy`` and the report take one row
-entropy (``_row_entropy``). The
-search step (``clue.objective``), the s5 start walk, the diversity
-gradients and the mapper fit take adjoints back to the latent through
-``_decode_with_grad`` and ``_posterior_with_grad``. Training takes them on
-to the weights: given the input and a gradient MLP, the same backward loop
-writes each layer's weight and bias adjoints into it. Each trainer holds all
-its weights and biases as views of one flat vector (``_flat``) and the adjoints
-as views of a second, so one ``params -= lr * grads`` is its SGD step. The
-VAE's Bernoulli loss and its logit adjoint share one exp(-|logits|)
-(``_bernoulli_xent``). The tests build the same networks on the autodiff
-tape as the oracle, and training repeats the tape's arithmetic term by
-term, so it gives the tape's weights bit for bit, also where ``train_bundle``
-trains the ensemble, while the VAE trains, in a process forked for the call
-that inherits the inputs and answers on a pipe (on Linux). The data is held
-once: the VAE gathers each batch through the training rows' index, and only
-the worker gathers the ensemble's rows. Each process runs numpy's OpenBLAS at
-one thread for the call, where the library exports a known setter
+One numpy forward (``_forward``) and its hand-derived backward (``_backprop``)
+serve every use of the networks. Inference (``encode``, ``decode``, ``predict``)
+runs the forward alone through one counted call (``_infer``). It reads rows:
+each row of an array runs alone on a row axis of its own, so a row gives the
+same bits in every call; only training and its report run batches. ``predict``
+returns the ensemble-mean posterior (``_mean_posterior``, which the training
+report shares); ``entropy``, ``predict_entropy`` and the report take one row
+entropy (``_row_entropy``). The search step (``clue.objective``), the s5 start
+walk, the diversity gradients and the mapper fit take adjoints back to the
+latent through ``_decode_with_grad`` and ``_posterior_with_grad``, which read
+rows too. Training takes them on to the weights: given the input and a gradient
+MLP, the same backward loop writes each layer's weight and bias adjoints into
+it. Each trainer holds all its weights and biases as views of one flat vector
+(``_flat``) and the adjoints as views of a second, so one
+``params -= lr * grads`` is its SGD step. The VAE's Bernoulli loss and its logit
+adjoint share one exp(-|logits|) (``_bernoulli_xent``). The tests build the same
+networks on the autodiff tape as the oracle, and training repeats the tape's
+arithmetic term by term, so it gives the tape's weights bit for bit, also where
+``train_bundle`` trains the ensemble, while the VAE trains, in a process forked
+for the call that inherits the inputs and answers on a pipe (on Linux). The data
+is held once: the VAE gathers each batch through the training rows' index, and
+only the worker gathers the ensemble's rows. Each process runs numpy's OpenBLAS
+at one thread for the call, where the library exports a known setter
 (``_blas_libraries``), and the caller's count is restored after it.
 """
 
@@ -187,15 +187,16 @@ def _relu_grad(a):
 
 
 def _decode_with_grad(bundle, z):
-    """decode(z) for one latent, a batch or an n x 1 x m' stack (each as that latent
-    alone, bit for bit), not counted in EVAL_COUNTS, and the adjoint back to ``z``."""
+    """decode(z) at one latent or at each row of an array (as that latent alone, bit for
+    bit, as ``_infer`` runs it), not counted in EVAL_COUNTS, and the adjoint back to z."""
     acts = []
-    x = _sigmoid(_forward(bundle.decoder, z, np.tanh, acts))
+    x = _sigmoid(_forward(bundle.decoder, z if z.ndim == 1 else z[..., None, :], np.tanh, acts))
 
-    def grad(g):
-        return _backprop(bundle.decoder, acts, g * x * (1.0 - x), _tanh_grad)
+    def grad(g):  # reshapes add and strip each row's axis
+        g = g.reshape(x.shape) * x * (1.0 - x)
+        return _backprop(bundle.decoder, acts, g, _tanh_grad).reshape(z.shape)
 
-    return x, grad
+    return x.reshape(z.shape[:-1] + x.shape[-1:]), grad
 
 
 def _softmax(v):
@@ -221,24 +222,26 @@ def _posterior_with_grad(bundle, x):
 
 
 def _infer(kind, mlp, x, hidden_act):
-    """``x`` as float64 and ``mlp``'s logits at it, counted in EVAL_COUNTS: the one
-    forward of encode, decode and predict (the ensemble reads a vector as one row).
-    The first matmul checks x's width, at no cost when it fits; the timed paths call per row."""
+    """``mlp``'s logits at ``x``, counted in EVAL_COUNTS: the one forward of encode, decode
+    and predict. A vector keeps its vector matmul; each row of an array runs alone on a row
+    axis of its own, so it gives that row's bits (the ensemble's logits are E x 1 x c' per
+    row). The first matmul checks x's width, at no cost when it fits."""
     x = np.asarray(x, dtype=np.float64)
+    rows = x if x.ndim == 1 else x[..., None, :]
     try:
-        logits = _forward(mlp, x.reshape(-1, x.shape[-1]) if kind == "predict" else x, hidden_act)
+        logits = _forward(mlp, rows[..., None, :] if kind == "predict" else rows, hidden_act)
     except ValueError:
         what, width = ("latent", "m'") if kind == "decode" else ("input", "d'")
         raise dc.ShapeError(f"{kind}: {what} length {x.shape[-1]} "
                             f"!= {width}={mlp.weights[0].shape[-2]}") from None
     EVAL_COUNTS[kind] += 1
-    return x, logits
+    return logits if x.ndim == 1 or kind == "predict" else logits[..., 0, :]
 
 
 def _mean_posterior(logits):
-    """The ensemble-mean posterior from the E x n x c' member logits."""
+    """The ensemble-mean posterior from the member logits on axis -3 (E x n x c')."""
     member = _softmax(logits)
-    return member.sum(axis=0) / len(member)
+    return member.sum(axis=-3) / member.shape[-3]
 
 
 def _row_entropy(p):
@@ -248,19 +251,17 @@ def _row_entropy(p):
 
 def encode(bundle, x):
     """Deterministic latent embedding: the encoder mean (no sampling)."""
-    h = _infer("encode", bundle.encoder, x, np.tanh)[1]
+    h = _infer("encode", bundle.encoder, x, np.tanh)
     return h[..., :h.shape[-1] // 2]
 
 
 def decode(bundle, z):
-    return _sigmoid(_infer("decode", bundle.decoder, z, np.tanh)[1])
+    return _sigmoid(_infer("decode", bundle.decoder, z, np.tanh))
 
 
 def predict(bundle, x):
     """The ensemble-mean posterior: length c' at one input, n x c' at n x d'."""
-    x, logits = _infer("predict", bundle.ensemble, x, _relu)
-    p = _mean_posterior(logits)
-    return p[0] if x.ndim == 1 else p
+    return _mean_posterior(_infer("predict", bundle.ensemble, x, _relu))[..., 0, :]
 
 
 def entropy(p):

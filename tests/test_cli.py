@@ -74,6 +74,19 @@ def test_gen_data_outputs_and_manifest(workspace):
         assert store.hash_tree(path) == {path: digest}
 
 
+def test_gen_data_records_only_the_keys_its_generator_reads(tmp_path):
+    """A key that the generator does not read may be given at its default; the
+    run manifest and the dataset record only the keys the generator read."""
+    out = tmp_path / "gd"
+    assert run(["gen-data", "--out", str(out), "--seed", "2", "--set", "generator=minidigits",
+                "--set", "n=50", "--set", "d=16", "--set", "spread=0.18"]) == 0
+    config = json.loads((out / "run_manifest.json").read_text())["config"]
+    assert config == {"seed": 2, "generator": "minidigits", "n": 50, "test_frac": 0.2}
+    generator = data.load_dataset(str(out / "dataset")).generator
+    assert generator == {"kind": "minidigits", "n": 50, "seed": 2, "test_frac": 0.2}
+    assert (out / "dataset.csv").read_text().splitlines()[0].count(",") == 1 + 64
+
+
 def test_gen_data_rerun_is_byte_identical(workspace, tmp_path):
     again = tmp_path / "gd2"
     assert run(["gen-data", "--out", str(again), "--seed", "3",
@@ -578,18 +591,25 @@ def test_glam23_without_cesets_exit_2(workspace, tmp_path, capsys):
 
 
 def test_bench_outputs(workspace, tmp_path):
-    out = tmp_path / "be"
-    assert run(["bench", "--out", str(out), "--bundle", workspace["bundle"],
-                "--dataset", workspace["dataset"], "--repetitions", "1"]
-               + EXPLAIN_SETS) == 0
-    lines = (out / "bench.csv").read_text().strip().splitlines()
-    assert lines[0] == "scheme,median_ms,repetitions"
-    rows = {r.split(",")[0]: r.split(",") for r in lines[1:]}
-    assert set(rows) == set(cli.BENCH_SCHEMES) | {"mapper-training"}
-    for name, r in rows.items():
-        assert float(r[1]) > 0.0
-        assert int(r[2]) == 1
-    config = json.loads((out / "run_manifest.json").read_text())["config"]
+    """bench.csv holds each scheme's repetitions and the model calls of one call,
+    and a rerun writes it byte for byte; the run manifest holds the timings."""
+    outs = [tmp_path / "be", tmp_path / "be-2"]
+    for out in outs:
+        assert run(["bench", "--out", str(out), "--bundle", workspace["bundle"],
+                    "--dataset", workspace["dataset"], "--repetitions", "1"]
+                   + EXPLAIN_SETS) == 0
+    assert read_bytes_except(outs[0]) == read_bytes_except(outs[1])
+    lines = (outs[0] / "bench.csv").read_text().strip().splitlines()
+    assert lines[0] == "scheme,repetitions,encode,decode,predict"
+    rows = {r.split(",")[0]: [int(v) for v in r.split(",")[1:]] for r in lines[1:]}
+    assert set(rows) == set(cli.BENCH_SCHEMES)
+    assert all(r[0] == 1 and min(r[1:]) >= 0 for r in rows.values())
+    assert rows["glam"] == [1, 1, 1, 1]  # apply_mapper: one encode, decode and predict
+    manifest = json.loads((outs[0] / "run_manifest.json").read_text())
+    assert set(manifest["median_ms"]) == set(cli.BENCH_SCHEMES)
+    assert min(manifest["median_ms"].values()) > 0.0
+    assert manifest["wall_times_s"]["mapper-training"] > 0.0
+    config = manifest["config"]
     assert (config["schemes"], config["repetitions"]) == (list(cli.BENCH_SCHEMES), 1)
 
 
@@ -619,9 +639,8 @@ def test_bench_wall_time_spans_the_timed_work(workspace, tmp_path, monkeypatch):
                + EXPLAIN_SETS) == 0
     monkeypatch.undo()
     manifest = json.loads((out / "run_manifest.json").read_text())
-    rows = [r.split(",") for r in (out / "bench.csv").read_text().splitlines()[1:]]
     assert manifest["wall_times_s"]["bench"] == readings[-1] - readings[0]
-    assert manifest["wall_times_s"]["bench"] > sum(float(r[1]) for r in rows) / 1000.0
+    assert manifest["wall_times_s"]["bench"] > sum(manifest["median_ms"].values()) / 1000.0
 
 
 def test_bench_times_nn_latent_as_glam_runs_it(workspace, tmp_path, monkeypatch):
@@ -639,6 +658,7 @@ def test_bench_times_nn_latent_as_glam_runs_it(workspace, tmp_path, monkeypatch)
                 "--dataset", workspace["dataset"], "--schemes", "nn-latent",
                 "--repetitions", "2"] + EXPLAIN_SETS) == 0
     monkeypatch.undo()
+    row = (tmp_path / "be" / "bench.csv").read_text().splitlines()[1].split(",")
     # readings: the start, the end of mapper training, each call's start and
     # end, and the end of the run
     assert len(encodes) == 7
@@ -651,10 +671,11 @@ def test_bench_times_nn_latent_as_glam_runs_it(workspace, tmp_path, monkeypatch)
     before = models.EVAL_COUNTS["encode"]
     scheme(xu[0], c)
     assert per_call == [models.EVAL_COUNTS["encode"] - before] * 2 == [1 + len(xc)] * 2
+    assert row[:3] == ["nn-latent", "2", str(1 + len(xc))]  # bench.csv's one-call encodes
 
 
 def test_bench_fits_glam1_as_glam_does(workspace, tmp_path, monkeypatch):
-    """bench's glam and mapper-training rows time glam's glam1 mapper: one fit
+    """bench's glam row and its mapper-training time use glam's glam1 mapper: one fit
     on at most cap rows of each side at glam's default lambda_theta."""
     fits, train_mapper = [], glam.train_mapper
 
@@ -872,6 +893,10 @@ BAD_SETTINGS = {  # case -> (argv, the text the error must hold)
     "test_frac_negative": (["gen-data", "--set", "test_frac=-0.5"], "test_frac"),
     "spread_nan": (["gen-data", "--set", "spread=nan"], "spread"),
     "spread_bool": (["gen-data", "--set", "spread=true"], "spread must be a number"),
+    # minidigits reads n, seed and test_frac: a value of its own for another key is refused
+    "generator_unread_keys": (["gen-data", "--set", "generator=minidigits", "--set", "n=50",
+                               "--set", "d=7", "--set", "c=3", "--set", "spread=5"],
+                              "generator 'minidigits' does not read c, d, spread"),
     "kl_weight_bool": (["train", "--set", "kl_weight=false"], "kl_weight must be a number"),
     "lambda_x_glam": (["glam", "--variant", "glam1", "--set", "lambda_x=true"],
                       "lambda_x must be a number"),

@@ -344,6 +344,9 @@ def test_label_distribution_inverse_square_rule(tiny_bundle):
     fake.candidates = [cand(0.0, 1), cand(2.0, 0)]
     weights = clue.label_distribution(fake)
     assert np.allclose(weights[:2], [0.0, 1.0])
+    # a cost whose square underflows to 0 takes all the mass, as a cost of 0 does
+    fake.candidates = [cand(1e-170, 2), cand(0.5, 0)]
+    assert clue.label_distribution(fake).tolist() == [0.0, 0.0, 1.0]
     fake.candidates = []
     with pytest.raises(ValueError):
         clue.label_distribution(fake)

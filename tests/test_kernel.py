@@ -162,6 +162,44 @@ def test_a_stack_of_rows_runs_as_each_row_alone(which, n, tiny_bundle, request):
             assert a[i].shape == b.shape and a[i].tobytes() == b.tobytes(), (i, j)
 
 
+def _row_outputs(bundle, xs, zs, gxs, gps):
+    """Each row-reading call at inputs ``xs`` and latents ``zs``, with the adjoints
+    of the two kernels at seeds ``gxs`` and ``gps``, by name."""
+    x, decoder_grad = models._decode_with_grad(bundle, zs)
+    p, posterior_grad = models._posterior_with_grad(bundle, xs)
+    return {"encode": models.encode(bundle, xs), "decode": models.decode(bundle, zs),
+            "predict": models.predict(bundle, xs),
+            "predict_entropy": np.float64(models.predict_entropy(bundle, xs)),
+            "_decode_with_grad": x, "_decode_with_grad adjoint": decoder_grad(gxs),
+            "_posterior_with_grad": p, "_posterior_with_grad adjoint": posterior_grad(gps)}
+
+
+@pytest.mark.parametrize("rows", [(0,), (1,), (64,), (2, 3)], ids=["0", "1", "64", "2x3"])
+@pytest.mark.parametrize("which", ["blobs", "digits64"])
+def test_inference_reads_each_row_as_that_row_alone(which, rows, request):
+    """Inference and the two adjoint kernels read rows: at an array X of rows
+    (0, 1 or 64 rows, or a 2 x 3 stack of them) each call f gives f(X)[i]
+    byte for byte f(X[i]), values and adjoints, for X[i] one row and, in the
+    stack, for X[i] a 3-row array."""
+    if which == "blobs":
+        ds, bundle = request.getfixturevalue("blobs"), request.getfixturevalue("blobs_bundle")
+    else:
+        ds, bundle = request.getfixturevalue("digits64_bundle")
+    rng = np.random.default_rng(len(rows))
+    xs = ds.train_inputs()[:int(np.prod(rows))].reshape(rows + (bundle.d_in,))
+    zs = models.encode(bundle, xs) + rng.normal(0.0, 0.5, rows + (bundle.m_latent,))
+    gxs, gps = rng.standard_normal(xs.shape), rng.standard_normal(rows + (bundle.c_classes,))
+    together = _row_outputs(bundle, xs, zs, gxs, gps)
+    one = _row_outputs(bundle, *(np.zeros(a.shape[-1]) for a in (xs, zs, gxs, gps)))
+    for name, out in together.items():
+        assert out.shape == rows + one[name].shape, name
+    stacks = [(j,) for j in range(rows[0])] if len(rows) > 1 else []
+    for i in list(np.ndindex(rows)) + stacks:
+        alone = _row_outputs(bundle, xs[i], zs[i], gxs[i], gps[i])
+        for name, out in together.items():
+            assert out[i].tobytes() == alone[name].tobytes(), (name, i)
+
+
 def _ref_s5_path(z0, y, delta, bundle):
     """The reference walk of one s5 way on its own: S5_STEPS normalized ascent
     steps on p_y(decode(z)), one one-row call of each kernel per step, ending
@@ -218,7 +256,7 @@ def test_lockstep_s5_ways_equal_the_per_class_walks(digits64_bundle, monkeypatch
                         lambda *args: decodes.append(1) or decode_with_grad(*args))
     ways = clue._s5_ways(z0, n, 1.5, bundle)
     assert len(decodes) == len(calls) == (clue.S5_STEPS if n > 1 else 8)
-    assert calls[0] == (n, 1, bundle.d_in) and calls[-1] == (max(n - 1, 1), 1, bundle.d_in)
+    assert calls[0] == (n, bundle.d_in) and calls[-1] == (max(n - 1, 1), bundle.d_in)
     steps.clear()
     paths = [_ref_s5_path(z0, y, 1.5, bundle) for y in range(n)]
     assert [len(path) for path in paths] == [8 if y == dead else clue.S5_STEPS + 1

@@ -6,11 +6,12 @@ Each ``--src`` is a directory holding the ``cluekit`` package. The script
 runs one fixed command-line session (``SESSION``) as ``python -m cluekit.cli``
 subprocesses, once per source tree, each tree in a temporary directory of
 its own, one tree after the other. The session covers the blobs commands
-(``explain`` with every method and scheme, the ``sweep`` axes, ``glam`` and
-``bench``) and a minidigits ``gen-data``, ``train`` and two ``explain`` runs, the
+(``explain`` with every method and scheme, s2 and s5 also at k = 8, the
+``sweep`` axes, ``glam`` with every variant and glam1 alone, and ``bench``)
+and a minidigits ``gen-data``, ``train`` and two ``explain`` runs, the
 second an s5 search whose start walk steps ten ways at once. It then
 lists every file whose bytes differ between the two trees' outputs, or that
-only one tree wrote, ignoring ``IGNORED`` (the files that hold timings).
+only one tree wrote, ignoring ``IGNORED`` (the file that holds timings).
 
 The last line of standard output is one JSON object. The exit status is 0
 when every file matches, 1 when some differ and 2 when a command failed,
@@ -27,7 +28,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-IGNORED = {"run_manifest.json", "bench.csv"}
+IGNORED = {"run_manifest.json"}
 BLOBS = ["--bundle", "runs/model/bundle", "--dataset", "runs/data/dataset"]
 BALL = ["--set", "k=4", "--set", "r=2", "--set", "delta=2"]
 DIVERSE = BLOBS + BALL + ["--top", "3", "--set", "lambda_d=0.5"]
@@ -40,6 +41,9 @@ SESSION = [  # (output directory, the command's arguments); a * pattern expands 
     ("ce40-weighted", ["explain", "--top", "40", "--set", "lambda_x=0.05",
                        "--set", "lambda_y=0.1", "--set", "h_threshold=0.3"] + BLOBS + BALL),
     ("s2", ["explain", "--top", "3", "--set", "scheme=s2"] + BLOBS + BALL),
+    # k = 2c': two starts read off each class's way
+    ("s2-k8", ["explain", "--top", "3", "--set", "scheme=s2"] + BLOBS + BALL + ["--set", "k=8"]),
+    ("s5-k8", ["explain", "--top", "3", "--set", "scheme=s5"] + BLOBS + BALL + ["--set", "k=8"]),
     ("s5-dy", ["explain", "--top", "3", "--set", "scheme=s5", "--set", "lambda_y=0.2"]
      + BLOBS + BALL),
     ("clue", ["explain", "--method", "clue", "--top", "3"] + BLOBS),
@@ -53,6 +57,7 @@ SESSION = [  # (output directory, the command's arguments); a * pattern expands 
     ("sweep-theta", ["sweep", "--axis", "lambda_theta", "--grid", "0,0.01,0.1"] + BLOBS),
     ("glam-all", ["glam", "--variant", "all", "--cesets", "runs/ce/ceset_*.json"] + BLOBS),
     ("glam2", ["glam", "--variant", "glam2", "--cesets", "runs/ce40/ceset_*.json"] + BLOBS),
+    ("glam1", ["glam", "--variant", "glam1", "--set", "cap=10"] + BLOBS),
     ("bench", ["bench", "--repetitions", "1"] + BLOBS + BALL),
     ("digits", ["gen-data", "--seed", "0", "--set", "generator=minidigits", "--set", "n=200"]),
     ("digits-model", ["train", "--dataset", "runs/digits/dataset", "--seed", "0",

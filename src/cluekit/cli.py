@@ -172,7 +172,8 @@ def _load(what, loader, path):
 def _load_inputs(args, settings):
     """The bundle and the dataset; a dataset of another input width than the
     bundle's is a usage error. Unset thresholds of ``settings`` become the
-    bundle's percentiles, so the manifest records the ones the partition used."""
+    bundle's percentiles, so the manifest records the ones the partition used;
+    tau_low above tau_high is a usage error."""
     bundle = _load("bundle", models.load_bundle, args.bundle)
     ds = _load("dataset", data.load_dataset, args.dataset)
     if ds.inputs.shape[1] != bundle.d_in:
@@ -181,6 +182,9 @@ def _load_inputs(args, settings):
     for key, tau in zip(TAUS, data.default_taus(bundle)):
         if settings[key] is None:
             settings[key] = tau
+    if settings["tau_low"] > settings["tau_high"]:
+        raise UsageError(f"tau_low={settings['tau_low']!r} lies above "
+                         f"tau_high={settings['tau_high']!r}")
     return bundle, ds
 
 
@@ -512,6 +516,8 @@ def cmd_bench(args):
     cfg = resolve_config(args)
     schemes = (list(BENCH_SCHEMES) if args.schemes == "all"
                else [_checked("scheme", s, Rule(BENCH_SCHEMES)) for s in args.schemes.split(",")])
+    if repeated := sorted({s for s in schemes if schemes.count(s) > 1}):
+        raise UsageError(f"--schemes names {', '.join(repeated)} more than once")
     config = _search_config(cfg)
     if "dclue" in schemes and clue.coincident_starts(config):
         raise UsageError(f"--schemes dclue with k={config.k} needs r > 0: at r=0 all k start "

@@ -128,7 +128,7 @@ def project_to_ball(z, z0, delta):
         return z
     z0 = np.asarray(z0, dtype=np.float64)
     diff = z - z0
-    norm = math.sqrt(diff @ diff)  # np.linalg.norm(diff), bit for bit
+    norm = math.sqrt(diff.dot(diff))  # np.linalg.norm(diff), bit for bit
     # the relative slack absorbs rounding in the rescale, which makes a
     # second projection return its input unchanged (bitwise idempotence)
     if norm <= delta * (1.0 + 1e-12):
@@ -212,7 +212,7 @@ def _s5_ways(z0, n, delta, bundle):
         x, decoder_grad = models._decode_with_grad(bundle, z)
         _, posterior_grad = models._posterior_with_grad(bundle, x)
         for y, g in zip(live, decoder_grad(posterior_grad(onehot[live]))):  # the gradients of p_y
-            gn = math.sqrt(g @ g)  # np.linalg.norm(g), bit for bit
+            gn = math.sqrt(g.dot(g))  # np.linalg.norm(g), bit for bit
             if gn != 0.0:  # t steps of delta / S5_STEPS stay in the delta ball
                 paths[y].append(paths[y][-1] + step * (g / gn))
         live = [y for y in live if len(paths[y]) == i + 2]
@@ -304,7 +304,8 @@ def _score(z, x, x0, z0, bundle, lambda_x, lambda_y=0.0, x0_label=None,
     d_y is 0.0 without ``x0_label``. A non-finite latent distance to z0 (a
     diverged search) or cost raises ``FloatingPointError``.
     """
-    rho = float(np.linalg.norm(z - z0))
+    d = z - z0
+    rho = math.sqrt(d.dot(d))  # np.linalg.norm(d), bit for bit
     if not math.isfinite(rho):
         raise FloatingPointError(f"candidate {start_index} diverged: its latent distance "
                                  f"to z0 is {rho} (lower lr, or bound it with delta)")

@@ -173,8 +173,10 @@ def partition_by_certainty(dataset, bundle, tau_low, tau_high):
 
     Points with tau_low < H <= tau_high stay unassigned ("mid") and are
     excluded from mapper training. When tau_low == tau_high every point is
-    assigned, with ties going to certain.
+    assigned, with ties going to certain. tau_low above tau_high raises ValueError.
     """
+    if tau_low > tau_high:
+        raise ValueError(f"tau_low={tau_low!r} lies above tau_high={tau_high!r}")
     xs = dataset.train_inputs()
     ys = dataset.train_labels()
     ents = models.predict_entropy(bundle, xs)

@@ -141,7 +141,7 @@ def _penalty(z, found, lambda_d):
     grad = np.zeros_like(z)
     for zf in found:
         diff = z - zf
-        d = math.sqrt(diff @ diff)
+        d = math.sqrt(diff.dot(diff))
         if d > PENALTY_EPS:
             total += lambda_d / d
             grad += -lambda_d / (d * d) * (diff / d)

@@ -175,9 +175,9 @@ def _dpp_add_row(const, factor, row):
     if inv is None or not (0.0 < dist.min() and dist.max() < inf):
         return None
     b = 1.0 / (dist + 1.0)
-    inv_b = inv @ b
+    inv_b = inv.dot(b)
     coef = (2.0 * det) * inv_b * b * b / dist
-    return float(det * (1.0 - b @ inv_b)), (coef @ diff)[None, :]
+    return float(det * (1.0 - b.dot(inv_b))), coef.dot(diff)[None, :]
 
 
 def _finite(spec, value):

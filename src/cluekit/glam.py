@@ -146,7 +146,9 @@ def nn_baseline(space, x_uncertain, x_certain, bundle, lambda_x=0.0):
     if space == "input":
         x_ce = x_c[int(np.argmin(np.linalg.norm(x_c - x, axis=1)))]
         return clue._score(models.encode(bundle, x_ce), x_ce, x, z0, bundle, lambda_x)
-    # row by row, bit for bit one encode: that faster call grows the benchmark's record (ROADMAP 1)
+    # row by row, bit for bit one encode. One stacked encode took the amortized benchmark from
+    # 366 to 1,141 explanations/s but its peak_rss_mb from 66.6 to 82.0 MB (one 20-s run a side):
+    # the harness's record grew from 11,582 to 31,189 timed calls, so it waits on ROADMAP item 1
     z_c = np.stack([models.encode(bundle, xc) for xc in x_c])
     z = z_c[int(np.argmin(np.linalg.norm(z_c - z0, axis=1)))]
     return clue._score(z, models.decode(bundle, z), x, z0, bundle, lambda_x)

@@ -11,18 +11,24 @@ matmul. The dimensions d', m', c' and E are read from the weight shapes;
 a saved bundle (a ``store``) records shapes only in its manifest's ``tensors`` list.
 
 One numpy forward (``_forward``) and its hand-derived backward (``_backprop``)
-serve every use of the networks. Inference (``encode``, ``decode``, ``predict``)
-runs the forward alone through one counted call (``_infer``). It reads rows:
-each row of an array runs alone on a row axis of its own, so a row gives the
-same bits in every call; only training and its report run batches. ``predict``
-returns the ensemble-mean posterior (``_mean_posterior``, which the training
-report shares); ``entropy``, ``predict_entropy`` and the report take one row
-entropy (``_row_entropy``). The search step (``clue.objective``), the s5 start
-walk, the diversity gradients and the mapper fit take adjoints back to the
-latent through ``_decode_with_grad`` and ``_posterior_with_grad``, which read
-rows too. Training takes them on to the weights: given the input and a gradient
-MLP, the same backward loop writes each layer's weight and bias adjoints into
-it. Each trainer holds all its weights and biases as views of one flat vector
+serve every use of the networks. A vector through 2-D weights (one input or
+latent through the VAE, and its adjoint) takes ``ndarray.dot`` at each layer:
+the same gemv as ``@`` and the same bits, at about half its dispatch. The rest
+keep ``@``: stacks of rows, which keep each row's one-row bits; training
+batches, whose bits match the tape's; and the E x in x out ensemble, on which
+``dot`` is another contraction (slower, and not bitwise). Inference (``encode``,
+``decode``, ``predict``) runs the forward alone through one counted call
+(``_infer``). It reads rows: each row of an array runs alone on a row axis of
+its own, so a row gives the same bits in every call; only training and its
+report run batches. ``predict`` returns the ensemble-mean posterior
+(``_mean_posterior``, which the training report shares); ``entropy``,
+``predict_entropy`` and the report take one row entropy (``_row_entropy``).
+The search step (``clue.objective``), the s5 start walk, the diversity
+gradients and the mapper fit take adjoints back to the latent through
+``_decode_with_grad`` and ``_posterior_with_grad``, which read rows too.
+Training takes them on to the weights: given the input and a gradient MLP,
+the same backward loop writes each layer's weight and bias adjoints into it.
+Each trainer holds all its weights and biases as views of one flat vector
 (``_flat``) and the adjoints as views of a second, so one
 ``params -= lr * grads`` is its SGD step. The VAE's Bernoulli loss and its logit
 adjoint share one exp(-|logits|) (``_bernoulli_xent``). The tests build the same
@@ -146,16 +152,16 @@ def _forward(mlp, x, hidden_act, acts=None):
 
     On ``bundle.ensemble`` an n x d' input gives E x n x c' logits, one
     slab per member. ``acts``, if given, collects the hidden activations
-    that ``_backprop`` needs.
+    that ``_backprop`` needs. A vector (only the VAE takes one) takes ``dot``.
     """
     ws, bs = mlp.weights, mlp.biases
     for i in range(len(ws) - 1):
-        x = x @ ws[i]
+        x = x.dot(ws[i]) if x.ndim == 1 else x @ ws[i]
         x += bs[i]
         hidden_act(x, out=x)
         if acts is not None:
             acts.append(x)
-    x = x @ ws[-1]
+    x = x.dot(ws[-1]) if x.ndim == 1 else x @ ws[-1]
     x += bs[-1]
     return x
 
@@ -165,7 +171,7 @@ def _backprop(mlp, acts, g, act_grad, x=None, input_grad=True, out=None):
 
     Given ``out``, an MLP of ``mlp``'s shapes, and the input ``x``, the same
     loop also writes each layer's weight and bias adjoints into out's arrays.
-    The input adjoint is None unless ``input_grad``.
+    The input adjoint is None unless ``input_grad``. A vector adjoint takes ``dot``.
     """
     ws = mlp.weights
     for i in range(len(ws) - 1, -1, -1):
@@ -173,9 +179,10 @@ def _backprop(mlp, acts, g, act_grad, x=None, input_grad=True, out=None):
             np.matmul((acts[i - 1] if i else x).swapaxes(-1, -2), g, out=out.weights[i])
             np.add.reduce(g, axis=-2, out=out.biases[i].reshape(g.shape[:-2] + g.shape[-1:]))
         if i:
-            g = g @ ws[i].swapaxes(-1, -2)
+            g = g.dot(ws[i].T) if g.ndim == 1 else g @ ws[i].swapaxes(-1, -2)
             g *= act_grad(acts[i - 1])
-    return g @ ws[0].swapaxes(-1, -2) if input_grad else None
+    if input_grad:  # else None
+        return g.dot(ws[0].T) if g.ndim == 1 else g @ ws[0].swapaxes(-1, -2)
 
 
 def _tanh_grad(a):

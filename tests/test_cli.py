@@ -921,6 +921,11 @@ BAD_SETTINGS = {  # case -> (argv, the text the error must hold)
                                    "lambda_theta_clue must be >= 0"),
     "tau_high_inf": (["glam", "--variant", "dbm-input", "--set", "tau_high=inf"],
                      "tau_high must be finite"),
+    # the partition's thresholds in the wrong order; equal ones stay allowed
+    **{f"tau_order_{command}": (argv + ["--set", "tau_low=0.5", "--set", "tau_high=0.25"],
+                                "tau_low=0.5 lies above tau_high=0.25")
+       for command, argv in (("explain", ["explain"]), ("sweep", LAMBDA_THETA),
+                             ("glam", ["glam", "--variant", "glam1"]), ("bench", ["bench"]))},
     # a misspelled key names the key probably meant; every key is checked, also
     # one that the chosen scheme or variant does not use
     "lambda_x_misspelled": (["explain", "--set", "lamdba_x=5"],
@@ -952,6 +957,9 @@ BAD_SETTINGS = {  # case -> (argv, the text the error must hold)
     "repetitions_too_many": (["bench", "--repetitions", "100001"],
                              "--repetitions must be <= 100000"),
     "grid_not_a_number": (["sweep", "--axis", "delta", "--grid", "1,abc"], "bad grid"),
+    # each scheme's median is kept once in the manifest
+    "schemes_repeated": (["bench", "--schemes", "glam,dbm-input,glam"],
+                         "--schemes names glam more than once"),
     # coverage has no prediction-space form, which a diversity search would optimize
     "coverage_prediction": (["sweep", "--axis", "delta", "--grid", "1", "--set", "metric=coverage",
                              "--set", "space=prediction"],
@@ -1020,6 +1028,21 @@ def test_malformed_input_exit_2(workspace, tmp_path, case, capsys):
     err = capsys.readouterr().err
     assert all(text in err for text in named), err
     assert not out.exists()
+
+
+def test_tau_high_below_the_bundles_tau_low_exits_2(workspace, tmp_path, capsys):
+    """The order of the thresholds is checked once the bundle's defaults are
+    filled in: a tau_high below the default tau_low names both values."""
+    lo, _ = data.default_taus(models.load_bundle(workspace["bundle"]))
+    out = tmp_path / "out"
+    assert run(["glam", "--variant", "glam1", "--set", f"tau_high={lo / 2!r}", "--out", str(out),
+                "--bundle", workspace["bundle"], "--dataset", workspace["dataset"]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"tau_low={lo!r} lies above tau_high={lo / 2!r}" in err
+    assert not out.exists()
+    assert run(["glam", "--variant", "dbm-input", "--set", f"tau_low={lo!r}",
+                "--set", f"tau_high={lo!r}", "--out", str(out),
+                "--bundle", workspace["bundle"], "--dataset", workspace["dataset"]]) == 0
 
 
 DELETED = object()  # a RECORD_EDITS value that deletes its field

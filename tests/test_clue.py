@@ -53,6 +53,37 @@ def test_project_to_ball_rescales_like_numpy_norm():
     assert clipped > 50
 
 
+NORM_VECTORS = {  # case -> a 1-D difference d
+    "random8": np.random.default_rng(6).standard_normal(8),
+    "random64": np.random.default_rng(7).standard_normal(64),
+    "subnormal": np.array([5e-324, -3e-310, 2.5e-320]),  # the squares underflow to 0
+    "subnormal_and_one": np.array([1e-300, 5e-324, 1.0]),
+    "overflow": np.array([1e200, -1e200, 3.0]),  # the squares overflow to inf
+    "inf": np.array([1.0, -np.inf, 2.0]),
+    "nan": np.array([np.nan, 1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(NORM_VECTORS))
+def test_vector_norm_is_numpy_norm_bit_for_bit(tiny_bundle, case):
+    """math.sqrt(d.dot(d)), the norm of _score's rho, project_to_ball and
+    _s5_ways, is np.linalg.norm(d) byte for byte; _score refuses a
+    non-finite rho."""
+    d = NORM_VECTORS[case]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert (np.float64(math.sqrt(d.dot(d))).tobytes()
+                == np.float64(np.linalg.norm(d)).tobytes())
+        ds, bundle = tiny_bundle
+        x0, z0, _ = clue._setup(ds.train_inputs()[0], bundle)
+        x, rho = models.decode(bundle, z0), np.linalg.norm(d)  # rho reads z alone
+        if not math.isfinite(rho):
+            with pytest.raises(FloatingPointError, match=f"latent distance to z0 is {rho}"):
+                clue._score(d, x, x0, np.zeros_like(d), bundle, 0.0)
+            return
+    c = clue._score(d, x, x0, np.zeros_like(d), bundle, 0.0)
+    assert type(c.rho) is float and np.float64(c.rho).tobytes() == rho.tobytes()
+
+
 def test_softmax_leaves_its_input_unchanged():
     v = np.random.default_rng(5).standard_normal((3, 2, 4))
     before = v.copy()

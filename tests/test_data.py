@@ -275,6 +275,15 @@ def test_partition_tau_extremes(blobs, blobs_bundle):
     assert np.sum(part.flags == "certain") == 0
 
 
+def test_partition_refuses_tau_low_above_tau_high(blobs, blobs_bundle):
+    lo, _ = data.default_taus(blobs_bundle)
+    message = f"tau_low={lo!r} lies above tau_high={lo / 2!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        data.partition_by_certainty(blobs, blobs_bundle, lo, lo / 2)
+    part = data.partition_by_certainty(blobs, blobs_bundle, lo, lo)  # equal: every point assigned
+    assert not np.any(part.flags == "mid")
+
+
 def test_partition_is_deterministic(blobs, blobs_bundle):
     lo, hi = data.default_taus(blobs_bundle)
     a = data.partition_by_certainty(blobs, blobs_bundle, lo, hi)

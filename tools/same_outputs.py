@@ -8,8 +8,10 @@ subprocesses, once per source tree, each tree in a temporary directory of
 its own, one tree after the other. The session covers the blobs commands
 (``explain`` with every method and scheme, s2 and s5 also at k = 8, the
 ``sweep`` axes, ``glam`` with every variant and glam1 alone, and ``bench``)
-and a minidigits ``gen-data``, ``train`` and two ``explain`` runs, the
-second an s5 search whose start walk steps ten ways at once. It then
+and a minidigits ``gen-data``, ``train`` and five ``explain`` runs: a
+δ-CLUE search, an s5 search whose start walk steps ten ways at once, and
+the three ∇-CLUE methods at the ``diverse`` benchmark workload's settings
+(``DIGITS_DIVERSE``), on its 64-wide inputs. It then
 lists every file whose bytes differ between the two trees' outputs, or that
 only one tree wrote, ignoring ``IGNORED`` (the file that holds timings).
 
@@ -33,6 +35,9 @@ BLOBS = ["--bundle", "runs/model/bundle", "--dataset", "runs/data/dataset"]
 BALL = ["--set", "k=4", "--set", "r=2", "--set", "delta=2"]
 DIVERSE = BLOBS + BALL + ["--top", "3", "--set", "lambda_d=0.5"]
 DIGITS = ["--bundle", "runs/digits-model/bundle", "--dataset", "runs/digits/dataset"]
+# the diverse benchmark workload's settings: k = 4, delta = r = 2, lambda_x = 0.05, lambda_d = 0.5
+DIGITS_DIVERSE = DIGITS + BALL + ["--top", "3", "--set", "lambda_x=0.05", "--set", "lambda_d=0.5",
+                                  "--set", "lr=0.3", "--set", "iters=50"]
 SESSION = [  # (output directory, the command's arguments); a * pattern expands in the work dir
     ("data", ["gen-data", "--seed", "0", "--set", "generator=blobs"]),
     ("model", ["train", "--dataset", "runs/data/dataset", "--seed", "0"]),
@@ -65,6 +70,11 @@ SESSION = [  # (output directory, the command's arguments); a * pattern expands 
     ("digits-ce", ["explain", "--top", "3"] + DIGITS + BALL),
     ("digits-s5", ["explain", "--top", "3", "--set", "scheme=s5", "--set", "k=10",
                    "--set", "r=2", "--set", "delta=2"] + DIGITS),
+    ("digits-divclue-sim", ["explain", "--method", "divclue-sim", "--set", "space=input",
+                            "--set", "n_i=5"] + DIGITS_DIVERSE),
+    ("digits-divclue-seq", ["explain", "--method", "divclue-seq", "--set", "space=latent"]
+     + DIGITS_DIVERSE),
+    ("digits-divclue-pen", ["explain", "--method", "divclue-pen"] + DIGITS_DIVERSE),
 ]
 
 
